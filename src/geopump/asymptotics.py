@@ -13,32 +13,39 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .su2 import HALF_PI, LoopParams, axis_angle_from_euler, euler_from_loop
+from .su2 import HALF_PI, LoopParams, axis_angle_from_euler, euler_from_loop, half_turn
 
 
 class RemovableSingularityWarning(UserWarning):
-    """The closed form hit 0/0; the reported value is the degenerate limit."""
+    """The closed form hit an exact 0/0 at theta = 0 with sin(phi) = 0.
+
+    The singularity is not removable: near the corner p_infinity is about
+    theta^2 / (2 * (theta^2 + 4 * phi^2)), so its limit depends on the
+    direction of approach.  The value returned there, 0, is a convention
+    (the limit along the theta = 0 line).
+    """
 
 
 def p_infinity(lp: LoopParams) -> float:
     """Infinite-cycle mean excited-state weight of the loop.
 
-    At theta = 0 with zero dynamic phase the formula is 0/0; the value
-    along the theta = 0 line is 0, which is returned with a
-    RemovableSingularityWarning.
+    Evaluated as (s / sin h)^2 / 2 with s = sin(theta/2) and the half turn
+    sine sin h = hypot(s, cos(theta/2) sin(phi)): its square equals
+    1 - cos^2(theta/2) cos^2(phi) exactly but has no cancellation near the
+    theta = 0, phi = 0 corner.  At the exact 0/0 (theta = 0 with
+    sin(phi) = 0) it returns 0 with a RemovableSingularityWarning.
     """
-    s = math.sin(0.5 * lp.theta)
-    core = math.cos(0.5 * lp.theta) * math.cos(lp.phi)
-    denom = 1.0 - core * core
-    if denom == 0.0:
+    s, _, _, sin_h = half_turn(lp.theta, lp.phi)
+    if sin_h == 0.0:
         warnings.warn(
             "pump rate is 0/0 at theta = 0 with zero dynamic phase; "
-            "returning the theta = 0 limit 0",
+            "returning the limit along theta = 0, which is 0",
             RemovableSingularityWarning,
             stacklevel=2,
         )
         return 0.0
-    return 0.5 * s * s / denom
+    ratio = s / sin_h
+    return 0.5 * ratio * ratio
 
 
 def p_infinity_axis_route(lp: LoopParams) -> float:

@@ -3,7 +3,8 @@
 Every command produces a ResultTable and writes it as CSV or JSON.  Output
 bytes are a pure function of the effective configuration: floats are
 printed with 17 significant digits, metadata keys have a fixed order, and
-line endings are LF.  Worker counts change wall time, never bytes.
+line endings are LF.  --threads is accepted and validated but changes
+neither the bytes nor the parallelism: every kernel runs single-threaded.
 
 Exit codes: 0 success, 1 bad configuration, 2 runtime or I/O failure,
 3 verification failure.
@@ -27,7 +28,7 @@ from .band import DriveCycle, GapClosedError, pump_profile
 from .evolution import ZeroFieldError, pump_trace
 from .sampling import make_rng, sample_loop_params
 from .stability import EmptyCurveError, phase_diagram
-from .su2 import HALF_PI, IdentityRotationError, LoopParams
+from .su2 import HALF_PI, ChartBranchError, IdentityRotationError, LoopParams
 
 
 class ConfigError(ValueError):
@@ -302,7 +303,13 @@ def run(cfg: RunConfig) -> ResultTable:
         return _HANDLERS[cfg.command](cfg)
     except ConfigError:
         raise
-    except (GapClosedError, EmptyCurveError, ZeroFieldError, IdentityRotationError) as exc:
+    except (
+        GapClosedError,
+        EmptyCurveError,
+        ZeroFieldError,
+        IdentityRotationError,
+        ChartBranchError,
+    ) as exc:
         raise RuntimeError(f"{exc} (command={cfg.command}, params={cfg.params})") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

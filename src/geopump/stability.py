@@ -11,7 +11,6 @@ module samples, classifies, and rasterizes into phase diagrams.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,16 +92,20 @@ class StabilityVerdict:
         return "Stable" if self.stable else "NoStabilityFound"
 
 
+def _check_scan(n_max: int, tol: float) -> None:
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if not 0.0 < tol <= MARGINAL_BAND:
+        raise ValueError(f"tol must lie in (0, {MARGINAL_BAND}], got {tol}")
+
+
 def classify(lp: LoopParams, n_max: int, tol: float = 1e-9) -> StabilityVerdict:
     """Scan n = 1..n_max for the first power with vanishing off-diagonal.
 
     Never declares a point unstable: a miss only means no return was found
     within n_max.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if not 0.0 < tol <= MARGINAL_BAND:
-        raise ValueError(f"tol must lie in (0, {MARGINAL_BAND}], got {tol}")
+    _check_scan(n_max, tol)
     s = math.sin(0.5 * lp.theta)
     x = trace_parameter(lp)
     marginal = []
@@ -199,8 +202,14 @@ def phase_diagram(
 
     offset = 0.5 (default) samples cell midpoints, staying off the
     boundary stable lines; offset = 0 uses an endpoint-inclusive grid.
-    Rows are distributed over `workers` threads and merged back in row
-    order, so the result is independent of the worker count.
+
+    Every cell equals classify(LoopParams(theta, 0, phi), n_max, tol), but
+    the whole grid advances through one real array recurrence,
+    t_{n+1} = y t_n - t_{n-1} with y = 2 cos(theta/2) cos(phi).  classify's
+    complex Fibonacci values are F_n = (-i)^(n-1) t_n, and every sign flip
+    in that map is exact, so |t_n| sin(theta/2) is the same float as its
+    off-diagonal magnitude.  `workers` is validated but changes nothing:
+    the scan is single-threaded numpy.
     """
     if theta_grid < 2 or phi_grid < 2:
         raise ValueError("grids need at least 2 points per axis")
@@ -208,15 +217,40 @@ def phase_diagram(
         raise ValueError(f"offset must lie in [0, 1), got {offset}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    _check_scan(n_max, tol)
     thetas = _axis(0.0, math.pi, theta_grid, offset)
     phis = _axis(-HALF_PI, HALF_PI, phi_grid, offset)
+    # cells in row-major order; scalar math.sin/cos per axis value, so each
+    # cell sees exactly the floats classify computes
+    s = np.repeat([math.sin(0.5 * t) for t in thetas], phi_grid)
+    c = [math.cos(0.5 * t) for t in thetas]
+    y = 2.0 * np.outer(c, [math.cos(p) for p in phis]).ravel()
+    prev, cur = np.full(y.size, -1.0), np.zeros(y.size)
+    order = np.zeros(y.size, dtype=np.int64)
+    marginal: dict[int, list[int]] = {}
+    for n in range(1, n_max + 1):
+        nxt = y * cur
+        nxt -= prev
+        prev, cur = cur, nxt
+        magnitude = np.abs(cur)
+        magnitude *= s
+        near = magnitude < MARGINAL_BAND
+        if not near.any():
+            continue
+        near &= order == 0
+        hit = near & (magnitude < tol)
+        order[hit] = n
+        for cell in np.flatnonzero(near & ~hit).tolist():
+            marginal.setdefault(cell, []).append(n)
 
-    def classify_row(theta: float) -> tuple[StabilityVerdict, ...]:
-        return tuple(classify(LoopParams(theta, 0.0, phi), n_max, tol) for phi in phis)
-
-    if workers == 1:
-        rows = [classify_row(t) for t in thetas]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(classify_row, thetas))
-    return PhaseDiagram(thetas, phis, tuple(rows))
+    idle = StabilityVerdict(False, n_max)
+    verdicts = [idle] * order.size
+    for cell in set(marginal).union(np.flatnonzero(order).tolist()):
+        first = int(order[cell])
+        verdicts[cell] = StabilityVerdict(
+            first > 0, n_max, first or None, tuple(marginal.get(cell, ()))
+        )
+    rows = tuple(
+        tuple(verdicts[i * phi_grid : (i + 1) * phi_grid]) for i in range(theta_grid)
+    )
+    return PhaseDiagram(thetas, phis, rows)

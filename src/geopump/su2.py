@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +24,16 @@ HALF_PI = 0.5 * math.pi
 # default tolerance for "is this still special-unitary" checks
 UNITARITY_TOL = 1e-12
 
+# half turn sines below this are +/-identity to rounding: no axis is defined
+IDENTITY_SIN_TOL = 4.0 * sys.float_info.epsilon
+
 
 class IdentityRotationError(ValueError):
     """The rotation is the identity up to global sign, so no axis exists."""
+
+
+class ChartBranchError(ArithmeticError):
+    """No branch of the axis-angle chart reproduces the source rotation."""
 
 
 def _require_finite(**angles):
@@ -183,6 +191,21 @@ def project_su2(m: np.ndarray) -> np.ndarray:
 
 # --- chart conversions ----------------------------------------------------
 
+def half_turn(theta: float, phase: float) -> tuple[float, float, float, float]:
+    """Quaternion parts of the rotation with opening angle theta and phase.
+
+    Returns (s, c_sin, c_cos, sin_h) with s = sin(theta/2), c_sin =
+    cos(theta/2) sin(phase), c_cos = cos(theta/2) cos(phase) = cos h, where
+    h is the half turn angle, and sin_h = hypot(s, c_sin).  The last uses
+    the exact identity 1 - cos^2 h = s^2 + c_sin^2, so it keeps full
+    relative precision near the identity, where sqrt(1 - cos^2 h) cancels.
+    """
+    c = math.cos(0.5 * theta)
+    s = math.sin(0.5 * theta)
+    c_sin = c * math.sin(phase)
+    return s, c_sin, c * math.cos(phase), math.hypot(s, c_sin)
+
+
 def rotation_from_axis_angle(aa: AxisAngle) -> np.ndarray:
     """Special-unitary rotation by aa.delta about the axis (aa.alpha, aa.beta)."""
     ch = math.cos(0.5 * aa.delta)
@@ -223,25 +246,23 @@ def _axis_angle_candidates(alpha, beta, delta):
 def axis_angle_from_euler(e: EulerAngles, match_tol: float = 1e-10) -> AxisAngle:
     """Axis-angle chart of an Euler triple.
 
-    The turn angle comes from the trace, the axis polar angle from the
-    diagonal imaginary part, and the azimuth from the off-diagonal phase.
+    The turn angle and the axis polar angle come from atan2 of the
+    quaternion parts (see half_turn), which stays accurate near the
+    identity; the azimuth comes from the off-diagonal phase.
     Residual branch ambiguity is settled by rebuilding the matrix and
     requiring entrywise agreement within match_tol.
 
     Raises IdentityRotationError when the matrix is the identity up to
-    global sign and the axis is undefined.
+    global sign and the axis is undefined, and ChartBranchError when no
+    branch matches.
     """
-    half_sum = 0.5 * (e.phi + e.psi)
-    cos_half_turn = math.cos(0.5 * e.theta) * math.cos(half_sum)
-    sin_sq = 1.0 - cos_half_turn * cos_half_turn
-    if sin_sq <= 1e-30:
+    s, c_sin, c_cos, sin_half_turn = half_turn(e.theta, 0.5 * (e.phi + e.psi))
+    if sin_half_turn < IDENTITY_SIN_TOL:
         raise IdentityRotationError(
             "rotation equals +/-identity; axis angles are undefined"
         )
-    sin_half_turn = math.sqrt(sin_sq)
-    delta = 2.0 * math.atan2(sin_half_turn, cos_half_turn)
-    cos_alpha = math.cos(0.5 * e.theta) * math.sin(half_sum) / sin_half_turn
-    alpha = math.acos(min(1.0, max(-1.0, cos_alpha)))
+    delta = 2.0 * math.atan2(sin_half_turn, c_cos)
+    alpha = math.atan2(s, c_sin)
     if math.sin(alpha) * sin_half_turn > 1e-15:
         beta = (0.5 * (e.phi - e.psi)) % TWO_PI
     else:
@@ -250,7 +271,9 @@ def axis_angle_from_euler(e: EulerAngles, match_tol: float = 1e-10) -> AxisAngle
     for candidate in _axis_angle_candidates(alpha, beta, delta):
         if np.max(np.abs(rotation_from_axis_angle(candidate) - source)) < match_tol:
             return candidate
-    raise AssertionError("no axis-angle branch reproduces the source rotation")
+    raise ChartBranchError(
+        f"no axis-angle branch reproduces the rotation {e} within {match_tol:g}"
+    )
 
 
 def euler_from_loop(lp: LoopParams) -> EulerAngles:

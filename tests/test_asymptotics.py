@@ -127,3 +127,20 @@ class TestAsymptoteReport:
         rep = asymptote_report(lp)
         trace = pump_trace(lp, 20_000)
         assert abs(trace.p[-1] - rep.p_inf_direct) < 5e-3
+
+
+class TestDegenerateCorner:
+    @pytest.mark.parametrize("theta", [1e-9, 1e-6])
+    @pytest.mark.parametrize("phi", [1e-9, 1e-6])
+    def test_matches_direction_dependent_limit(self, theta, phi):
+        # p_inf ~ theta^2 / (2 (theta^2 + 4 phi^2)) near (0, 0), with a
+        # relative correction of order theta^2 + phi^2
+        limit = 0.5 * theta**2 / (theta**2 + 4.0 * phi**2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = p_infinity(LoopParams(theta, 0.0, phi))
+        assert got == pytest.approx(limit, rel=1e-9)
+
+    @pytest.mark.parametrize("lp", [LoopParams(1e-6, 0.0, 0.3), LoopParams(1e-6, 0.0, 1e-6)])
+    def test_axis_route_near_corner(self, lp):
+        assert abs(p_infinity_axis_route(lp) - p_infinity(lp)) < 1e-10

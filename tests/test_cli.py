@@ -1,9 +1,11 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
+from geopump import ChartBranchError
 from geopump.checks import CheckResult
 from geopump.cli import (
     ConfigError,
@@ -280,3 +282,37 @@ class TestVerifyCommand:
         text = out.read_text()
         assert "check_id,passed,value" in text
         assert "# check.0 = loop-operator-special-unitary" in text
+
+
+class TestPhaseDiagramGolden:
+    # SHA-256 of the CSV bytes, pinned when the grid was scanned cell by cell
+    @pytest.mark.parametrize(
+        "flags,digest",
+        [
+            (
+                ["--theta-grid", "200", "--phi-grid", "200", "--n-max", "200",
+                 "--offset", "0.5", "--threads", "1"],
+                "9d73ae351f4b8341327abd9b0d37e6ecd9fa2a782856b5f71f52deaa433d27c1",
+            ),
+            (
+                ["--theta-grid", "201", "--phi-grid", "201", "--n-max", "200",
+                 "--offset", "0"],
+                "0f9cd63d3aca92ff3eb04df8e84712470ab75dbe4e6d675de6e34780c444953f",
+            ),
+        ],
+    )
+    def test_bytes_are_pinned(self, tmp_path, flags, digest):
+        out = tmp_path / "pd.csv"
+        assert main(["phase-diagram", *flags, "--format", "csv", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_chart_branch_failure_is_runtime_exit(monkeypatch, capsys):
+    import geopump.cli as cli
+
+    def unmatched(lp):
+        raise ChartBranchError("no branch")
+
+    monkeypatch.setattr(cli, "p_infinity_axis_route", unmatched)
+    assert main(["asymptote", "--theta-grid", "2", "--phi-grid", "2"]) == 2
+    assert "no branch" in capsys.readouterr().err

@@ -209,3 +209,43 @@ class TestTrajectoryAngles:
 
         angles = trajectory_angles(LoopParams(math.pi / 2, 0.0, 0.3), 20_000)
         assert kstest(angles / (2.0 * math.pi), "uniform").statistic < 0.02
+
+
+class TestClosedFormTrace:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_matrix_power_up_to_a_million_cycles(self, seed):
+        lp = _random_loop(np.random.default_rng(seed))
+        u = build_loop_operator(lp)
+        trace = pump_trace(lp, 1_000_000)
+        for n in (1, 999, 123_457, 1_000_000):
+            expected = abs(np.linalg.matrix_power(u, n)[1, 0]) ** 2
+            assert abs(trace.q[n - 1] - expected) <= 1e-9
+
+    @pytest.mark.parametrize("theta", [math.pi, math.pi / 2])
+    def test_unbiased_drive_stays_in_unit_interval(self, theta):
+        # at phi = 0, |U_10| / sin h can round to 1 + ulp; at theta = pi/2
+        # these azimuths push the unclipped q_2 to 1 + 4e-16
+        for omega in (0.0, 1.0, 1.4231439582217895, 6.2250326568190255):
+            trace = pump_trace(LoopParams(theta, omega, 0.0), 10_000)
+            assert np.all(trace.q >= 0.0) and np.all(trace.q <= 1.0)
+            assert trace.q.max() == pytest.approx(1.0, abs=1e-12)
+
+    def test_general_initial_state_matches_iterated_products(self):
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            lp = _random_loop(rng)
+            state = rng.normal(size=2) + 1j * rng.normal(size=2)
+            state /= np.linalg.norm(state)
+            u = build_loop_operator(lp)
+            trace = pump_trace(lp, 400, initial=state)
+            amp = state.copy()
+            for j in range(400):
+                amp = u @ amp
+                assert trace.q[j] == pytest.approx(abs(amp[1]) ** 2, abs=1e-12)
+
+    def test_identity_drive_keeps_populations(self):
+        state = np.array([0.6, 0.8j])
+        trace = pump_trace(LoopParams(0.0, 0.0, 0.0), 20, initial=state)
+        np.testing.assert_allclose(trace.q, 0.64, rtol=0, atol=1e-15)
+        ground = pump_trace(LoopParams(0.0, 1.3, 0.0), 20)
+        assert np.all(ground.q == 0.0) and np.all(ground.p == 0.0)

@@ -279,3 +279,28 @@ class TestPhaseDiagram:
             phase_diagram(5, 5, 10, offset=1.0)
         with pytest.raises(ValueError):
             phase_diagram(5, 5, 10, workers=0)
+
+
+class TestPhaseDiagramMatchesClassify:
+    @pytest.mark.parametrize(
+        "grid,n_max,offset", [(60, 1000, 0.0), (41, 120, 0.5), (23, 300, 0.25)]
+    )
+    def test_every_cell_equals_scalar_verdict(self, grid, n_max, offset):
+        diagram = phase_diagram(grid, grid, n_max, offset=offset)
+        for row, theta in zip(diagram.verdicts, diagram.theta_values):
+            for verdict, phi in zip(row, diagram.phi_values):
+                expected = classify(LoopParams(float(theta), 0.0, float(phi)), n_max)
+                assert verdict == expected  # stable, order and marginal
+
+    def test_endpoint_grid_has_stable_and_marginal_cells(self):
+        # guards the test above: it must see both kinds of special cell
+        diagram = phase_diagram(60, 60, 1000, offset=0.0)
+        cells = [v for row in diagram.verdicts for v in row]
+        assert sum(v.stable for v in cells) > 100
+        assert sum(bool(v.marginal) for v in cells) > 0
+
+    def test_scan_arguments_validated(self):
+        with pytest.raises(ValueError):
+            phase_diagram(5, 5, 0)
+        with pytest.raises(ValueError):
+            phase_diagram(5, 5, 10, tol=1e-3)

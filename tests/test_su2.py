@@ -5,6 +5,7 @@ import pytest
 
 from geopump import (
     AxisAngle,
+    ChartBranchError,
     EulerAngles,
     IdentityRotationError,
     LoopParams,
@@ -16,6 +17,7 @@ from geopump import (
     euler_from_loop,
     excited_state,
     ground_state,
+    half_turn,
     is_su2,
     power,
     project_su2,
@@ -240,3 +242,30 @@ class TestAngleCharts:
         aa = axis_angle_from_euler(euler_from_loop(LoopParams(0.0, 0.0, 0.8)))
         assert math.sin(aa.alpha) == pytest.approx(0.0, abs=1e-12)
         assert aa.delta == pytest.approx(1.6, abs=1e-12)
+
+
+class TestNearIdentityCharts:
+    @pytest.mark.parametrize(
+        "lp", [LoopParams(1e-6, 0.0, 0.3), LoopParams(1e-6, 0.0, 1e-6), LoopParams(1e-6, 2.1, -1e-6)]
+    )
+    def test_axis_angle_rebuilds_operator(self, lp):
+        aa = axis_angle_from_euler(euler_from_loop(lp))
+        rebuilt = rotation_from_axis_angle(aa)
+        assert np.max(np.abs(rebuilt - build_loop_operator(lp))) < 1e-10
+
+    def test_log_uniform_draws_never_fail(self):
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            theta = 10.0 ** rng.uniform(-12.0, 0.0)
+            phi = math.copysign(10.0 ** rng.uniform(-12.0, 0.0), rng.uniform(-1.0, 1.0))
+            axis_angle_from_euler(euler_from_loop(LoopParams(theta, 0.0, phi)))
+
+    def test_unmatched_branch_is_typed(self):
+        e = euler_from_loop(LoopParams(1.0, 0.2, 0.3))
+        with pytest.raises(ChartBranchError):
+            axis_angle_from_euler(e, match_tol=0.0)
+
+    def test_half_turn_has_no_cancellation(self):
+        s, c_sin, c_cos, sin_h = half_turn(2e-9, 1e-9)
+        assert sin_h == pytest.approx(math.sqrt(2.0) * 1e-9, rel=1e-15)
+        assert c_cos == pytest.approx(1.0, abs=1e-16)
