@@ -18,10 +18,9 @@ from scipy.stats import kstest
 from .asymptotics import p_geometric, p_infinity, phi_average, p_infinity_axis_route
 from .band import DriveCycle, pump_profile, theta_of_k, winding_number, ChainParams
 from .evolution import (
-    FieldCycle1D,
     build_loop_operator,
+    cosine_cycle_zeros,
     propagate_state,
-    pump_1d,
     pump_trace,
     trajectory_angles,
 )
@@ -238,7 +237,7 @@ def _check_one_d_consistency(rng):
     for a in np.linspace(-3.0, 3.0, 20):
         dc = DriveCycle(a=float(a))
         for k_star, offset in ((math.pi, a - 1.0), (0.0, a + 1.0)):
-            events = pump_1d(FieldCycle1D(float(offset)))
+            events = cosine_cycle_zeros(float(offset))
             pumped = any(e.transversal for e in events)
             if pumped != (theta_of_k(dc, k_star) == math.pi):
                 mismatches += 1

@@ -1,10 +1,11 @@
 """Command line front end: configured runs, tabular emission, self checks.
 
-Every command produces a ResultTable and writes it as CSV or JSON.  Output
-bytes are a pure function of the effective configuration: floats are
-printed with 17 significant digits, metadata keys have a fixed order, and
-line endings are LF.  --threads is accepted and validated but changes
-neither the bytes nor the parallelism: every kernel runs single-threaded.
+Every command produces a ResultTable, one typed numpy column (int64 or
+float64) per named field, and writes it as CSV or JSON.  Output bytes are a
+pure function of the effective configuration: floats are printed with 17
+significant digits, metadata keys have a fixed order, and line endings are
+LF.  --threads is accepted and validated but changes neither the bytes nor
+the parallelism: every kernel runs single-threaded.
 
 Exit codes: 0 success, 1 bad configuration, 2 runtime or I/O failure,
 3 verification failure.
@@ -93,54 +94,69 @@ class RunConfig:
     threads: int = 1
 
 
-def _as_number(x):
-    if isinstance(x, (bool, np.bool_)):
-        return int(x)
-    if isinstance(x, (int, np.integer)):
-        return int(x)
-    if isinstance(x, (float, np.floating)):
-        return float(x)
-    raise TypeError(f"table cells must be numbers, got {type(x).__name__}")
+def _as_column(values) -> np.ndarray:
+    col = np.asarray(values)
+    if col.ndim != 1:
+        raise ValueError(f"table columns must be 1-D, got shape {col.shape}")
+    if col.dtype.kind in "biu":  # uint64 does not fit and raises TypeError
+        col = col.astype(np.int64, copy=False, casting="safe")
+    elif col.dtype.kind == "f":
+        col = col.astype(np.float64, copy=False)
+    else:
+        raise TypeError(f"table columns must be numbers, got dtype {col.dtype}")
+    col = col.view()  # read-only view; the caller's array stays writable
+    col.flags.writeable = False
+    return col
 
 
 @dataclass(frozen=True)
 class ResultTable:
-    """Rectangular numeric table plus the metadata needed to re-run it."""
+    """Named numeric columns plus the metadata needed to re-run them.
+
+    `data` holds one read-only 1-D array per column, int64 or float64;
+    bool and unsigned input up to 32 bits is cast to int64.  Dtypes, the
+    column count and equal lengths are checked once per column, never per
+    cell.  `rows` is a derived view with Python ints and floats.
+    """
 
     columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
+    data: tuple[np.ndarray, ...]
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         columns = tuple(str(c) for c in self.columns)
-        rows = tuple(tuple(_as_number(x) for x in row) for row in self.rows)
-        for row in rows:
-            if len(row) != len(columns):
-                raise ValueError("ragged row: {} cells for {} columns".format(len(row), len(columns)))
+        data = tuple(_as_column(c) for c in self.data)
+        if len(data) != len(columns):
+            raise ValueError(f"{len(data)} data columns for {len(columns)} names")
+        if len({len(c) for c in data}) > 1:
+            raise ValueError(f"ragged columns: lengths {[len(c) for c in data]}")
         object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "data", data)
+
+    @property
+    def rows(self) -> tuple[tuple, ...]:
+        return tuple(zip(*(c.tolist() for c in self.data)))
 
     @classmethod
     def from_json(cls, text: str) -> "ResultTable":
         doc = json.loads(text)
+        columns = tuple(doc["columns"])
+        if any(len(row) != len(columns) for row in doc["rows"]):
+            raise ValueError(f"ragged rows for {len(columns)} columns")
         return cls(
-            columns=tuple(doc["columns"]),
-            rows=tuple(tuple(row) for row in doc["rows"]),
+            columns=columns,
+            data=tuple(zip(*doc["rows"])) or ((),) * len(columns),
             metadata=dict(doc["metadata"]),
         )
-
-
-def _format_cell(x) -> str:
-    if isinstance(x, int):
-        return str(x)
-    return format(x, ".17g")
 
 
 def to_csv(table: ResultTable) -> str:
     lines = [f"# {key} = {value}" for key, value in table.metadata.items()]
     lines.append(",".join(table.columns))
-    for row in table.rows:
-        lines.append(",".join(_format_cell(x) for x in row))
+    # '%.17g' % x == format(x, '.17g'); rows are formatted one at a time
+    # so that no per-column list of strings is held
+    fmt = ",".join("%d" if c.dtype.kind == "i" else "%.17g" for c in table.data)
+    lines.extend(fmt % row for row in zip(*(c.tolist() for c in table.data)))
     return "\n".join(lines) + "\n"
 
 
@@ -186,15 +202,12 @@ def _run_simulate(cfg: RunConfig) -> ResultTable:
     if p["cycles"] < 1:
         raise ConfigError("cycles must be a positive integer")
     trace = pump_trace(lp, p["cycles"])
-    rows = tuple(
-        (j + 1, float(trace.q[j]), float(trace.p[j])) for j in range(p["cycles"])
-    )
-    return ResultTable(("cycle", "q", "p"), rows, _metadata(cfg))
+    cycle = np.arange(1, p["cycles"] + 1)
+    return ResultTable(("cycle", "q", "p"), (cycle, trace.q, trace.p), _metadata(cfg))
 
 
 def _run_asymptote(cfg: RunConfig) -> ResultTable:
     p = cfg.params
-    rows = []
     if p["samples"] > 0:
         rng = make_rng(cfg.seed)
         draws = sample_loop_params(rng, p["samples"])
@@ -210,19 +223,14 @@ def _run_asymptote(cfg: RunConfig) -> ResultTable:
         ]
     else:
         raise ConfigError("need samples > 0 or both grids >= 2")
-    for lp in draws:
-        rows.append(
-            (
-                lp.theta,
-                lp.phi,
-                p_infinity(lp),
-                p_infinity_axis_route(lp),
-                p_geometric(lp.theta),
-            )
-        )
-    return ResultTable(
-        ("theta", "phi", "p_inf", "p_inf_axis", "p_g"), tuple(rows), _metadata(cfg)
+    data = (
+        [lp.theta for lp in draws],
+        [lp.phi for lp in draws],
+        [p_infinity(lp) for lp in draws],
+        [p_infinity_axis_route(lp) for lp in draws],
+        [p_geometric(lp.theta) for lp in draws],
     )
+    return ResultTable(("theta", "phi", "p_inf", "p_inf_axis", "p_g"), data, _metadata(cfg))
 
 
 def _run_phase_diagram(cfg: RunConfig) -> ResultTable:
@@ -235,14 +243,14 @@ def _run_phase_diagram(cfg: RunConfig) -> ResultTable:
         tol=p["tol"],
         workers=cfg.threads,
     )
-    rows = []
-    for i, theta in enumerate(diagram.theta_values):
-        for j, phi in enumerate(diagram.phi_values):
-            verdict = diagram.verdicts[i][j]
-            rows.append(
-                (float(theta), float(phi), int(verdict.stable), verdict.order or 0)
-            )
-    return ResultTable(("theta", "phi", "stable", "order"), tuple(rows), _metadata(cfg))
+    verdicts = [v for row in diagram.verdicts for v in row]
+    data = (
+        np.repeat(diagram.theta_values, len(diagram.phi_values)),
+        np.tile(diagram.phi_values, len(diagram.theta_values)),
+        [v.stable for v in verdicts],
+        [v.order or 0 for v in verdicts],
+    )
+    return ResultTable(("theta", "phi", "stable", "order"), data, _metadata(cfg))
 
 
 def _run_band_scan(cfg: RunConfig) -> ResultTable:
@@ -255,15 +263,10 @@ def _run_band_scan(cfg: RunConfig) -> ResultTable:
         l=p["l"],
     )
     profile = pump_profile(dc, p["k_grid"])
-    rows = tuple(
-        (float(k), float(theta), float(pg))
-        for k, theta, pg in zip(
-            profile.k_values, profile.theta_values, profile.p_g_values
-        )
-    )
     meta = _metadata(cfg)
     meta["tpt_count"] = profile.tpt_count
-    return ResultTable(("k", "theta", "p_g"), rows, meta)
+    data = (profile.k_values, profile.theta_values, profile.p_g_values)
+    return ResultTable(("k", "theta", "p_g"), data, meta)
 
 
 def _run_verify(cfg: RunConfig) -> ResultTable:
@@ -271,13 +274,16 @@ def _run_verify(cfg: RunConfig) -> ResultTable:
 
     results = run_checks(cfg.seed)
     meta = _metadata(cfg)
-    rows = []
     for i, res in enumerate(results):
         meta[f"check.{i}"] = res.name
-        rows.append((i, int(res.passed), res.value))
         status = "PASS" if res.passed else "FAIL"
         print(f"{status} {res.name} (value={res.value:.6g}, bound={res.bound:.6g})")
-    return ResultTable(("check_id", "passed", "value"), tuple(rows), meta)
+    data = (
+        np.arange(len(results)),
+        [res.passed for res in results],
+        [res.value for res in results],
+    )
+    return ResultTable(("check_id", "passed", "value"), data, meta)
 
 
 _HANDLERS = {
@@ -434,7 +440,7 @@ def main(argv=None) -> int:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
 
-    if cfg.command == "verify" and any(row[1] == 0 for row in table.rows):
+    if cfg.command == "verify" and not table.data[table.columns.index("passed")].all():
         return 3
     return 0
 

@@ -143,24 +143,6 @@ def z2_index(field_sign: int, spin_sign: int) -> int:
 
 
 @dataclass(frozen=True)
-class FieldCycle1D:
-    """One period of the scalar drive b0 * (a + cos(omega * t)) along z."""
-
-    a: float
-    omega: float = 1.0
-    b0: float = 1.0
-
-    def __post_init__(self):
-        for name, value in (("a", self.a), ("omega", self.omega), ("b0", self.b0)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.omega <= 0.0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
-        if self.b0 <= 0.0:
-            raise ValueError(f"b0 must be positive, got {self.b0}")
-
-
-@dataclass(frozen=True)
 class PumpEvent1D:
     """A zero of the drive within one cycle, located by its phase fraction."""
 
@@ -185,11 +167,6 @@ def cosine_cycle_zeros(offset: float) -> tuple[PumpEvent1D, ...]:
         PumpEvent1D(x, transversal=True),
         PumpEvent1D(1.0 - x, transversal=True),
     )
-
-
-def pump_1d(fc: FieldCycle1D) -> tuple[PumpEvent1D, ...]:
-    """Field-reversal events of the 1D drive over one cycle, in time order."""
-    return cosine_cycle_zeros(fc.a)
 
 
 def trajectory_angles(lp: LoopParams, n: int) -> np.ndarray:

@@ -4,9 +4,9 @@ Matrices are plain complex numpy arrays of shape (2, 2); spin states are
 complex arrays of shape (2,).  Three interchangeable coordinate charts
 cover the group: axis-angle (axis polar angle, axis azimuth, turn angle),
 z-x-z Euler angles, and the loop coordinates (theta, omega, phi) used by
-the cycle simulator.  Conversions are exact trigonometric maps; branch
-ambiguities are resolved by demanding entrywise agreement with the source
-matrix.
+the cycle simulator.  Conversions are exact trigonometric maps; the
+axis-angle chart is checked by rebuilding its matrix and demanding entrywise
+agreement with the source.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ class IdentityRotationError(ValueError):
 
 
 class ChartBranchError(ArithmeticError):
-    """No branch of the axis-angle chart reproduces the source rotation."""
+    """The axis-angle chart does not reproduce the source rotation."""
 
 
 def _require_finite(**angles):
@@ -140,25 +140,11 @@ def excited_state() -> np.ndarray:
 
 # --- group operations -----------------------------------------------------
 
-def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product a @ b (apply b first, then a)."""
-    return a @ b
-
-
 def power(u: np.ndarray, n: int) -> np.ndarray:
     """n-th matrix power for natural n, by binary exponentiation."""
     if n < 0 or n != int(n):
         raise ValueError(f"exponent must be a natural number, got {n!r}")
     return np.linalg.matrix_power(u, int(n))
-
-
-def apply(u: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """Act with u on a spin state."""
-    return u @ np.asarray(state, dtype=complex)
-
-
-def dagger(u: np.ndarray) -> np.ndarray:
-    return u.conj().T
 
 
 def su2_defect(u: np.ndarray) -> float:
@@ -235,26 +221,19 @@ def su2_from_euler(e: EulerAngles) -> np.ndarray:
     )
 
 
-def _axis_angle_candidates(alpha, beta, delta):
-    # branch doublers: sign of cos(alpha), half-turn of beta
-    yield AxisAngle(alpha, beta, delta)
-    yield AxisAngle(alpha, (beta + math.pi) % TWO_PI, delta)
-    yield AxisAngle(math.pi - alpha, beta, delta)
-    yield AxisAngle(math.pi - alpha, (beta + math.pi) % TWO_PI, delta)
-
-
 def axis_angle_from_euler(e: EulerAngles, match_tol: float = 1e-10) -> AxisAngle:
     """Axis-angle chart of an Euler triple.
 
     The turn angle and the axis polar angle come from atan2 of the
     quaternion parts (see half_turn), which stays accurate near the
-    identity; the azimuth comes from the off-diagonal phase.
-    Residual branch ambiguity is settled by rebuilding the matrix and
-    requiring entrywise agreement within match_tol.
+    identity; the azimuth comes from the off-diagonal phase.  Since
+    cos(delta/2) = cos h and sin(delta/2) cos(alpha) = cos(theta/2) sin(phase),
+    the rebuilt matrix equals the Euler matrix entry for entry; it is
+    compared once, within match_tol, as a guard.
 
     Raises IdentityRotationError when the matrix is the identity up to
-    global sign and the axis is undefined, and ChartBranchError when no
-    branch matches.
+    global sign and the axis is undefined, and ChartBranchError when the
+    rebuilt matrix does not match.
     """
     s, c_sin, c_cos, sin_half_turn = half_turn(e.theta, 0.5 * (e.phi + e.psi))
     if sin_half_turn < IDENTITY_SIN_TOL:
@@ -267,13 +246,12 @@ def axis_angle_from_euler(e: EulerAngles, match_tol: float = 1e-10) -> AxisAngle
         beta = (0.5 * (e.phi - e.psi)) % TWO_PI
     else:
         beta = 0.0  # axis along z, azimuth is arbitrary
-    source = su2_from_euler(e)
-    for candidate in _axis_angle_candidates(alpha, beta, delta):
-        if np.max(np.abs(rotation_from_axis_angle(candidate) - source)) < match_tol:
-            return candidate
-    raise ChartBranchError(
-        f"no axis-angle branch reproduces the rotation {e} within {match_tol:g}"
-    )
+    aa = AxisAngle(alpha, beta, delta)
+    if not np.max(np.abs(rotation_from_axis_angle(aa) - su2_from_euler(e))) < match_tol:
+        raise ChartBranchError(
+            f"the axis-angle chart does not reproduce the rotation {e} within {match_tol:g}"
+        )
+    return aa
 
 
 def euler_from_loop(lp: LoopParams) -> EulerAngles:

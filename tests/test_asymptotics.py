@@ -1,8 +1,11 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geopump import (
     LoopParams,
@@ -144,3 +147,25 @@ class TestDegenerateCorner:
     @pytest.mark.parametrize("lp", [LoopParams(1e-6, 0.0, 0.3), LoopParams(1e-6, 0.0, 1e-6)])
     def test_axis_route_near_corner(self, lp):
         assert abs(p_infinity_axis_route(lp) - p_infinity(lp)) < 1e-10
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(lambda x: min(math.exp(x), hi))
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(
+    theta=_log_uniform(1e-12, math.pi),
+    abs_phi=_log_uniform(1e-12, math.pi / 2),
+    phi_sign=st.sampled_from((1.0, -1.0)),
+)
+def test_p_infinity_matches_mpmath_oracle(theta, abs_phi, phi_sign):
+    # s^2 / (2 (1 - c^2 cos^2 phi)) at 50 digits: the cancellation in the
+    # denominator costs at most 24 of them at theta = phi = 1e-12
+    phi = phi_sign * abs_phi
+    with mpmath.workdps(50):
+        half = mpmath.mpf(theta) / 2
+        core = mpmath.cos(half) * mpmath.cos(mpmath.mpf(phi))
+        want = mpmath.sin(half) ** 2 / (2 * (1 - core**2))
+        rel = abs((p_infinity(LoopParams(theta, 0.0, phi)) - want) / want)
+    assert rel <= 1e-14

@@ -29,31 +29,61 @@ def _simulate_cfg(**overrides):
 class TestResultTable:
     def test_rejects_ragged_rows(self):
         with pytest.raises(ValueError):
-            ResultTable(("a", "b"), ((1.0,),))
+            ResultTable(("a", "b"), ([1.0, 2.0], [3.0]))
+        with pytest.raises(ValueError):
+            ResultTable(("a", "b"), ([1.0],))
+        with pytest.raises(ValueError):
+            ResultTable.from_json(json.dumps({"columns": ["a", "b"], "rows": [[1.0]], "metadata": {}}))
 
     def test_normalizes_numpy_scalars(self):
-        table = ResultTable(("a", "b"), ((np.float64(0.5), np.int64(3)),))
-        assert table.rows == ((0.5, 3),)
-        assert isinstance(table.rows[0][1], int)
+        table = ResultTable(
+            ("a", "b", "c", "d"),
+            (
+                np.array([0.5], dtype=np.float32),
+                np.array([3], dtype=np.uint8),
+                np.array([True]),
+                [np.int64(-2)],
+            ),
+        )
+        assert [c.dtype for c in table.data] == [np.float64, np.int64, np.int64, np.int64]
+        assert table.rows == ((0.5, 3, 1, -2),)
+        assert [type(x) for x in table.rows[0]] == [float, int, int, int]
+
+    def test_rejects_non_numeric_columns(self):
+        with pytest.raises(TypeError):
+            ResultTable(("name",), (np.array(["a", "b"]),))
+        with pytest.raises(TypeError):
+            ResultTable(("obj",), (np.array([1.0, None], dtype=object),))
+        with pytest.raises(TypeError):  # would wrap in int64
+            ResultTable(("big",), (np.array([2**63], dtype=np.uint64),))
+
+    def test_columns_are_read_only(self):
+        q = np.linspace(0.0, 1.0, 4)
+        table = ResultTable(("q",), (q,))
+        with pytest.raises(ValueError):
+            table.data[0][0] = 2.0
+        assert q.flags.writeable  # the caller's array is left as it was
 
     def test_json_round_trip_is_lossless(self):
         table = ResultTable(
             ("x", "y"),
-            ((1.0 / 3.0, 7), (math.pi, -2)),
+            ([1.0 / 3.0, math.pi], [7, -2]),
             {"tool": "geopump", "seed": 4},
         )
         back = ResultTable.from_json(to_json(table))
         assert back.columns == table.columns
         assert back.rows == table.rows
+        assert [c.dtype for c in back.data] == [np.float64, np.int64]
         assert back.metadata == table.metadata
 
     def test_csv_layout(self):
-        table = ResultTable(("x",), ((1.0 / 3.0,),), {"command": "demo"})
+        table = ResultTable(("x", "n"), ([1.0 / 3.0, 2.0], [5, -1]), {"command": "demo"})
         text = to_csv(table)
         lines = text.split("\n")
         assert lines[0] == "# command = demo"
-        assert lines[1] == "x"
-        assert lines[2] == "0.33333333333333331"  # 17 significant digits
+        assert lines[1] == "x,n"
+        assert lines[2] == "0.33333333333333331,5"  # 17 significant digits
+        assert lines[3] == "2,-1"
         assert text.endswith("\n")
 
 
@@ -316,3 +346,50 @@ def test_chart_branch_failure_is_runtime_exit(monkeypatch, capsys):
     monkeypatch.setattr(cli, "p_infinity_axis_route", unmatched)
     assert main(["asymptote", "--theta-grid", "2", "--phi-grid", "2"]) == 2
     assert "no branch" in capsys.readouterr().err
+
+
+# SHA-256 of each command's output bytes in both formats, pinned while the
+# table was still built row by row; a columnar table must reproduce them
+_GOLDEN = [
+    (
+        ["simulate", "--theta", "1.1", "--omega", "0.3", "--phi", "0.4", "--cycles", "5000"],
+        "bd14a54adf745dd25ed71cdfa6b8a4bacfbf4830e3c0c7dc40b6182063867dc5",
+        "034c3b38a5b364fcd7bde9d94a8e945206bf97867bf555c9d2224f4e83652241",
+    ),
+    (
+        ["asymptote", "--theta-grid", "30", "--phi-grid", "20"],
+        "e38e705c99e73bd084ee74f9de0fecb45b84c3fd8173099a55a00d1cd762c9aa",
+        "bac23cc71f62583dc11440317d2378bcc8feeecf77df9d60e35d032457a94f6d",
+    ),
+    (
+        ["asymptote", "--samples", "2000", "--seed", "7"],
+        "f5f81e5edb136de9f5ed92d8db9e1df8e3a3c298dfcc17eb92efb4621620d162",
+        "6490bda446e5046becbe358b038b1d8e062a49e3f869de6d12386296ed4df770",
+    ),
+    (
+        ["phase-diagram", "--theta-grid", "40", "--phi-grid", "30", "--n-max", "100"],
+        "60b3c030ac92e3714770c284e282bd9428d1b935062f46ae9807b611ce6cf35b",
+        "9f90cd9dc4c72269aaff53c6cb4e167699bde35a1d9087616285dfa6590718ef",
+    ),
+    (
+        ["band-scan", "--a", "1.0", "--k-grid", "256"],
+        "e07e1900901604fc9af00f724f19f725650a48512550ac0dce1539b1bca9e692",
+        "7b5142bc949cb7406bbbd59845f730553d2c9b3536434ea9bcdbe073f84beb1c",
+    ),
+    (
+        ["verify", "--seed", "1"],
+        "2757422820a949a337d4be9a71ccb88aac903c3ea023cc53a248155a7dcf997a",
+        "d267bed2e6067dda43f7d50ac973f042da1204af02ad590e91552173f256794f",
+    ),
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv,csv_digest,json_digest", _GOLDEN, ids=[" ".join(g[0][:3]) for g in _GOLDEN]
+)
+def test_output_bytes_are_pinned(tmp_path, capsys, argv, csv_digest, json_digest, fmt):
+    out = tmp_path / f"out.{fmt}"
+    assert main([*argv, "--format", fmt, "--out", str(out)]) == 0
+    digest = csv_digest if fmt == "csv" else json_digest
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from geopump import (
-    FieldCycle1D,
     LoopParams,
     ZeroFieldError,
     build_loop_operator,
@@ -14,7 +13,6 @@ from geopump import (
     off_diagonal_magnitude,
     power,
     propagate_state,
-    pump_1d,
     pump_trace,
     su2_defect,
     trajectory_angles,
@@ -171,24 +169,6 @@ class TestCosineCycle:
                 assert offset + math.cos(2.0 * math.pi * event.time_fraction) == pytest.approx(
                     0.0, abs=1e-12
                 )
-
-
-class TestPump1D:
-    def test_wraps_cycle_offset(self):
-        events = pump_1d(FieldCycle1D(0.0))
-        assert [(e.time_fraction, e.transversal) for e in events] == [
-            (0.25, True),
-            (0.75, True),
-        ]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FieldCycle1D(0.0, omega=0.0)
-        with pytest.raises(ValueError):
-            FieldCycle1D(0.0, b0=-1.0)
-
-    def test_strong_offset_never_closes(self):
-        assert pump_1d(FieldCycle1D(2.5)) == ()
 
 
 class TestTrajectoryAngles:

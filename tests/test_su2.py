@@ -9,11 +9,8 @@ from geopump import (
     EulerAngles,
     IdentityRotationError,
     LoopParams,
-    apply,
     axis_angle_from_euler,
     build_loop_operator,
-    compose,
-    dagger,
     euler_from_loop,
     excited_state,
     ground_state,
@@ -84,17 +81,6 @@ def test_states_are_orthonormal():
     assert abs(np.vdot(g, e)) < 1e-15
 
 
-def test_compose_is_matrix_product():
-    a = build_loop_operator(_random_loop(RNG))
-    b = build_loop_operator(_random_loop(RNG))
-    np.testing.assert_allclose(compose(a, b), a @ b)
-
-
-def test_dagger_inverts():
-    u = build_loop_operator(_random_loop(RNG))
-    np.testing.assert_allclose(dagger(u) @ u, np.eye(2), atol=1e-15)
-
-
 class TestPower:
     def test_zeroth_power(self):
         u = build_loop_operator(LoopParams(1.0, 2.0, 0.5))
@@ -141,12 +127,6 @@ def test_project_su2_restores_membership():
 def test_project_su2_fixes_members():
     u = build_loop_operator(_random_loop(RNG))
     assert np.max(np.abs(project_su2(u) - u)) < 1e-15
-
-
-def test_apply_matches_matvec():
-    u = build_loop_operator(_random_loop(RNG))
-    state = np.array([0.6, 0.8j])
-    np.testing.assert_allclose(apply(u, state), u @ state)
 
 
 class TestAngleCharts:
