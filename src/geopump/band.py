@@ -2,7 +2,7 @@
 
 The chain's Bloch field traces a circle of radius |w| centered at (v, 0)
 as the momentum crosses the Brillouin zone, so the winding is 1 exactly
-when |v| < |w|.  Sweeping v(t) = a + cos(omega * t) through one cycle
+when |v| < |w|.  Sweeping v(t) = a + cos(2 pi t) through one cycle
 closes the gap only at the two high-symmetry momenta; transversal
 closings that flip the winding mark band inversions, and each inverted
 momentum pumps with opening angle pi while every other momentum stays
@@ -12,7 +12,7 @@ inert.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
@@ -21,7 +21,8 @@ from .su2 import TWO_PI
 
 GAP_TOL = 1e-10
 
-# winding integration: ceiling on adaptive refinement
+# winding integration: floor and ceiling on adaptive refinement
+_MIN_SAMPLES = 64
 _MAX_SAMPLES = 1 << 22
 # momenta this close (in lattice phase) to a closing momentum count as it
 _K_MATCH_TOL = 1e-9
@@ -58,19 +59,17 @@ def min_gap(cp: ChainParams) -> float:
     return abs(abs(cp.v) - abs(cp.w))
 
 
-def winding_number(cp: ChainParams, k_samples: int = 64) -> int:
+def winding_number(cp: ChainParams) -> int:
     """Winding of the Bloch field around the origin over one zone traversal.
 
-    Accumulates wrapped angle increments over a closed momentum path.  The
-    requested k_samples (>= 64) is a floor: sampling is refined until each
-    increment stays well below pi, which the circle geometry bounds by the
-    gap.  Raises GapClosedError when the gap is below GAP_TOL, or so small
-    that no affordable sampling can resolve the winding.
+    Accumulates wrapped angle increments over a closed momentum path of at
+    least 64 samples, refined until each increment stays well below pi,
+    which the circle geometry bounds by the gap.  Raises GapClosedError
+    when the gap is below GAP_TOL, or so small that no affordable sampling
+    can resolve the winding.
     """
     if cp.w == 0.0:
         raise ValueError("winding needs w != 0")
-    if k_samples < 64:
-        raise ValueError(f"k_samples must be >= 64, got {k_samples}")
     gap = min_gap(cp)
     if gap <= GAP_TOL:
         raise GapClosedError(f"gap {gap:.3e} at v={cp.v}, w={cp.w} is closed")
@@ -79,7 +78,7 @@ def winding_number(cp: ChainParams, k_samples: int = 64) -> int:
         raise GapClosedError(
             f"gap {gap:.3e} at v={cp.v}, w={cp.w} is too small to resolve the winding"
         )
-    n = max(k_samples, int(needed) + 1)
+    n = max(_MIN_SAMPLES, int(needed) + 1)
     ks = np.linspace(-math.pi / cp.l, math.pi / cp.l, n + 1)
     angles = np.arctan2(cp.w * np.sin(ks * cp.l), cp.v + cp.w * np.cos(ks * cp.l))
     increments = np.diff(angles)
@@ -89,32 +88,21 @@ def winding_number(cp: ChainParams, k_samples: int = 64) -> int:
 
 @dataclass(frozen=True)
 class DriveCycle:
-    """Periodic drive v(t) = a + cos(omega * t) applied to the chain.
+    """Periodic drive v(t) = a + cos(2 pi t) over one cycle t in [0, 1).
 
-    w and l are the (static) inter-cell hopping and lattice constant;
-    time_samples sets the resolution of any discretized view of the
-    cycle.
+    w and l are the (static) inter-cell hopping and lattice constant; they
+    are keyword-only.  The pump is geometric, so no drive rate enters.
     """
 
     a: float
-    omega: float = 1.0
-    time_samples: int = 256
+    _: KW_ONLY
     w: float = 1.0
     l: float = 1.0
 
     def __post_init__(self):
-        for name, value in (
-            ("a", self.a),
-            ("omega", self.omega),
-            ("w", self.w),
-            ("l", self.l),
-        ):
+        for name, value in (("a", self.a), ("w", self.w), ("l", self.l)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.omega <= 0.0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
-        if self.time_samples < 8:
-            raise ValueError(f"time_samples must be >= 8, got {self.time_samples}")
         if self.w == 0.0:
             raise ValueError("the chain needs w != 0")
         if self.l <= 0.0:
@@ -123,11 +111,6 @@ class DriveCycle:
     def v_at(self, time_fraction: float) -> float:
         """Drive value at the given fraction of the cycle."""
         return self.a + math.cos(TWO_PI * time_fraction)
-
-    def v_samples(self) -> np.ndarray:
-        """Drive values on the cycle's time grid (time_samples points)."""
-        fractions = np.arange(self.time_samples) / self.time_samples
-        return self.a + np.cos(TWO_PI * fractions)
 
 
 @dataclass(frozen=True)
@@ -204,23 +187,29 @@ def _classify_momentum(dc: DriveCycle, k: float) -> float | None:
     return None
 
 
+def _inversion_angles(dc: DriveCycle) -> tuple[dict[float, float], int]:
+    """Opening angle at each closing momentum, and the winding flip count.
+
+    A closing momentum is inverted (angle pi) when it hosts a transversal
+    gap closing across which the winding flips; a tangential touch, or no
+    closing at all, leaves it at 0.
+    """
+    transversal = [e for e in tpt_events(dc) if e.transversal]
+    flips = _transversal_flips(dc, transversal)
+    angles = {k_star: 0.0 for k_star, _ in _closing_momenta(dc)}
+    for event, flipped in flips.items():
+        if flipped:
+            angles[event.k_star] = math.pi
+    return angles, sum(flips.values())
+
+
 def theta_of_k(dc: DriveCycle, k: float) -> float:
     """Pumping opening angle at momentum k: pi for an inverted momentum,
-    0 otherwise.
-
-    A momentum is inverted when it hosts a transversal gap closing across
-    which the winding flips.  Everything else (no closing, or a
-    tangential touch) pumps nothing.
-    """
+    0 otherwise."""
     k_star = _classify_momentum(dc, k)
     if k_star is None:
         return 0.0
-    transversal = [e for e in tpt_events(dc) if e.transversal]
-    mine = [e for e in transversal if e.k_star == k_star]
-    if not mine:
-        return 0.0
-    flips = _transversal_flips(dc, transversal)
-    return math.pi if any(flips[e] for e in mine) else 0.0
+    return _inversion_angles(dc)[0][k_star]
 
 
 @dataclass(frozen=True)
@@ -243,17 +232,7 @@ def pump_profile(dc: DriveCycle, k_grid: int) -> PumpProfile:
     if k_grid < 16:
         raise ValueError(f"k_grid must be >= 16, got {k_grid}")
     ks = -math.pi / dc.l + (TWO_PI / dc.l) * np.arange(k_grid) / k_grid
-    transversal = [e for e in tpt_events(dc) if e.transversal]
-    flips = _transversal_flips(dc, transversal)
-    tpt_count = sum(flips.values())
-    theta_by_kstar = {}
-    for k_star in (0.0, math.pi / dc.l):
-        mine = [e for e in transversal if e.k_star == k_star]
-        inverted = any(flips[e] for e in mine)
-        theta_by_kstar[k_star] = math.pi if inverted else 0.0
-    thetas = np.empty(k_grid)
-    for i, k in enumerate(ks):
-        k_star = _classify_momentum(dc, float(k))
-        thetas[i] = theta_by_kstar.get(k_star, 0.0) if k_star is not None else 0.0
+    angles, tpt_count = _inversion_angles(dc)
+    thetas = np.array([angles.get(_classify_momentum(dc, k), 0.0) for k in ks.tolist()])
     p_g = 0.5 * np.sin(0.5 * thetas)
     return PumpProfile(ks, thetas, p_g, tpt_count)

@@ -196,7 +196,6 @@ def phase_diagram(
     n_max: int,
     offset: float = 0.5,
     tol: float = 1e-9,
-    workers: int = 1,
 ) -> PhaseDiagram:
     """Classify a grid over theta in [0, pi], phi in [-pi/2, pi/2].
 
@@ -208,15 +207,12 @@ def phase_diagram(
     t_{n+1} = y t_n - t_{n-1} with y = 2 cos(theta/2) cos(phi).  classify's
     complex Fibonacci values are F_n = (-i)^(n-1) t_n, and every sign flip
     in that map is exact, so |t_n| sin(theta/2) is the same float as its
-    off-diagonal magnitude.  `workers` is validated but changes nothing:
-    the scan is single-threaded numpy.
+    off-diagonal magnitude.
     """
     if theta_grid < 2 or phi_grid < 2:
         raise ValueError("grids need at least 2 points per axis")
     if not 0.0 <= offset < 1.0:
         raise ValueError(f"offset must lie in [0, 1), got {offset}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     _check_scan(n_max, tol)
     thetas = _axis(0.0, math.pi, theta_grid, offset)
     phis = _axis(-HALF_PI, HALF_PI, phi_grid, offset)

@@ -159,22 +159,6 @@ def is_su2(u: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
     return u.shape == (2, 2) and su2_defect(u) <= tol
 
 
-def project_su2(m: np.ndarray) -> np.ndarray:
-    """Nearest special-unitary matrix (Frobenius sense) to a near-SU(2) m.
-
-    Projects onto the quaternion span and renormalizes; used to strip the
-    rounding drift that accumulates under long products.
-    """
-    a = 0.5 * (m[0, 0] + m[1, 1].conjugate())
-    b = 0.5 * (m[1, 0] - m[0, 1].conjugate())
-    norm = math.hypot(abs(a), abs(b))
-    if norm == 0.0:
-        raise ValueError("matrix has no special-unitary part")
-    a /= norm
-    b /= norm
-    return np.array([[a, -b.conjugate()], [b, a.conjugate()]])
-
-
 # --- chart conversions ----------------------------------------------------
 
 def half_turn(theta: float, phase: float) -> tuple[float, float, float, float]:

@@ -131,7 +131,7 @@ class TestRun:
     def test_band_scan_metadata_counts_transitions(self):
         cfg = RunConfig(
             "band-scan",
-            {"a": 1.0, "omega": 1.0, "w": 1.0, "l": 1.0, "time_samples": 64, "k_grid": 32},
+            {"a": 1.0, "w": 1.0, "l": 1.0, "k_grid": 32},
         )
         table = run(cfg)
         assert table.metadata["tpt_count"] == 2
@@ -204,6 +204,10 @@ class TestMain:
     def test_no_command(self):
         assert main([]) == 1
 
+    @pytest.mark.parametrize("flag", [["--omega", "2"], ["--time-samples", "64"]])
+    def test_removed_band_scan_flags_rejected(self, flag):
+        assert main(["band-scan", "--a", "1.0", *flag]) == 1
+
     def test_unwritable_output(self, tmp_path):
         argv = [
             "simulate",
@@ -268,6 +272,16 @@ class TestConfigFile:
     def test_unknown_key_rejected(self, tmp_path):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({"theta": 1.0, "bogus": 2}))
+        assert main(["simulate", "--config", str(cfg_path)]) == 1
+
+    def test_removed_band_scan_key_rejected(self, tmp_path):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"a": 1.0, "omega": 2.0}))
+        assert main(["band-scan", "--config", str(cfg_path)]) == 1
+
+    def test_bad_format_in_file_rejected(self, tmp_path):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"theta": 1.0, "format": "xml"}))
         assert main(["simulate", "--config", str(cfg_path)]) == 1
 
     def test_command_mismatch_rejected(self, tmp_path):
@@ -348,8 +362,8 @@ def test_chart_branch_failure_is_runtime_exit(monkeypatch, capsys):
     assert "no branch" in capsys.readouterr().err
 
 
-# SHA-256 of each command's output bytes in both formats, pinned while the
-# table was still built row by row; a columnar table must reproduce them
+# SHA-256 of each command's output bytes in both formats; a change to the
+# table or its writers must reproduce them
 _GOLDEN = [
     (
         ["simulate", "--theta", "1.1", "--omega", "0.3", "--phi", "0.4", "--cycles", "5000"],
@@ -373,8 +387,8 @@ _GOLDEN = [
     ),
     (
         ["band-scan", "--a", "1.0", "--k-grid", "256"],
-        "e07e1900901604fc9af00f724f19f725650a48512550ac0dce1539b1bca9e692",
-        "7b5142bc949cb7406bbbd59845f730553d2c9b3536434ea9bcdbe073f84beb1c",
+        "3531891a4385debbc117bc18f8df9f4ee95bae8042915d799d4513f00864302b",
+        "bb5e02ff4f126dabf8fb20f61ec5da0461a0368f5d17255c47f29cd1413c6408",
     ),
     (
         ["verify", "--seed", "1"],

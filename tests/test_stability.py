@@ -266,19 +266,11 @@ class TestPhaseDiagram:
         stable = sum(v.stable for row in diagram.verdicts for v in row)
         assert stable / 100.0 < 0.05
 
-    def test_workers_do_not_change_results(self):
-        one = phase_diagram(7, 5, 50, workers=1)
-        four = phase_diagram(7, 5, 50, workers=4)
-        for row_a, row_b in zip(one.verdicts, four.verdicts):
-            assert [v.order for v in row_a] == [v.order for v in row_b]
-
     def test_validation(self):
         with pytest.raises(ValueError):
             phase_diagram(1, 5, 10)
         with pytest.raises(ValueError):
             phase_diagram(5, 5, 10, offset=1.0)
-        with pytest.raises(ValueError):
-            phase_diagram(5, 5, 10, workers=0)
 
 
 class TestPhaseDiagramMatchesClassify:

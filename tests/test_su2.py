@@ -17,7 +17,6 @@ from geopump import (
     half_turn,
     is_su2,
     power,
-    project_su2,
     rotation_from_axis_angle,
     su2_defect,
     su2_from_euler,
@@ -114,19 +113,6 @@ def test_su2_defect_and_membership():
     assert is_su2(u)
     assert not is_su2(u + 1e-6)
     assert not is_su2(1.0001 * u)  # unit determinant is part of the contract
-
-
-def test_project_su2_restores_membership():
-    u = build_loop_operator(_random_loop(RNG))
-    noisy = u + 1e-8 * (RNG.normal(size=(2, 2)) + 1j * RNG.normal(size=(2, 2)))
-    fixed = project_su2(noisy)
-    assert su2_defect(fixed) < 1e-14
-    assert np.max(np.abs(fixed - u)) < 1e-7
-
-
-def test_project_su2_fixes_members():
-    u = build_loop_operator(_random_loop(RNG))
-    assert np.max(np.abs(project_su2(u) - u)) < 1e-15
 
 
 class TestAngleCharts:
