@@ -13,7 +13,9 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .su2 import HALF_PI, LoopParams, axis_angle_from_euler, euler_from_loop, half_turn
+import numpy as np
+
+from .su2 import HALF_PI, LoopParams, axis_angles, half_turn, loop_euler_angles, require_angles
 
 
 class RemovableSingularityWarning(UserWarning):
@@ -26,44 +28,65 @@ class RemovableSingularityWarning(UserWarning):
     """
 
 
-def p_infinity(lp: LoopParams) -> float:
-    """Infinite-cycle mean excited-state weight of the loop.
+def p_infinity_array(theta, phi):
+    """Infinite-cycle mean excited-state weight, elementwise over arrays.
 
     Evaluated as (s / sin h)^2 / 2 with s = sin(theta/2) and the half turn
     sine sin h = hypot(s, cos(theta/2) sin(phi)): its square equals
     1 - cos^2(theta/2) cos^2(phi) exactly but has no cancellation near the
-    theta = 0, phi = 0 corner.  At the exact 0/0 (theta = 0 with
-    sin(phi) = 0) it returns 0 with a RemovableSingularityWarning.
+    theta = 0, phi = 0 corner.  At an exact 0/0 (theta = 0 with
+    sin(phi) = 0) the value is 0, with a RemovableSingularityWarning.
+    Raises ValueError for a non-finite angle or theta outside [0, pi].
     """
-    s, _, _, sin_h = half_turn(lp.theta, lp.phi)
-    if sin_h == 0.0:
+    require_angles(theta, phi=phi)
+    return _p_infinity(theta, phi)
+
+
+def _p_infinity(theta, phi):
+    s, _, _, sin_h = half_turn(theta, phi)
+    corner = sin_h == 0.0
+    if np.any(corner):
         warnings.warn(
             "pump rate is 0/0 at theta = 0 with zero dynamic phase; "
             "returning the limit along theta = 0, which is 0",
             RemovableSingularityWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-        return 0.0
+        sin_h = np.where(corner, 1.0, sin_h)  # s = 0 there too
     ratio = s / sin_h
     return 0.5 * ratio * ratio
 
 
-def p_infinity_axis_route(lp: LoopParams) -> float:
-    """Same limit, computed from the rotation-axis polar angle instead.
+def p_infinity(lp: LoopParams) -> float:
+    """Infinite-cycle mean excited-state weight of the loop; see
+    p_infinity_array.  LoopParams has checked the angles already."""
+    return float(_p_infinity(lp.theta, lp.phi))
 
-    Raises IdentityRotationError when the loop operator is +/-identity and
-    has no axis.
+
+def p_infinity_axis_array(theta, omega, phi):
+    """Same limit, computed from the rotation-axis polar angle instead,
+    elementwise over arrays.
+
+    Raises IdentityRotationError when any loop operator is +/-identity and
+    has no axis, and ChartBranchError when the chart's guard fails.
     """
-    aa = axis_angle_from_euler(euler_from_loop(lp))
-    sa = math.sin(aa.alpha)
+    alpha, _, _ = axis_angles(*loop_euler_angles(theta, omega, phi))
+    sa = np.sin(alpha)
     return 0.5 * sa * sa
 
 
-def p_geometric(theta: float) -> float:
-    """Phase-averaged pump rate: half the sine of the half opening angle."""
-    if not 0.0 <= theta <= math.pi:
-        raise ValueError(f"theta must lie in [0, pi], got {theta}")
-    return 0.5 * math.sin(0.5 * theta)
+def p_infinity_axis_route(lp: LoopParams) -> float:
+    """The axis-route limit of one loop; see p_infinity_axis_array."""
+    return float(p_infinity_axis_array(lp.theta, lp.omega, lp.phi))
+
+
+def p_geometric(theta):
+    """Phase-averaged pump rate: half the sine of the half opening angle.
+
+    Floats or arrays, elementwise.
+    """
+    require_angles(theta)
+    return 0.5 * np.sin(0.5 * theta)
 
 
 def phi_average(theta: float, quadrature_points: int = 10_000) -> float:

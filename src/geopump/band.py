@@ -16,6 +16,7 @@ from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
+from .asymptotics import p_geometric
 from .evolution import cosine_cycle_zeros
 from .su2 import TWO_PI
 
@@ -234,5 +235,4 @@ def pump_profile(dc: DriveCycle, k_grid: int) -> PumpProfile:
     ks = -math.pi / dc.l + (TWO_PI / dc.l) * np.arange(k_grid) / k_grid
     angles, tpt_count = _inversion_angles(dc)
     thetas = np.array([angles.get(_classify_momentum(dc, k), 0.0) for k in ks.tolist()])
-    p_g = 0.5 * np.sin(0.5 * thetas)
-    return PumpProfile(ks, thetas, p_g, tpt_count)
+    return PumpProfile(ks, thetas, p_geometric(thetas), tpt_count)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import kstest
 
-from .asymptotics import p_geometric, p_infinity, phi_average, p_infinity_axis_route
-from .band import DriveCycle, pump_profile, theta_of_k, winding_number, ChainParams
+from .asymptotics import p_geometric, p_infinity_array, p_infinity_axis_array, phi_average
+from .band import ChainParams, DriveCycle, _inversion_angles, pump_profile, winding_number
 from .evolution import (
     build_loop_operator,
     cosine_cycle_zeros,
@@ -24,7 +24,7 @@ from .evolution import (
     pump_trace,
     trajectory_angles,
 )
-from .sampling import make_rng, sample_loop_params
+from .sampling import make_rng, sample_loop_angles, sample_loop_params
 from .stability import (
     classify,
     curve_order,
@@ -36,12 +36,12 @@ from .su2 import (
     HALF_PI,
     TWO_PI,
     LoopParams,
-    axis_angle_from_euler,
-    euler_from_loop,
+    axis_angle_matrices,
+    axis_angles,
+    euler_matrices,
+    loop_euler_angles,
     power,
-    rotation_from_axis_angle,
     su2_defect,
-    su2_from_euler,
 )
 
 
@@ -53,13 +53,10 @@ class CheckResult:
     bound: float
 
 
-def _interior(rng, count):
-    return sample_loop_params(
-        rng,
-        count,
-        theta_range=(1e-3, math.pi - 1e-3),
-        phi_range=(-HALF_PI + 1e-3, HALF_PI - 1e-3),
-    )
+_INTERIOR = {
+    "theta_range": (1e-3, math.pi - 1e-3),
+    "phi_range": (-HALF_PI + 1e-3, HALF_PI - 1e-3),
+}
 
 
 def _first_diagonal_power(u, n_max, tol=1e-9):
@@ -78,20 +75,20 @@ def _check_special_unitary(rng):
     return worst, 1e-12
 
 
+def _loop_operators(theta, omega, phi):
+    return np.array([build_loop_operator(LoopParams(*v)) for v in zip(theta, omega, phi)])
+
+
 def _check_euler_right_inverse(rng):
-    worst = 0.0
-    for lp in sample_loop_params(rng, 500):
-        diff = su2_from_euler(euler_from_loop(lp)) - build_loop_operator(lp)
-        worst = max(worst, float(np.max(np.abs(diff))))
-    return worst, 1e-12
+    theta, omega, phi = sample_loop_angles(rng, 500)
+    rebuilt = euler_matrices(*loop_euler_angles(theta, omega, phi))
+    return np.max(np.abs(rebuilt - _loop_operators(theta, omega, phi))), 1e-12
 
 
 def _check_axis_chain(rng):
-    worst = 0.0
-    for lp in _interior(rng, 500):
-        rebuilt = rotation_from_axis_angle(axis_angle_from_euler(euler_from_loop(lp)))
-        worst = max(worst, float(np.max(np.abs(rebuilt - build_loop_operator(lp)))))
-    return worst, 1e-10
+    theta, omega, phi = sample_loop_angles(rng, 500, **_INTERIOR)
+    rebuilt = axis_angle_matrices(*axis_angles(*loop_euler_angles(theta, omega, phi)))
+    return np.max(np.abs(rebuilt - _loop_operators(theta, omega, phi))), 1e-10
 
 
 def _check_power_semigroup(rng):
@@ -135,10 +132,9 @@ def _check_off_diagonal_closed_form(rng):
 
 
 def _check_route_equivalence(rng):
-    worst = max(
-        abs(p_infinity(lp) - p_infinity_axis_route(lp)) for lp in _interior(rng, 1000)
-    )
-    return worst, 1e-10
+    theta, omega, phi = sample_loop_angles(rng, 1000, **_INTERIOR)
+    gap = p_infinity_array(theta, phi) - p_infinity_axis_array(theta, omega, phi)
+    return np.max(np.abs(gap)), 1e-10
 
 
 def _check_phase_average(rng):
@@ -149,11 +145,9 @@ def _check_phase_average(rng):
 
 
 def _check_rate_ceiling(rng):
-    top = 0.0
-    for theta in np.linspace(0.0, math.pi, 100):
-        for phi in np.linspace(-HALF_PI, HALF_PI, 100):
-            top = max(top, p_infinity(LoopParams(float(theta), 0.0, float(phi))))
-    return top, 0.5 + 1e-12
+    theta = np.linspace(0.0, math.pi, 100)[:, None]
+    phi = np.linspace(-HALF_PI, HALF_PI, 100)[None, :]
+    return np.max(p_infinity_array(theta, phi)), 0.5 + 1e-12
 
 
 def _check_trace_projection(rng):
@@ -235,18 +229,18 @@ def _check_band_profiles(rng):
 def _check_one_d_consistency(rng):
     mismatches = 0
     for a in np.linspace(-3.0, 3.0, 20):
-        dc = DriveCycle(a=float(a))
+        angles, _ = _inversion_angles(DriveCycle(a=float(a)))
         for k_star, offset in ((math.pi, a - 1.0), (0.0, a + 1.0)):
             events = cosine_cycle_zeros(float(offset))
             pumped = any(e.transversal for e in events)
-            if pumped != (theta_of_k(dc, k_star) == math.pi):
+            if pumped != (angles[k_star] == math.pi):
                 mismatches += 1
     return float(mismatches), 0.5
 
 
 def _check_equidistribution(rng):
     worst = 0.0
-    for lp in _interior(rng, 5):
+    for lp in sample_loop_params(rng, 5, **_INTERIOR):
         angles = trajectory_angles(lp, 20_000)
         worst = max(worst, float(kstest(angles / TWO_PI, "uniform").statistic))
     return worst, 0.01

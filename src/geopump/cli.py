@@ -24,10 +24,10 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .asymptotics import p_geometric, p_infinity, p_infinity_axis_route
+from .asymptotics import p_geometric, p_infinity_array, p_infinity_axis_array
 from .band import DriveCycle, GapClosedError, pump_profile
 from .evolution import pump_trace
-from .sampling import make_rng, sample_loop_params
+from .sampling import make_rng, sample_loop_angles
 from .stability import phase_diagram
 from .su2 import HALF_PI, ChartBranchError, IdentityRotationError, LoopParams
 
@@ -159,12 +159,29 @@ def to_csv(table: ResultTable) -> str:
 
 
 def to_json(table: ResultTable) -> str:
-    doc = {
-        "metadata": table.metadata,
-        "columns": list(table.columns),
-        "rows": [list(row) for row in table.rows],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The bytes of json.dumps(doc, indent=2, sort_keys=True) and a newline,
+    with the rows formatted one at a time through one template."""
+    head = json.dumps(
+        {"columns": list(table.columns), "metadata": table.metadata}, indent=2, sort_keys=True
+    )
+    if not table.data or not len(table.data[0]):
+        return head[:-2] + ',\n  "rows": []\n}\n'
+    # json spells a finite float as repr() does; columns holding NaN or
+    # +/-inf go through json for its NaN/Infinity spelling
+    columns, fmts = [], []
+    for col in table.data:
+        if col.dtype.kind == "i":
+            columns.append(col.tolist())
+            fmts.append("%d")
+        elif np.isfinite(col).all():
+            columns.append(col.tolist())
+            fmts.append("%r")
+        else:
+            columns.append(map(json.dumps, col.tolist()))
+            fmts.append("%s")
+    row = "    [\n      " + ",\n      ".join(fmts) + "\n    ]"
+    rows = ",\n".join(row % cells for cells in zip(*columns))
+    return head[:-2] + ',\n  "rows": [\n' + rows + "\n  ]\n}\n"
 
 
 def emit(table: ResultTable, cfg: RunConfig) -> list[Path]:
@@ -207,26 +224,20 @@ def _run_simulate(cfg: RunConfig) -> ResultTable:
 def _run_asymptote(cfg: RunConfig) -> ResultTable:
     p = cfg.params
     if p["samples"] > 0:
-        rng = make_rng(cfg.seed)
-        draws = sample_loop_params(rng, p["samples"])
+        theta, omega, phi = sample_loop_angles(make_rng(cfg.seed), p["samples"])
     elif p["theta_grid"] >= 2 and p["phi_grid"] >= 2:
-        draws = [
-            LoopParams(
-                (i + 0.5) * math.pi / p["theta_grid"],
-                0.0,
-                -HALF_PI + (j + 0.5) * math.pi / p["phi_grid"],
-            )
-            for i in range(p["theta_grid"])
-            for j in range(p["phi_grid"])
-        ]
+        n_theta, n_phi = p["theta_grid"], p["phi_grid"]
+        theta = np.repeat((np.arange(n_theta) + 0.5) * math.pi / n_theta, n_phi)
+        phi = np.tile(-HALF_PI + (np.arange(n_phi) + 0.5) * math.pi / n_phi, n_theta)
+        omega = 0.0
     else:
         raise ConfigError("need samples > 0 or both grids >= 2")
     data = (
-        [lp.theta for lp in draws],
-        [lp.phi for lp in draws],
-        [p_infinity(lp) for lp in draws],
-        [p_infinity_axis_route(lp) for lp in draws],
-        [p_geometric(lp.theta) for lp in draws],
+        theta,
+        phi,
+        p_infinity_array(theta, phi),
+        p_infinity_axis_array(theta, omega, phi),
+        p_geometric(theta),
     )
     return ResultTable(("theta", "phi", "p_inf", "p_inf_axis", "p_g"), data, _metadata(cfg))
 

@@ -11,12 +11,30 @@ import math
 
 import numpy as np
 
-from .su2 import LoopParams
+from .su2 import LoopParams, require_angles
 
 
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based generator for one run."""
     return np.random.Generator(np.random.Philox(seed))
+
+
+def sample_loop_angles(
+    rng: np.random.Generator,
+    count: int,
+    theta_range: tuple[float, float] = (0.0, math.pi),
+    phi_range: tuple[float, float] = (-0.5 * math.pi, 0.5 * math.pi),
+    omega_range: tuple[float, float] = (0.0, 2.0 * math.pi),
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw (theta, omega, phi) arrays uniformly from the given ranges.
+
+    The angles are checked once per array, as LoopParams checks one loop.
+    """
+    thetas = rng.uniform(*theta_range, size=count)
+    omegas = rng.uniform(*omega_range, size=count)
+    phis = rng.uniform(*phi_range, size=count)
+    require_angles(thetas, omega=omegas, phi=phis)
+    return thetas, omegas, phis
 
 
 def sample_loop_params(
@@ -26,8 +44,6 @@ def sample_loop_params(
     phi_range: tuple[float, float] = (-0.5 * math.pi, 0.5 * math.pi),
     omega_range: tuple[float, float] = (0.0, 2.0 * math.pi),
 ) -> list[LoopParams]:
-    """Draw loop coordinates uniformly from the given ranges."""
-    thetas = rng.uniform(*theta_range, size=count)
-    omegas = rng.uniform(*omega_range, size=count)
-    phis = rng.uniform(*phi_range, size=count)
-    return [LoopParams(t, o, p) for t, o, p in zip(thetas, omegas, phis)]
+    """The draws of sample_loop_angles, one LoopParams each."""
+    angles = sample_loop_angles(rng, count, theta_range, phi_range, omega_range)
+    return [LoopParams(t, o, p) for t, o, p in zip(*angles)]

@@ -1,17 +1,22 @@
 """Exact 2x2 special-unitary algebra and its angle charts.
 
-Matrices are plain complex numpy arrays of shape (2, 2); spin states are
+Matrices are complex numpy arrays of shape (2, 2); spin states are
 complex arrays of shape (2,).  Three interchangeable coordinate charts
 cover the group: axis-angle (axis polar angle, axis azimuth, turn angle),
 z-x-z Euler angles, and the loop coordinates (theta, omega, phi) used by
-the cycle simulator.  Conversions are exact trigonometric maps; the
-axis-angle chart is checked by rebuilding its matrix and demanding entrywise
-agreement with the source.
+the cycle simulator.  Conversions are exact trigonometric maps.
+
+The charts take arrays: half_turn, loop_euler_angles, axis_angles and the
+matrix builders work elementwise on floats or equal-shape arrays of
+angles (matrices then stack as (..., 2, 2)), and check their domain once
+per array.  The dataclass APIs (euler_from_loop, axis_angle_from_euler,
+su2_from_euler, rotation_from_axis_angle) call them on one point.  The
+axis-angle chart is checked by rebuilding both matrices and demanding
+entrywise agreement with the source.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -40,6 +45,21 @@ def _require_finite(**angles):
     for name, value in angles.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be a finite angle, got {value!r}")
+
+
+def _reject(name: str, values: np.ndarray, ok: np.ndarray, rule: str) -> None:
+    if not ok.all():
+        raise ValueError(f"{name} must {rule}, got {float(values[~ok].flat[0])!r}")
+
+
+def require_angles(theta, **angles) -> None:
+    """Raise ValueError unless every angle is finite and theta lies in
+    [0, pi]; floats or arrays, one pass per array."""
+    for name, values in {"theta": theta, **angles}.items():
+        values = np.asarray(values)
+        _reject(name, values, np.isfinite(values), "be a finite angle")
+    theta = np.asarray(theta)
+    _reject("theta", theta, (theta >= 0.0) & (theta <= math.pi), "lie in [0, pi]")
 
 
 @dataclass(frozen=True)
@@ -161,93 +181,143 @@ def is_su2(u: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
 
 # --- chart conversions ----------------------------------------------------
 
-def half_turn(theta: float, phase: float) -> tuple[float, float, float, float]:
-    """Quaternion parts of the rotation with opening angle theta and phase.
+def _pointwise(fn, x, y):
+    """fn(x, y) elementwise through the math module.
 
-    Returns (s, c_sin, c_cos, sin_h) with s = sin(theta/2), c_sin =
-    cos(theta/2) sin(phase), c_cos = cos(theta/2) cos(phase) = cos h, where
-    h is the half turn angle, and sin_h = hypot(s, c_sin).  The last uses
-    the exact identity 1 - cos^2 h = s^2 + c_sin^2, so it keeps full
-    relative precision near the identity, where sqrt(1 - cos^2 h) cancels.
+    np.hypot and np.arctan2 round differently from math.hypot and
+    math.atan2 in the last place on some inputs (hundreds to thousands in
+    40000 uniform draws), and the written tables follow the math values.
     """
-    c = math.cos(0.5 * theta)
-    s = math.sin(0.5 * theta)
-    c_sin = c * math.sin(phase)
-    return s, c_sin, c * math.cos(phase), math.hypot(s, c_sin)
+    if np.ndim(x) == np.ndim(y) == 0:
+        return fn(x, y)
+    x, y = np.broadcast_arrays(x, y)
+    out = np.fromiter(map(fn, x.ravel().tolist(), y.ravel().tolist()), float, count=x.size)
+    return out.reshape(x.shape)[()]
+
+
+def _cis(x):
+    # exp(ix) from np.cos and np.sin, bit for bit what cmath.exp(1j * x)
+    # gives: the products by 0 and 1 in 1j * sin are exact
+    return np.cos(x) + 1j * np.sin(x)
+
+
+def _stack(u00, u01, u10, u11) -> np.ndarray:
+    # entries of shape S -> matrices of shape S + (2, 2)
+    u00, u01, u10, u11 = np.broadcast_arrays(u00, u01, u10, u11)
+    out = np.empty(u00.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = u00
+    out[..., 0, 1] = u01
+    out[..., 1, 0] = u10
+    out[..., 1, 1] = u11
+    return out
+
+
+def half_turn(theta, phase):
+    """Quaternion parts of the rotations with opening angle theta and phase.
+
+    Floats or arrays, elementwise.  Returns (s, c_sin, c_cos, sin_h) with
+    s = sin(theta/2), c_sin = cos(theta/2) sin(phase), c_cos =
+    cos(theta/2) cos(phase) = cos h, where h is the half turn angle, and
+    sin_h = hypot(s, c_sin).  The last uses the exact identity
+    1 - cos^2 h = s^2 + c_sin^2, so it keeps full relative precision near
+    the identity, where sqrt(1 - cos^2 h) cancels.
+    """
+    c = np.cos(0.5 * theta)
+    s = np.sin(0.5 * theta)
+    c_sin = c * np.sin(phase)
+    return s, c_sin, c * np.cos(phase), _pointwise(math.hypot, s, c_sin)
+
+
+def axis_angle_matrices(alpha, beta, delta) -> np.ndarray:
+    """Rotations by delta about the axes (alpha, beta), shape (..., 2, 2)."""
+    ch = np.cos(0.5 * delta)
+    sh = np.sin(0.5 * delta)
+    ca = np.cos(alpha)
+    sa = np.sin(alpha)
+    off = -1j * sh * sa
+    return _stack(ch - 1j * sh * ca, off * _cis(-beta), off * _cis(beta), ch + 1j * sh * ca)
+
+
+def euler_matrices(phi, theta, psi) -> np.ndarray:
+    """Matrices of z-x-z Euler triples (phi, theta, psi), shape (..., 2, 2)."""
+    ch = np.cos(0.5 * theta)
+    sh = np.sin(0.5 * theta)
+    half_sum = 0.5 * (phi + psi)
+    half_diff = 0.5 * (phi - psi)
+    return _stack(
+        ch * _cis(-half_sum),
+        -1j * sh * _cis(-half_diff),
+        -1j * sh * _cis(half_diff),
+        ch * _cis(half_sum),
+    )
 
 
 def rotation_from_axis_angle(aa: AxisAngle) -> np.ndarray:
     """Special-unitary rotation by aa.delta about the axis (aa.alpha, aa.beta)."""
-    ch = math.cos(0.5 * aa.delta)
-    sh = math.sin(0.5 * aa.delta)
-    ca = math.cos(aa.alpha)
-    sa = math.sin(aa.alpha)
-    off = -1j * sh * sa
-    return np.array(
-        [
-            [ch - 1j * sh * ca, off * cmath.exp(-1j * aa.beta)],
-            [off * cmath.exp(1j * aa.beta), ch + 1j * sh * ca],
-        ]
-    )
+    return axis_angle_matrices(aa.alpha, aa.beta, aa.delta)
 
 
 def su2_from_euler(e: EulerAngles) -> np.ndarray:
     """Matrix of the z-x-z Euler triple (phi, theta, psi)."""
-    ch = math.cos(0.5 * e.theta)
-    sh = math.sin(0.5 * e.theta)
-    half_sum = 0.5 * (e.phi + e.psi)
-    half_diff = 0.5 * (e.phi - e.psi)
-    return np.array(
-        [
-            [ch * cmath.exp(-1j * half_sum), -1j * sh * cmath.exp(-1j * half_diff)],
-            [-1j * sh * cmath.exp(1j * half_diff), ch * cmath.exp(1j * half_sum)],
-        ]
-    )
+    return euler_matrices(e.phi, e.theta, e.psi)
 
 
-def axis_angle_from_euler(e: EulerAngles, match_tol: float = 1e-10) -> AxisAngle:
-    """Axis-angle chart of an Euler triple.
+def axis_angles(phi, theta, psi, match_tol: float = 1e-10):
+    """Axis-angle chart (alpha, beta, delta) of z-x-z Euler triples.
 
-    The turn angle and the axis polar angle come from atan2 of the
-    quaternion parts (see half_turn), which stays accurate near the
-    identity; the azimuth comes from the off-diagonal phase.  Since
-    cos(delta/2) = cos h and sin(delta/2) cos(alpha) = cos(theta/2) sin(phase),
-    the rebuilt matrix equals the Euler matrix entry for entry; it is
-    compared once, within match_tol, as a guard.
+    Floats or equal-shape arrays, elementwise.  The turn angle and the axis
+    polar angle come from atan2 of the quaternion parts (see half_turn),
+    which stays accurate near the identity; the azimuth comes from the
+    off-diagonal phase.  Since cos(delta/2) = cos h and
+    sin(delta/2) cos(alpha) = cos(theta/2) sin(phase), the rebuilt
+    matrices equal the Euler matrices entry for entry; they are compared
+    once over the whole array, within match_tol, as a guard.
 
-    Raises IdentityRotationError when the matrix is the identity up to
-    global sign and the axis is undefined, and ChartBranchError when the
-    rebuilt matrix does not match.
+    Raises ValueError for a non-finite angle or theta outside [0, pi],
+    IdentityRotationError when any matrix is the identity up to global
+    sign and its axis is undefined, and ChartBranchError when any rebuilt
+    matrix does not match.
     """
-    s, c_sin, c_cos, sin_half_turn = half_turn(e.theta, 0.5 * (e.phi + e.psi))
-    if sin_half_turn < IDENTITY_SIN_TOL:
+    phi, theta, psi = np.broadcast_arrays(phi, theta, psi)
+    require_angles(theta, phi=phi, psi=psi)
+    s, c_sin, c_cos, sin_half_turn = half_turn(theta, 0.5 * (phi + psi))
+    if np.any(sin_half_turn < IDENTITY_SIN_TOL):
         raise IdentityRotationError(
             "rotation equals +/-identity; axis angles are undefined"
         )
-    delta = 2.0 * math.atan2(sin_half_turn, c_cos)
-    alpha = math.atan2(s, c_sin)
-    if math.sin(alpha) * sin_half_turn > 1e-15:
-        beta = (0.5 * (e.phi - e.psi)) % TWO_PI
-    else:
-        beta = 0.0  # axis along z, azimuth is arbitrary
-    aa = AxisAngle(alpha, beta, delta)
-    if not np.max(np.abs(rotation_from_axis_angle(aa) - su2_from_euler(e))) < match_tol:
+    delta = 2.0 * _pointwise(math.atan2, sin_half_turn, c_cos)
+    alpha = _pointwise(math.atan2, s, c_sin)
+    # on the z axis the azimuth is arbitrary
+    beta = np.where(np.sin(alpha) * sin_half_turn > 1e-15, (0.5 * (phi - psi)) % TWO_PI, 0.0)
+    rebuilt = axis_angle_matrices(alpha, beta, delta)
+    gap = np.abs(rebuilt - euler_matrices(phi, theta, psi)).max(axis=(-2, -1))
+    unmatched = ~(gap < match_tol)
+    if np.any(unmatched):
+        i = np.flatnonzero(unmatched)[0]
+        triple = tuple(float(a.flat[i]) for a in (phi, theta, psi))
         raise ChartBranchError(
-            f"the axis-angle chart does not reproduce the rotation {e} within {match_tol:g}"
+            f"the axis-angle chart does not reproduce the rotation (phi, theta, psi) = "
+            f"{triple} within {match_tol:g}"
         )
-    return aa
+    return alpha, beta, delta
+
+
+def axis_angle_from_euler(e: EulerAngles, match_tol: float = 1e-10) -> AxisAngle:
+    """Axis-angle chart of one Euler triple; see axis_angles."""
+    return AxisAngle(*map(float, axis_angles(e.phi, e.theta, e.psi, match_tol)))
+
+
+def loop_euler_angles(theta, omega, phi):
+    """Euler triple (phi, theta, psi) whose matrix equals the loop operator.
+
+    Floats or arrays.  The half-sum of (phi, psi) carries the dynamic
+    phase and the half-difference carries the loop azimuth; theta passes
+    through unchanged.  Values are returned unreduced so the map stays an
+    exact right inverse of euler_matrices.
+    """
+    return omega + HALF_PI, theta, 2.0 * phi - omega - HALF_PI
 
 
 def euler_from_loop(lp: LoopParams) -> EulerAngles:
-    """Euler triple whose matrix equals the loop operator entrywise.
-
-    The half-sum of (phi, psi) carries the dynamic phase and the
-    half-difference carries the loop azimuth; theta passes through
-    unchanged.  Values are returned unreduced so the map stays an exact
-    right inverse of su2_from_euler.
-    """
-    return EulerAngles(
-        phi=lp.omega + HALF_PI,
-        theta=lp.theta,
-        psi=2.0 * lp.phi - lp.omega - HALF_PI,
-    )
+    """Euler triple whose matrix equals the loop operator entrywise."""
+    return EulerAngles(*loop_euler_angles(lp.theta, lp.omega, lp.phi))

@@ -8,14 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geopump import (
+    IdentityRotationError,
     LoopParams,
     RemovableSingularityWarning,
     asymptote_report,
+    make_rng,
     p_geometric,
     p_infinity,
+    p_infinity_array,
+    p_infinity_axis_array,
     p_infinity_axis_route,
     phi_average,
     pump_trace,
+    sample_loop_angles,
 )
 
 RNG = np.random.default_rng(4242)
@@ -169,3 +174,95 @@ def test_p_infinity_matches_mpmath_oracle(theta, abs_phi, phi_sign):
         want = mpmath.sin(half) ** 2 / (2 * (1 - core**2))
         rel = abs((p_infinity(LoopParams(theta, 0.0, phi)) - want) / want)
     assert rel <= 1e-14
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    theta=_log_uniform(1e-5, math.pi / 2),
+    abs_phi=_log_uniform(1e-5, math.pi / 2),
+    phi_sign=st.sampled_from((1.0, -1.0)),
+)
+def test_axis_route_matches_mpmath_oracle(theta, abs_phi, phi_sign):
+    # the package's route bound; away from the corner, where storing phi
+    # inside psi = 2 phi - omega - pi/2 costs about 0.16 eps / |(theta, phi)|
+    phi = phi_sign * abs_phi
+    with mpmath.workdps(50):
+        half = mpmath.mpf(theta) / 2
+        core = mpmath.cos(half) * mpmath.cos(mpmath.mpf(phi))
+        want = mpmath.sin(half) ** 2 / (2 * (1 - core**2))
+        err = abs(p_infinity_axis_route(LoopParams(theta, 0.0, phi)) - want)
+    assert err <= 1e-10
+
+
+def _reference_rates(theta, omega, phi):
+    # p_inf, p_inf_axis and p_g one loop at a time through math, the way
+    # the written tables were first computed; the array kernels must give
+    # these bits
+    s = math.sin(0.5 * theta)
+    ratio = s / math.hypot(s, math.cos(0.5 * theta) * math.sin(phi))
+    half_sum = 0.5 * ((omega + math.pi / 2) + (2.0 * phi - omega - math.pi / 2))
+    sa = math.sin(math.atan2(s, math.cos(0.5 * theta) * math.sin(half_sum)))
+    return 0.5 * ratio * ratio, 0.5 * sa * sa, 0.5 * math.sin(0.5 * theta)
+
+
+def _assert_array_matches_scalar(theta, omega, phi, picks=None):
+    theta, omega, phi = (np.asarray(v, dtype=float) for v in (theta, omega, phi))
+    arrays = (
+        p_infinity_array(theta, phi),
+        p_infinity_axis_array(theta, omega, phi),
+        p_geometric(theta),
+    )
+    for i in range(len(theta)) if picks is None else picks:
+        t, o, f = float(theta[i]), float(omega[i]), float(phi[i])
+        lp = LoopParams(t, o, f)
+        scalar = (p_infinity(lp), p_infinity_axis_route(lp), p_geometric(t))
+        want = [x.hex() for x in _reference_rates(t, o, f)]
+        assert [float(a[i]).hex() for a in arrays] == want, (t, o, f)
+        assert [float(x).hex() for x in scalar] == want, (t, o, f)
+
+
+_BULK = st.tuples(
+    st.floats(1e-6, math.pi),
+    st.floats(0.0, 2.0 * math.pi),
+    st.floats(-math.pi / 2, math.pi / 2),
+)
+_NEAR_CORNER = st.tuples(
+    _log_uniform(1e-12, math.pi / 2),
+    st.floats(0.0, 2.0 * math.pi),
+    st.tuples(_log_uniform(1e-12, math.pi / 2), st.sampled_from((1.0, -1.0))).map(
+        lambda v: v[0] * v[1]
+    ),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(draws=st.lists(st.one_of(_BULK, _NEAR_CORNER), min_size=1, max_size=40))
+def test_array_kernels_match_scalar_api_bitwise(draws):
+    _assert_array_matches_scalar(*zip(*draws))
+
+
+@pytest.mark.parametrize("seed", [53, 87, 137, 143])
+def test_array_kernels_match_on_asymptote_draws(seed):
+    # these seeds draw theta ~ 1e-6, where the axis chart once failed
+    theta, omega, phi = sample_loop_angles(make_rng(seed), 40_000)
+    narrow = np.flatnonzero(theta < 1e-5)
+    assert len(narrow) >= 1
+    picks = [*narrow.tolist(), *range(0, 40_000, 997)]
+    _assert_array_matches_scalar(theta, omega, phi, picks)
+
+
+def test_array_kernels_reject_bad_input():
+    theta = np.array([0.4, 1.0, 2.5])
+    omega = np.array([0.1, 3.0, 5.0])
+    phi = np.array([-0.3, 0.2, 1.1])
+    with pytest.raises(ValueError, match="theta must lie in"):
+        p_infinity_array(theta + 1.0, phi)
+    with pytest.raises(ValueError, match="phi must be a finite angle, got nan"):
+        p_infinity_array(theta, np.where(phi > 1.0, np.nan, phi))
+    with pytest.raises(ValueError, match="theta must lie in"):
+        p_geometric(-theta)
+    theta[1] = phi[1] = 0.0
+    with pytest.raises(IdentityRotationError):
+        p_infinity_axis_array(theta, omega, phi)
+    with pytest.warns(RemovableSingularityWarning):
+        assert p_infinity_array(theta, phi)[1] == 0.0

@@ -86,6 +86,41 @@ class TestResultTable:
         assert lines[3] == "2,-1"
         assert text.endswith("\n")
 
+    @pytest.mark.parametrize(
+        "columns,data,metadata",
+        [
+            pytest.param(("a", "b"), ([], []), {"command": "demo"}, id="empty"),
+            pytest.param((), (), {}, id="no-columns"),
+            pytest.param(("n", "m"), ([0, -3, 2**62], [1, 0, -(2**63)]), {"seed": 5}, id="ints"),
+            pytest.param(
+                ("x", "n", "y"),
+                ([1.0 / 3.0, 2.0, -1e-300], [5, -1, 0], [math.pi, 0.1, 1e22]),
+                {"seed": 0, "param.theta": 0.1},
+                id="mixed",
+            ),
+            pytest.param(
+                ("edge", "finite"),
+                ([-0.0, 5e-324, 1e300, math.nan, math.inf, -math.inf], [0.0] * 6),
+                {},
+                id="edge-floats",
+            ),
+            pytest.param(
+                ("v",),
+                ([0.25],),
+                {"say": 'a "quoted" \\ back', "name": "Θ-φ ümlaut ✓", "nan": math.nan},
+                id="metadata-strings",
+            ),
+        ],
+    )
+    def test_json_writer_matches_json_dumps(self, columns, data, metadata):
+        table = ResultTable(columns, data, metadata)
+        doc = {
+            "metadata": table.metadata,
+            "columns": list(table.columns),
+            "rows": [list(row) for row in table.rows],
+        }
+        assert to_json(table) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
 
 class TestRun:
     def test_simulate_columns_and_rows(self):
@@ -354,12 +389,22 @@ class TestPhaseDiagramGolden:
 def test_chart_branch_failure_is_runtime_exit(monkeypatch, capsys):
     import geopump.cli as cli
 
-    def unmatched(lp):
+    def unmatched(theta, omega, phi):
         raise ChartBranchError("no branch")
 
-    monkeypatch.setattr(cli, "p_infinity_axis_route", unmatched)
+    monkeypatch.setattr(cli, "p_infinity_axis_array", unmatched)
     assert main(["asymptote", "--theta-grid", "2", "--phi-grid", "2"]) == 2
     assert "no branch" in capsys.readouterr().err
+
+
+def test_asymptote_runs_the_chart_guard(monkeypatch, capsys):
+    # with no tolerance the rebuild-and-compare guard rejects every draw
+    import geopump.asymptotics as asymptotics
+
+    strict = asymptotics.axis_angles
+    monkeypatch.setattr(asymptotics, "axis_angles", lambda *e: strict(*e, match_tol=0.0))
+    assert main(["asymptote", "--samples", "50"]) == 2
+    assert "does not reproduce the rotation" in capsys.readouterr().err
 
 
 # SHA-256 of each command's output bytes in both formats; a change to the

@@ -1,7 +1,10 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geopump import (
     AxisAngle,
@@ -10,12 +13,16 @@ from geopump import (
     IdentityRotationError,
     LoopParams,
     axis_angle_from_euler,
+    axis_angle_matrices,
+    axis_angles,
     build_loop_operator,
     euler_from_loop,
+    euler_matrices,
     excited_state,
     ground_state,
     half_turn,
     is_su2,
+    loop_euler_angles,
     power,
     rotation_from_axis_angle,
     su2_defect,
@@ -235,3 +242,84 @@ class TestNearIdentityCharts:
         s, c_sin, c_cos, sin_h = half_turn(2e-9, 1e-9)
         assert sin_h == pytest.approx(math.sqrt(2.0) * 1e-9, rel=1e-15)
         assert c_cos == pytest.approx(1.0, abs=1e-16)
+
+
+def _reference_chart(phi, theta, psi):
+    # the axis-angle chart and both matrices of one Euler triple through
+    # math and cmath, the way they were first computed point by point
+    s, c = math.sin(0.5 * theta), math.cos(0.5 * theta)
+    half_sum, half_diff = 0.5 * (phi + psi), 0.5 * (phi - psi)
+    c_sin = c * math.sin(half_sum)
+    sin_h = math.hypot(s, c_sin)
+    delta = 2.0 * math.atan2(sin_h, c * math.cos(half_sum))
+    alpha = math.atan2(s, c_sin)
+    beta = half_diff % (2.0 * math.pi) if math.sin(alpha) * sin_h > 1e-15 else 0.0
+    ch, sh = math.cos(0.5 * delta), math.sin(0.5 * delta)
+    ca, sa = math.cos(alpha), math.sin(alpha)
+    off = -1j * sh * sa
+    rotation = np.array(
+        [
+            [ch - 1j * sh * ca, off * cmath.exp(-1j * beta)],
+            [off * cmath.exp(1j * beta), ch + 1j * sh * ca],
+        ]
+    )
+    euler = np.array(
+        [
+            [c * cmath.exp(-1j * half_sum), -1j * s * cmath.exp(-1j * half_diff)],
+            [-1j * s * cmath.exp(1j * half_diff), c * cmath.exp(1j * half_sum)],
+        ]
+    )
+    return (alpha, beta, delta), rotation, euler
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(lambda x: min(math.exp(x), hi))
+
+
+_SIGNED_SMALL = st.tuples(_log_uniform(1e-12, HALF_PI), st.sampled_from((1.0, -1.0)))
+_LOOPS = st.one_of(
+    st.tuples(st.floats(1e-6, math.pi), st.floats(0.0, 2.0 * math.pi), st.floats(-HALF_PI, HALF_PI)),
+    st.tuples(
+        _log_uniform(1e-12, HALF_PI),
+        st.floats(0.0, 2.0 * math.pi),
+        _SIGNED_SMALL.map(lambda v: v[0] * v[1]),
+    ),
+)
+
+
+class TestArrayCharts:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(loops=st.lists(_LOOPS, min_size=1, max_size=40))
+    def test_arrays_match_scalar_api_bitwise(self, loops):
+        phi, theta, psi = loop_euler_angles(*(np.array(v) for v in zip(*loops)))
+        chart = axis_angles(phi, theta, psi)
+        rotations = axis_angle_matrices(*chart)
+        eulers = euler_matrices(phi, theta, psi)
+        for i, lp in enumerate(LoopParams(*v) for v in loops):
+            e = euler_from_loop(lp)
+            assert (e.phi, e.theta, e.psi) == (phi[i], theta[i], psi[i])
+            aa = axis_angle_from_euler(e)
+            want, rotation, euler = _reference_chart(e.phi, e.theta, e.psi)
+            assert [x.hex() for x in (aa.alpha, aa.beta, aa.delta)] == [x.hex() for x in want]
+            assert [float(c[i]).hex() for c in chart] == [x.hex() for x in want]
+            assert np.array_equal(rotation_from_axis_angle(aa), rotation)
+            assert np.array_equal(rotations[i], rotation)
+            assert np.array_equal(su2_from_euler(e), euler)
+            assert np.array_equal(eulers[i], euler)
+
+    def test_array_errors_are_typed(self):
+        phi, theta, psi = loop_euler_angles(
+            np.array([0.4, 1.0, 2.5]), np.array([0.1, 3.0, 5.0]), np.array([-0.3, 0.2, 1.1])
+        )
+        assert all(a.shape == (3,) for a in axis_angles(phi, theta, psi))
+        with pytest.raises(ChartBranchError):
+            axis_angles(phi, theta, psi, match_tol=0.0)
+        with pytest.raises(ValueError, match="theta must lie in"):
+            axis_angles(phi, theta + 1.0, psi)
+        with pytest.raises(ValueError, match="psi must be a finite angle, got inf"):
+            axis_angles(phi, theta, np.where(theta > 2.0, np.inf, psi))
+        # theta = 0 with no dynamic phase: the identity, which has no axis
+        theta, psi = theta.copy(), psi.copy()
+        theta[1], psi[1] = 0.0, -phi[1]
+        with pytest.raises(IdentityRotationError):
+            axis_angles(phi, theta, psi)
