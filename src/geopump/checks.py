@@ -5,6 +5,9 @@ route (closed form vs. iterated matrices, direct formula vs. chart chain,
 analytic criterion vs. numerical accumulation) and reports the measured
 worst case next to its bound.  The battery is deterministic for a given
 seed.
+
+The Kolmogorov-Smirnov statistic of the jump angles is computed in-house
+as max(D+, D-) with numpy; SciPy's `kstest` serves only as a test oracle.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import kstest
 
 from .asymptotics import p_geometric, p_infinity_array, p_infinity_axis_array, phi_average
 from .band import ChainParams, DriveCycle, _inversion_angles, pump_profile, winding_number
@@ -238,11 +240,25 @@ def _check_one_d_consistency(rng):
     return float(mismatches), 0.5
 
 
+def _ks_uniform(x):
+    """One-sample KS statistic of x in [0, 1] against the uniform law.
+
+    max(D+, D-) over the sorted sample, each written as SciPy's `kstest`
+    writes it; the uniform CDF is the identity on [0, 1], so the float is
+    the same.
+    """
+    x = np.sort(x)
+    n = x.size
+    d_plus = np.max(np.arange(1, n + 1) / n - x)
+    d_minus = np.max(x - np.arange(0, n) / n)
+    return float(max(d_plus, d_minus))
+
+
 def _check_equidistribution(rng):
     worst = 0.0
     for lp in sample_loop_params(rng, 5, **_INTERIOR):
         angles = trajectory_angles(lp, 20_000)
-        worst = max(worst, float(kstest(angles / TWO_PI, "uniform").statistic))
+        worst = max(worst, _ks_uniform(angles / TWO_PI))
     return worst, 0.01
 
 
