@@ -4,8 +4,10 @@ Every command produces a ResultTable, one typed numpy column (int64 or
 float64) per named field, and writes it as CSV or JSON.  Output bytes are a
 pure function of the effective configuration: floats are printed with 17
 significant digits, metadata keys have a fixed order, and line endings are
-LF.  --threads is accepted and validated but changes neither the bytes nor
-the parallelism: every kernel runs single-threaded.
+LF.  Rows are formatted and written in blocks of a fixed number of rows, so
+memory while writing does not grow with the size of the output.  --threads
+is accepted and validated but changes neither the bytes nor the
+parallelism: every kernel runs single-threaded.
 
 Exit codes: 0 success, 1 bad configuration, 2 runtime or I/O failure,
 3 verification failure.
@@ -148,51 +150,91 @@ class ResultTable:
         )
 
 
-def to_csv(table: ResultTable) -> str:
+# rows per formatted block: a writer holds one block's cells and text at a
+# time, so memory does not grow with the length of the table
+BLOCK_ROWS = 4096
+
+
+def _row_blocks(columns, row: str, sep: str):
+    """Yield the rows as text, BLOCK_ROWS rows per block, each block after
+    the first led by `sep`.  A block is one % call: the one-row template
+    `row` joined by `sep`, applied to the block's cells interleaved column
+    by column.  `columns` holds (array, convert) pairs; convert, if not
+    None, maps a block's Python values before they are formatted."""
+    n = len(columns[0][0]) if columns else 0
+    width = len(columns)
+    for start in range(0, n, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, n)
+        cells = [None] * ((stop - start) * width)
+        for j, (col, convert) in enumerate(columns):
+            values = col[start:stop].tolist()
+            cells[j::width] = values if convert is None else map(convert, values)
+        fmt = sep.join([row] * (stop - start))
+        yield (sep + fmt if start else fmt) % tuple(cells)
+
+
+def _csv_blocks(table: ResultTable):
     lines = [f"# {key} = {value}" for key, value in table.metadata.items()]
     lines.append(",".join(table.columns))
-    # '%.17g' % x == format(x, '.17g'); rows are formatted one at a time
-    # so that no per-column list of strings is held
-    fmt = ",".join("%d" if c.dtype.kind == "i" else "%.17g" for c in table.data)
-    lines.extend(fmt % row for row in zip(*(c.tolist() for c in table.data)))
-    return "\n".join(lines) + "\n"
+    yield "\n".join(lines) + "\n"
+    # '%.17g' % x == format(x, '.17g')
+    row = ",".join("%d" if c.dtype.kind == "i" else "%.17g" for c in table.data) + "\n"
+    yield from _row_blocks([(c, None) for c in table.data], row, "")
 
 
-def to_json(table: ResultTable) -> str:
-    """The bytes of json.dumps(doc, indent=2, sort_keys=True) and a newline,
-    with the rows formatted one at a time through one template."""
+def _json_blocks(table: ResultTable):
     head = json.dumps(
         {"columns": list(table.columns), "metadata": table.metadata}, indent=2, sort_keys=True
     )
     if not table.data or not len(table.data[0]):
-        return head[:-2] + ',\n  "rows": []\n}\n'
+        yield head[:-2] + ',\n  "rows": []\n}\n'
+        return
+    yield head[:-2] + ',\n  "rows": [\n'
     # json spells a finite float as repr() does; columns holding NaN or
     # +/-inf go through json for its NaN/Infinity spelling
     columns, fmts = [], []
     for col in table.data:
         if col.dtype.kind == "i":
-            columns.append(col.tolist())
+            columns.append((col, None))
             fmts.append("%d")
         elif np.isfinite(col).all():
-            columns.append(col.tolist())
+            columns.append((col, None))
             fmts.append("%r")
         else:
-            columns.append(map(json.dumps, col.tolist()))
+            columns.append((col, json.dumps))
             fmts.append("%s")
     row = "    [\n      " + ",\n      ".join(fmts) + "\n    ]"
-    rows = ",\n".join(row % cells for cells in zip(*columns))
-    return head[:-2] + ',\n  "rows": [\n' + rows + "\n  ]\n}\n"
+    yield from _row_blocks(columns, row, ",\n")
+    yield "\n  ]\n}\n"
+
+
+def to_csv(table: ResultTable) -> str:
+    """The CSV bytes emit writes, as one string."""
+    return "".join(_csv_blocks(table))
+
+
+def to_json(table: ResultTable) -> str:
+    """The JSON bytes emit writes, as one string: those of
+    json.dumps(doc, indent=2, sort_keys=True) and a newline."""
+    return "".join(_json_blocks(table))
 
 
 def emit(table: ResultTable, cfg: RunConfig) -> list[Path]:
-    """Write the table per cfg; stdout when no output path is set."""
-    text = to_csv(table) if cfg.format == "csv" else to_json(table)
+    """Write the table per cfg, block by block; stdout when no output path
+    is set.  A file whose writing fails is removed, never left truncated."""
+    blocks = _csv_blocks(table) if cfg.format == "csv" else _json_blocks(table)
     if cfg.output_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
         return []
     path = Path(cfg.output_path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    # opened outside the try, so a failed open removes nothing
+    fh = open(path, "w", encoding="utf-8", newline="")
+    try:
+        with fh:
+            fh.writelines(blocks)
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
     return [path]
 
 

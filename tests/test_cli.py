@@ -1,13 +1,16 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from geopump import ChartBranchError
 from geopump.checks import CheckResult
+import geopump.cli as cli
 from geopump.cli import (
+    BLOCK_ROWS,
     ConfigError,
     ResultTable,
     RunConfig,
@@ -198,6 +201,100 @@ class TestEmit:
         cfg = _simulate_cfg()
         assert emit(run(cfg), cfg) == []
         assert capsys.readouterr().out.startswith("# tool = geopump")
+
+
+def _reference_csv(table):
+    # one row at a time through the row template
+    lines = [f"# {key} = {value}" for key, value in table.metadata.items()]
+    lines.append(",".join(table.columns))
+    fmt = ",".join("%d" if c.dtype.kind == "i" else "%.17g" for c in table.data)
+    lines.extend(fmt % row for row in table.rows)
+    return "\n".join(lines) + "\n"
+
+
+def _reference_json(table):
+    head = json.dumps(
+        {"columns": list(table.columns), "metadata": table.metadata}, indent=2, sort_keys=True
+    )
+    if not table.rows:
+        return head[:-2] + ',\n  "rows": []\n}\n'
+    spell = [
+        (lambda x: "%d" % x) if c.dtype.kind == "i"
+        else (lambda x: "%r" % x) if np.isfinite(c).all()
+        else json.dumps
+        for c in table.data
+    ]
+    rows = []
+    for row in table.rows:
+        cells = [f(x) for f, x in zip(spell, row)]
+        rows.append("    [\n      " + ",\n      ".join(cells) + "\n    ]")
+    return head[:-2] + ',\n  "rows": [\n' + ",\n".join(rows) + "\n  ]\n}\n"
+
+
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 1.0 / 3.0]
+
+
+class TestBlockBoundaries:
+    @pytest.mark.parametrize(
+        "n", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_every_writer_matches_row_by_row(self, tmp_path, capsys, n, fmt):
+        i = np.arange(n)
+        table = ResultTable(
+            ("i", "x", "edge"),
+            (i - n // 2, np.sqrt(i) * math.pi, np.resize(_EDGE_FLOATS, n)),
+            {"command": "demo", "rows": n},
+        )
+        want = _reference_csv(table) if fmt == "csv" else _reference_json(table)
+        assert (to_csv(table) if fmt == "csv" else to_json(table)) == want
+        out = tmp_path / f"t.{fmt}"
+        cfg = RunConfig("simulate", {}, output_path=str(out), format=fmt)
+        assert emit(table, cfg) == [out]
+        assert out.read_bytes() == want.encode()
+        capsys.readouterr()
+        assert emit(table, RunConfig("simulate", {}, format=fmt)) == []
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("n", [BLOCK_ROWS - 1, BLOCK_ROWS + 1])
+    def test_all_finite_json_rows(self, n):
+        # a float column with no NaN or inf takes the repr template
+        table = ResultTable(("x", "n"), (np.linspace(-1.0, 1e22, n), np.arange(n)))
+        assert to_json(table) == _reference_json(table)
+        assert ResultTable.from_json(to_json(table)).rows == table.rows
+
+
+def test_emit_memory_stays_below_output_size(tmp_path):
+    out = tmp_path / "trace.csv"
+    params = {"theta": 1.1, "omega": 0.3, "phi": 0.4, "cycles": 200_000}
+    cfg = _simulate_cfg(params=params, output_path=str(out))
+    table = run(cfg)
+    tracemalloc.start()
+    try:
+        emit(table, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    written = out.stat().st_size
+    assert peak < written / 2, f"peak {peak} bytes while writing {written}"
+
+
+def test_failed_write_leaves_no_file(tmp_path, monkeypatch, capsys):
+    blocks = cli._csv_blocks
+
+    def fail_after_first_rows(table):
+        stream = blocks(table)
+        yield next(stream)  # metadata and header
+        yield next(stream)  # the first BLOCK_ROWS rows
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "_csv_blocks", fail_after_first_rows)
+    out = tmp_path / "out.csv"
+    out.write_text("an earlier run\n")
+    argv = ["simulate", "--theta", "1.0", "--cycles", str(3 * BLOCK_ROWS), "--out", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
+    assert "No space left on device" in capsys.readouterr().err
 
 
 class TestMain:

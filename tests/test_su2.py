@@ -28,6 +28,7 @@ from geopump import (
     su2_defect,
     su2_from_euler,
 )
+from geopump.su2 import require_angles
 
 RNG = np.random.default_rng(20260819)
 
@@ -323,3 +324,31 @@ class TestArrayCharts:
         theta[1], psi[1] = 0.0, -phi[1]
         with pytest.raises(IdentityRotationError):
             axis_angles(phi, theta, psi)
+
+
+
+@pytest.mark.parametrize(
+    "theta,phi,message",
+    [
+        (1.0, 0.2, None),
+        (0.0, -0.0, None),
+        (math.pi, 1e300, None),
+        (math.nan, 0.2, "theta must be a finite angle, got nan"),
+        (math.inf, 0.2, "theta must be a finite angle, got inf"),
+        (1.0, -math.inf, "phi must be a finite angle, got -inf"),
+        (1.0, math.nan, "phi must be a finite angle, got nan"),
+        (4.0, math.nan, "phi must be a finite angle, got nan"),
+        (4.0, 0.2, "theta must lie in [0, pi], got 4.0"),
+        (-1e-300, 0.2, "theta must lie in [0, pi], got -1e-300"),
+        (math.nextafter(math.pi, 4.0), 0.2, "theta must lie in [0, pi], got 3.1415926535897936"),
+    ],
+)
+def test_require_angles_one_point_matches_array_pass(theta, phi, message):
+    # floats and 0-d input take the math path, arrays the numpy pass
+    for wrap in (float, np.float64, np.array, lambda x: np.array([x]), lambda x: np.array([[x]])):
+        if message is None:
+            require_angles(wrap(theta), phi=wrap(phi))
+        else:
+            with pytest.raises(ValueError) as info:
+                require_angles(wrap(theta), phi=wrap(phi))
+            assert type(info.value) is ValueError and str(info.value) == message
