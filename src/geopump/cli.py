@@ -18,6 +18,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import stat
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -221,19 +223,23 @@ def to_json(table: ResultTable) -> str:
 
 def emit(table: ResultTable, cfg: RunConfig) -> list[Path]:
     """Write the table per cfg, block by block; stdout when no output path
-    is set.  A file whose writing fails is removed, never left truncated."""
+    is set.  A regular file whose writing fails is removed, never left
+    truncated; a symlink, device or FIFO at the output path is kept."""
     blocks = _csv_blocks(table) if cfg.format == "csv" else _json_blocks(table)
     if cfg.output_path is None:
         sys.stdout.writelines(blocks)
         return []
     path = Path(cfg.output_path)
-    # opened outside the try, so a failed open removes nothing
+    # checked before the open, which follows links; a failed open removes nothing
+    is_link = path.is_symlink()
     fh = open(path, "w", encoding="utf-8", newline="")
+    removable = not is_link and stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
     try:
         with fh:
             fh.writelines(blocks)
     except BaseException:
-        path.unlink(missing_ok=True)
+        if removable:
+            path.unlink(missing_ok=True)
         raise
     return [path]
 

@@ -47,28 +47,18 @@ def _require_finite(**angles):
             raise ValueError(f"{name} must be a finite angle, got {value!r}")
 
 
-def _reject(name: str, values, ok, rule: str) -> None:
-    # ok is a bool for one float, else a bool array the shape of values
-    if not (ok if isinstance(ok, bool) else ok.all()):
-        bad = values if isinstance(ok, bool) else values[~ok].flat[0]
-        raise ValueError(f"{name} must {rule}, got {float(bad)!r}")
+def _reject(name: str, values: np.ndarray, ok: np.ndarray, rule: str) -> None:
+    if not ok.all():
+        raise ValueError(f"{name} must {rule}, got {float(values[~ok].flat[0])!r}")
 
 
 def require_angles(theta, **angles) -> None:
     """Raise ValueError unless every angle is finite and theta lies in
-    [0, pi]; floats or arrays, one pass per array.  When every angle is a
-    Python float or 0-d, the same checks run on floats through math, at a
-    fraction of the cost of a numpy pass."""
-    named = {"theta": theta, **angles}
-    if all(isinstance(v, float) or getattr(v, "ndim", None) == 0 for v in named.values()):
-        named = {name: float(v) for name, v in named.items()}
-        isfinite = math.isfinite
-    else:
-        named = {name: np.asarray(v) for name, v in named.items()}
-        isfinite = np.isfinite
-    for name, values in named.items():
-        _reject(name, values, isfinite(values), "be a finite angle")
-    theta = named["theta"]
+    [0, pi]; floats or arrays, one pass per array."""
+    for name, values in {"theta": theta, **angles}.items():
+        values = np.asarray(values)
+        _reject(name, values, np.isfinite(values), "be a finite angle")
+    theta = np.asarray(theta)
     _reject("theta", theta, (theta >= 0.0) & (theta <= math.pi), "lie in [0, pi]")
 
 

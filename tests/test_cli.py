@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -279,7 +281,9 @@ def test_emit_memory_stays_below_output_size(tmp_path):
     assert peak < written / 2, f"peak {peak} bytes while writing {written}"
 
 
-def test_failed_write_leaves_no_file(tmp_path, monkeypatch, capsys):
+@pytest.fixture
+def failing_csv_writer(monkeypatch):
+    """Make CSV output raise ENOSPC after its header and first row block."""
     blocks = cli._csv_blocks
 
     def fail_after_first_rows(table):
@@ -289,12 +293,42 @@ def test_failed_write_leaves_no_file(tmp_path, monkeypatch, capsys):
         raise OSError(28, "No space left on device")
 
     monkeypatch.setattr(cli, "_csv_blocks", fail_after_first_rows)
+
+
+def _simulate_argv(out, cycles):
+    return ["simulate", "--theta", "1.0", "--cycles", str(cycles), "--out", str(out)]
+
+
+def test_failed_write_leaves_no_file(tmp_path, failing_csv_writer, capsys):
     out = tmp_path / "out.csv"
     out.write_text("an earlier run\n")
-    argv = ["simulate", "--theta", "1.0", "--cycles", str(3 * BLOCK_ROWS), "--out", str(out)]
-    assert main(argv) == 2
+    assert main(_simulate_argv(out, 3 * BLOCK_ROWS)) == 2
     assert not out.exists()
     assert "No space left on device" in capsys.readouterr().err
+
+
+def test_failed_write_keeps_a_symlinked_out(tmp_path, failing_csv_writer):
+    target = tmp_path / "target.csv"
+    target.write_text("an earlier run\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert main(_simulate_argv(link, 3 * BLOCK_ROWS)) == 2
+    # the link is the user's, not this run's; the write went through to the target
+    assert link.is_symlink() and link.resolve() == target
+    assert target.read_text().startswith("# ")
+
+
+def test_failed_write_keeps_a_fifo_out(tmp_path, failing_csv_writer):
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+    # a non-blocking reader lets the writer open; 8 rows fit the pipe buffer
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert main(_simulate_argv(fifo, 8)) == 2
+        assert os.read(reader, 1 << 16).startswith(b"# ")
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
 
 
 class TestMain:

@@ -326,7 +326,6 @@ class TestArrayCharts:
             axis_angles(phi, theta, psi)
 
 
-
 @pytest.mark.parametrize(
     "theta,phi,message",
     [
@@ -343,8 +342,8 @@ class TestArrayCharts:
         (math.nextafter(math.pi, 4.0), 0.2, "theta must lie in [0, pi], got 3.1415926535897936"),
     ],
 )
-def test_require_angles_one_point_matches_array_pass(theta, phi, message):
-    # floats and 0-d input take the math path, arrays the numpy pass
+def test_require_angles_message_does_not_depend_on_input_shape(theta, phi, message):
+    # one point as a float, a numpy scalar or a 0-d array reads as an array of it
     for wrap in (float, np.float64, np.array, lambda x: np.array([x]), lambda x: np.array([[x]])):
         if message is None:
             require_angles(wrap(theta), phi=wrap(phi))
