@@ -5,7 +5,9 @@ float64) per named field, and writes it as CSV or JSON.  Output bytes are a
 pure function of the effective configuration: floats are printed with 17
 significant digits, metadata keys have a fixed order, and line endings are
 LF.  Rows are formatted and written in blocks of a fixed number of rows, so
-memory while writing does not grow with the size of the output.  --threads
+memory while writing does not grow with the size of the output.  simulate
+also computes its rows in those blocks as they are written, so its memory
+does not grow with --cycles.  --threads
 is accepted and validated but changes neither the bytes nor the
 parallelism: every kernel runs single-threaded.
 
@@ -16,12 +18,13 @@ Exit codes: 0 success, 1 bad configuration, 2 runtime or I/O failure,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import stat
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -30,7 +33,7 @@ import numpy as np
 from . import __version__
 from .asymptotics import p_geometric, p_infinity_array, p_infinity_axis_array
 from .band import DriveCycle, GapClosedError, pump_profile
-from .evolution import pump_trace
+from .evolution import pump_trace_blocks
 from .sampling import make_rng, sample_loop_angles
 from .stability import phase_diagram
 from .su2 import HALF_PI, ChartBranchError, IdentityRotationError, LoopParams
@@ -111,29 +114,62 @@ def _as_column(values) -> np.ndarray:
     return col
 
 
-@dataclass(frozen=True)
+# rows per block: a streamed table computes and a writer formats one
+# block at a time, so memory does not grow with the length of the table
+BLOCK_ROWS = 4096
+
+
 class ResultTable:
     """Named numeric columns plus the metadata needed to re-run them.
 
-    `data` holds one read-only 1-D array per column, int64 or float64;
+    The rows are held either as whole columns (`data`) or as a block
+    source: a callable returning a fresh iterator of column blocks, each a
+    tuple of one 1-D array per column, of at most BLOCK_ROWS rows.  The
+    writers read every table through `blocks()`, so a streamed table is
+    computed while it is written and never held whole; its `data` and
+    `rows` are built on access.  Columns are read-only int64 or float64;
     bool and unsigned input up to 32 bits is cast to int64.  Dtypes, the
-    column count and equal lengths are checked once per column, never per
-    cell.  `rows` is a derived view with Python ints and floats.
+    column count and equal lengths are checked once per column (per block
+    for a source), never per cell.  `rows` is a derived view with Python
+    ints and floats.  `report` holds lines for stdout, never written into
+    the output.
     """
 
-    columns: tuple[str, ...]
-    data: tuple[np.ndarray, ...]
-    metadata: dict = field(default_factory=dict)
+    def __init__(self, columns, data=None, metadata=None, *, source=None, report=()):
+        if (data is None) == (source is None):
+            raise ValueError("a table takes either whole columns or a block source")
+        self.columns = tuple(str(c) for c in columns)
+        self.metadata = {} if metadata is None else metadata
+        self.report = tuple(report)
+        self._data = None if data is None else self._checked(data)
+        self._source = source
 
-    def __post_init__(self):
-        columns = tuple(str(c) for c in self.columns)
-        data = tuple(_as_column(c) for c in self.data)
-        if len(data) != len(columns):
-            raise ValueError(f"{len(data)} data columns for {len(columns)} names")
+    def _checked(self, data) -> tuple[np.ndarray, ...]:
+        data = tuple(_as_column(c) for c in data)
+        if len(data) != len(self.columns):
+            raise ValueError(f"{len(data)} data columns for {len(self.columns)} names")
         if len({len(c) for c in data}) > 1:
             raise ValueError(f"ragged columns: lengths {[len(c) for c in data]}")
-        object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "data", data)
+        return data
+
+    def blocks(self):
+        """Iterate the rows as non-empty column blocks of checked columns."""
+        if self._source is None:
+            n = len(self._data[0]) if self._data else 0
+            return (
+                tuple(c[start : start + BLOCK_ROWS] for c in self._data)
+                for start in range(0, n, BLOCK_ROWS)
+            )
+        return (b for b in map(self._checked, self._source()) if b and len(b[0]))
+
+    @property
+    def data(self) -> tuple[np.ndarray, ...]:
+        if self._source is None:
+            return self._data
+        parts = list(zip(*self.blocks()))
+        if not parts:
+            return self._checked([np.empty(0)] * len(self.columns))
+        return self._checked([np.concatenate(p) for p in parts])
 
     @property
     def rows(self) -> tuple[tuple, ...]:
@@ -152,61 +188,65 @@ class ResultTable:
         )
 
 
-# rows per formatted block: a writer holds one block's cells and text at a
-# time, so memory does not grow with the length of the table
-BLOCK_ROWS = 4096
-
-
-def _row_blocks(columns, row: str, sep: str):
-    """Yield the rows as text, BLOCK_ROWS rows per block, each block after
-    the first led by `sep`.  A block is one % call: the one-row template
-    `row` joined by `sep`, applied to the block's cells interleaved column
-    by column.  `columns` holds (array, convert) pairs; convert, if not
-    None, maps a block's Python values before they are formatted."""
-    n = len(columns[0][0]) if columns else 0
-    width = len(columns)
-    for start in range(0, n, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, n)
-        cells = [None] * ((stop - start) * width)
-        for j, (col, convert) in enumerate(columns):
-            values = col[start:stop].tolist()
+def _row_text(blocks, spell, sep: str):
+    """Yield each column block as text, each block after the first led by
+    `sep`.  A block is one % call: the one-row template joined by `sep`,
+    applied to the block's cells interleaved column by column.
+    spell(block) gives the row template and, per column, None or a
+    function that maps the column's Python values before formatting."""
+    lead = ""
+    for block in blocks:
+        row, converts = spell(block)
+        width, k = len(block), len(block[0])
+        cells = [None] * (k * width)
+        for j, (col, convert) in enumerate(zip(block, converts)):
+            values = col.tolist()
             cells[j::width] = values if convert is None else map(convert, values)
-        fmt = sep.join([row] * (stop - start))
-        yield (sep + fmt if start else fmt) % tuple(cells)
+        yield lead + sep.join([row] * k) % tuple(cells)
+        lead = sep
+
+
+def _csv_row(block):
+    # '%.17g' % x == format(x, '.17g')
+    row = ",".join("%d" if c.dtype.kind == "i" else "%.17g" for c in block) + "\n"
+    return row, (None,) * len(block)
 
 
 def _csv_blocks(table: ResultTable):
     lines = [f"# {key} = {value}" for key, value in table.metadata.items()]
     lines.append(",".join(table.columns))
     yield "\n".join(lines) + "\n"
-    # '%.17g' % x == format(x, '.17g')
-    row = ",".join("%d" if c.dtype.kind == "i" else "%.17g" for c in table.data) + "\n"
-    yield from _row_blocks([(c, None) for c in table.data], row, "")
+    yield from _row_text(table.blocks(), _csv_row, "")
+
+
+def _json_row(block):
+    # json spells a finite float as repr() does; a block of a column
+    # holding NaN or +/-inf goes through json for its NaN/Infinity spelling
+    fmts, converts = [], []
+    for col in block:
+        if col.dtype.kind == "i":
+            fmts.append("%d")
+            converts.append(None)
+        elif np.isfinite(col).all():
+            fmts.append("%r")
+            converts.append(None)
+        else:
+            fmts.append("%s")
+            converts.append(json.dumps)
+    return "    [\n      " + ",\n      ".join(fmts) + "\n    ]", converts
 
 
 def _json_blocks(table: ResultTable):
     head = json.dumps(
         {"columns": list(table.columns), "metadata": table.metadata}, indent=2, sort_keys=True
     )
-    if not table.data or not len(table.data[0]):
+    blocks = table.blocks()
+    first = next(blocks, None)
+    if first is None:
         yield head[:-2] + ',\n  "rows": []\n}\n'
         return
     yield head[:-2] + ',\n  "rows": [\n'
-    # json spells a finite float as repr() does; columns holding NaN or
-    # +/-inf go through json for its NaN/Infinity spelling
-    columns, fmts = [], []
-    for col in table.data:
-        if col.dtype.kind == "i":
-            columns.append((col, None))
-            fmts.append("%d")
-        elif np.isfinite(col).all():
-            columns.append((col, None))
-            fmts.append("%r")
-        else:
-            columns.append((col, json.dumps))
-            fmts.append("%s")
-    row = "    [\n      " + ",\n      ".join(fmts) + "\n    ]"
-    yield from _row_blocks(columns, row, ",\n")
+    yield from _row_text(itertools.chain([first], blocks), _json_row, ",\n")
     yield "\n  ]\n}\n"
 
 
@@ -262,15 +302,36 @@ def _metadata(cfg: RunConfig) -> dict:
 def _run_simulate(cfg: RunConfig) -> ResultTable:
     p = cfg.params
     lp = LoopParams(p["theta"], p["omega"], p["phi"])
-    if p["cycles"] < 1:
+    cycles = p["cycles"]
+    if cycles < 1:
         raise ConfigError("cycles must be a positive integer")
-    trace = pump_trace(lp, p["cycles"])
-    cycle = np.arange(1, p["cycles"] + 1)
-    return ResultTable(("cycle", "q", "p"), (cycle, trace.q, trace.p), _metadata(cfg))
+
+    # streamed: each block is computed as it is written; nothing in it can
+    # fail once the drive and the cycle count are valid
+    def source():
+        start = 1
+        for q, mean in pump_trace_blocks(lp, cycles, BLOCK_ROWS):
+            yield np.arange(start, start + len(q)), q, mean
+            start += len(q)
+
+    return ResultTable(("cycle", "q", "p"), metadata=_metadata(cfg), source=source)
+
+
+def _blockwise(kernel, *args) -> np.ndarray:
+    """kernel(*args) over 1-D arrays (or scalars), BLOCK_ROWS rows at a
+    time, so that its temporaries stay the size of one block."""
+    args = np.broadcast_arrays(*args)
+    out = np.empty(args[0].shape)
+    for start in range(0, len(out), BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        out[rows] = kernel(*(a[rows] for a in args))
+    return out
 
 
 def _run_asymptote(cfg: RunConfig) -> ResultTable:
     p = cfg.params
+    if p["samples"] < 0:
+        raise ConfigError("samples must be >= 0")
     if p["samples"] > 0:
         theta, omega, phi = sample_loop_angles(make_rng(cfg.seed), p["samples"])
     elif p["theta_grid"] >= 2 and p["phi_grid"] >= 2:
@@ -280,11 +341,13 @@ def _run_asymptote(cfg: RunConfig) -> ResultTable:
         omega = 0.0
     else:
         raise ConfigError("need samples > 0 or both grids >= 2")
+    # every column is computed before anything is written: the axis route
+    # can fail on a draw, and a failed run writes nothing
     data = (
         theta,
         phi,
-        p_infinity_array(theta, phi),
-        p_infinity_axis_array(theta, omega, phi),
+        _blockwise(p_infinity_array, theta, phi),
+        _blockwise(p_infinity_axis_array, theta, omega, phi),
         p_geometric(theta),
     )
     return ResultTable(("theta", "phi", "p_inf", "p_inf_axis", "p_g"), data, _metadata(cfg))
@@ -325,14 +388,17 @@ def _run_verify(cfg: RunConfig) -> ResultTable:
     meta = _metadata(cfg)
     for i, res in enumerate(results):
         meta[f"check.{i}"] = res.name
-        status = "PASS" if res.passed else "FAIL"
-        print(f"{status} {res.name} (value={res.value:.6g}, bound={res.bound:.6g})")
     data = (
         np.arange(len(results)),
         [res.passed for res in results],
         [res.value for res in results],
     )
-    return ResultTable(("check_id", "passed", "value"), data, meta)
+    report = [
+        f"{'PASS' if res.passed else 'FAIL'} {res.name} "
+        f"(value={res.value:.6g}, bound={res.bound:.6g})"
+        for res in results
+    ]
+    return ResultTable(("check_id", "passed", "value"), data, meta, report=report)
 
 
 _HANDLERS = {
@@ -467,6 +533,8 @@ def main(argv=None) -> int:
             raise ConfigError("choose a command: " + ", ".join(_COMMANDS))
         cfg = build_config(args)
         table = run(cfg)
+        for line in table.report:
+            print(line)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

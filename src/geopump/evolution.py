@@ -62,8 +62,13 @@ def _checked_initial(initial) -> tuple[complex, complex]:
     return complex(initial[0]), complex(initial[1])
 
 
-def pump_trace(lp: LoopParams, cycles: int, initial=None) -> PumpTrace:
-    """Excited-state weights q_j and their running means over `cycles` cycles.
+def pump_trace_blocks(lp: LoopParams, cycles: int, block_rows: int, initial=None):
+    """Excited-state weights q_j and their running means, block by block.
+
+    Returns an iterator of (q, p) array pairs, at most `block_rows` cycles
+    each, that together cover cycles 1..`cycles`; pump_trace is the same
+    trace as one block.  The arguments are checked on the call, before
+    the first block.
 
     Closed form, with no matrix products.  With the half turn angle h of
     the loop operator U (cos h = cos(theta/2) cos(phi)),
@@ -74,27 +79,55 @@ def pump_trace(lp: LoopParams, cycles: int, initial=None) -> PumpTrace:
     bounded by 1.  From the ground state q_n = (|U_10| / sin h)^2
     sin^2(nh).  At sin h = 0 the operator is +/-I and q stays |s1|^2.
     The rounding of n*h grows like n * eps: about 1e-10 in q at 1e6 cycles.
+
+    The prefix sum enters each block by being added to its first weight
+    before the block's cumsum, which adds left to right, so p is bit for
+    bit np.cumsum(q) / n of the whole trace, however it is blocked.
     """
     if cycles < 1:
         raise ValueError(f"cycles must be >= 1, got {cycles}")
+    if block_rows < 1:
+        raise ValueError(f"block_rows must be >= 1, got {block_rows}")
     s0, s1 = _checked_initial(initial)
     _, c_sin, c_cos, sin_h = half_turn(lp.theta, lp.phi)
-    n = np.arange(1, cycles + 1, dtype=float)
-    if sin_h == 0.0:
-        q = np.full(cycles, abs(s1) ** 2)
-    else:
+    if sin_h != 0.0:
         w = (complex(build_loop_operator(lp)[1, 0]) * s0 + 1j * c_sin * s1) / sin_h
-        angle = math.atan2(sin_h, c_cos) * n
-        if s1 == 0.0:
-            q = np.sin(angle)
+        h = math.atan2(sin_h, c_cos)
+
+    def weights(n: np.ndarray) -> np.ndarray:
+        if sin_h == 0.0:
+            q = np.full(len(n), abs(s1) ** 2)
+        elif s1 == 0.0:
+            q = np.sin(h * n)
             q *= abs(w)
             np.square(q, out=q)
         else:
+            angle = h * n
             amp = s1 * np.cos(angle) + w * np.sin(angle)
             q = amp.real**2 + amp.imag**2
-    # |U_10| / sin h may round to 1 + ulp, e.g. at phi = 0
-    np.clip(q, 0.0, 1.0, out=q)
-    p = np.cumsum(q) / n
+        # |U_10| / sin h may round to 1 + ulp, e.g. at phi = 0
+        np.clip(q, 0.0, 1.0, out=q)
+        return q
+
+    def blocks():
+        total = 0.0
+        for start in range(0, cycles, block_rows):
+            n = np.arange(start + 1, min(start + block_rows, cycles) + 1, dtype=float)
+            q = weights(n)
+            p = q.copy()
+            p[0] += total
+            np.cumsum(p, out=p)
+            total = p[-1]
+            p /= n
+            yield q, p
+
+    return blocks()
+
+
+def pump_trace(lp: LoopParams, cycles: int, initial=None) -> PumpTrace:
+    """Excited-state weights q_j and their running means over `cycles`
+    cycles, as one block of pump_trace_blocks."""
+    ((q, p),) = pump_trace_blocks(lp, cycles, cycles, initial)
     return PumpTrace(q=q, p=p)
 
 

@@ -8,7 +8,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from geopump import ChartBranchError
+from geopump import (
+    ChartBranchError,
+    LoopParams,
+    __version__,
+    make_rng,
+    p_geometric,
+    p_infinity_array,
+    p_infinity_axis_array,
+    pump_trace,
+    sample_loop_angles,
+)
 from geopump.checks import CheckResult
 import geopump.cli as cli
 from geopump.cli import (
@@ -90,6 +100,39 @@ class TestResultTable:
         assert lines[2] == "0.33333333333333331,5"  # 17 significant digits
         assert lines[3] == "2,-1"
         assert text.endswith("\n")
+
+    def test_block_source_is_read_on_each_use(self):
+        calls = []
+
+        def source():
+            calls.append(len(calls))
+            yield np.arange(3), np.array([0.5, 1.5, 2.5])
+            yield np.arange(3, 4), np.array([3.5])
+
+        table = ResultTable(("i", "x"), metadata={"seed": 1}, source=source)
+        assert calls == []
+        assert table.rows == ((0, 0.5), (1, 1.5), (2, 2.5), (3, 3.5))
+        whole = ResultTable(table.columns, table.data, table.metadata)
+        assert to_csv(table) == to_csv(whole)
+        assert to_json(table) == to_json(whole)
+        assert len(calls) == 4
+
+    def test_block_source_is_checked_per_block(self):
+        ragged = ResultTable(("a", "b"), source=lambda: iter([([1, 2], [1.0])]))
+        with pytest.raises(ValueError):
+            to_csv(ragged)
+        strings = ResultTable(("a",), source=lambda: iter([(np.array(["x"]),)]))
+        with pytest.raises(TypeError):
+            to_json(strings)
+        empty = ResultTable(("a", "b"), metadata={"seed": 2}, source=lambda: iter([([], [])]))
+        assert to_json(empty) == to_json(ResultTable(("a", "b"), ([], []), {"seed": 2}))
+        assert [c.dtype for c in empty.data] == [np.float64, np.float64]
+
+    def test_needs_columns_or_a_source(self):
+        with pytest.raises(ValueError):
+            ResultTable(("a",))
+        with pytest.raises(ValueError):
+            ResultTable(("a",), ([1],), source=lambda: iter([]))
 
     @pytest.mark.parametrize(
         "columns,data,metadata",
@@ -265,6 +308,99 @@ class TestBlockBoundaries:
         assert to_json(table) == _reference_json(table)
         assert ResultTable.from_json(to_json(table)).rows == table.rows
 
+    @pytest.mark.parametrize(
+        "n", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_simulate_matches_the_whole_trace(self, tmp_path, n, fmt):
+        out = tmp_path / f"trace.{fmt}"
+        argv = ["simulate", "--theta", "1.1", "--omega", "0.3", "--phi", "0.4"]
+        assert main([*argv, "--cycles", str(n), "--format", fmt, "--out", str(out)]) == 0
+        trace = pump_trace(LoopParams(1.1, 0.3, 0.4), n)
+        meta = {"tool": "geopump", "version": __version__, "command": "simulate",
+                "format": fmt, "seed": 0, "param.cycles": n, "param.omega": 0.3,
+                "param.phi": 0.4, "param.theta": 1.1}
+        whole = ResultTable(("cycle", "q", "p"), (np.arange(1, n + 1), trace.q, trace.p), meta)
+        want = _reference_csv(whole) if fmt == "csv" else _reference_json(whole)
+        assert out.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            pytest.param({"samples": 2 * BLOCK_ROWS + 1}, id="draws"),
+            pytest.param({"samples": 0, "theta_grid": 91, "phi_grid": 91}, id="grid"),
+        ],
+    )
+    def test_asymptote_matches_the_whole_array_kernels(self, params):
+        params = {"theta_grid": 50, "phi_grid": 50, **params}
+        table = run(RunConfig("asymptote", params, seed=11))
+        assert len(table.data[0]) > 2 * BLOCK_ROWS
+        if params["samples"]:
+            theta, omega, phi = sample_loop_angles(make_rng(11), params["samples"])
+        else:
+            theta, omega, phi = table.data[0], 0.0, table.data[1]
+        want = (
+            theta,
+            phi,
+            p_infinity_array(theta, phi),
+            p_infinity_axis_array(theta, omega, phi),
+            p_geometric(theta),
+        )
+        for got, expected in zip(table.data, want):
+            assert got.tobytes() == expected.tobytes()
+
+
+def test_asymptote_failing_in_a_later_block_writes_nothing(tmp_path, monkeypatch, capsys):
+    kernel = cli.p_infinity_axis_array
+    sizes = []
+
+    def fail_on_second_block(theta, omega, phi):
+        sizes.append(len(theta))
+        if len(sizes) == 2:
+            raise ChartBranchError("no branch in the second block")
+        return kernel(theta, omega, phi)
+
+    monkeypatch.setattr(cli, "p_infinity_axis_array", fail_on_second_block)
+    out = tmp_path / "rates.csv"
+    assert main(["asymptote", "--samples", str(3 * BLOCK_ROWS), "--out", str(out)]) == 2
+    assert sizes == [BLOCK_ROWS, BLOCK_ROWS]
+    assert not out.exists()
+    assert "no branch in the second block" in capsys.readouterr().err
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_simulate_memory_does_not_grow_with_cycles(tmp_path, fmt):
+    out = tmp_path / f"trace.{fmt}"
+
+    def simulate(cycles):
+        argv = ["simulate", "--theta", "1.1", "--omega", "0.3", "--phi", "0.4",
+                "--cycles", str(cycles), "--format", fmt, "--out", str(out)]
+        assert main(argv) == 0
+
+    simulate(8)  # allocations made once per process are not per row
+    small = _traced_peak(lambda: simulate(4 * BLOCK_ROWS))
+    large = _traced_peak(lambda: simulate(32 * BLOCK_ROWS))
+    assert abs(large - small) < 0.25 * 2**20, f"peak {small} -> {large} bytes"
+
+
+def test_asymptote_memory_per_draw_is_bounded():
+    # the six whole columns of the draws take 48 bytes per draw; the
+    # kernels' temporaries are bounded by one block, not by the draw count
+    draws = 16 * BLOCK_ROWS
+    params = {"samples": draws, "theta_grid": 50, "phi_grid": 50}
+    run(RunConfig("asymptote", {**params, "samples": 8}, seed=3))
+    peak = _traced_peak(lambda: run(RunConfig("asymptote", params, seed=3)))
+    assert peak / draws < 150, f"{peak / draws:.0f} bytes per draw"
+
 
 def test_emit_memory_stays_below_output_size(tmp_path):
     out = tmp_path / "trace.csv"
@@ -369,6 +505,12 @@ class TestMain:
 
     def test_no_command(self):
         assert main([]) == 1
+
+    def test_negative_samples_rejected(self, capsys):
+        assert main(["asymptote", "--samples", "-3"]) == 1
+        captured = capsys.readouterr()
+        assert "samples must be >= 0" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("flag", [["--omega", "2"], ["--time-samples", "64"]])
     def test_removed_band_scan_flags_rejected(self, flag):

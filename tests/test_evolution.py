@@ -15,6 +15,7 @@ from geopump import (
     power,
     propagate_state,
     pump_trace,
+    pump_trace_blocks,
     su2_defect,
     trajectory_angles,
     z2_index,
@@ -105,6 +106,42 @@ class TestPumpTrace:
             pump_trace(LoopParams(1.0), 5, initial=np.array([1.0, 0.0, 0.0]))
         with pytest.raises(ValueError):
             pump_trace(LoopParams(1.0), 5, initial=np.array([1.0, 1.0]))
+
+
+def _hex(values):
+    return [float.hex(x) for x in values.tolist()]
+
+
+class TestPumpTraceBlocks:
+    # the excited state takes the s1 != 0 branch; theta = phi = 0 has sin h = 0
+    @pytest.mark.parametrize(
+        "lp,initial",
+        [
+            pytest.param(LoopParams(1.1, 0.3, 0.4), None, id="ground"),
+            pytest.param(LoopParams(2.0, 1.0, -0.3), excited_state(), id="excited"),
+            pytest.param(LoopParams(0.0, 0.0, 0.0), np.array([0.6, 0.8j]), id="sin-h-zero"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "cycles,block_rows",
+        [(1, 1), (1, 64), (7, 1), (1023, 1024), (1024, 1024), (1025, 1024), (10_001, 4096)],
+    )
+    def test_blocks_concatenate_to_the_whole_trace(self, lp, initial, cycles, block_rows):
+        whole = pump_trace(lp, cycles, initial=initial)
+        blocks = list(pump_trace_blocks(lp, cycles, block_rows, initial=initial))
+        sizes = [min(block_rows, cycles - start) for start in range(0, cycles, block_rows)]
+        assert [(len(q), len(p)) for q, p in blocks] == [(k, k) for k in sizes]
+        assert _hex(np.concatenate([q for q, _ in blocks])) == _hex(whole.q)
+        assert _hex(np.concatenate([p for _, p in blocks])) == _hex(whole.p)
+
+    @pytest.mark.parametrize("cycles,block_rows", [(0, 8), (-3, 8), (8, 0)])
+    def test_rejects_bad_sizes_on_the_call(self, cycles, block_rows):
+        with pytest.raises(ValueError):
+            pump_trace_blocks(LoopParams(1.0), cycles, block_rows)
+
+    def test_rejects_bad_initial_on_the_call(self):
+        with pytest.raises(ValueError):
+            pump_trace_blocks(LoopParams(1.0), 5, 2, initial=np.array([1.0, 1.0]))
 
 
 class TestPropagateState:
@@ -245,6 +282,13 @@ class TestClosedFormTrace:
             for j in range(400):
                 amp = u @ amp
                 assert trace.q[j] == pytest.approx(abs(amp[1]) ** 2, abs=1e-12)
+
+    def test_identity_drive_clips_a_rounded_population(self):
+        # within the 1e-12 norm tolerance |s1|^2 can exceed 1
+        state = np.array([0.0, 1.0 + 4e-13])
+        for block_rows in (1, 3):
+            blocks = pump_trace_blocks(LoopParams(0.0, 0.0, 0.0), 3, block_rows, initial=state)
+            assert all(np.all(q == 1.0) and np.all(p == 1.0) for q, p in blocks)
 
     def test_identity_drive_keeps_populations(self):
         state = np.array([0.6, 0.8j])
