@@ -3,10 +3,13 @@
 The chain's Bloch field traces a circle of radius |w| centered at (v, 0)
 as the momentum crosses the Brillouin zone, so the winding is 1 exactly
 when |v| < |w|.  Sweeping v(t) = a + cos(2 pi t) through one cycle
-closes the gap only at the two high-symmetry momenta; transversal
-closings that flip the winding mark band inversions, and each inverted
-momentum pumps with opening angle pi while every other momentum stays
-inert.
+closes the gap only at the two high-symmetry momenta, where it reduces
+to the 1D cycle offset + cos(2 pi t) with offset a - w at k = pi/l and
+a + w at k = 0.  That closing is transversal exactly when |offset| < 1,
+and a transversal crossing of |v| = |w| always flips the winding, so it
+marks a band inversion: the inverted momentum pumps with opening angle
+pi while every other momentum stays inert.  The rule reads the offsets
+in closed form; `winding_number` is the independent, sampled route.
 """
 
 from __future__ import annotations
@@ -46,8 +49,8 @@ class ChainParams:
         for name, value in (("v", self.v), ("w", self.w), ("l", self.l)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.l <= 0.0:
-            raise ValueError(f"lattice constant must be positive, got {self.l}")
+        if not (self.l > 0.0 and math.isfinite(TWO_PI / self.l)):
+            raise ValueError(f"lattice constant l needs l > 0 and finite 2*pi/l, got {self.l}")
 
 
 def bloch_vector(k: float, cp: ChainParams) -> tuple[float, float]:
@@ -106,8 +109,8 @@ class DriveCycle:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if self.w == 0.0:
             raise ValueError("the chain needs w != 0")
-        if self.l <= 0.0:
-            raise ValueError(f"lattice constant must be positive, got {self.l}")
+        if not (self.l > 0.0 and math.isfinite(TWO_PI / self.l)):
+            raise ValueError(f"lattice constant l needs l > 0 and finite 2*pi/l, got {self.l}")
 
     def v_at(self, time_fraction: float) -> float:
         """Drive value at the given fraction of the cycle."""
@@ -142,42 +145,6 @@ def tpt_events(dc: DriveCycle) -> tuple[TptEvent, ...]:
     return tuple(sorted(events, key=lambda e: (e.time_fraction, e.k_star)))
 
 
-def _winding_on_interval(dc: DriveCycle, t0: float, t1: float) -> int:
-    # sample strictly inside (t0, t1); retreat to other interior points if
-    # a sample accidentally lands on a closed gap
-    for shift in (0.5, 0.375, 0.625, 0.25, 0.75, 0.4375, 0.5625):
-        t = t0 + shift * (t1 - t0)
-        cp = ChainParams(dc.v_at(t % 1.0), dc.w, dc.l)
-        try:
-            return winding_number(cp)
-        except GapClosedError:
-            continue
-    raise GapClosedError(
-        f"no gapped instant found between fractions {t0} and {t1} for a={dc.a}"
-    )
-
-
-def _transversal_flips(dc: DriveCycle, events) -> dict[TptEvent, bool]:
-    """Whether the winding differs across each transversal event.
-
-    The winding is evaluated at interior times of the (cyclic) intervals
-    between consecutive transversal events; tangential touches never
-    change it and are ignored as boundaries.
-    """
-    m = len(events)
-    if m == 0:
-        return {}
-    windings = []
-    for i in range(m):
-        t0 = events[i].time_fraction
-        t1 = events[(i + 1) % m].time_fraction
-        if i == m - 1:
-            t1 += 1.0
-        windings.append(_winding_on_interval(dc, t0, t1))
-    # interval i follows event i; the one before event i is interval i-1
-    return {events[i]: windings[i] != windings[i - 1] for i in range(m)}
-
-
 def _classify_momentum(dc: DriveCycle, k: float) -> float | None:
     """Return the closing momentum k identifies with, or None."""
     phase = (k * dc.l) % TWO_PI
@@ -191,22 +158,24 @@ def _classify_momentum(dc: DriveCycle, k: float) -> float | None:
 def _inversion_angles(dc: DriveCycle) -> tuple[dict[float, float], int]:
     """Opening angle at each closing momentum, and the winding flip count.
 
-    A closing momentum is inverted (angle pi) when it hosts a transversal
-    gap closing across which the winding flips; a tangential touch, or no
-    closing at all, leaves it at 0.
+    A closing momentum is inverted (angle pi) exactly when its offset
+    satisfies |offset| < 1, so that the gap closes there transversally; a
+    tangential touch (|offset| = 1), or no closing at all, leaves it at 0.
+    Every transversal closing flips the winding, so the flip count is the
+    number of transversal closings.
     """
-    transversal = [e for e in tpt_events(dc) if e.transversal]
-    flips = _transversal_flips(dc, transversal)
-    angles = {k_star: 0.0 for k_star, _ in _closing_momenta(dc)}
-    for event, flipped in flips.items():
-        if flipped:
-            angles[event.k_star] = math.pi
-    return angles, sum(flips.values())
+    angles = {}
+    flips = 0
+    for k_star, offset in _closing_momenta(dc):
+        crossings = sum(e.transversal for e in cosine_cycle_zeros(offset))
+        angles[k_star] = math.pi if crossings else 0.0
+        flips += crossings
+    return angles, flips
 
 
 def theta_of_k(dc: DriveCycle, k: float) -> float:
-    """Pumping opening angle at momentum k: pi for an inverted momentum,
-    0 otherwise."""
+    """Pumping opening angle at momentum k: pi at a closing momentum whose
+    offset (a - w at pi/l, a + w at 0) has modulus below 1, 0 otherwise."""
     k_star = _classify_momentum(dc, k)
     if k_star is None:
         return 0.0
@@ -226,9 +195,10 @@ class PumpProfile:
 def pump_profile(dc: DriveCycle, k_grid: int) -> PumpProfile:
     """Opening angles and geometric pump rates over a Brillouin-zone grid.
 
-    The grid covers [-pi/l, pi/l) uniformly.  tpt_count is the number of
-    winding flips over the cycle, counted across all transversal
-    closings.
+    The grid covers [-pi/l, pi/l) uniformly.  A grid momentum pumps (theta
+    = pi) when it is a closing momentum whose offset has modulus below 1.
+    tpt_count is the number of winding flips over the cycle: two per such
+    momentum, one at each transversal closing.
     """
     if k_grid < 16:
         raise ValueError(f"k_grid must be >= 16, got {k_grid}")

@@ -18,10 +18,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import p_geometric, p_infinity_array, p_infinity_axis_array, phi_average
-from .band import ChainParams, DriveCycle, _inversion_angles, pump_profile, winding_number
+from .band import (
+    ChainParams,
+    DriveCycle,
+    GapClosedError,
+    pump_profile,
+    theta_of_k,
+    tpt_events,
+    winding_number,
+)
 from .evolution import (
     build_loop_operator,
-    cosine_cycle_zeros,
     propagate_state,
     pump_trace,
     trajectory_angles,
@@ -187,9 +194,12 @@ def _check_winding_criterion(rng):
         v, w = rng.uniform(-2.0, 2.0, size=2)
         if abs(abs(v) - abs(w)) <= 1e-6 or abs(w) <= 1e-6:
             continue
+        try:  # a gap too small for the sampler to resolve is redrawn too
+            winding = winding_number(ChainParams(float(v), float(w)))
+        except GapClosedError:
+            continue
         drawn += 1
-        expected = 1 if abs(v) < abs(w) else 0
-        if winding_number(ChainParams(float(v), float(w))) != expected:
+        if winding != (1 if abs(v) < abs(w) else 0):
             mismatches += 1
     return float(mismatches), 0.5
 
@@ -228,14 +238,30 @@ def _check_band_profiles(rng):
     return float(bad), 0.5
 
 
+def _sampled_inversions(dc):
+    """The momentum of each transversal closing across which the winding flips.
+
+    The winding is sampled at the midpoint of each cyclic interval between
+    consecutive transversal closings; raises GapClosedError when a midpoint
+    is too close to a closing to resolve.
+    """
+    events = [e for e in tpt_events(dc) if e.transversal]
+    windings = []
+    for i, event in enumerate(events):
+        end = events[(i + 1) % len(events)].time_fraction + (i == len(events) - 1)
+        t = 0.5 * (event.time_fraction + end) % 1.0
+        windings.append(winding_number(ChainParams(dc.v_at(t), dc.w, dc.l)))
+    # interval i follows closing i; the one before closing i is interval i-1
+    return tuple(e.k_star for i, e in enumerate(events) if windings[i] != windings[i - 1])
+
+
 def _check_one_d_consistency(rng):
     mismatches = 0
     for a in np.linspace(-3.0, 3.0, 20):
-        angles, _ = _inversion_angles(DriveCycle(a=float(a)))
-        for k_star, offset in ((math.pi, a - 1.0), (0.0, a + 1.0)):
-            events = cosine_cycle_zeros(float(offset))
-            pumped = any(e.transversal for e in events)
-            if pumped != (angles[k_star] == math.pi):
+        dc = DriveCycle(a=float(a))
+        inverted = _sampled_inversions(dc)
+        for k_star in (math.pi, 0.0):
+            if (k_star in inverted) != (theta_of_k(dc, k_star) == math.pi):
                 mismatches += 1
     return float(mismatches), 0.5
 

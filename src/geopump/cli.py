@@ -472,6 +472,8 @@ def _load_config_file(path: str) -> dict:
 def _coerce(name: str, kind: type, value):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"field {name!r} must be a number")
+    if isinstance(value, float) and not math.isfinite(value):  # JSON Infinity, NaN
+        raise ConfigError(f"field {name!r} must be finite, got {value!r}")
     if kind is int and value != int(value):
         raise ConfigError(f"field {name!r} must be an integer")
     return kind(value)

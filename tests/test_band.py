@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from geopump import (
     ChainParams,
@@ -14,6 +16,8 @@ from geopump import (
     tpt_events,
     winding_number,
 )
+from geopump.checks import _sampled_inversions
+from geopump.cli import ResultTable, main
 
 RNG = np.random.default_rng(31337)
 
@@ -31,6 +35,13 @@ class TestChainParams:
             ChainParams(1.0, 1.0, l=0.0)
         with pytest.raises(ValueError):
             ChainParams(math.inf, 1.0)
+
+    @pytest.mark.parametrize("l", [1e-320, 5e-324, math.nan, math.inf])
+    def test_lattice_constant_needs_a_finite_zone(self, l):
+        with pytest.raises(ValueError, match=r"\bl\b"):
+            ChainParams(1.0, 1.0, l=l)
+        with pytest.raises(ValueError, match=r"\bl\b"):
+            DriveCycle(a=1.0, l=l)
 
     def test_bloch_vector_special_points(self):
         cp = ChainParams(0.7, 1.3)
@@ -223,3 +234,48 @@ class TestPumpProfile:
                 profile = pump_profile(dc, 64)
                 for k, theta in zip(profile.k_values, profile.theta_values):
                     assert theta_of_k(dc, float(k)) == theta
+
+
+class TestClosedFormInversion:
+    # in each drive one offset, a - w or a + w, lies within 2e-8 of -1, where
+    # the sampled winding cannot resolve the gap between its two closings
+    @pytest.mark.parametrize(
+        "a,w,pumped_k",
+        [("-1.2999999999999998", "0.3", 0.0), ("1e-8", "0.99999999", -math.pi)],
+    )
+    def test_near_tangential_offsets_scan(self, tmp_path, a, w, pumped_k):
+        out = tmp_path / "scan.json"
+        argv = ["band-scan", "--a", a, "--w", w, "--k-grid", "64", "--format", "json"]
+        assert main(argv + ["--out", str(out)]) == 0
+        table = ResultTable.from_json(out.read_text())
+        assert table.metadata["tpt_count"] == 2
+        k, theta, _ = table.data
+        assert k[theta == math.pi].tolist() == [pumped_k]
+        assert np.all(theta[theta != math.pi] == 0.0)
+
+    def test_tiny_lattice_constant_is_config_error(self, capsys):
+        assert main(["band-scan", "--a", "1.0", "--l", "1e-320"]) == 1
+        captured = capsys.readouterr()
+        assert "config error" in captured.err
+        assert "lattice constant l" in captured.err
+        assert captured.out == ""
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    a=st.floats(-3.5, 3.5),
+    w=st.floats(-2.5, 2.5).filter(lambda w: w != 0.0),
+    l=st.sampled_from((1.0, 0.3, 2.0, 3.7)),
+)
+@example(a=0.4, w=-1.3, l=2.0)
+@example(a=0.1, w=0.2, l=1.0)  # both momenta inverted
+def test_closed_form_matches_sampled_winding(a, w, l):
+    dc = DriveCycle(a=a, w=w, l=l)
+    try:
+        flips = _sampled_inversions(dc)
+    except GapClosedError:
+        assume(False)  # the sampled route has no answer here
+    profile = pump_profile(dc, 16)
+    assert profile.tpt_count == len(flips)
+    for k_star in (math.pi / l, 0.0):
+        assert (theta_of_k(dc, k_star) == math.pi) == (k_star in flips)

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from scipy.stats import kstest
 
 import geopump
+import geopump.checks as checks
+from geopump import ChainParams, GapClosedError, make_rng, winding_number
 from geopump.checks import _ks_uniform
 
 # short lists straight from hypothesis: n = 1, exact 0 and 1, ties, any order
@@ -67,3 +69,35 @@ def test_verify_imports_no_scipy():
     ).stdout
     assert out.strip() == "0 []"
 
+
+
+class _ScriptedRng:
+    """Hands out the scripted (v, w) pairs first, then a seeded stream."""
+
+    def __init__(self, pairs, seed=0):
+        self._pairs = list(pairs)
+        self._rng = make_rng(seed)
+
+    def uniform(self, low, high, size):
+        if self._pairs:
+            return np.array(self._pairs.pop(0))
+        return self._rng.uniform(low, high, size=size)
+
+
+def test_winding_criterion_redraws_an_unresolvable_gap():
+    # the gap 2.5e-6 passes the near-closed filter but is too small to sample
+    pair = (1.999997, 1.9999995)
+    with pytest.raises(GapClosedError):
+        winding_number(ChainParams(*pair))
+    value, bound = checks._check_winding_criterion(_ScriptedRng([pair]))
+    assert value == 0.0 <= bound
+
+
+def test_one_d_consistency_compares_two_routes(monkeypatch):
+    # with the closed form forced to "never inverted", the sampled-winding
+    # oracle must disagree wherever an offset a -+ 1 lies inside (-1, 1)
+    value, bound = checks._check_one_d_consistency(None)
+    assert value == 0.0
+    monkeypatch.setattr(checks, "theta_of_k", lambda dc, k: 0.0)
+    value, bound = checks._check_one_d_consistency(None)
+    assert value > bound

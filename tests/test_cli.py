@@ -602,6 +602,19 @@ class TestConfigFile:
         cfg_path.write_text(json.dumps({"theta": 1.0, "cycles": "many"}))
         assert main(["simulate", "--config", str(cfg_path)]) == 1
 
+    @pytest.mark.parametrize("token", ["Infinity", "-Infinity", "NaN"])
+    @pytest.mark.parametrize(
+        "command,field", [(["simulate", "--theta", "1"], "cycles"), (["phase-diagram"], "n_max")]
+    )
+    def test_non_finite_integer_rejected(self, tmp_path, capsys, token, command, field):
+        # json.loads accepts these tokens; int() of them is not a config error
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(f'{{"{field}": {token}}}')
+        assert main([*command, "--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert f"config error: field '{field}' must be finite" in captured.err
+        assert captured.out == ""
+
     def test_missing_file_rejected(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 1
 
