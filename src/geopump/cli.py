@@ -88,6 +88,12 @@ _COMMANDS: dict[str, tuple[_Param, ...]] = {
     "verify": (),
 }
 
+# resolved like every command's parameters, but kept out of RunConfig.params
+_RUN_PARAMS = (
+    _Param("seed", int, 0, help="random seed"),
+    _Param("threads", int, 1, help="validated (>= 1); kernels run single-threaded"),
+)
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -440,7 +446,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command")
     for name, params in _COMMANDS.items():
         sp = sub.add_parser(name, help=_COMMON_HELP[name])
-        for prm in params:
+        for prm in params + _RUN_PARAMS:
             sp.add_argument(
                 "--" + prm.name.replace("_", "-"),
                 type=prm.kind,
@@ -448,8 +454,6 @@ def _build_parser() -> _Parser:
                 help=prm.help,
             )
         sp.add_argument("--config", default=None, help="JSON file with defaults")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--threads", type=int, default=None)
         sp.add_argument("--format", choices=("csv", "json"), default=None)
         sp.add_argument("--out", default=None, help="output path; stdout when absent")
     return parser
@@ -476,7 +480,10 @@ def _coerce(name: str, kind: type, value):
         raise ConfigError(f"field {name!r} must be finite, got {value!r}")
     if kind is int and value != int(value):
         raise ConfigError(f"field {name!r} must be an integer")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:  # an int too large for a float
+        raise ConfigError(f"field {name!r} is too large for a float") from None
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -484,7 +491,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     declared = _COMMANDS[args.command]
     file_values = _load_config_file(args.config) if args.config else {}
 
-    known = {p.name for p in declared} | {"command", "seed", "threads", "format", "out"}
+    known = {p.name for p in declared + _RUN_PARAMS} | {"command", "format", "out"}
     unknown = sorted(set(file_values) - known)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
@@ -494,7 +501,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         )
 
     params = {}
-    for prm in declared:
+    for prm in declared + _RUN_PARAMS:
         cli_value = getattr(args, prm.name)
         if cli_value is not None:
             params[prm.name] = cli_value
@@ -504,14 +511,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"missing required flag --{prm.name.replace('_', '-')}")
         else:
             params[prm.name] = prm.default
-
-    def scalar(name, kind, default):
-        cli_value = getattr(args, name)
-        if cli_value is not None:
-            return cli_value
-        if name in file_values:
-            return _coerce(name, kind, file_values[name])
-        return default
+    seed, threads = params.pop("seed"), params.pop("threads")
 
     fmt = args.format if args.format is not None else file_values.get("format", "csv")
     out = args.out if args.out is not None else file_values.get("out")
@@ -521,10 +521,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         command=args.command,
         params=params,
-        seed=scalar("seed", int, 0),
+        seed=seed,
         output_path=out,
         format=fmt,
-        threads=scalar("threads", int, 1),
+        threads=threads,
     )
 
 

@@ -1,15 +1,17 @@
 """Finite-order return detection for iterated loop operators.
 
-The n-th power of a loop operator has a two-term closed form in Fibonacci
-polynomials of a purely imaginary trace parameter; its off-diagonal
-magnitude vanishes exactly when the n-cycle evolution is diagonal.  A
-point is stable of order N when N is the first such power.  The stable
-set organizes into curves of constant rational turn angle, which this
-module samples, classifies, and rasterizes into phase diagrams.
+U^n = t_n U - t_{n-1} I, where t_n = sin(nh)/sin h is the Chebyshev sequence
+of y = tr U = 2 cos h; one recurrence yields it for the closed forms, for
+classify and, over a whole grid, for phase_diagram.  A point is stable of
+order N when U^N is the first diagonal power: its off-diagonal magnitude
+|t_N| sin(theta/2) vanishes.  The stable set organizes into curves of constant
+rational turn angle, which this module samples, classifies and rasterizes.
 """
 
 from __future__ import annotations
 
+import collections
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -22,55 +24,64 @@ from .su2 import HALF_PI, LoopParams
 # count as a detected return
 MARGINAL_BAND = 1e-6
 
-_I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
-
 
 class EmptyCurveError(ValueError):
     """No point in the canonical parameter ranges satisfies the curve relation."""
 
 
+def _trace(lp: LoopParams) -> float:
+    return 2.0 * (math.cos(0.5 * lp.theta) * math.cos(lp.phi))
+
+
 def trace_parameter(lp: LoopParams) -> complex:
     """-i times the trace of the loop operator; purely imaginary, |Im| <= 2."""
-    return -2.0j * (math.cos(0.5 * lp.theta) * math.cos(lp.phi))
+    return -1j * _trace(lp)
+
+
+def _chebyshev(y):
+    """Yield t_1, t_2, ... where t_0 = 0 and t_{n+1} = y t_n - t_{n-1}, for
+    y a float, a complex number or a numpy array (one sequence per entry)."""
+    prev, cur = 0.0, 1.0
+    while True:
+        yield cur
+        nxt = y * cur
+        nxt -= prev  # in place on arrays: one new array per step
+        prev, cur = cur, nxt
+
+
+def _chebyshev_pair(y, n: int):
+    # (t_{n-1}, t_n) with t_{-1} = -1, holding two terms at a time
+    if n < 0:
+        raise ValueError(f"index must be a natural number, got {n}")
+    terms = itertools.chain((-1.0, 0.0), itertools.islice(_chebyshev(y), n))
+    return tuple(collections.deque(terms, maxlen=2))
 
 
 def fibonacci_poly(n: int, x: complex) -> complex:
     """Fibonacci polynomial F_n(x): F_0 = 0, F_1 = 1, F_{n+2} = x F_{n+1} + F_n.
 
-    Evaluated by the forward recurrence, which is benign for the purely
-    imaginary arguments with |Im| <= 2 that arise here.
+    F_n(x) = (-i)^(n-1) t_n for the Chebyshev sequence t of y = i x; at
+    x = trace_parameter(lp), y = tr U and U^n = t_n U - t_{n-1} I.
     """
-    f_n, _ = _fib_pair(n, x)
-    return f_n
-
-
-def _fib_pair(n: int, x: complex) -> tuple[complex, complex]:
-    # returns (F_n, F_{n-1}) with the convention F_{-1} = 1
-    if n < 0:
-        raise ValueError(f"index must be a natural number, got {n}")
-    prev, cur = 1.0 + 0.0j, 0.0j
-    for _ in range(n):
-        prev, cur = cur, x * cur + prev
-    return cur, prev
+    _, t_n = _chebyshev_pair(1j * x, n)
+    # times (-i)^(n-1); + 0j turns a rotated -0 into the +0 F_n's sums give
+    return (1.0, -1j, -1.0, 1j)[(n - 1) % 4] * t_n + 0j
 
 
 def matrix_power_closed_form(lp: LoopParams, n: int) -> np.ndarray:
-    """n-th power of the loop operator from the two-term recurrence solution.
-
-    Agrees with repeated multiplication to rounding; no products of
-    matrices are performed.
-    """
-    u = build_loop_operator(lp)
-    f_n, f_prev = _fib_pair(n, trace_parameter(lp))
-    phase = _I_POWERS[n % 4]
-    return phase * (f_n * (-1j * u) + f_prev * np.eye(2))
+    """n-th power of the loop operator, U^n = t_n U - t_{n-1} I, where t is
+    the Chebyshev sequence of y = tr U.  Agrees with repeated multiplication
+    to rounding; no products of matrices are performed."""
+    t_prev, t_n = _chebyshev_pair(_trace(lp), n)
+    return t_n * build_loop_operator(lp) - t_prev * np.eye(2)
 
 
 def off_diagonal_magnitude(lp: LoopParams, n: int) -> float:
-    """|entry (1, 2)| of the n-th power, straight from the closed form."""
+    """|entry (1, 2)| of the n-th power, |t_n| sin(theta/2)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return abs(fibonacci_poly(n, trace_parameter(lp))) * math.sin(0.5 * lp.theta)
+    _, t_n = _chebyshev_pair(_trace(lp), n)
+    return abs(t_n) * math.sin(0.5 * lp.theta)
 
 
 @dataclass(frozen=True)
@@ -107,12 +118,9 @@ def classify(lp: LoopParams, n_max: int, tol: float = 1e-9) -> StabilityVerdict:
     """
     _check_scan(n_max, tol)
     s = math.sin(0.5 * lp.theta)
-    x = trace_parameter(lp)
     marginal = []
-    prev, cur = 1.0 + 0.0j, 0.0j
-    for n in range(1, n_max + 1):
-        prev, cur = cur, x * cur + prev
-        magnitude = abs(cur) * s
+    for n, t_n in enumerate(itertools.islice(_chebyshev(_trace(lp)), n_max), 1):
+        magnitude = abs(t_n) * s
         if magnitude < tol:
             return StabilityVerdict(True, n_max, n, tuple(marginal))
         if magnitude < MARGINAL_BAND:
@@ -202,12 +210,9 @@ def phase_diagram(
     offset = 0.5 (default) samples cell midpoints, staying off the
     boundary stable lines; offset = 0 uses an endpoint-inclusive grid.
 
-    Every cell equals classify(LoopParams(theta, 0, phi), n_max, tol), but
-    the whole grid advances through one real array recurrence,
-    t_{n+1} = y t_n - t_{n-1} with y = 2 cos(theta/2) cos(phi).  classify's
-    complex Fibonacci values are F_n = (-i)^(n-1) t_n, and every sign flip
-    in that map is exact, so |t_n| sin(theta/2) is the same float as its
-    off-diagonal magnitude.
+    Every cell equals classify(LoopParams(theta, 0, phi), n_max, tol): the
+    grid advances as one array through the Chebyshev sequence of
+    U^n = t_n U - t_{n-1} I, with y = tr U = 2 cos(theta/2) cos(phi) per cell.
     """
     if theta_grid < 2 or phi_grid < 2:
         raise ValueError("grids need at least 2 points per axis")
@@ -221,14 +226,10 @@ def phase_diagram(
     s = np.repeat([math.sin(0.5 * t) for t in thetas], phi_grid)
     c = [math.cos(0.5 * t) for t in thetas]
     y = 2.0 * np.outer(c, [math.cos(p) for p in phis]).ravel()
-    prev, cur = np.full(y.size, -1.0), np.zeros(y.size)
     order = np.zeros(y.size, dtype=np.int64)
     marginal: dict[int, list[int]] = {}
-    for n in range(1, n_max + 1):
-        nxt = y * cur
-        nxt -= prev
-        prev, cur = cur, nxt
-        magnitude = np.abs(cur)
+    for n, t_n in enumerate(itertools.islice(_chebyshev(y), n_max), 1):
+        magnitude = np.abs(t_n)
         magnitude *= s
         near = magnitude < MARGINAL_BAND
         if not near.any():
@@ -239,13 +240,10 @@ def phase_diagram(
         for cell in np.flatnonzero(near & ~hit).tolist():
             marginal.setdefault(cell, []).append(n)
 
-    idle = StabilityVerdict(False, n_max)
-    verdicts = [idle] * order.size
+    verdicts = [StabilityVerdict(False, n_max)] * order.size
     for cell in set(marginal).union(np.flatnonzero(order).tolist()):
-        first = int(order[cell])
-        verdicts[cell] = StabilityVerdict(
-            first > 0, n_max, first or None, tuple(marginal.get(cell, ()))
-        )
+        first, marks = int(order[cell]), tuple(marginal.get(cell, ()))
+        verdicts[cell] = StabilityVerdict(first > 0, n_max, first or None, marks)
     rows = tuple(
         tuple(verdicts[i * phi_grid : (i + 1) * phi_grid]) for i in range(theta_grid)
     )

@@ -615,6 +615,15 @@ class TestConfigFile:
         assert f"config error: field '{field}' must be finite" in captured.err
         assert captured.out == ""
 
+    def test_huge_integer_in_float_field_rejected(self, tmp_path, capsys):
+        # float() of a 401-digit JSON integer raises OverflowError
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text('{"theta": 1' + "0" * 400 + "}")
+        assert main(["simulate", "--cycles", "2", "--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert "config error: field 'theta'" in captured.err
+        assert captured.out == ""
+
     def test_missing_file_rejected(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 1
 

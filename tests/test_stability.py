@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from geopump import (
     EmptyCurveError,
@@ -296,3 +298,74 @@ class TestPhaseDiagramMatchesClassify:
             phase_diagram(5, 5, 0)
         with pytest.raises(ValueError):
             phase_diagram(5, 5, 10, tol=1e-3)
+
+
+def _fibonacci_pair(n, x):
+    # (F_n, F_{n-1}) by the direct recurrence F_{k+1} = x F_k + F_{k-1}, F_{-1} = 1
+    prev, cur = 1.0 + 0.0j, 0.0j
+    for _ in range(n):
+        prev, cur = cur, x * cur + prev
+    return cur, prev
+
+
+def _signs(z):
+    return math.copysign(1.0, z.real), math.copysign(1.0, z.imag)
+
+
+_PART = st.floats(-3.0, 3.0)
+_LOOPS = st.builds(
+    LoopParams,
+    st.floats(0.0, math.pi),
+    st.floats(0.0, 2.0 * math.pi),
+    st.floats(-HALF_PI, HALF_PI),
+)
+
+
+class TestChebyshevMatchesFibonacciForms:
+    """The Chebyshev forms against the Fibonacci-polynomial formulas, bit for bit."""
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(x=st.builds(complex, _PART, _PART), n=st.integers(0, 400))
+    def test_fibonacci_poly(self, x, n):
+        want, _ = _fibonacci_pair(n, x)
+        assume(math.isfinite(want.real) and math.isfinite(want.imag))
+        got = fibonacci_poly(n, x)
+        assert got == want
+        assert _signs(got) == _signs(want)
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(lp=_LOOPS, n=st.integers(0, 400))
+    def test_matrix_power_and_off_diagonal(self, lp, n):
+        f_n, f_prev = _fibonacci_pair(n, trace_parameter(lp))
+        u = build_loop_operator(lp)
+        phase = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)[n % 4]  # i**n
+        want = phase * (f_n * (-1j * u) + f_prev * np.eye(2))
+        got = matrix_power_closed_form(lp, n)
+        # == on both parts of every entry, which fixes the sign of each nonzero
+        # part; an exactly zero part (e.g. off the diagonal at n = 0) may be
+        # +0 on one side and -0 on the other
+        assert np.array_equal(got, want)
+        if n >= 1:
+            assert off_diagonal_magnitude(lp, n) == abs(f_n) * math.sin(0.5 * lp.theta)
+
+
+def test_phase_diagram_orders_match_iterated_products():
+    # every cell's first n with max |off-diagonal of U^n| < tol, U^n = U @ U^(n-1)
+    n_max, tol = 1000, 1e-9
+    diagram = phase_diagram(60, 60, n_max, offset=0.0, tol=tol)
+    u = np.array(
+        [
+            build_loop_operator(LoopParams(float(theta), 0.0, float(phi)))
+            for theta in diagram.theta_values
+            for phi in diagram.phi_values
+        ]
+    )
+    m = u.copy()
+    want = np.zeros(len(u), dtype=np.int64)
+    for n in range(1, n_max + 1):
+        off = np.maximum(np.abs(m[:, 0, 1]), np.abs(m[:, 1, 0]))
+        want[(want == 0) & (off < tol)] = n
+        m = u @ m
+    got = np.array([v.order or 0 for row in diagram.verdicts for v in row])
+    assert np.count_nonzero(want) == 236
+    np.testing.assert_array_equal(got, want)
