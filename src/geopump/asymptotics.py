@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +42,8 @@ def p_infinity_array(theta, phi):
 
 
 def _p_infinity(theta, phi):
-    s, _, _, sin_h = half_turn(theta, phi)
+    ht = half_turn(theta, phi)
+    s, sin_h = ht.s, ht.sin_h
     corner = sin_h == 0.0
     if np.any(corner):
         warnings.warn(
@@ -111,47 +111,3 @@ def phi_average(theta: float, quadrature_points: int = 10_000) -> float:
         denom = 1.0 - core * core
         total += half_num / denom if denom > 0.0 else 0.0
     return total * h / math.pi
-
-
-@dataclass(frozen=True)
-class AsymptoteReport:
-    """Both routes to the long-run rate plus their absolute discrepancy.
-
-    stable_order and orbit_mean are populated only when the caller asked
-    for a stability check and the loop closed into a periodic orbit; the
-    orbit mean over one period is then the honest full-sequence limit.
-    """
-
-    p_inf_direct: float
-    p_inf_axis: float
-    discrepancy: float
-    stable_order: int | None = None
-    orbit_mean: float | None = None
-
-
-def asymptote_report(lp: LoopParams, stability_n_max: int = 0) -> AsymptoteReport:
-    """Compute the long-run rate by both routes and compare.
-
-    With stability_n_max > 0 the loop is also classified; if a finite
-    orbit of order N is found, the mean weight over one orbit is reported
-    alongside the order.
-    """
-    direct = p_infinity(lp)
-    axis = p_infinity_axis_route(lp)
-    order = None
-    orbit_mean = None
-    if stability_n_max > 0:
-        from .evolution import pump_trace
-        from .stability import classify
-
-        verdict = classify(lp, stability_n_max)
-        if verdict.stable:
-            order = verdict.order
-            orbit_mean = float(pump_trace(lp, order).p[-1])
-    return AsymptoteReport(
-        p_inf_direct=direct,
-        p_inf_axis=axis,
-        discrepancy=abs(direct - axis),
-        stable_order=order,
-        orbit_mean=orbit_mean,
-    )

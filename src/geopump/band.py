@@ -53,11 +53,6 @@ class ChainParams:
             raise ValueError(f"lattice constant l needs l > 0 and finite 2*pi/l, got {self.l}")
 
 
-def bloch_vector(k: float, cp: ChainParams) -> tuple[float, float]:
-    """In-plane Bloch field (d_x, d_y) at momentum k."""
-    return (cp.v + cp.w * math.cos(k * cp.l), cp.w * math.sin(k * cp.l))
-
-
 def min_gap(cp: ChainParams) -> float:
     """Minimum of |d(k)| over the zone; the circle's distance to the origin."""
     return abs(abs(cp.v) - abs(cp.w))

@@ -181,18 +181,6 @@ class ResultTable:
     def rows(self) -> tuple[tuple, ...]:
         return tuple(zip(*(c.tolist() for c in self.data)))
 
-    @classmethod
-    def from_json(cls, text: str) -> "ResultTable":
-        doc = json.loads(text)
-        columns = tuple(doc["columns"])
-        if any(len(row) != len(columns) for row in doc["rows"]):
-            raise ValueError(f"ragged rows for {len(columns)} columns")
-        return cls(
-            columns=columns,
-            data=tuple(zip(*doc["rows"])) or ((),) * len(columns),
-            metadata=dict(doc["metadata"]),
-        )
-
 
 def _row_text(blocks, spell, sep: str):
     """Yield each column block as text, each block after the first led by
@@ -334,6 +322,16 @@ def _blockwise(kernel, *args) -> np.ndarray:
     return out
 
 
+def _grid_shape(p: dict) -> tuple[int, int]:
+    # numpy would reject a larger grid with a message that names no field
+    n_theta, n_phi = p["theta_grid"], p["phi_grid"]
+    if n_theta > 0 and n_phi > 0 and n_theta * n_phi > sys.maxsize:
+        raise ConfigError(
+            f"theta_grid * phi_grid must be at most sys.maxsize cells, got {n_theta} * {n_phi}"
+        )
+    return n_theta, n_phi
+
+
 def _run_asymptote(cfg: RunConfig) -> ResultTable:
     p = cfg.params
     if p["samples"] < 0:
@@ -341,7 +339,7 @@ def _run_asymptote(cfg: RunConfig) -> ResultTable:
     if p["samples"] > 0:
         theta, omega, phi = sample_loop_angles(make_rng(cfg.seed), p["samples"])
     elif p["theta_grid"] >= 2 and p["phi_grid"] >= 2:
-        n_theta, n_phi = p["theta_grid"], p["phi_grid"]
+        n_theta, n_phi = _grid_shape(p)
         theta = np.repeat((np.arange(n_theta) + 0.5) * math.pi / n_theta, n_phi)
         phi = np.tile(-HALF_PI + (np.arange(n_phi) + 0.5) * math.pi / n_phi, n_theta)
         omega = 0.0
@@ -362,8 +360,7 @@ def _run_asymptote(cfg: RunConfig) -> ResultTable:
 def _run_phase_diagram(cfg: RunConfig) -> ResultTable:
     p = cfg.params
     diagram = phase_diagram(
-        p["theta_grid"],
-        p["phi_grid"],
+        *_grid_shape(p),
         p["n_max"],
         offset=p["offset"],
         tol=p["tol"],

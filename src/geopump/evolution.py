@@ -16,17 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .su2 import (
+    IDENTITY_SIN_TOL,
     TWO_PI,
+    IdentityRotationError,
     LoopParams,
-    axis_angle_from_euler,
-    euler_from_loop,
     ground_state,
     half_turn,
 )
-
-
-class ZeroFieldError(ValueError):
-    """The field magnitude vanished, so the two-valued index is undefined."""
 
 
 def build_loop_operator(lp: LoopParams) -> np.ndarray:
@@ -89,10 +85,11 @@ def pump_trace_blocks(lp: LoopParams, cycles: int, block_rows: int, initial=None
     if block_rows < 1:
         raise ValueError(f"block_rows must be >= 1, got {block_rows}")
     s0, s1 = _checked_initial(initial)
-    _, c_sin, c_cos, sin_h = half_turn(lp.theta, lp.phi)
+    ht = half_turn(lp.theta, lp.phi)
+    sin_h = ht.sin_h
     if sin_h != 0.0:
-        w = (complex(build_loop_operator(lp)[1, 0]) * s0 + 1j * c_sin * s1) / sin_h
-        h = math.atan2(sin_h, c_cos)
+        w = (complex(build_loop_operator(lp)[1, 0]) * s0 + 1j * ht.c_sin * s1) / sin_h
+        h = ht.h
 
     def weights(n: np.ndarray) -> np.ndarray:
         if sin_h == 0.0:
@@ -161,20 +158,6 @@ def propagate_state(lp: LoopParams, cycles: int, initial=None):
     return np.array([s0, s1]), worst
 
 
-def z2_index(field_sign: int, spin_sign: int) -> int:
-    """Two-valued alignment index: 0 when the field and spin z-signs agree,
-    1 when they oppose.
-
-    Raises ZeroFieldError for a vanishing field sign (gap closed, index
-    undefined).
-    """
-    if field_sign == 0:
-        raise ZeroFieldError("field sign is zero; the index is undefined")
-    if field_sign not in (-1, 1) or spin_sign not in (-1, 1):
-        raise ValueError("signs must be -1 or +1")
-    return 0 if field_sign * spin_sign > 0 else 1
-
-
 @dataclass(frozen=True)
 class PumpEvent1D:
     """A zero of the drive within one cycle, located by its phase fraction."""
@@ -205,10 +188,13 @@ def cosine_cycle_zeros(offset: float) -> tuple[PumpEvent1D, ...]:
 def trajectory_angles(lp: LoopParams, n: int) -> np.ndarray:
     """Accumulated rotation angles (j * delta) mod 2*pi for j = 1..n.
 
-    delta is the per-cycle turn angle of the loop operator about its fixed
-    axis.  Raises IdentityRotationError when the operator has no axis.
+    delta = 2h is the per-cycle turn angle of the loop operator about its
+    fixed axis, read from its half turn.  Raises IdentityRotationError when
+    the operator is +/-identity and has no axis.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    aa = axis_angle_from_euler(euler_from_loop(lp))
-    return (aa.delta * np.arange(1, n + 1)) % TWO_PI
+    ht = half_turn(lp.theta, lp.phi)
+    if ht.sin_h < IDENTITY_SIN_TOL:
+        raise IdentityRotationError("loop operator equals +/-identity; no turn axis")
+    return (2.0 * ht.h * np.arange(1, n + 1)) % TWO_PI

@@ -13,12 +13,13 @@ from __future__ import annotations
 import collections
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .evolution import build_loop_operator
-from .su2 import HALF_PI, LoopParams
+from .su2 import HALF_PI, LoopParams, half_turn
 
 # off-diagonal magnitudes in [tol, MARGINAL_BAND) are flagged but do not
 # count as a detected return
@@ -29,13 +30,10 @@ class EmptyCurveError(ValueError):
     """No point in the canonical parameter ranges satisfies the curve relation."""
 
 
-def _trace(lp: LoopParams) -> float:
-    return 2.0 * (math.cos(0.5 * lp.theta) * math.cos(lp.phi))
-
-
-def trace_parameter(lp: LoopParams) -> complex:
-    """-i times the trace of the loop operator; purely imaginary, |Im| <= 2."""
-    return -1j * _trace(lp)
+def _trace_and_s(lp: LoopParams) -> tuple[float, float]:
+    # the trace y = tr U = 2 cos h and s = sin(theta/2) of the loop, as floats
+    ht = half_turn(lp.theta, lp.phi)
+    return 2.0 * float(ht.c_cos), float(ht.s)
 
 
 def _chebyshev(y):
@@ -61,7 +59,7 @@ def fibonacci_poly(n: int, x: complex) -> complex:
     """Fibonacci polynomial F_n(x): F_0 = 0, F_1 = 1, F_{n+2} = x F_{n+1} + F_n.
 
     F_n(x) = (-i)^(n-1) t_n for the Chebyshev sequence t of y = i x; at
-    x = trace_parameter(lp), y = tr U and U^n = t_n U - t_{n-1} I.
+    x = -i tr U, y = tr U and U^n = t_n U - t_{n-1} I.
     """
     _, t_n = _chebyshev_pair(1j * x, n)
     # times (-i)^(n-1); + 0j turns a rotated -0 into the +0 F_n's sums give
@@ -72,7 +70,7 @@ def matrix_power_closed_form(lp: LoopParams, n: int) -> np.ndarray:
     """n-th power of the loop operator, U^n = t_n U - t_{n-1} I, where t is
     the Chebyshev sequence of y = tr U.  Agrees with repeated multiplication
     to rounding; no products of matrices are performed."""
-    t_prev, t_n = _chebyshev_pair(_trace(lp), n)
+    t_prev, t_n = _chebyshev_pair(_trace_and_s(lp)[0], n)
     return t_n * build_loop_operator(lp) - t_prev * np.eye(2)
 
 
@@ -80,8 +78,9 @@ def off_diagonal_magnitude(lp: LoopParams, n: int) -> float:
     """|entry (1, 2)| of the n-th power, |t_n| sin(theta/2)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    _, t_n = _chebyshev_pair(_trace(lp), n)
-    return abs(t_n) * math.sin(0.5 * lp.theta)
+    y, s = _trace_and_s(lp)
+    _, t_n = _chebyshev_pair(y, n)
+    return abs(t_n) * s
 
 
 @dataclass(frozen=True)
@@ -104,8 +103,8 @@ class StabilityVerdict:
 
 
 def _check_scan(n_max: int, tol: float) -> None:
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if not 1 <= n_max <= sys.maxsize:  # islice accepts no longer scan
+        raise ValueError(f"n_max must lie in [1, sys.maxsize], got {n_max}")
     if not 0.0 < tol <= MARGINAL_BAND:
         raise ValueError(f"tol must lie in (0, {MARGINAL_BAND}], got {tol}")
 
@@ -117,9 +116,9 @@ def classify(lp: LoopParams, n_max: int, tol: float = 1e-9) -> StabilityVerdict:
     within n_max.
     """
     _check_scan(n_max, tol)
-    s = math.sin(0.5 * lp.theta)
+    y, s = _trace_and_s(lp)
     marginal = []
-    for n, t_n in enumerate(itertools.islice(_chebyshev(_trace(lp)), n_max), 1):
+    for n, t_n in enumerate(itertools.islice(_chebyshev(y), n_max), 1):
         magnitude = abs(t_n) * s
         if magnitude < tol:
             return StabilityVerdict(True, n_max, n, tuple(marginal))
@@ -169,18 +168,16 @@ def stable_curve(p: int, q: int, resolution: int) -> StableCurve:
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     delta = p * math.pi / q
-    target = math.cos(0.5 * delta)
+    target = math.cos(delta / 2.0)  # cos h of the curve's half turn
     if target < 0.0:
         raise EmptyCurveError(
             f"turn angle {p}*pi/{q} exceeds pi; its curve misses the canonical ranges"
         )
-    points = []
-    for i in range(resolution):
-        theta = delta * (i + 1) / resolution
-        ratio = target / math.cos(0.5 * theta)
-        phi = math.acos(min(1.0, ratio))
-        points.append((theta, phi))
-    return StableCurve(p, q, delta, tuple(points))
+    thetas = delta * np.arange(1, resolution + 1) / resolution
+    ratios = target / half_turn(thetas, 0.0).c_cos
+    phis = [math.acos(min(1.0, ratio)) for ratio in ratios.tolist()]
+    points = tuple(zip(thetas.tolist(), phis))
+    return StableCurve(p, q, delta, points)
 
 
 @dataclass(frozen=True)
@@ -221,12 +218,11 @@ def phase_diagram(
     _check_scan(n_max, tol)
     thetas = _axis(0.0, math.pi, theta_grid, offset)
     phis = _axis(-HALF_PI, HALF_PI, phi_grid, offset)
-    # cells in row-major order; scalar math.sin/cos per axis value, so each
-    # cell sees exactly the floats classify computes
-    s = np.repeat([math.sin(0.5 * t) for t in thetas], phi_grid)
-    c = [math.cos(0.5 * t) for t in thetas]
-    y = 2.0 * np.outer(c, [math.cos(p) for p in phis]).ravel()
-    order = np.zeros(y.size, dtype=np.int64)
+    # rows along theta, columns along phi; each cell sees exactly the
+    # floats classify reads from its own half turn
+    ht = half_turn(thetas[:, None], phis[None, :])
+    y, s = 2.0 * ht.c_cos, np.broadcast_to(ht.s, ht.c_cos.shape)
+    order = np.zeros(y.shape, dtype=np.int64)
     marginal: dict[int, list[int]] = {}
     for n, t_n in enumerate(itertools.islice(_chebyshev(y), n_max), 1):
         magnitude = np.abs(t_n)
@@ -240,6 +236,7 @@ def phase_diagram(
         for cell in np.flatnonzero(near & ~hit).tolist():
             marginal.setdefault(cell, []).append(n)
 
+    order = order.ravel()
     verdicts = [StabilityVerdict(False, n_max)] * order.size
     for cell in set(marginal).union(np.flatnonzero(order).tolist()):
         first, marks = int(order[cell]), tuple(marginal.get(cell, ()))

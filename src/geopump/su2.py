@@ -6,13 +6,14 @@ cover the group: axis-angle (axis polar angle, axis azimuth, turn angle),
 z-x-z Euler angles, and the loop coordinates (theta, omega, phi) used by
 the cycle simulator.  Conversions are exact trigonometric maps.
 
-The charts take arrays: half_turn, loop_euler_angles, axis_angles and the
-matrix builders work elementwise on floats or equal-shape arrays of
-angles (matrices then stack as (..., 2, 2)), and check their domain once
-per array.  The dataclass APIs (euler_from_loop, axis_angle_from_euler,
-su2_from_euler, rotation_from_axis_angle) call them on one point.  The
-axis-angle chart is checked by rebuilding both matrices and demanding
-entrywise agreement with the source.
+Every closed form reads the rotation through one HalfTurn record, the
+quaternion parts of half_turn(theta, phase) and the half turn angle h
+with cos h = cos(theta/2) cos(phase).  The charts take arrays: half_turn,
+loop_euler_angles, axis_angles and the matrix builders work elementwise
+on floats or equal-shape arrays of angles (matrices then stack as
+(..., 2, 2)), and check their domain once per array.  The axis-angle
+chart is checked by rebuilding both matrices and demanding entrywise
+agreement with the source.
 """
 
 from __future__ import annotations
@@ -20,14 +21,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
-
-# default tolerance for "is this still special-unitary" checks
-UNITARITY_TOL = 1e-12
 
 # half turn sines below this are +/-identity to rounding: no axis is defined
 IDENTITY_SIN_TOL = 4.0 * sys.float_info.epsilon
@@ -95,20 +94,6 @@ class LoopParams:
             (self.phi + HALF_PI) % math.pi - HALF_PI,
         )
 
-    @classmethod
-    def folded(cls, theta: float, omega: float = 0.0, phi: float = 0.0) -> "LoopParams":
-        """Build canonical params from arbitrary finite angles.
-
-        theta is wrapped into [0, pi] using the exact matrix identity
-        U(-theta, omega, phi) = U(theta, omega + pi, phi).
-        """
-        _require_finite(theta=theta)
-        wrapped = (theta + math.pi) % TWO_PI - math.pi
-        if wrapped < 0.0:
-            wrapped = -wrapped
-            omega = omega + math.pi
-        return cls(wrapped, omega, phi).canonical()
-
 
 @dataclass(frozen=True)
 class AxisAngle:
@@ -153,11 +138,6 @@ def ground_state() -> np.ndarray:
     return np.array([1.0 + 0.0j, 0.0j])
 
 
-def excited_state() -> np.ndarray:
-    """Upper basis spinor (0, 1)."""
-    return np.array([0.0j, 1.0 + 0.0j])
-
-
 # --- group operations -----------------------------------------------------
 
 def power(u: np.ndarray, n: int) -> np.ndarray:
@@ -173,10 +153,6 @@ def su2_defect(u: np.ndarray) -> float:
     unit = float(np.max(np.abs(gram - np.eye(2))))
     det = abs(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0] - 1.0)
     return max(unit, det)
-
-
-def is_su2(u: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
-    return u.shape == (2, 2) and su2_defect(u) <= tol
 
 
 # --- chart conversions ----------------------------------------------------
@@ -212,20 +188,36 @@ def _stack(u00, u01, u10, u11) -> np.ndarray:
     return out
 
 
-def half_turn(theta, phase):
-    """Quaternion parts of the rotations with opening angle theta and phase.
+@dataclass(frozen=True, eq=False)
+class HalfTurn:
+    """Quaternion parts of rotations with opening angle theta and a phase.
 
-    Floats or arrays, elementwise.  Returns (s, c_sin, c_cos, sin_h) with
-    s = sin(theta/2), c_sin = cos(theta/2) sin(phase), c_cos =
-    cos(theta/2) cos(phase) = cos h, where h is the half turn angle, and
-    sin_h = hypot(s, c_sin).  The last uses the exact identity
+    s = sin(theta/2), c_sin = cos(theta/2) sin(phase) and c_cos =
+    cos(theta/2) cos(phase) = cos h, where h is the half turn angle, so the
+    trace is y = 2 c_cos.  sin_h = hypot(s, c_sin) and h = atan2(sin_h,
+    c_cos) are computed on first read: sin_h uses the exact identity
     1 - cos^2 h = s^2 + c_sin^2, so it keeps full relative precision near
-    the identity, where sqrt(1 - cos^2 h) cancels.
+    the identity, where sqrt(1 - cos^2 h) cancels.  Fields are floats or
+    arrays, as the angles were.
     """
+
+    s: np.ndarray
+    c_sin: np.ndarray
+    c_cos: np.ndarray
+
+    @cached_property
+    def sin_h(self):
+        return _pointwise(math.hypot, self.s, self.c_sin)
+
+    @cached_property
+    def h(self):
+        return _pointwise(math.atan2, self.sin_h, self.c_cos)
+
+
+def half_turn(theta, phase) -> HalfTurn:
+    """The HalfTurn of opening angles theta and phases, elementwise."""
     c = np.cos(0.5 * theta)
-    s = np.sin(0.5 * theta)
-    c_sin = c * np.sin(phase)
-    return s, c_sin, c * np.cos(phase), _pointwise(math.hypot, s, c_sin)
+    return HalfTurn(np.sin(0.5 * theta), c * np.sin(phase), c * np.cos(phase))
 
 
 def axis_angle_matrices(alpha, beta, delta) -> np.ndarray:
@@ -252,16 +244,6 @@ def euler_matrices(phi, theta, psi) -> np.ndarray:
     )
 
 
-def rotation_from_axis_angle(aa: AxisAngle) -> np.ndarray:
-    """Special-unitary rotation by aa.delta about the axis (aa.alpha, aa.beta)."""
-    return axis_angle_matrices(aa.alpha, aa.beta, aa.delta)
-
-
-def su2_from_euler(e: EulerAngles) -> np.ndarray:
-    """Matrix of the z-x-z Euler triple (phi, theta, psi)."""
-    return euler_matrices(e.phi, e.theta, e.psi)
-
-
 def axis_angles(phi, theta, psi, match_tol: float = 1e-10):
     """Axis-angle chart (alpha, beta, delta) of z-x-z Euler triples.
 
@@ -280,15 +262,15 @@ def axis_angles(phi, theta, psi, match_tol: float = 1e-10):
     """
     phi, theta, psi = np.broadcast_arrays(phi, theta, psi)
     require_angles(theta, phi=phi, psi=psi)
-    s, c_sin, c_cos, sin_half_turn = half_turn(theta, 0.5 * (phi + psi))
-    if np.any(sin_half_turn < IDENTITY_SIN_TOL):
+    ht = half_turn(theta, 0.5 * (phi + psi))
+    if np.any(ht.sin_h < IDENTITY_SIN_TOL):
         raise IdentityRotationError(
             "rotation equals +/-identity; axis angles are undefined"
         )
-    delta = 2.0 * _pointwise(math.atan2, sin_half_turn, c_cos)
-    alpha = _pointwise(math.atan2, s, c_sin)
+    delta = 2.0 * ht.h
+    alpha = _pointwise(math.atan2, ht.s, ht.c_sin)
     # on the z axis the azimuth is arbitrary
-    beta = np.where(np.sin(alpha) * sin_half_turn > 1e-15, (0.5 * (phi - psi)) % TWO_PI, 0.0)
+    beta = np.where(np.sin(alpha) * ht.sin_h > 1e-15, (0.5 * (phi - psi)) % TWO_PI, 0.0)
     rebuilt = axis_angle_matrices(alpha, beta, delta)
     gap = np.abs(rebuilt - euler_matrices(phi, theta, psi)).max(axis=(-2, -1))
     unmatched = ~(gap < match_tol)

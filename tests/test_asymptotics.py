@@ -11,7 +11,7 @@ from geopump import (
     IdentityRotationError,
     LoopParams,
     RemovableSingularityWarning,
-    asymptote_report,
+    classify,
     make_rng,
     p_geometric,
     p_infinity,
@@ -113,28 +113,12 @@ class TestPhiAverage:
             phi_average(-0.2)
 
 
-class TestAsymptoteReport:
-    def test_generic_report(self):
-        rep = asymptote_report(LoopParams(math.pi / 2, 0.0, 0.3))
-        assert rep.p_inf_direct == pytest.approx(0.45984107104345956, abs=1e-15)
-        assert rep.discrepancy < 1e-12
-        assert rep.stable_order is None and rep.orbit_mean is None
-
-    def test_stable_orbit_mean_matches_closed_form(self):
-        # a full period of a stable orbit averages to the generic rate
-        rep = asymptote_report(LoopParams(math.pi / 2), stability_n_max=16)
-        assert rep.stable_order == 4
-        assert rep.orbit_mean == pytest.approx(rep.p_inf_direct, abs=1e-12)
-
-    def test_unstable_leaves_order_unset(self):
-        rep = asymptote_report(LoopParams(math.pi / 2, 0.0, 0.3), stability_n_max=64)
-        assert rep.stable_order is None
-
-    def test_long_run_trace_approaches_report(self):
-        lp = LoopParams(2.2, 0.5, -0.7)
-        rep = asymptote_report(lp)
-        trace = pump_trace(lp, 20_000)
-        assert abs(trace.p[-1] - rep.p_inf_direct) < 5e-3
+def test_stable_orbit_mean_equals_the_closed_form_rate():
+    # one full period of a stable orbit averages to the generic rate
+    lp = LoopParams(math.pi / 2)
+    order = classify(lp, 16).order
+    assert order == 4
+    assert pump_trace(lp, order).p[-1] == pytest.approx(p_infinity(lp), abs=1e-12)
 
 
 class TestDegenerateCorner:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from geopump import (
     ChainParams,
     DriveCycle,
     GapClosedError,
-    bloch_vector,
     min_gap,
     pump_profile,
     theta_of_k,
@@ -17,9 +17,14 @@ from geopump import (
     winding_number,
 )
 from geopump.checks import _sampled_inversions
-from geopump.cli import ResultTable, main
+from geopump.cli import main
 
 RNG = np.random.default_rng(31337)
+
+
+def _field(k, cp):
+    # the in-plane Bloch field (d_x, d_y) at momentum k
+    return cp.v + cp.w * math.cos(k * cp.l), cp.w * math.sin(k * cp.l)
 
 
 def _random_gapped(rng, floor=1e-3):
@@ -44,18 +49,22 @@ class TestChainParams:
             DriveCycle(a=1.0, l=l)
 
     def test_bloch_vector_special_points(self):
+        # same-sign hoppings: the field's circle passes nearest the origin at k = pi
         cp = ChainParams(0.7, 1.3)
-        assert bloch_vector(0.0, cp) == pytest.approx((2.0, 0.0))
-        dx, dy = bloch_vector(math.pi, cp)
+        assert _field(0.0, cp) == pytest.approx((2.0, 0.0))
+        dx, dy = _field(math.pi, cp)
         assert dx == pytest.approx(0.7 - 1.3)
         assert dy == pytest.approx(0.0, abs=1e-15)
+        assert min_gap(cp) == pytest.approx(math.hypot(dx, dy))
 
     def test_bloch_vector_formula(self):
+        # opposite-sign hoppings with l = 2: nearest the origin at k = 0
         cp = ChainParams(0.4, -0.9, l=2.0)
-        k = 0.37
-        dx, dy = bloch_vector(k, cp)
-        assert dx == pytest.approx(0.4 - 0.9 * math.cos(2.0 * k))
-        assert dy == pytest.approx(-0.9 * math.sin(2.0 * k))
+        ks = np.linspace(-math.pi / 2.0, math.pi / 2.0, 1001)
+        gaps = [math.hypot(*_field(float(k), cp)) for k in ks]
+        assert math.hypot(*_field(0.0, cp)) == pytest.approx(min_gap(cp))
+        assert min(gaps) == pytest.approx(min_gap(cp))
+        assert winding_number(cp) == 1
 
 
 class TestMinGap:
@@ -68,7 +77,7 @@ class TestMinGap:
     def test_is_a_lower_bound_on_sampled_gaps(self):
         cp = _random_gapped(RNG)
         ks = np.linspace(-math.pi, math.pi, 501)
-        gaps = [math.hypot(*bloch_vector(float(k), cp)) for k in ks]
+        gaps = [math.hypot(*_field(float(k), cp)) for k in ks]
         assert min(gaps) >= min_gap(cp) - 1e-12
 
 
@@ -247,9 +256,10 @@ class TestClosedFormInversion:
         out = tmp_path / "scan.json"
         argv = ["band-scan", "--a", a, "--w", w, "--k-grid", "64", "--format", "json"]
         assert main(argv + ["--out", str(out)]) == 0
-        table = ResultTable.from_json(out.read_text())
-        assert table.metadata["tpt_count"] == 2
-        k, theta, _ = table.data
+        doc = json.loads(out.read_text())
+        assert doc["columns"] == ["k", "theta", "p_g"]
+        assert doc["metadata"]["tpt_count"] == 2
+        k, theta, _ = np.array(doc["rows"]).T
         assert k[theta == math.pi].tolist() == [pumped_k]
         assert np.all(theta[theta != math.pi] == 0.0)
 

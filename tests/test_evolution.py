@@ -5,23 +5,26 @@ import numpy as np
 import pytest
 
 from geopump import (
+    IdentityRotationError,
     LoopParams,
-    ZeroFieldError,
     build_loop_operator,
     cosine_cycle_zeros,
-    excited_state,
     ground_state,
+    make_rng,
     off_diagonal_magnitude,
     power,
     propagate_state,
     pump_trace,
     pump_trace_blocks,
+    sample_loop_params,
     su2_defect,
     trajectory_angles,
-    z2_index,
 )
+from geopump.checks import _INTERIOR
 
 RNG = np.random.default_rng(77)
+
+EXCITED = np.array([0.0j, 1.0 + 0.0j])
 
 
 def _random_loop(rng):
@@ -86,7 +89,7 @@ class TestPumpTrace:
     def test_excited_initial_state(self):
         lp = _random_loop(RNG)
         u = build_loop_operator(lp)
-        trace = pump_trace(lp, 16, initial=excited_state())
+        trace = pump_trace(lp, 16, initial=EXCITED)
         for j in range(1, 17):
             assert trace.q[j - 1] == pytest.approx(
                 abs(power(u, j)[1, 1]) ** 2, abs=1e-12
@@ -118,7 +121,7 @@ class TestPumpTraceBlocks:
         "lp,initial",
         [
             pytest.param(LoopParams(1.1, 0.3, 0.4), None, id="ground"),
-            pytest.param(LoopParams(2.0, 1.0, -0.3), excited_state(), id="excited"),
+            pytest.param(LoopParams(2.0, 1.0, -0.3), EXCITED, id="excited"),
             pytest.param(LoopParams(0.0, 0.0, 0.0), np.array([0.6, 0.8j]), id="sin-h-zero"),
         ],
     )
@@ -159,28 +162,6 @@ class TestPropagateState:
         state, drift = propagate_state(LoopParams(0.0), 1000)
         assert drift == 0.0
         assert abs(state[1]) == 0.0
-
-
-class TestZ2Index:
-    @pytest.mark.parametrize(
-        "field,spin,expected",
-        [(1, 1, 0), (-1, 1, 1), (1, -1, 1), (-1, -1, 0)],
-    )
-    def test_values(self, field, spin, expected):
-        assert z2_index(field, spin) == expected
-
-    def test_zero_field(self):
-        with pytest.raises(ZeroFieldError):
-            z2_index(0, 1)
-
-    @pytest.mark.parametrize("bad", [2, -3, 0])
-    def test_bad_spin(self, bad):
-        with pytest.raises(ValueError):
-            z2_index(1, bad)
-
-    def test_bad_field_magnitude(self):
-        with pytest.raises(ValueError):
-            z2_index(2, 1)
 
 
 class TestCosineCycle:
@@ -227,6 +208,26 @@ class TestTrajectoryAngles:
 
         angles = trajectory_angles(LoopParams(math.pi / 2, 0.0, 0.3), 20_000)
         assert kstest(angles / (2.0 * math.pi), "uniform").statistic < 0.02
+
+    @pytest.mark.parametrize("phi", [0.0, math.pi])
+    def test_identity_drive_has_no_turn_axis(self, phi):
+        with pytest.raises(IdentityRotationError):
+            trajectory_angles(LoopParams(0.0, 0.4, phi), 3)
+
+    def test_turn_angle_matches_mpmath(self):
+        # delta = 2h with cos h = cos(theta/2) cos(phi), at 50 digits; the
+        # interior keeps delta below pi, so the first angle is delta itself
+        worst = 0.0
+        for seed in range(40):
+            for lp in sample_loop_params(make_rng(seed), 50, **_INTERIOR):
+                with mpmath.workdps(50):
+                    half, phi = mpmath.mpf(lp.theta) / 2, mpmath.mpf(lp.phi)
+                    c = mpmath.cos(half)
+                    sin_h = mpmath.hypot(mpmath.sin(half), c * mpmath.sin(phi))
+                    h = mpmath.atan2(sin_h, c * mpmath.cos(phi))
+                    gap = abs(float(trajectory_angles(lp, 1)[0] - 2 * h))
+                worst = max(worst, gap)
+        assert worst <= 1e-15
 
 
 class TestClosedFormTrace:

@@ -12,12 +12,12 @@ from geopump import (
     classify,
     curve_order,
     fibonacci_poly,
+    half_turn,
     matrix_power_closed_form,
     off_diagonal_magnitude,
     phase_diagram,
     power,
     stable_curve,
-    trace_parameter,
 )
 
 RNG = np.random.default_rng(98765)
@@ -37,20 +37,40 @@ def _is_diagonal(m, tol=1e-9):
     return max(abs(m[0, 1]), abs(m[1, 0])) < tol
 
 
+def _trace(lp):
+    # y = tr U = 2 cos h, the parameter of the Chebyshev recurrence
+    return 2.0 * float(half_turn(lp.theta, lp.phi).c_cos)
+
+
 class TestTraceParameter:
     def test_frozen_value(self):
-        assert trace_parameter(LoopParams(HALF_PI)) == -1.4142135623730951j
+        assert _trace(LoopParams(HALF_PI)) == 1.4142135623730951
 
     def test_purely_imaginary(self):
+        # the Fibonacci argument x = -i tr U of the loop
         for _ in range(100):
-            lam = trace_parameter(_random_loop(RNG))
-            assert lam.real == 0.0
-            assert abs(lam.imag) <= 2.0
+            x = -1j * _trace(_random_loop(RNG))
+            assert x.real == 0.0
+            assert abs(x.imag) <= 2.0
 
     def test_matches_trace(self):
         lp = _random_loop(RNG)
         u = build_loop_operator(lp)
-        assert trace_parameter(lp) == pytest.approx(-1j * (u[0, 0] + u[1, 1]), abs=1e-15)
+        assert _trace(lp) == pytest.approx(u[0, 0] + u[1, 1], abs=1e-15)
+
+    def test_bit_identical_to_math(self):
+        # classify runs on these floats and phase_diagram on the arrays, so
+        # both rest on np.cos and np.sin rounding as math.cos and math.sin do
+        rng = np.random.default_rng(2024)
+        draws = rng.uniform(0.0, math.pi, 200_000), rng.uniform(-HALF_PI, HALF_PI, 200_000)
+        grid = phase_diagram(200, 200, 1)
+        mesh = np.meshgrid(grid.theta_values, grid.phi_values, indexing="ij")
+        for theta, phi in (draws, tuple(a.ravel() for a in mesh)):
+            ht = half_turn(theta, phi)
+            pairs = zip(theta.tolist(), phi.tolist())
+            want = [(2.0 * (math.cos(0.5 * t) * math.cos(p)), math.sin(0.5 * t)) for t, p in pairs]
+            assert (2.0 * ht.c_cos).tolist() == [y for y, _ in want]
+            assert ht.s.tolist() == [s for _, s in want]
 
 
 class TestFibonacciPoly:
@@ -336,7 +356,7 @@ class TestChebyshevMatchesFibonacciForms:
     @settings(derandomize=True, database=None, max_examples=400, deadline=None)
     @given(lp=_LOOPS, n=st.integers(0, 400))
     def test_matrix_power_and_off_diagonal(self, lp, n):
-        f_n, f_prev = _fibonacci_pair(n, trace_parameter(lp))
+        f_n, f_prev = _fibonacci_pair(n, -1j * _trace(lp))
         u = build_loop_operator(lp)
         phase = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)[n % 4]  # i**n
         want = phase * (f_n * (-1j * u) + f_prev * np.eye(2))

@@ -18,15 +18,11 @@ from geopump import (
     build_loop_operator,
     euler_from_loop,
     euler_matrices,
-    excited_state,
     ground_state,
     half_turn,
-    is_su2,
     loop_euler_angles,
     power,
-    rotation_from_axis_angle,
     su2_defect,
-    su2_from_euler,
 )
 from geopump.su2 import require_angles
 
@@ -72,17 +68,9 @@ class TestLoopParams:
         assert 0.0 <= lp.omega < 2.0 * math.pi
         assert -HALF_PI <= lp.phi <= HALF_PI
 
-    def test_folded_negative_theta(self):
-        folded = LoopParams.folded(-1.2, 0.4, 0.1)
-        direct = _loop_matrix(LoopParams(1.2, 0.4 + math.pi, 0.1))
-        np.testing.assert_allclose(build_loop_operator(folded), direct, atol=1e-15)
-
-    def test_folded_wraps_large_theta(self):
-        assert LoopParams.folded(2.0 * math.pi + 0.3, 0.0, 0.0).theta == pytest.approx(0.3)
-
 
 def test_states_are_orthonormal():
-    g, e = ground_state(), excited_state()
+    g, e = ground_state(), np.array([0.0j, 1.0 + 0.0j])
     assert abs(np.vdot(g, g) - 1.0) < 1e-15
     assert abs(np.vdot(e, e) - 1.0) < 1e-15
     assert abs(np.vdot(g, e)) < 1e-15
@@ -117,10 +105,9 @@ class TestPower:
 
 def test_su2_defect_and_membership():
     u = build_loop_operator(_random_loop(RNG))
-    assert su2_defect(u) < 1e-12
-    assert is_su2(u)
-    assert not is_su2(u + 1e-6)
-    assert not is_su2(1.0001 * u)  # unit determinant is part of the contract
+    assert su2_defect(u) <= 1e-12
+    assert not su2_defect(u + 1e-6) <= 1e-12
+    assert not su2_defect(1.0001 * u) <= 1e-12  # unit determinant is part of the contract
 
 
 class TestAngleCharts:
@@ -137,16 +124,16 @@ class TestAngleCharts:
             EulerAngles(0.0, math.pi + 0.2, 0.0)
 
     def test_z_axis_half_turn(self):
-        u = rotation_from_axis_angle(AxisAngle(0.0, 0.0, math.pi))
+        u = axis_angle_matrices(0.0, 0.0, math.pi)
         np.testing.assert_allclose(u, np.diag([-1j, 1j]), atol=1e-15)
 
     def test_y_axis_quarter_turn(self):
-        u = rotation_from_axis_angle(AxisAngle(HALF_PI, HALF_PI, HALF_PI))
+        u = axis_angle_matrices(HALF_PI, HALF_PI, HALF_PI)
         r = math.sqrt(0.5)
         np.testing.assert_allclose(u, np.array([[r, -r], [r, r]]), atol=1e-15)
 
     def test_euler_pure_precession(self):
-        u = su2_from_euler(EulerAngles(math.pi, 0.0, 0.0))
+        u = euler_matrices(math.pi, 0.0, 0.0)
         np.testing.assert_allclose(u, np.diag([-1j, 1j]), atol=1e-15)
 
     def test_euler_matches_composed_z_x_z(self):
@@ -164,21 +151,23 @@ class TestAngleCharts:
             )
 
         np.testing.assert_allclose(
-            su2_from_euler(e), rz(e.phi) @ rx(e.theta) @ rz(e.psi), atol=1e-15
+            euler_matrices(e.phi, e.theta, e.psi), rz(e.phi) @ rx(e.theta) @ rz(e.psi), atol=1e-15
         )
 
     def test_loop_chart_reproduces_operator(self):
         """The Euler chart of a loop drive must rebuild its matrix exactly."""
         for _ in range(300):
             lp = _random_loop(RNG)
-            rebuilt = su2_from_euler(euler_from_loop(lp))
+            e = euler_from_loop(lp)
+            rebuilt = euler_matrices(e.phi, e.theta, e.psi)
             assert np.max(np.abs(rebuilt - _loop_matrix(lp))) < 1e-12
 
     def test_axis_angle_chain(self):
         for _ in range(300):
             lp = _random_loop(RNG, margin=1e-3)
             e = euler_from_loop(lp)
-            rebuilt = rotation_from_axis_angle(axis_angle_from_euler(e))
+            aa = axis_angle_from_euler(e)
+            rebuilt = axis_angle_matrices(aa.alpha, aa.beta, aa.delta)
             assert np.max(np.abs(rebuilt - _loop_matrix(lp))) < 1e-10
 
     def test_half_turn_loop_axis(self):
@@ -224,7 +213,7 @@ class TestNearIdentityCharts:
     )
     def test_axis_angle_rebuilds_operator(self, lp):
         aa = axis_angle_from_euler(euler_from_loop(lp))
-        rebuilt = rotation_from_axis_angle(aa)
+        rebuilt = axis_angle_matrices(aa.alpha, aa.beta, aa.delta)
         assert np.max(np.abs(rebuilt - build_loop_operator(lp))) < 1e-10
 
     def test_log_uniform_draws_never_fail(self):
@@ -240,9 +229,21 @@ class TestNearIdentityCharts:
             axis_angle_from_euler(e, match_tol=0.0)
 
     def test_half_turn_has_no_cancellation(self):
-        s, c_sin, c_cos, sin_h = half_turn(2e-9, 1e-9)
-        assert sin_h == pytest.approx(math.sqrt(2.0) * 1e-9, rel=1e-15)
-        assert c_cos == pytest.approx(1.0, abs=1e-16)
+        ht = half_turn(2e-9, 1e-9)
+        assert ht.sin_h == pytest.approx(math.sqrt(2.0) * 1e-9, rel=1e-15)
+        assert ht.c_cos == pytest.approx(1.0, abs=1e-16)
+        assert ht.h == pytest.approx(math.sqrt(2.0) * 1e-9, rel=1e-15)
+
+
+def test_half_turn_reads_sin_h_and_h_once_through_math():
+    rng = np.random.default_rng(5)
+    theta, phase = rng.uniform(0.0, math.pi, 300), rng.uniform(-math.pi, math.pi, 300)
+    ht = half_turn(theta, phase)
+    assert "sin_h" not in vars(ht) and "h" not in vars(ht)  # computed on first read
+    assert ht.h is ht.h and ht.sin_h is ht.sin_h
+    fields = (ht.s, ht.c_sin, ht.c_cos, ht.sin_h, ht.h)
+    for s, c_sin, c_cos, sin_h, h in zip(*(a.tolist() for a in fields)):
+        assert sin_h == math.hypot(s, c_sin) and h == math.atan2(sin_h, c_cos)
 
 
 def _reference_chart(phi, theta, psi):
@@ -303,9 +304,9 @@ class TestArrayCharts:
             want, rotation, euler = _reference_chart(e.phi, e.theta, e.psi)
             assert [x.hex() for x in (aa.alpha, aa.beta, aa.delta)] == [x.hex() for x in want]
             assert [float(c[i]).hex() for c in chart] == [x.hex() for x in want]
-            assert np.array_equal(rotation_from_axis_angle(aa), rotation)
+            assert np.array_equal(axis_angle_matrices(aa.alpha, aa.beta, aa.delta), rotation)
             assert np.array_equal(rotations[i], rotation)
-            assert np.array_equal(su2_from_euler(e), euler)
+            assert np.array_equal(euler_matrices(e.phi, e.theta, e.psi), euler)
             assert np.array_equal(eulers[i], euler)
 
     def test_array_errors_are_typed(self):
