@@ -30,11 +30,12 @@ class RemovableSingularityWarning(UserWarning):
 def p_infinity_array(theta, phi):
     """Infinite-cycle mean excited-state weight, elementwise over arrays.
 
-    Evaluated as (s / sin h)^2 / 2 with s = sin(theta/2) and the half turn
-    sine sin h = hypot(s, cos(theta/2) sin(phi)): its square equals
-    1 - cos^2(theta/2) cos^2(phi) exactly but has no cancellation near the
-    theta = 0, phi = 0 corner.  At an exact 0/0 (theta = 0 with
-    sin(phi) = 0) the value is 0, with a RemovableSingularityWarning.
+    Evaluated as A^2 / 2 with the half turn amplitude A = s / sin h (see
+    HalfTurn), s = sin(theta/2) and sin h = hypot(s, cos(theta/2) sin(phi)):
+    its square equals 1 - cos^2(theta/2) cos^2(phi) exactly but has no
+    cancellation near the theta = 0, phi = 0 corner.  At an exact 0/0
+    (theta = 0 with sin(phi) = 0) the value is 0, with a
+    RemovableSingularityWarning.
     Raises ValueError for a non-finite angle or theta outside [0, pi].
     """
     require_angles(theta, phi=phi)
@@ -43,18 +44,15 @@ def p_infinity_array(theta, phi):
 
 def _p_infinity(theta, phi):
     ht = half_turn(theta, phi)
-    s, sin_h = ht.s, ht.sin_h
-    corner = sin_h == 0.0
-    if np.any(corner):
+    if np.any(ht.sin_h == 0.0):
         warnings.warn(
             "pump rate is 0/0 at theta = 0 with zero dynamic phase; "
             "returning the limit along theta = 0, which is 0",
             RemovableSingularityWarning,
             stacklevel=3,
         )
-        sin_h = np.where(corner, 1.0, sin_h)  # s = 0 there too
-    ratio = s / sin_h
-    return 0.5 * ratio * ratio
+    a = ht.amplitude
+    return 0.5 * a * a
 
 
 def p_infinity(lp: LoopParams) -> float:

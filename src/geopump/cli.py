@@ -322,14 +322,11 @@ def _blockwise(kernel, *args) -> np.ndarray:
     return out
 
 
-def _grid_shape(p: dict) -> tuple[int, int]:
-    # numpy would reject a larger grid with a message that names no field
-    n_theta, n_phi = p["theta_grid"], p["phi_grid"]
-    if n_theta > 0 and n_phi > 0 and n_theta * n_phi > sys.maxsize:
-        raise ConfigError(
-            f"theta_grid * phi_grid must be at most sys.maxsize cells, got {n_theta} * {n_phi}"
-        )
-    return n_theta, n_phi
+def _require_rows(field: str, rows: int) -> None:
+    # a float64 column of N rows takes 8 N bytes, which numpy caps at
+    # sys.maxsize with a message that names no field
+    if 8 * rows > sys.maxsize:
+        raise ConfigError(f"{field} must be at most sys.maxsize // 8 rows, got {rows}")
 
 
 def _run_asymptote(cfg: RunConfig) -> ResultTable:
@@ -337,9 +334,11 @@ def _run_asymptote(cfg: RunConfig) -> ResultTable:
     if p["samples"] < 0:
         raise ConfigError("samples must be >= 0")
     if p["samples"] > 0:
+        _require_rows("samples", p["samples"])
         theta, omega, phi = sample_loop_angles(make_rng(cfg.seed), p["samples"])
     elif p["theta_grid"] >= 2 and p["phi_grid"] >= 2:
-        n_theta, n_phi = _grid_shape(p)
+        n_theta, n_phi = p["theta_grid"], p["phi_grid"]
+        _require_rows("theta_grid * phi_grid", n_theta * n_phi)
         theta = np.repeat((np.arange(n_theta) + 0.5) * math.pi / n_theta, n_phi)
         phi = np.tile(-HALF_PI + (np.arange(n_phi) + 0.5) * math.pi / n_phi, n_theta)
         omega = 0.0
@@ -360,7 +359,8 @@ def _run_asymptote(cfg: RunConfig) -> ResultTable:
 def _run_phase_diagram(cfg: RunConfig) -> ResultTable:
     p = cfg.params
     diagram = phase_diagram(
-        *_grid_shape(p),
+        p["theta_grid"],
+        p["phi_grid"],
         p["n_max"],
         offset=p["offset"],
         tol=p["tol"],
@@ -377,6 +377,7 @@ def _run_phase_diagram(cfg: RunConfig) -> ResultTable:
 
 def _run_band_scan(cfg: RunConfig) -> ResultTable:
     p = cfg.params
+    _require_rows("k_grid", p["k_grid"])
     profile = pump_profile(DriveCycle(p["a"], w=p["w"], l=p["l"]), p["k_grid"])
     meta = _metadata(cfg)
     meta["tpt_count"] = profile.tpt_count

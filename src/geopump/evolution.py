@@ -2,7 +2,8 @@
 
 One cycle acts as a single special-unitary matrix; n cycles are its n-th
 power.  This module builds that operator from loop coordinates, records
-inter-band pump statistics over many cycles, reduces the 1D
+inter-band pump statistics from the ground state over many cycles, each
+weight A^2 sin^2(nh) read from the loop's half turn, reduces the 1D
 field-reversal problem to its closed-form zero crossings, and exposes the
 per-cycle jump angles of the Bloch-sphere trajectory.
 """
@@ -20,7 +21,6 @@ from .su2 import (
     TWO_PI,
     IdentityRotationError,
     LoopParams,
-    ground_state,
     half_turn,
 )
 
@@ -39,27 +39,17 @@ def build_loop_operator(lp: LoopParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PumpTrace:
-    """Per-cycle pump record: q[j-1] is the excited-state weight after j
-    cycles and p[j-1] the running (Cesaro) mean of q over the first j."""
+    """Per-cycle pump record from the ground state: q[j-1] = A^2 sin^2(jh)
+    is the excited-state weight after j cycles and p[j-1] the running
+    (Cesaro) mean of q over the first j."""
 
     q: np.ndarray
     p: np.ndarray
 
 
-def _checked_initial(initial) -> tuple[complex, complex]:
-    if initial is None:
-        initial = ground_state()
-    initial = np.asarray(initial, dtype=complex)
-    if initial.shape != (2,):
-        raise ValueError(f"initial state must have shape (2,), got {initial.shape}")
-    norm = abs(initial[0]) ** 2 + abs(initial[1]) ** 2
-    if abs(norm - 1.0) > 1e-12:
-        raise ValueError(f"initial state must be normalized, |state|^2 = {norm}")
-    return complex(initial[0]), complex(initial[1])
-
-
-def pump_trace_blocks(lp: LoopParams, cycles: int, block_rows: int, initial=None):
-    """Excited-state weights q_j and their running means, block by block.
+def pump_trace_blocks(lp: LoopParams, cycles: int, block_rows: int):
+    """Excited-state weights q_j from the ground state and their running
+    means, block by block.
 
     Returns an iterator of (q, p) array pairs, at most `block_rows` cycles
     each, that together cover cycles 1..`cycles`; pump_trace is the same
@@ -68,13 +58,11 @@ def pump_trace_blocks(lp: LoopParams, cycles: int, block_rows: int, initial=None
 
     Closed form, with no matrix products.  With the half turn angle h of
     the loop operator U (cos h = cos(theta/2) cos(phi)),
-    U^n = [sin(nh) U - sin((n-1)h) I] / sin h
-        = cos(nh) I + sin(nh) (U - cos(h) I) / sin h,
-    so the lower amplitude after n cycles is s1 cos(nh) + w sin(nh) with
-    w = (U_10 s0 + i cos(theta/2) sin(phi) s1) / sin h, every term
-    bounded by 1.  From the ground state q_n = (|U_10| / sin h)^2
-    sin^2(nh).  At sin h = 0 the operator is +/-I and q stays |s1|^2.
-    The rounding of n*h grows like n * eps: about 1e-10 in q at 1e6 cycles.
+    U^n = [sin(nh) U - sin((n-1)h) I] / sin h, so from the ground state
+    q_n = (A sin(nh))^2 with the amplitude A = |U_10| / sin h = s / sin h
+    that also gives p_infinity = A^2 / 2.  At sin h = 0 the operator is
+    +/-I, A = 0 and q = 0.  The rounding of n*h grows like n * eps: about
+    1e-10 in q at 1e6 cycles.
 
     The prefix sum enters each block by being added to its first weight
     before the block's cumsum, which adds left to right, so p is bit for
@@ -84,33 +72,18 @@ def pump_trace_blocks(lp: LoopParams, cycles: int, block_rows: int, initial=None
         raise ValueError(f"cycles must be >= 1, got {cycles}")
     if block_rows < 1:
         raise ValueError(f"block_rows must be >= 1, got {block_rows}")
-    s0, s1 = _checked_initial(initial)
     ht = half_turn(lp.theta, lp.phi)
-    sin_h = ht.sin_h
-    if sin_h != 0.0:
-        w = (complex(build_loop_operator(lp)[1, 0]) * s0 + 1j * ht.c_sin * s1) / sin_h
-        h = ht.h
-
-    def weights(n: np.ndarray) -> np.ndarray:
-        if sin_h == 0.0:
-            q = np.full(len(n), abs(s1) ** 2)
-        elif s1 == 0.0:
-            q = np.sin(h * n)
-            q *= abs(w)
-            np.square(q, out=q)
-        else:
-            angle = h * n
-            amp = s1 * np.cos(angle) + w * np.sin(angle)
-            q = amp.real**2 + amp.imag**2
-        # |U_10| / sin h may round to 1 + ulp, e.g. at phi = 0
-        np.clip(q, 0.0, 1.0, out=q)
-        return q
+    amplitude, h = ht.amplitude, ht.h
 
     def blocks():
         total = 0.0
         for start in range(0, cycles, block_rows):
             n = np.arange(start + 1, min(start + block_rows, cycles) + 1, dtype=float)
-            q = weights(n)
+            # no clip: math.hypot is faithful on Python >= 3.10, so
+            # sin_h >= s, A <= 1 after a correctly rounded division, and q <= 1
+            q = np.sin(h * n)
+            q *= amplitude
+            np.square(q, out=q)
             p = q.copy()
             p[0] += total
             np.cumsum(p, out=p)
@@ -121,15 +94,16 @@ def pump_trace_blocks(lp: LoopParams, cycles: int, block_rows: int, initial=None
     return blocks()
 
 
-def pump_trace(lp: LoopParams, cycles: int, initial=None) -> PumpTrace:
+def pump_trace(lp: LoopParams, cycles: int) -> PumpTrace:
     """Excited-state weights q_j and their running means over `cycles`
     cycles, as one block of pump_trace_blocks."""
-    ((q, p),) = pump_trace_blocks(lp, cycles, cycles, initial)
+    ((q, p),) = pump_trace_blocks(lp, cycles, cycles)
     return PumpTrace(q=q, p=p)
 
 
-def propagate_state(lp: LoopParams, cycles: int, initial=None):
-    """Apply the loop operator `cycles` times to a state, with no rescaling.
+def propagate_state(lp: LoopParams, cycles: int):
+    """Apply the loop operator `cycles` times to the ground state (1, 0),
+    with no rescaling.
 
     Returns (final_state, max_norm_error) where max_norm_error is the
     largest deviation of the state norm from 1 seen along the way.  This
@@ -137,7 +111,7 @@ def propagate_state(lp: LoopParams, cycles: int, initial=None):
     """
     if cycles < 1:
         raise ValueError(f"cycles must be >= 1, got {cycles}")
-    s0, s1 = _checked_initial(initial)
+    s0, s1 = 1.0 + 0.0j, 0.0j
     u = build_loop_operator(lp)
     ua, ub = complex(u[0, 0]), complex(u[0, 1])
     uc, ud = complex(u[1, 0]), complex(u[1, 1])

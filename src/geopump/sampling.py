@@ -24,14 +24,14 @@ def sample_loop_angles(
     count: int,
     theta_range: tuple[float, float] = (0.0, math.pi),
     phi_range: tuple[float, float] = (-0.5 * math.pi, 0.5 * math.pi),
-    omega_range: tuple[float, float] = (0.0, 2.0 * math.pi),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw (theta, omega, phi) arrays uniformly from the given ranges.
+    """Draw (theta, omega, phi) arrays uniformly: theta and phi from the
+    given ranges, omega from [0, 2*pi).
 
     The angles are checked once per array, as LoopParams checks one loop.
     """
     thetas = rng.uniform(*theta_range, size=count)
-    omegas = rng.uniform(*omega_range, size=count)
+    omegas = rng.uniform(0.0, 2.0 * math.pi, size=count)
     phis = rng.uniform(*phi_range, size=count)
     require_angles(thetas, omega=omegas, phi=phis)
     return thetas, omegas, phis
@@ -42,8 +42,7 @@ def sample_loop_params(
     count: int,
     theta_range: tuple[float, float] = (0.0, math.pi),
     phi_range: tuple[float, float] = (-0.5 * math.pi, 0.5 * math.pi),
-    omega_range: tuple[float, float] = (0.0, 2.0 * math.pi),
 ) -> list[LoopParams]:
     """The draws of sample_loop_angles, one LoopParams each."""
-    angles = sample_loop_angles(rng, count, theta_range, phi_range, omega_range)
+    angles = sample_loop_angles(rng, count, theta_range, phi_range)
     return [LoopParams(t, o, p) for t, o, p in zip(*angles)]

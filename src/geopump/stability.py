@@ -213,6 +213,11 @@ def phase_diagram(
     """
     if theta_grid < 2 or phi_grid < 2:
         raise ValueError("grids need at least 2 points per axis")
+    if 8 * theta_grid * phi_grid > sys.maxsize:  # numpy's message names no field
+        raise ValueError(
+            f"theta_grid * phi_grid must be at most sys.maxsize // 8 cells, "
+            f"got {theta_grid} * {phi_grid}"
+        )
     if not 0.0 <= offset < 1.0:
         raise ValueError(f"offset must lie in [0, 1), got {offset}")
     _check_scan(n_max, tol)

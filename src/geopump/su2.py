@@ -1,19 +1,20 @@
 """Exact 2x2 special-unitary algebra and its angle charts.
 
-Matrices are complex numpy arrays of shape (2, 2); spin states are
-complex arrays of shape (2,).  Three interchangeable coordinate charts
-cover the group: axis-angle (axis polar angle, axis azimuth, turn angle),
-z-x-z Euler angles, and the loop coordinates (theta, omega, phi) used by
-the cycle simulator.  Conversions are exact trigonometric maps.
+Matrices are complex numpy arrays of shape (2, 2).  Three interchangeable
+coordinate charts cover the group: axis-angle (axis polar angle, axis
+azimuth, turn angle), z-x-z Euler angles, and the loop coordinates
+(theta, omega, phi) used by the cycle simulator.  Conversions are exact
+trigonometric maps.
 
-Every closed form reads the rotation through one HalfTurn record, the
-quaternion parts of half_turn(theta, phase) and the half turn angle h
-with cos h = cos(theta/2) cos(phase).  The charts take arrays: half_turn,
-loop_euler_angles, axis_angles and the matrix builders work elementwise
-on floats or equal-shape arrays of angles (matrices then stack as
-(..., 2, 2)), and check their domain once per array.  The axis-angle
-chart is checked by rebuilding both matrices and demanding entrywise
-agreement with the source.
+Every closed form reads the rotation through one HalfTurn record: the
+quaternion parts of half_turn(theta, phase), the half turn angle h with
+cos h = cos(theta/2) cos(phase), and the amplitude A = s / sin h that sets
+both the pump trace from the ground state and its long-run mean.  The
+charts take arrays: half_turn, loop_euler_angles, axis_angles and the
+matrix builders work elementwise on floats or equal-shape arrays of
+angles (matrices then stack as (..., 2, 2)), and check their domain once
+per array.  The axis-angle chart is checked by rebuilding both matrices
+and demanding entrywise agreement with the source.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ HALF_PI = 0.5 * math.pi
 
 # half turn sines below this are +/-identity to rounding: no axis is defined
 IDENTITY_SIN_TOL = 4.0 * sys.float_info.epsilon
+
+# largest entrywise gap the axis-angle chart's rebuilt matrices may show
+CHART_MATCH_TOL = 1e-10
 
 
 class IdentityRotationError(ValueError):
@@ -70,7 +74,7 @@ class LoopParams:
     plane (canonical range [0, 2*pi)) and phi the dynamic phase picked up
     per cycle (canonical range [-pi/2, pi/2]).  omega and phi are accepted
     outside their canonical windows because several symmetry checks need
-    e.g. phi + pi; use canonical() to fold them back.
+    e.g. phi + pi, which flips the loop operator by a global sign.
     """
 
     theta: float
@@ -81,18 +85,6 @@ class LoopParams:
         _require_finite(theta=self.theta, omega=self.omega, phi=self.phi)
         if not 0.0 <= self.theta <= math.pi:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
-
-    def canonical(self) -> "LoopParams":
-        """Fold omega into [0, 2*pi) and phi into [-pi/2, pi/2].
-
-        Shifting phi by pi flips the loop operator by a global sign, so
-        all pump observables are unchanged.
-        """
-        return LoopParams(
-            self.theta,
-            self.omega % TWO_PI,
-            (self.phi + HALF_PI) % math.pi - HALF_PI,
-        )
 
 
 @dataclass(frozen=True)
@@ -129,13 +121,6 @@ class EulerAngles:
         _require_finite(phi=self.phi, theta=self.theta, psi=self.psi)
         if not 0.0 <= self.theta <= math.pi:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
-
-
-# --- states ---------------------------------------------------------------
-
-def ground_state() -> np.ndarray:
-    """Lower basis spinor (1, 0)."""
-    return np.array([1.0 + 0.0j, 0.0j])
 
 
 # --- group operations -----------------------------------------------------
@@ -194,11 +179,13 @@ class HalfTurn:
 
     s = sin(theta/2), c_sin = cos(theta/2) sin(phase) and c_cos =
     cos(theta/2) cos(phase) = cos h, where h is the half turn angle, so the
-    trace is y = 2 c_cos.  sin_h = hypot(s, c_sin) and h = atan2(sin_h,
-    c_cos) are computed on first read: sin_h uses the exact identity
-    1 - cos^2 h = s^2 + c_sin^2, so it keeps full relative precision near
-    the identity, where sqrt(1 - cos^2 h) cancels.  Fields are floats or
-    arrays, as the angles were.
+    trace is y = 2 c_cos.  sin_h = hypot(s, c_sin), h = atan2(sin_h,
+    c_cos) and the amplitude A = s / sin_h are computed on first read:
+    sin_h uses the exact identity 1 - cos^2 h = s^2 + c_sin^2, so it keeps
+    full relative precision near the identity, where sqrt(1 - cos^2 h)
+    cancels.  math.hypot is faithful on Python >= 3.10, so sin_h >= s and
+    the correctly rounded A lies in [0, 1].  Fields are floats or arrays,
+    as the angles were.
     """
 
     s: np.ndarray
@@ -212,6 +199,11 @@ class HalfTurn:
     @cached_property
     def h(self):
         return _pointwise(math.atan2, self.sin_h, self.c_cos)
+
+    @cached_property
+    def amplitude(self):
+        # A = s / sin h; at the identity corner sin h = 0 forces s = 0, and A = 0
+        return self.s / np.where(self.sin_h == 0.0, 1.0, self.sin_h)
 
 
 def half_turn(theta, phase) -> HalfTurn:
@@ -244,7 +236,7 @@ def euler_matrices(phi, theta, psi) -> np.ndarray:
     )
 
 
-def axis_angles(phi, theta, psi, match_tol: float = 1e-10):
+def axis_angles(phi, theta, psi):
     """Axis-angle chart (alpha, beta, delta) of z-x-z Euler triples.
 
     Floats or equal-shape arrays, elementwise.  The turn angle and the axis
@@ -253,7 +245,7 @@ def axis_angles(phi, theta, psi, match_tol: float = 1e-10):
     off-diagonal phase.  Since cos(delta/2) = cos h and
     sin(delta/2) cos(alpha) = cos(theta/2) sin(phase), the rebuilt
     matrices equal the Euler matrices entry for entry; they are compared
-    once over the whole array, within match_tol, as a guard.
+    once over the whole array, within CHART_MATCH_TOL, as a guard.
 
     Raises ValueError for a non-finite angle or theta outside [0, pi],
     IdentityRotationError when any matrix is the identity up to global
@@ -273,20 +265,20 @@ def axis_angles(phi, theta, psi, match_tol: float = 1e-10):
     beta = np.where(np.sin(alpha) * ht.sin_h > 1e-15, (0.5 * (phi - psi)) % TWO_PI, 0.0)
     rebuilt = axis_angle_matrices(alpha, beta, delta)
     gap = np.abs(rebuilt - euler_matrices(phi, theta, psi)).max(axis=(-2, -1))
-    unmatched = ~(gap < match_tol)
+    unmatched = ~(gap < CHART_MATCH_TOL)
     if np.any(unmatched):
         i = np.flatnonzero(unmatched)[0]
         triple = tuple(float(a.flat[i]) for a in (phi, theta, psi))
         raise ChartBranchError(
             f"the axis-angle chart does not reproduce the rotation (phi, theta, psi) = "
-            f"{triple} within {match_tol:g}"
+            f"{triple} within {CHART_MATCH_TOL:g}"
         )
     return alpha, beta, delta
 
 
-def axis_angle_from_euler(e: EulerAngles, match_tol: float = 1e-10) -> AxisAngle:
+def axis_angle_from_euler(e: EulerAngles) -> AxisAngle:
     """Axis-angle chart of one Euler triple; see axis_angles."""
-    return AxisAngle(*map(float, axis_angles(e.phi, e.theta, e.psi, match_tol)))
+    return AxisAngle(*map(float, axis_angles(e.phi, e.theta, e.psi)))
 
 
 def loop_euler_angles(theta, omega, phi):

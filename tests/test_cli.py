@@ -629,11 +629,29 @@ class TestConfigFile:
             ("phase-diagram", '{"theta_grid": 1' + "0" * 30 + "}", "theta_grid"),
             ("asymptote", '{"theta_grid": 1' + "0" * 30 + "}", "theta_grid"),
             ("asymptote", f'{{"theta_grid": {2**62}, "phi_grid": 4}}', "phi_grid"),
+            ("asymptote", '{"samples": 1' + "0" * 30 + "}", "samples"),
+            ("asymptote", f'{{"samples": {2**62}}}', "samples"),
+            ("band-scan", '{"a": 1, "k_grid": 1' + "0" * 30 + "}", "k_grid"),
+            ("band-scan", f'{{"a": 1, "k_grid": {2**62}}}', "k_grid"),
+            ("asymptote", f'{{"theta_grid": {2**61}, "phi_grid": 2}}', "theta_grid"),
+            ("phase-diagram", f'{{"theta_grid": {2**61}, "phi_grid": 2}}', "theta_grid"),
         ],
-        ids=["n_max", "phase-diagram-grid", "asymptote-grid", "grid-cells"],
+        ids=[
+            "n_max",
+            "phase-diagram-grid",
+            "asymptote-grid",
+            "grid-cells",
+            "samples",
+            "samples-bytes",
+            "k-grid",
+            "k-grid-bytes",
+            "asymptote-grid-bytes",
+            "phase-diagram-grid-bytes",
+        ],
     )
     def test_size_past_maxsize_names_its_field(self, tmp_path, capsys, command, text, field):
-        # islice and numpy reject these sizes with messages that name no field
+        # islice and numpy reject these sizes with messages that name no
+        # field; a float64 column of N rows needs 8 N <= sys.maxsize bytes
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(text)
         assert main([command, "--config", str(cfg_path)]) == 1
@@ -711,10 +729,9 @@ def test_chart_branch_failure_is_runtime_exit(monkeypatch, capsys):
 
 def test_asymptote_runs_the_chart_guard(monkeypatch, capsys):
     # with no tolerance the rebuild-and-compare guard rejects every draw
-    import geopump.asymptotics as asymptotics
+    import geopump.su2 as su2
 
-    strict = asymptotics.axis_angles
-    monkeypatch.setattr(asymptotics, "axis_angles", lambda *e: strict(*e, match_tol=0.0))
+    monkeypatch.setattr(su2, "CHART_MATCH_TOL", 0.0)
     assert main(["asymptote", "--samples", "50"]) == 2
     assert "does not reproduce the rotation" in capsys.readouterr().err
 
@@ -749,8 +766,8 @@ _GOLDEN = [
     ),
     (
         ["verify", "--seed", "1"],
-        "2757422820a949a337d4be9a71ccb88aac903c3ea023cc53a248155a7dcf997a",
-        "d267bed2e6067dda43f7d50ac973f042da1204af02ad590e91552173f256794f",
+        "35e131e5085eee8089d43732e83c8ac523891419ff0487eb799ddf0fb397200c",
+        "ec9aa7925094fffd3c1d08c34d693347e77d008dd7d222e63f4efeda01ebcace",
     ),
 ]
 

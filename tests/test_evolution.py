@@ -9,7 +9,6 @@ from geopump import (
     LoopParams,
     build_loop_operator,
     cosine_cycle_zeros,
-    ground_state,
     make_rng,
     off_diagonal_magnitude,
     power,
@@ -23,8 +22,6 @@ from geopump import (
 from geopump.checks import _INTERIOR
 
 RNG = np.random.default_rng(77)
-
-EXCITED = np.array([0.0j, 1.0 + 0.0j])
 
 
 def _random_loop(rng):
@@ -86,15 +83,6 @@ class TestPumpTrace:
                 off_diagonal_magnitude(lp, j) ** 2, abs=1e-9
             )
 
-    def test_excited_initial_state(self):
-        lp = _random_loop(RNG)
-        u = build_loop_operator(lp)
-        trace = pump_trace(lp, 16, initial=EXCITED)
-        for j in range(1, 17):
-            assert trace.q[j - 1] == pytest.approx(
-                abs(power(u, j)[1, 1]) ** 2, abs=1e-12
-            )
-
     def test_probabilities_stay_in_unit_interval(self):
         trace = pump_trace(LoopParams(math.pi, 1.0, 0.0), 3000)
         assert np.all(trace.q >= 0.0) and np.all(trace.q <= 1.0)
@@ -104,34 +92,31 @@ class TestPumpTrace:
         with pytest.raises(ValueError):
             pump_trace(LoopParams(1.0), cycles)
 
-    def test_rejects_bad_initial(self):
-        with pytest.raises(ValueError):
-            pump_trace(LoopParams(1.0), 5, initial=np.array([1.0, 0.0, 0.0]))
-        with pytest.raises(ValueError):
-            pump_trace(LoopParams(1.0), 5, initial=np.array([1.0, 1.0]))
-
 
 def _hex(values):
     return [float.hex(x) for x in values.tolist()]
 
 
 class TestPumpTraceBlocks:
-    # the excited state takes the s1 != 0 branch; theta = phi = 0 has sin h = 0
+    # at phi = 0, A = 1, and the half turn drive pumps the ground state
+    # fully into the excited state on every odd cycle; theta = 0 with
+    # phi = 0 or pi is the identity corner, sin h = 0 or nearly, where A = 0
     @pytest.mark.parametrize(
-        "lp,initial",
+        "lp",
         [
-            pytest.param(LoopParams(1.1, 0.3, 0.4), None, id="ground"),
-            pytest.param(LoopParams(2.0, 1.0, -0.3), EXCITED, id="excited"),
-            pytest.param(LoopParams(0.0, 0.0, 0.0), np.array([0.6, 0.8j]), id="sin-h-zero"),
+            pytest.param(LoopParams(1.1, 0.3, 0.4), id="ground"),
+            pytest.param(LoopParams(math.pi, 1.0, 0.0), id="excited"),
+            pytest.param(LoopParams(0.0, 0.0, 0.0), id="sin-h-zero"),
+            pytest.param(LoopParams(0.0, 0.0, math.pi), id="corner-phi-pi"),
         ],
     )
     @pytest.mark.parametrize(
         "cycles,block_rows",
         [(1, 1), (1, 64), (7, 1), (1023, 1024), (1024, 1024), (1025, 1024), (10_001, 4096)],
     )
-    def test_blocks_concatenate_to_the_whole_trace(self, lp, initial, cycles, block_rows):
-        whole = pump_trace(lp, cycles, initial=initial)
-        blocks = list(pump_trace_blocks(lp, cycles, block_rows, initial=initial))
+    def test_blocks_concatenate_to_the_whole_trace(self, lp, cycles, block_rows):
+        whole = pump_trace(lp, cycles)
+        blocks = list(pump_trace_blocks(lp, cycles, block_rows))
         sizes = [min(block_rows, cycles - start) for start in range(0, cycles, block_rows)]
         assert [(len(q), len(p)) for q, p in blocks] == [(k, k) for k in sizes]
         assert _hex(np.concatenate([q for q, _ in blocks])) == _hex(whole.q)
@@ -142,10 +127,6 @@ class TestPumpTraceBlocks:
         with pytest.raises(ValueError):
             pump_trace_blocks(LoopParams(1.0), cycles, block_rows)
 
-    def test_rejects_bad_initial_on_the_call(self):
-        with pytest.raises(ValueError):
-            pump_trace_blocks(LoopParams(1.0), 5, 2, initial=np.array([1.0, 1.0]))
-
 
 class TestPropagateState:
     def test_norm_drift_is_tiny(self):
@@ -155,7 +136,7 @@ class TestPropagateState:
     def test_final_state_matches_power(self):
         lp = _random_loop(RNG)
         state, _ = propagate_state(lp, 500)
-        expected = power(build_loop_operator(lp), 500) @ ground_state()
+        expected = power(build_loop_operator(lp), 500)[:, 0]
         np.testing.assert_allclose(state, expected, atol=1e-11)
 
     def test_identity_drive_is_exact(self):
@@ -262,38 +243,41 @@ class TestClosedFormTrace:
                 want = abs((u**n)[1, 0]) ** 2
                 assert abs(trace.q[n - 1] - want) <= 2 * n * np.finfo(float).eps
 
+    @pytest.mark.parametrize(
+        "lp",
+        [
+            LoopParams(math.pi / 2, 0.0, 0.3),
+            LoopParams(1e-3, 0.0, 1e-3),
+            LoopParams(1.0, 0.7, -0.4),
+            LoopParams(2.9, 4.1, 1.2),
+            LoopParams(0.4, 2.5, -1.5),
+            LoopParams(1e-8, 0.0, 1e-8),
+        ],
+    )
+    def test_running_mean_matches_mpmath_oracle(self, lp):
+        # p_n = (A^2 / n) sum_j sin^2(jh)
+        #     = (A^2 / n) (n/2 - sin(nh) cos((n+1)h) / (2 sin h)) at 50 digits
+        trace = pump_trace(lp, 1_000_000)
+        with mpmath.workdps(50):
+            half, phi = mpmath.mpf(lp.theta) / 2, mpmath.mpf(lp.phi)
+            s, c = mpmath.sin(half), mpmath.cos(half)
+            sin_h = mpmath.hypot(s, c * mpmath.sin(phi))
+            h = mpmath.atan2(sin_h, c * mpmath.cos(phi))
+            a2 = (s / sin_h) ** 2
+            for n in (1, 2, 10, 999, 123_457, 1_000_000):
+                tail = mpmath.sin(n * h) * mpmath.cos((n + 1) * h) / (2 * sin_h)
+                want = a2 / n * (mpmath.mpf(n) / 2 - tail)
+                assert abs(trace.p[n - 1] - want) <= 2 * n * np.finfo(float).eps
+
     @pytest.mark.parametrize("theta", [math.pi, math.pi / 2])
     def test_unbiased_drive_stays_in_unit_interval(self, theta):
-        # at phi = 0, |U_10| / sin h can round to 1 + ulp; at theta = pi/2
-        # these azimuths push the unclipped q_2 to 1 + 4e-16
+        # at phi = 0, A = 1 exactly; at theta = pi/2 these azimuths once
+        # pushed q_2 = (|U_10| / sin h)^2 to 1 + 4e-16
         for omega in (0.0, 1.0, 1.4231439582217895, 6.2250326568190255):
             trace = pump_trace(LoopParams(theta, omega, 0.0), 10_000)
             assert np.all(trace.q >= 0.0) and np.all(trace.q <= 1.0)
             assert trace.q.max() == pytest.approx(1.0, abs=1e-12)
 
-    def test_general_initial_state_matches_iterated_products(self):
-        rng = np.random.default_rng(3)
-        for _ in range(5):
-            lp = _random_loop(rng)
-            state = rng.normal(size=2) + 1j * rng.normal(size=2)
-            state /= np.linalg.norm(state)
-            u = build_loop_operator(lp)
-            trace = pump_trace(lp, 400, initial=state)
-            amp = state.copy()
-            for j in range(400):
-                amp = u @ amp
-                assert trace.q[j] == pytest.approx(abs(amp[1]) ** 2, abs=1e-12)
-
-    def test_identity_drive_clips_a_rounded_population(self):
-        # within the 1e-12 norm tolerance |s1|^2 can exceed 1
-        state = np.array([0.0, 1.0 + 4e-13])
-        for block_rows in (1, 3):
-            blocks = pump_trace_blocks(LoopParams(0.0, 0.0, 0.0), 3, block_rows, initial=state)
-            assert all(np.all(q == 1.0) and np.all(p == 1.0) for q, p in blocks)
-
     def test_identity_drive_keeps_populations(self):
-        state = np.array([0.6, 0.8j])
-        trace = pump_trace(LoopParams(0.0, 0.0, 0.0), 20, initial=state)
-        np.testing.assert_allclose(trace.q, 0.64, rtol=0, atol=1e-15)
         ground = pump_trace(LoopParams(0.0, 1.3, 0.0), 20)
         assert np.all(ground.q == 0.0) and np.all(ground.p == 0.0)

@@ -293,6 +293,9 @@ class TestPhaseDiagram:
             phase_diagram(1, 5, 10)
         with pytest.raises(ValueError):
             phase_diagram(5, 5, 10, offset=1.0)
+        # numpy would reject this grid with a message that names no field
+        with pytest.raises(ValueError, match=r"theta_grid \* phi_grid"):
+            phase_diagram(2**62, 4, 10)
 
 
 class TestPhaseDiagramMatchesClassify:

@@ -18,12 +18,12 @@ from geopump import (
     build_loop_operator,
     euler_from_loop,
     euler_matrices,
-    ground_state,
     half_turn,
     loop_euler_angles,
     power,
     su2_defect,
 )
+from geopump import su2
 from geopump.su2 import require_angles
 
 RNG = np.random.default_rng(20260819)
@@ -63,14 +63,9 @@ class TestLoopParams:
         # symmetry checks need values outside the canonical windows
         LoopParams(1.0, -7.0, 9.0)
 
-    def test_canonical_ranges(self):
-        lp = LoopParams(1.0, -7.0, 9.0).canonical()
-        assert 0.0 <= lp.omega < 2.0 * math.pi
-        assert -HALF_PI <= lp.phi <= HALF_PI
-
 
 def test_states_are_orthonormal():
-    g, e = ground_state(), np.array([0.0j, 1.0 + 0.0j])
+    g, e = np.array([1.0 + 0.0j, 0.0j]), np.array([0.0j, 1.0 + 0.0j])
     assert abs(np.vdot(g, g) - 1.0) < 1e-15
     assert abs(np.vdot(e, e) - 1.0) < 1e-15
     assert abs(np.vdot(g, e)) < 1e-15
@@ -223,10 +218,11 @@ class TestNearIdentityCharts:
             phi = math.copysign(10.0 ** rng.uniform(-12.0, 0.0), rng.uniform(-1.0, 1.0))
             axis_angle_from_euler(euler_from_loop(LoopParams(theta, 0.0, phi)))
 
-    def test_unmatched_branch_is_typed(self):
+    def test_unmatched_branch_is_typed(self, monkeypatch):
+        monkeypatch.setattr(su2, "CHART_MATCH_TOL", 0.0)
         e = euler_from_loop(LoopParams(1.0, 0.2, 0.3))
         with pytest.raises(ChartBranchError):
-            axis_angle_from_euler(e, match_tol=0.0)
+            axis_angle_from_euler(e)
 
     def test_half_turn_has_no_cancellation(self):
         ht = half_turn(2e-9, 1e-9)
@@ -244,6 +240,30 @@ def test_half_turn_reads_sin_h_and_h_once_through_math():
     fields = (ht.s, ht.c_sin, ht.c_cos, ht.sin_h, ht.h)
     for s, c_sin, c_cos, sin_h, h in zip(*(a.tolist() for a in fields)):
         assert sin_h == math.hypot(s, c_sin) and h == math.atan2(sin_h, c_cos)
+
+
+class TestAmplitude:
+    def _check(self, ht):
+        a = np.asarray(ht.amplitude)
+        assert np.all(a <= 1.0)
+        assert a.tolist() == np.asarray(ht.s / ht.sin_h).tolist()
+
+    def test_is_s_over_sin_h_and_at_most_one_on_random_draws(self):
+        rng = np.random.default_rng(31)
+        theta = rng.uniform(0.0, math.pi, 200_000)
+        self._check(half_turn(theta, rng.uniform(-HALF_PI, HALF_PI, 200_000)))
+
+    def test_is_s_over_sin_h_and_at_most_one_without_phase(self):
+        theta = np.linspace(0.0, math.pi, 100_001)[1:]
+        for phi in (0.0, math.pi):
+            self._check(half_turn(theta, phi))
+        # at phi = 0, c_sin = 0 and sin h = s exactly
+        assert np.all(half_turn(theta, 0.0).amplitude == 1.0)
+
+    @pytest.mark.parametrize("phi", [0.0, math.pi])
+    def test_is_zero_at_the_identity_corner(self, phi):
+        assert half_turn(0.0, phi).amplitude == 0.0
+        assert half_turn(np.zeros(3), phi).amplitude.tolist() == [0.0] * 3
 
 
 def _reference_chart(phi, theta, psi):
@@ -309,13 +329,15 @@ class TestArrayCharts:
             assert np.array_equal(euler_matrices(e.phi, e.theta, e.psi), euler)
             assert np.array_equal(eulers[i], euler)
 
-    def test_array_errors_are_typed(self):
+    def test_array_errors_are_typed(self, monkeypatch):
         phi, theta, psi = loop_euler_angles(
             np.array([0.4, 1.0, 2.5]), np.array([0.1, 3.0, 5.0]), np.array([-0.3, 0.2, 1.1])
         )
         assert all(a.shape == (3,) for a in axis_angles(phi, theta, psi))
-        with pytest.raises(ChartBranchError):
-            axis_angles(phi, theta, psi, match_tol=0.0)
+        with monkeypatch.context() as strict:
+            strict.setattr(su2, "CHART_MATCH_TOL", 0.0)
+            with pytest.raises(ChartBranchError):
+                axis_angles(phi, theta, psi)
         with pytest.raises(ValueError, match="theta must lie in"):
             axis_angles(phi, theta + 1.0, psi)
         with pytest.raises(ValueError, match="psi must be a finite angle, got inf"):
