@@ -4,12 +4,13 @@ Every command produces a ResultTable, one typed numpy column (int64 or
 float64) per named field, and writes it as CSV or JSON.  Output bytes are a
 pure function of the effective configuration: floats are printed with 17
 significant digits, metadata keys have a fixed order, and line endings are
-LF.  Rows are formatted and written in blocks of a fixed number of rows, so
-memory while writing does not grow with the size of the output.  simulate
-also computes its rows in those blocks as they are written, so its memory
-does not grow with --cycles.  --threads
-is accepted and validated but changes neither the bytes nor the
-parallelism: every kernel runs single-threaded.
+LF.  Rows are formatted and written in blocks of at most BLOCK_ROWS rows, so
+memory while writing does not grow with the size of the output.  A float
+column block that repeats the previous block's bits, or runs of equal bits,
+is formatted once per distinct value, with the same bytes.  Grid commands
+put whole theta rows in each block; simulate computes each block as it is
+written, so its memory does not grow with --cycles.  --threads is accepted
+and validated but changes neither the bytes nor the parallelism.
 
 Exit codes: 0 success, 1 bad configuration, 2 runtime or I/O failure,
 3 verification failure.
@@ -182,52 +183,74 @@ class ResultTable:
         return tuple(zip(*(c.tolist() for c in self.data)))
 
 
-def _row_text(blocks, spell, sep: str):
+def _spelled(fmt: str, convert, values) -> list[str]:
+    return [fmt % v for v in (values if convert is None else map(convert, values))]
+
+
+def _texts_once(col: np.ndarray, fmt: str, convert, last):
+    """(bits, texts) of a float column block.  texts holds one string per
+    cell when the block's float-to-text can be paid once per distinct
+    value, else None.  last is what the same column gave in the previous
+    block.  Values are compared as bits, so 0.0 and -0.0 differ."""
+    bits = col.view(np.int64)
+    if last is not None and np.array_equal(bits, last[0]):
+        return bits, _spelled(fmt, convert, col.tolist()) if last[1] is None else last[1]
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    if 2 * len(starts) > len(bits):  # runs shorter than two rows on average
+        return bits, None
+    once = _spelled(fmt, convert, col[starts].tolist())
+    runs = np.diff(starts, append=len(bits)).tolist()
+    return bits, list(itertools.chain.from_iterable(map(itertools.repeat, once, runs)))
+
+
+def _row_text(blocks, spell, frame, sep: str):
     """Yield each column block as text, each block after the first led by
-    `sep`.  A block is one % call: the one-row template joined by `sep`,
+    `sep`.  A block is one % call: the one-row template (frame's head, the
+    column formats joined by its separator, and its tail) joined by `sep`,
     applied to the block's cells interleaved column by column.
-    spell(block) gives the row template and, per column, None or a
-    function that maps the column's Python values before formatting."""
-    lead = ""
+    spell(column) gives the column's format and None or a function that
+    maps its Python values before formatting.  A float column that repeats
+    the previous block's bits, or is made of runs of equal bits, enters
+    the template as texts formatted once per distinct value."""
+    lead, last = "", {}
     for block in blocks:
-        row, converts = spell(block)
         width, k = len(block), len(block[0])
-        cells = [None] * (k * width)
-        for j, (col, convert) in enumerate(zip(block, converts)):
-            values = col.tolist()
-            cells[j::width] = values if convert is None else map(convert, values)
+        cells, fmts = [None] * (k * width), []
+        for j, col in enumerate(block):
+            fmt, convert = spell(col)
+            if col.dtype.kind == "f":
+                last[j] = _texts_once(col, fmt, convert, last.get(j))
+            if col.dtype.kind == "f" and last[j][1] is not None:
+                fmt, cells[j::width] = "%s", last[j][1]
+            else:
+                values = col.tolist()
+                cells[j::width] = values if convert is None else map(convert, values)
+            fmts.append(fmt)
+        row = frame[0] + frame[1].join(fmts) + frame[2]
         yield lead + sep.join([row] * k) % tuple(cells)
         lead = sep
 
 
-def _csv_row(block):
+def _csv_cell(col):
     # '%.17g' % x == format(x, '.17g')
-    row = ",".join("%d" if c.dtype.kind == "i" else "%.17g" for c in block) + "\n"
-    return row, (None,) * len(block)
+    return ("%d" if col.dtype.kind == "i" else "%.17g"), None
 
 
 def _csv_blocks(table: ResultTable):
     lines = [f"# {key} = {value}" for key, value in table.metadata.items()]
     lines.append(",".join(table.columns))
     yield "\n".join(lines) + "\n"
-    yield from _row_text(table.blocks(), _csv_row, "")
+    yield from _row_text(table.blocks(), _csv_cell, ("", ",", "\n"), "")
 
 
-def _json_row(block):
+def _json_cell(col):
     # json spells a finite float as repr() does; a block of a column
     # holding NaN or +/-inf goes through json for its NaN/Infinity spelling
-    fmts, converts = [], []
-    for col in block:
-        if col.dtype.kind == "i":
-            fmts.append("%d")
-            converts.append(None)
-        elif np.isfinite(col).all():
-            fmts.append("%r")
-            converts.append(None)
-        else:
-            fmts.append("%s")
-            converts.append(json.dumps)
-    return "    [\n      " + ",\n      ".join(fmts) + "\n    ]", converts
+    if col.dtype.kind == "i":
+        return "%d", None
+    if np.isfinite(col).all():
+        return "%r", None
+    return "%s", json.dumps
 
 
 def _json_blocks(table: ResultTable):
@@ -240,7 +263,8 @@ def _json_blocks(table: ResultTable):
         yield head[:-2] + ',\n  "rows": []\n}\n'
         return
     yield head[:-2] + ',\n  "rows": [\n'
-    yield from _row_text(itertools.chain([first], blocks), _json_row, ",\n")
+    frame = ("    [\n      ", ",\n      ", "\n    ]")
+    yield from _row_text(itertools.chain([first], blocks), _json_cell, frame, ",\n")
     yield "\n  ]\n}\n"
 
 
@@ -311,15 +335,18 @@ def _run_simulate(cfg: RunConfig) -> ResultTable:
     return ResultTable(("cycle", "q", "p"), metadata=_metadata(cfg), source=source)
 
 
-def _blockwise(kernel, *args) -> np.ndarray:
-    """kernel(*args) over 1-D arrays (or scalars), BLOCK_ROWS rows at a
-    time, so that its temporaries stay the size of one block."""
-    args = np.broadcast_arrays(*args)
-    out = np.empty(args[0].shape)
-    for start in range(0, len(out), BLOCK_ROWS):
-        rows = slice(start, start + BLOCK_ROWS)
-        out[rows] = kernel(*(a[rows] for a in args))
-    return out
+def _grid_blocks(thetas: np.ndarray, phis: np.ndarray, *grids: np.ndarray):
+    """Yield column blocks of the product grid, rows along theta: theta,
+    phi and each (n_theta, n_phi) array in grids flattened.  Each block
+    holds whole theta rows, max(1, BLOCK_ROWS // n_phi) of them, and a
+    theta row longer than BLOCK_ROWS comes in pieces."""
+    per_block = max(1, BLOCK_ROWS // len(phis))
+    for start in range(0, len(thetas), per_block):
+        rows = slice(start, start + per_block)
+        for lo in range(0, len(phis), BLOCK_ROWS):
+            cols, n_rows = slice(lo, lo + BLOCK_ROWS), len(thetas[rows])
+            theta, phi = np.repeat(thetas[rows], len(phis[cols])), np.tile(phis[cols], n_rows)
+            yield (theta, phi, *(grid[rows, cols].ravel() for grid in grids))
 
 
 def _require_rows(field: str, rows: int) -> None:
@@ -335,44 +362,34 @@ def _run_asymptote(cfg: RunConfig) -> ResultTable:
         raise ConfigError("samples must be >= 0")
     if p["samples"] > 0:
         _require_rows("samples", p["samples"])
-        theta, omega, phi = sample_loop_angles(make_rng(cfg.seed), p["samples"])
+        draws = sample_loop_angles(make_rng(cfg.seed), p["samples"])
+        blocks = zip(*(np.split(a, range(BLOCK_ROWS, len(a), BLOCK_ROWS)) for a in draws))
     elif p["theta_grid"] >= 2 and p["phi_grid"] >= 2:
         n_theta, n_phi = p["theta_grid"], p["phi_grid"]
         _require_rows("theta_grid * phi_grid", n_theta * n_phi)
-        theta = np.repeat((np.arange(n_theta) + 0.5) * math.pi / n_theta, n_phi)
-        phi = np.tile(-HALF_PI + (np.arange(n_phi) + 0.5) * math.pi / n_phi, n_theta)
-        omega = 0.0
+        thetas = (np.arange(n_theta) + 0.5) * math.pi / n_theta
+        phis = -HALF_PI + (np.arange(n_phi) + 0.5) * math.pi / n_phi
+        blocks = ((theta, 0.0, phi) for theta, phi in _grid_blocks(thetas, phis))
     else:
         raise ConfigError("need samples > 0 or both grids >= 2")
-    # every column is computed before anything is written: the axis route
+    # every block is computed before anything is written: the axis route
     # can fail on a draw, and a failed run writes nothing
-    data = (
-        theta,
-        phi,
-        _blockwise(p_infinity_array, theta, phi),
-        _blockwise(p_infinity_axis_array, theta, omega, phi),
-        p_geometric(theta),
-    )
-    return ResultTable(("theta", "phi", "p_inf", "p_inf_axis", "p_g"), data, _metadata(cfg))
+    rows = [
+        (th, ph, p_infinity_array(th, ph), p_infinity_axis_array(th, om, ph), p_geometric(th))
+        for th, om, ph in blocks
+    ]
+    columns = ("theta", "phi", "p_inf", "p_inf_axis", "p_g")
+    return ResultTable(columns, metadata=_metadata(cfg), source=lambda: iter(rows))
 
 
 def _run_phase_diagram(cfg: RunConfig) -> ResultTable:
     p = cfg.params
     diagram = phase_diagram(
-        p["theta_grid"],
-        p["phi_grid"],
-        p["n_max"],
-        offset=p["offset"],
-        tol=p["tol"],
+        p["theta_grid"], p["phi_grid"], p["n_max"], offset=p["offset"], tol=p["tol"]
     )
-    verdicts = [v for row in diagram.verdicts for v in row]
-    data = (
-        np.repeat(diagram.theta_values, len(diagram.phi_values)),
-        np.tile(diagram.phi_values, len(diagram.theta_values)),
-        [v.stable for v in verdicts],
-        [v.order or 0 for v in verdicts],
-    )
-    return ResultTable(("theta", "phi", "stable", "order"), data, _metadata(cfg))
+    grid = (diagram.theta_values, diagram.phi_values, diagram.orders > 0, diagram.orders)
+    columns = ("theta", "phi", "stable", "order")
+    return ResultTable(columns, metadata=_metadata(cfg), source=lambda: _grid_blocks(*grid))
 
 
 def _run_band_scan(cfg: RunConfig) -> ResultTable:

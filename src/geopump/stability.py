@@ -15,6 +15,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -180,13 +181,31 @@ def stable_curve(p: int, q: int, resolution: int) -> StableCurve:
     return StableCurve(p, q, delta, points)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseDiagram:
-    """Rasterized stability verdicts over the (theta, phi) rectangle."""
+    """Rasterized stability verdicts over the (theta, phi) rectangle.
+
+    orders[i, j] (read-only int64) is the first return order of the cell
+    (theta_values[i], phi_values[j]), 0 when none was found within n_max.
+    marginal maps the flat index i * len(phi_values) + j of each cell with
+    marginal scan indices to them.  verdicts is built on first read.
+    """
 
     theta_values: np.ndarray
     phi_values: np.ndarray
-    verdicts: tuple[tuple[StabilityVerdict, ...], ...]
+    n_max: int
+    orders: np.ndarray
+    marginal: dict[int, tuple[int, ...]]
+
+    @cached_property
+    def verdicts(self) -> tuple[tuple[StabilityVerdict, ...], ...]:
+        flat, n_max = self.orders.ravel(), self.n_max
+        verdicts = [StabilityVerdict(False, n_max)] * flat.size
+        for cell in set(self.marginal).union(np.flatnonzero(flat).tolist()):
+            first, marks = int(flat[cell]), self.marginal.get(cell, ())
+            verdicts[cell] = StabilityVerdict(first > 0, n_max, first or None, marks)
+        width = len(self.phi_values)
+        return tuple(tuple(verdicts[i : i + width]) for i in range(0, flat.size, width))
 
 
 def _axis(lo: float, hi: float, count: int, offset: float) -> np.ndarray:
@@ -241,12 +260,5 @@ def phase_diagram(
         for cell in np.flatnonzero(near & ~hit).tolist():
             marginal.setdefault(cell, []).append(n)
 
-    order = order.ravel()
-    verdicts = [StabilityVerdict(False, n_max)] * order.size
-    for cell in set(marginal).union(np.flatnonzero(order).tolist()):
-        first, marks = int(order[cell]), tuple(marginal.get(cell, ()))
-        verdicts[cell] = StabilityVerdict(first > 0, n_max, first or None, marks)
-    rows = tuple(
-        tuple(verdicts[i * phi_grid : (i + 1) * phi_grid]) for i in range(theta_grid)
-    )
-    return PhaseDiagram(thetas, phis, rows)
+    order.flags.writeable = False
+    return PhaseDiagram(thetas, phis, n_max, order, {c: tuple(m) for c, m in marginal.items()})

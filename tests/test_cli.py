@@ -348,6 +348,79 @@ class TestBlockBoundaries:
             assert got.tobytes() == expected.tobytes()
 
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_signed_zeros_are_told_apart(self, monkeypatch, fmt):
+        # 0.0 == -0.0 in Python, but their bits and texts differ: within a
+        # block of runs, and between two blocks of equal values
+        monkeypatch.setattr(cli, "BLOCK_ROWS", 4)
+        x = np.array([0.0, 0.0, -0.0, -0.0] + [0.0] * 4 + [-0.0] * 4)
+        table = ResultTable(("x", "i"), (x, np.arange(12)))
+        if fmt == "csv":
+            assert to_csv(table) == _reference_csv(table)
+            cells = [line.split(",")[0] for line in to_csv(table).splitlines()[1:]]
+            assert cells == ["0", "0", "-0", "-0"] + ["0"] * 4 + ["-0"] * 4
+        else:
+            assert to_json(table) == _reference_json(table)
+            assert [math.copysign(1, r[0]) for r in json.loads(to_json(table))["rows"]] == [
+                1, 1, -1, -1, 1, 1, 1, 1, -1, -1, -1, -1
+            ]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_blocks_one_ulp_apart_are_not_repeats(self, monkeypatch, fmt):
+        monkeypatch.setattr(cli, "BLOCK_ROWS", 4)
+        third, tenth = 1.0 / 3.0, 0.1
+        up = np.nextafter(third, 1.0), np.nextafter(0.4, 1.0)
+        runs = [third] * 4 + [third] * 3 + [up[0]] + [third] * 3 + [up[0]]
+        cycle = [tenth, 0.2, 0.3, 0.4] * 2 + [tenth, 0.2, 0.3, up[1]]
+        table = ResultTable(("runs", "cycle"), (runs, cycle))
+        want = _reference_csv(table) if fmt == "csv" else _reference_json(table)
+        assert (to_csv(table) if fmt == "csv" else to_json(table)) == want
+
+    def test_repeated_nonfinite_json_blocks(self, monkeypatch):
+        # NaN and +/-inf blocks go through json.dumps, whether repeated,
+        # in runs or neither
+        monkeypatch.setattr(cli, "BLOCK_ROWS", 4)
+        nan, inf = math.nan, math.inf
+        x = [nan] * 8 + [inf, inf, -inf, -inf] * 2 + [nan, inf, -inf, 1.5] * 2 + [2.5] * 4
+        table = ResultTable(("x", "y"), (x, np.resize([nan, 0.5], len(x))))
+        assert to_json(table) == _reference_json(table)
+        assert to_csv(table) == _reference_csv(table)
+
+    @pytest.mark.parametrize("n_theta,n_phi", [(5, 3), (2, 4), (4, 7), (3, 10), (1, 15)])
+    def test_grid_blocks_hold_whole_theta_rows(self, monkeypatch, n_theta, n_phi):
+        monkeypatch.setattr(cli, "BLOCK_ROWS", 7)
+        thetas, phis = np.arange(n_theta) + 0.5, np.arange(n_phi) / 8.0
+        blocks = list(cli._grid_blocks(thetas, phis))
+        assert all(0 < len(theta) == len(phi) <= 7 for theta, phi in blocks)
+        theta, phi = map(np.concatenate, zip(*blocks))
+        assert theta.tolist() == np.repeat(thetas, n_phi).tolist()
+        assert phi.tolist() == np.tile(phis, n_theta).tolist()
+        if n_phi <= 7:  # whole theta rows: every block starts at phi[0]
+            assert all(len(b[1]) % n_phi == 0 and b[1][0] == phis[0] for b in blocks)
+
+    @pytest.mark.parametrize(
+        "command,params",
+        [
+            ("phase-diagram", {"theta_grid": 5, "phi_grid": 3, "n_max": 20}),
+            ("phase-diagram", {"theta_grid": 3, "phi_grid": 10, "n_max": 20, "offset": 0.0}),
+            ("asymptote", {"samples": 0, "theta_grid": 4, "phi_grid": 5}),
+            ("asymptote", {"samples": 0, "theta_grid": 2, "phi_grid": 9}),
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_grid_commands_across_small_blocks(self, monkeypatch, command, params, fmt):
+        defaults = {"offset": 0.5, "tol": 1e-9} if command == "phase-diagram" else {}
+        cfg = RunConfig(command, {**defaults, **params}, format=fmt)
+        whole = run(cfg).data
+        monkeypatch.setattr(cli, "BLOCK_ROWS", 7)
+        table = run(cfg)
+        assert all(len(block[0]) <= 7 for block in table.blocks())
+        for got, want in zip(table.data, whole):
+            assert got.tobytes() == want.tobytes()
+        want = _reference_csv(table) if fmt == "csv" else _reference_json(table)
+        assert (to_csv(table) if fmt == "csv" else to_json(table)) == want
+
+
 def test_asymptote_failing_in_a_later_block_writes_nothing(tmp_path, monkeypatch, capsys):
     kernel = cli.p_infinity_axis_array
     sizes = []
@@ -716,6 +789,21 @@ class TestPhaseDiagramGolden:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def test_phase_diagram_command_builds_no_verdicts(tmp_path, monkeypatch):
+    kernel, diagrams = cli.phase_diagram, []
+
+    def capture(*args, **kwargs):
+        diagrams.append(kernel(*args, **kwargs))
+        return diagrams[-1]
+
+    monkeypatch.setattr(cli, "phase_diagram", capture)
+    out = tmp_path / "pd.csv"
+    argv = ["phase-diagram", "--theta-grid", "60", "--phi-grid", "60", "--n-max", "1000"]
+    assert main([*argv, "--offset", "0", "--out", str(out)]) == 0
+    (diagram,) = diagrams
+    assert "verdicts" not in vars(diagram)
+
+
 def test_chart_branch_failure_is_runtime_exit(monkeypatch, capsys):
     import geopump.cli as cli
 
@@ -758,6 +846,23 @@ _GOLDEN = [
         ["phase-diagram", "--theta-grid", "40", "--phi-grid", "30", "--n-max", "100"],
         "60b3c030ac92e3714770c284e282bd9428d1b935062f46ae9807b611ce6cf35b",
         "9f90cd9dc4c72269aaff53c6cb4e167699bde35a1d9087616285dfa6590718ef",
+    ),
+    # grids written in several blocks: whole theta rows per block, and a
+    # theta row longer than one block
+    (
+        ["phase-diagram", "--theta-grid", "200", "--phi-grid", "200", "--n-max", "200"],
+        "9d73ae351f4b8341327abd9b0d37e6ecd9fa2a782856b5f71f52deaa433d27c1",
+        "659956fbd053dbcd9d7a393fb9319d568777ba3e326144e171e44fa6df4824d0",
+    ),
+    (
+        ["asymptote", "--theta-grid", "150", "--phi-grid", "60"],
+        "67f81211f4a4f89f647226f7db07fa67d1c40dc37df9d8559f8e5241dcf1f28e",
+        "296702a2eae345cab97a9788b2ecf4ddfd980b5966af35d62f32ed7ef8898131",
+    ),
+    (
+        ["phase-diagram", "--theta-grid", "3", "--phi-grid", "5000", "--n-max", "5"],
+        "827fe154090a14c6df199930cf371f307fe668aa1412f3b974818f2c59c4f646",
+        "15b86b097fc15a8505de4573a681ee49e5e654cb07166f77b45fb16872f7520f",
     ),
     (
         ["band-scan", "--a", "1.0", "--k-grid", "256"],

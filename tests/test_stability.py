@@ -316,6 +316,20 @@ class TestPhaseDiagramMatchesClassify:
         assert sum(v.stable for v in cells) > 100
         assert sum(bool(v.marginal) for v in cells) > 0
 
+    def test_orders_and_marginal_build_the_verdicts(self):
+        diagram = phase_diagram(60, 60, 1000, offset=0.0)
+        assert "verdicts" not in vars(diagram)  # built on first read only
+        assert diagram.orders.dtype == np.int64 and not diagram.orders.flags.writeable
+        want = [[v.order or 0 for v in row] for row in diagram.verdicts]
+        assert diagram.orders.tolist() == want
+        marks = {
+            i * 60 + j: v.marginal
+            for i, row in enumerate(diagram.verdicts)
+            for j, v in enumerate(row)
+            if v.marginal
+        }
+        assert diagram.marginal == marks
+
     def test_scan_arguments_validated(self):
         with pytest.raises(ValueError):
             phase_diagram(5, 5, 0)
