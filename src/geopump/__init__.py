@@ -57,7 +57,6 @@ from .stability import (
 )
 from .su2 import (
     AxisAngle,
-    ChartBranchError,
     EulerAngles,
     HalfTurn,
     IdentityRotationError,
@@ -76,7 +75,6 @@ from .su2 import (
 __all__ = [
     "AxisAngle",
     "ChainParams",
-    "ChartBranchError",
     "DriveCycle",
     "EmptyCurveError",
     "EulerAngles",

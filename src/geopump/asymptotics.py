@@ -65,8 +65,16 @@ def p_infinity_axis_array(theta, omega, phi):
     """Same limit, computed from the rotation-axis polar angle instead,
     elementwise over arrays.
 
+    The route reads the Euler triple of loop_euler_angles, which stores the
+    dynamic phase in psi = 2 phi - omega - pi/2, so near the theta = phi = 0
+    corner phi is known only to about 2e-16 absolute: at theta =
+    phi = 1e-9 the route is 4.5e-9 off p_infinity_array at omega = 0 and
+    1.3e-8 off at omega = 2.  Rebuilding the operator from the chart cannot
+    see this, since both matrices read the same rounded psi; verify
+    samples the route on interior drives only.
+
     Raises IdentityRotationError when any loop operator is +/-identity and
-    has no axis, and ChartBranchError when the chart's guard fails.
+    has no axis.
     """
     alpha, _, _ = axis_angles(*loop_euler_angles(theta, omega, phi))
     sa = np.sin(alpha)

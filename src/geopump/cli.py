@@ -37,7 +37,7 @@ from .band import DriveCycle, GapClosedError, pump_profile
 from .evolution import pump_trace_blocks
 from .sampling import make_rng, sample_loop_angles
 from .stability import phase_diagram
-from .su2 import HALF_PI, ChartBranchError, IdentityRotationError, LoopParams
+from .su2 import HALF_PI, IdentityRotationError, LoopParams
 
 
 class ConfigError(ValueError):
@@ -372,8 +372,8 @@ def _run_asymptote(cfg: RunConfig) -> ResultTable:
         blocks = ((theta, 0.0, phi) for theta, phi in _grid_blocks(thetas, phis))
     else:
         raise ConfigError("need samples > 0 or both grids >= 2")
-    # every block is computed before anything is written: the axis route
-    # can fail on a draw, and a failed run writes nothing
+    # every block is computed before anything is written: a +/-identity
+    # draw has no axis, and a failed run writes nothing
     rows = [
         (th, ph, p_infinity_array(th, ph), p_infinity_axis_array(th, om, ph), p_geometric(th))
         for th, om, ph in blocks
@@ -445,7 +445,7 @@ def run(cfg: RunConfig) -> ResultTable:
         return _HANDLERS[cfg.command](cfg)
     except ConfigError:
         raise
-    except (GapClosedError, IdentityRotationError, ChartBranchError) as exc:
+    except (GapClosedError, IdentityRotationError) as exc:
         raise RuntimeError(f"{exc} (command={cfg.command}, params={cfg.params})") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -530,8 +530,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
     fmt = args.format if args.format is not None else file_values.get("format", "csv")
     out = args.out if args.out is not None else file_values.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError("field 'out' must be a string path")
+    # Path("") is the working directory, which no file can be written to
+    if out is not None and not (isinstance(out, str) and out):
+        raise ConfigError("field 'out' must be a non-empty string path")
 
     return RunConfig(
         command=args.command,

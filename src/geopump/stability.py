@@ -98,10 +98,6 @@ class StabilityVerdict:
     order: int | None = None
     marginal: tuple[int, ...] = field(default=())
 
-    @property
-    def kind(self) -> str:
-        return "Stable" if self.stable else "NoStabilityFound"
-
 
 def _check_scan(n_max: int, tol: float) -> None:
     if not 1 <= n_max <= sys.maxsize:  # islice accepts no longer scan

@@ -13,8 +13,7 @@ both the pump trace from the ground state and its long-run mean.  The
 charts take arrays: half_turn, loop_euler_angles, axis_angles and the
 matrix builders work elementwise on floats or equal-shape arrays of
 angles (matrices then stack as (..., 2, 2)), and check their domain once
-per array.  The axis-angle chart is checked by rebuilding both matrices
-and demanding entrywise agreement with the source.
+per array.
 """
 
 from __future__ import annotations
@@ -32,16 +31,9 @@ HALF_PI = 0.5 * math.pi
 # half turn sines below this are +/-identity to rounding: no axis is defined
 IDENTITY_SIN_TOL = 4.0 * sys.float_info.epsilon
 
-# largest entrywise gap the axis-angle chart's rebuilt matrices may show
-CHART_MATCH_TOL = 1e-10
-
 
 class IdentityRotationError(ValueError):
     """The rotation is the identity up to global sign, so no axis exists."""
-
-
-class ChartBranchError(ArithmeticError):
-    """The axis-angle chart does not reproduce the source rotation."""
 
 
 def _require_finite(**angles):
@@ -243,14 +235,12 @@ def axis_angles(phi, theta, psi):
     polar angle come from atan2 of the quaternion parts (see half_turn),
     which stays accurate near the identity; the azimuth comes from the
     off-diagonal phase.  Since cos(delta/2) = cos h and
-    sin(delta/2) cos(alpha) = cos(theta/2) sin(phase), the rebuilt
-    matrices equal the Euler matrices entry for entry; they are compared
-    once over the whole array, within CHART_MATCH_TOL, as a guard.
+    sin(delta/2) cos(alpha) = cos(theta/2) sin(phase), axis_angle_matrices
+    of the chart equals euler_matrices entry for entry up to rounding.
 
-    Raises ValueError for a non-finite angle or theta outside [0, pi],
+    Raises ValueError for a non-finite angle or theta outside [0, pi], and
     IdentityRotationError when any matrix is the identity up to global
-    sign and its axis is undefined, and ChartBranchError when any rebuilt
-    matrix does not match.
+    sign and its axis is undefined.
     """
     phi, theta, psi = np.broadcast_arrays(phi, theta, psi)
     require_angles(theta, phi=phi, psi=psi)
@@ -263,16 +253,6 @@ def axis_angles(phi, theta, psi):
     alpha = _pointwise(math.atan2, ht.s, ht.c_sin)
     # on the z axis the azimuth is arbitrary
     beta = np.where(np.sin(alpha) * ht.sin_h > 1e-15, (0.5 * (phi - psi)) % TWO_PI, 0.0)
-    rebuilt = axis_angle_matrices(alpha, beta, delta)
-    gap = np.abs(rebuilt - euler_matrices(phi, theta, psi)).max(axis=(-2, -1))
-    unmatched = ~(gap < CHART_MATCH_TOL)
-    if np.any(unmatched):
-        i = np.flatnonzero(unmatched)[0]
-        triple = tuple(float(a.flat[i]) for a in (phi, theta, psi))
-        raise ChartBranchError(
-            f"the axis-angle chart does not reproduce the rotation (phi, theta, psi) = "
-            f"{triple} within {CHART_MATCH_TOL:g}"
-        )
     return alpha, beta, delta
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from geopump import (
-    ChartBranchError,
+    IdentityRotationError,
     LoopParams,
     __version__,
     make_rng,
@@ -422,21 +422,25 @@ class TestBlockBoundaries:
 
 
 def test_asymptote_failing_in_a_later_block_writes_nothing(tmp_path, monkeypatch, capsys):
-    kernel = cli.p_infinity_axis_array
-    sizes = []
+    draw, kernel, sizes = cli.sample_loop_angles, cli.p_infinity_axis_array, []
 
-    def fail_on_second_block(theta, omega, phi):
+    def identity_in_second_block(rng, count):
+        theta, omega, phi = draw(rng, count)
+        # theta = 0, phi = pi: the loop operator is -identity and has no axis
+        theta[BLOCK_ROWS + 5], phi[BLOCK_ROWS + 5] = 0.0, math.pi
+        return theta, omega, phi
+
+    def counted(theta, omega, phi):
         sizes.append(len(theta))
-        if len(sizes) == 2:
-            raise ChartBranchError("no branch in the second block")
         return kernel(theta, omega, phi)
 
-    monkeypatch.setattr(cli, "p_infinity_axis_array", fail_on_second_block)
+    monkeypatch.setattr(cli, "sample_loop_angles", identity_in_second_block)
+    monkeypatch.setattr(cli, "p_infinity_axis_array", counted)
     out = tmp_path / "rates.csv"
     assert main(["asymptote", "--samples", str(3 * BLOCK_ROWS), "--out", str(out)]) == 2
     assert sizes == [BLOCK_ROWS, BLOCK_ROWS]
     assert not out.exists()
-    assert "no branch in the second block" in capsys.readouterr().err
+    assert "rotation equals +/-identity" in capsys.readouterr().err
 
 
 def _traced_peak(call) -> int:
@@ -686,6 +690,20 @@ class TestConfigFile:
         assert f"config error: field '{field}' must be finite" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("where", ["flag", "file"])
+    def test_empty_out_rejected(self, tmp_path, capsys, monkeypatch, where):
+        # Path("") is the working directory, which is no file to write
+        monkeypatch.chdir(tmp_path)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"theta": 1.0, "cycles": 2, "out": ""}))
+        argv = ["simulate", "--theta", "1", "--cycles", "2", "--out", ""]
+        if where == "file":
+            argv = ["simulate", "--config", str(cfg_path)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "config error: field 'out' must be a non-empty string path" in captured.err
+        assert captured.out == ""
+
     def test_huge_integer_in_float_field_rejected(self, tmp_path, capsys):
         # float() of a 401-digit JSON integer raises OverflowError
         cfg_path = tmp_path / "run.json"
@@ -804,24 +822,16 @@ def test_phase_diagram_command_builds_no_verdicts(tmp_path, monkeypatch):
     assert "verdicts" not in vars(diagram)
 
 
-def test_chart_branch_failure_is_runtime_exit(monkeypatch, capsys):
-    import geopump.cli as cli
+def test_identity_rotation_is_runtime_exit(monkeypatch, capsys):
+    # IdentityRotationError is a ValueError, yet it names no bad config field
+    assert issubclass(IdentityRotationError, ValueError)
 
-    def unmatched(theta, omega, phi):
-        raise ChartBranchError("no branch")
+    def no_axis(theta, omega, phi):
+        raise IdentityRotationError("no axis")
 
-    monkeypatch.setattr(cli, "p_infinity_axis_array", unmatched)
+    monkeypatch.setattr(cli, "p_infinity_axis_array", no_axis)
     assert main(["asymptote", "--theta-grid", "2", "--phi-grid", "2"]) == 2
-    assert "no branch" in capsys.readouterr().err
-
-
-def test_asymptote_runs_the_chart_guard(monkeypatch, capsys):
-    # with no tolerance the rebuild-and-compare guard rejects every draw
-    import geopump.su2 as su2
-
-    monkeypatch.setattr(su2, "CHART_MATCH_TOL", 0.0)
-    assert main(["asymptote", "--samples", "50"]) == 2
-    assert "does not reproduce the rotation" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: no axis (command=asymptote")
 
 
 # SHA-256 of each command's output bytes in both formats; a change to the
@@ -841,6 +851,12 @@ _GOLDEN = [
         ["asymptote", "--samples", "2000", "--seed", "7"],
         "f5f81e5edb136de9f5ed92d8db9e1df8e3a3c298dfcc17eb92efb4621620d162",
         "6490bda446e5046becbe358b038b1d8e062a49e3f869de6d12386296ed4df770",
+    ),
+    # three full blocks of drawn rates; row 12244 draws theta = 2.8e-7
+    (
+        ["asymptote", "--samples", "12288", "--seed", "53"],
+        "175b77a41f669aae053a64340dd40715ab1b2accd3415155fb029efa7e59344c",
+        "2c429701ffca3cc3e06e886bc5b960b859629053fb12514003772627f8ab02f2",
     ),
     (
         ["phase-diagram", "--theta-grid", "40", "--phi-grid", "30", "--n-max", "100"],

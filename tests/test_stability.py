@@ -153,7 +153,6 @@ class TestClassify:
     def test_quarter_turn_order_four(self):
         verdict = classify(LoopParams(HALF_PI), 10)
         assert verdict.stable and verdict.order == 4
-        assert verdict.kind == "Stable"
 
     def test_quarter_bias_order_two(self):
         verdict = classify(LoopParams(math.pi / 3, 0.0, HALF_PI), 10)
@@ -169,7 +168,6 @@ class TestClassify:
         verdict = classify(LoopParams(HALF_PI, 0.0, 0.3), 1000)
         assert not verdict.stable
         assert verdict.order is None
-        assert verdict.kind == "NoStabilityFound"
 
     def test_marginal_band_is_not_stable(self):
         # delta just off a quarter turn: the best off-diagonal lands in

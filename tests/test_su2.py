@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from geopump import (
     AxisAngle,
-    ChartBranchError,
     EulerAngles,
     IdentityRotationError,
     LoopParams,
@@ -20,10 +19,11 @@ from geopump import (
     euler_matrices,
     half_turn,
     loop_euler_angles,
+    make_rng,
     power,
+    sample_loop_angles,
     su2_defect,
 )
-from geopump import su2
 from geopump.su2 import require_angles
 
 RNG = np.random.default_rng(20260819)
@@ -211,19 +211,6 @@ class TestNearIdentityCharts:
         rebuilt = axis_angle_matrices(aa.alpha, aa.beta, aa.delta)
         assert np.max(np.abs(rebuilt - build_loop_operator(lp))) < 1e-10
 
-    def test_log_uniform_draws_never_fail(self):
-        rng = np.random.default_rng(11)
-        for _ in range(2000):
-            theta = 10.0 ** rng.uniform(-12.0, 0.0)
-            phi = math.copysign(10.0 ** rng.uniform(-12.0, 0.0), rng.uniform(-1.0, 1.0))
-            axis_angle_from_euler(euler_from_loop(LoopParams(theta, 0.0, phi)))
-
-    def test_unmatched_branch_is_typed(self, monkeypatch):
-        monkeypatch.setattr(su2, "CHART_MATCH_TOL", 0.0)
-        e = euler_from_loop(LoopParams(1.0, 0.2, 0.3))
-        with pytest.raises(ChartBranchError):
-            axis_angle_from_euler(e)
-
     def test_half_turn_has_no_cancellation(self):
         ht = half_turn(2e-9, 1e-9)
         assert ht.sin_h == pytest.approx(math.sqrt(2.0) * 1e-9, rel=1e-15)
@@ -329,15 +316,11 @@ class TestArrayCharts:
             assert np.array_equal(euler_matrices(e.phi, e.theta, e.psi), euler)
             assert np.array_equal(eulers[i], euler)
 
-    def test_array_errors_are_typed(self, monkeypatch):
+    def test_array_errors_are_typed(self):
         phi, theta, psi = loop_euler_angles(
             np.array([0.4, 1.0, 2.5]), np.array([0.1, 3.0, 5.0]), np.array([-0.3, 0.2, 1.1])
         )
         assert all(a.shape == (3,) for a in axis_angles(phi, theta, psi))
-        with monkeypatch.context() as strict:
-            strict.setattr(su2, "CHART_MATCH_TOL", 0.0)
-            with pytest.raises(ChartBranchError):
-                axis_angles(phi, theta, psi)
         with pytest.raises(ValueError, match="theta must lie in"):
             axis_angles(phi, theta + 1.0, psi)
         with pytest.raises(ValueError, match="psi must be a finite angle, got inf"):
@@ -347,6 +330,122 @@ class TestArrayCharts:
         theta[1], psi[1] = 0.0, -phi[1]
         with pytest.raises(IdentityRotationError):
             axis_angles(phi, theta, psi)
+
+
+# The chart gap: how far axis_angle_matrices(*axis_angles(*e)) may lie from
+# euler_matrices(*e), entry by entry.  Both read the same floats theta/2,
+# sigma = (phi + psi)/2 and d = (phi - psi)/2, so both approximate one exact
+# matrix M of those floats.  With s = sin(theta/2), c = cos(theta/2) and the
+# identities cos h = c cos(sigma), sin h cos(alpha) = c sin(sigma) and
+# sin h sin(alpha) = s,
+#     M00 = cos h - i sin h cos(alpha) = c e^{-i sigma},
+#     M01 = -i sin h sin(alpha) e^{-i beta} = -i s e^{-i d}   (beta = d mod 2 pi).
+# Errors are in units of u = eps/2 (Higham, Accuracy and Stability of
+# Numerical Algorithms, ch. 3): a product of n factors (1 + d_i)^(+-1) with
+# |d_i| <= u is 1 + t_n, |t_n| <= gamma_n = n u / (1 - n u).  Each libm call
+# (np.sin, np.cos, math.hypot, math.atan2) is taken to be within one ulp,
+# a relative error of at most 2u: two such factors.  Products with -i, 1j
+# or an exact zero part of a complex number round nothing.
+#
+# Euler side.  Each part of each entry is c or s (2) times a part of _cis
+# (2), rounded once (1): |E - M| <= gamma_5 |M| <= gamma_5.
+#
+# Chart angles.  s-hat = s (1 + t_2), c_sin-hat = c sin(sigma) (1 + t_5)
+# and c_cos-hat = c cos(sigma) (1 + t_5); hypot scales by at most its legs'
+# larger relative error, so sin h-hat = sin h (1 + t_7).  Scaling the legs
+# (x, y) of atan2 by 1 + a and 1 + b turns its angle by at most
+# |x y| |a - b| / (x^2 + y^2) <= |a - b| / 2 to first order, and atan2
+# itself adds 2u times its result, which is at most pi:
+#     |dh| <= gamma_7 + pi gamma_2,   |dalpha| <= gamma_4 + pi gamma_2.
+# beta = d % TWO_PI subtracts n TWO_PI, n = floor(d / TWO_PI), and
+# |2 pi - TWO_PI| <= 2 pi u; a negative d adds one rounding of at most
+# 2 pi u.  So as a phase |dbeta| <= (|n| + 1) 2 pi u.  On the z axis beta is
+# set to 0 and |e^{-i beta} - e^{-i d}| <= 2 takes the place of |dbeta|.
+# That branch needs the computed sin(alpha) sin h <= 1e-15, and that
+# product is s (1 + t_10) + |dalpha| (1 + t_10) at most, so it holds only
+# where s <= S_Z = (1e-15 + (gamma_4 + pi gamma_2)(1 + gamma_10)) / (1 - gamma_10).
+#
+# Chart side.  At its computed angles, a rebuilt diagonal entry carries
+# gamma_5 (sin of delta/2, cos alpha, one product) and an off-diagonal one
+# gamma_8 s (three libm values, two products).  The derivatives of M have
+# modulus at most 1 in h, at most max(s, |c sin(sigma)|) <= 1 in alpha and
+# s in beta, so to first order
+#     diagonal:      |R - M| <= gamma_5 + |dh| + |dalpha|,
+#     off-diagonal:  |R - M| <= gamma_8 s + |dh| + |dalpha| + s |dbeta|.
+# With the Euler side's gamma_5 and s <= 1, every entry obeys
+#     |R - E| <= G + s B,   G = gamma_5 + gamma_8 + gamma_7 + gamma_4 + 2 pi gamma_2
+# (about 36.6 u), B = (|n| + 1) 2 pi u off the z axis and 2 on it.  The
+# test's own np.sin for s and the rounded subtraction and modulus of the
+# gap add a factor 1 + gamma_4.  The gap measured over a million corner
+# draws stays below 5u.
+_U = 2.0**-53
+
+
+def _gamma(n):
+    return n * _U / (1.0 - n * _U)
+
+
+_CHART_G = _gamma(5) + _gamma(8) + _gamma(7) + _gamma(4) + 2.0 * math.pi * _gamma(2)
+_Z_AXIS_S = (1e-15 + (_gamma(4) + math.pi * _gamma(2)) * (1.0 + _gamma(10))) / (1.0 - _gamma(10))
+
+
+def _assert_chart_gap_within_bound(theta, omega, phi):
+    # rebuild the chart's matrices, compare them with the Euler matrices and
+    # hold the largest entrywise gap of each draw to the derived bound above
+    phi_e, theta_e, psi = loop_euler_angles(*np.broadcast_arrays(theta, omega, phi))
+    alpha, beta, delta = axis_angles(phi_e, theta_e, psi)
+    rebuilt = axis_angle_matrices(alpha, beta, delta)
+    gap = np.abs(rebuilt - euler_matrices(phi_e, theta_e, psi)).max(axis=(-2, -1))
+    s = np.sin(0.5 * theta_e)
+    n = np.abs(np.floor_divide(0.5 * (phi_e - psi), 2.0 * math.pi))
+    b = np.where((beta == 0.0) & (s <= _Z_AXIS_S), 2.0, (n + 1.0) * 2.0 * math.pi * _U)
+    bound = (_CHART_G + s * b) * (1.0 + _gamma(4))
+    assert np.all(gap < bound), (gap.max(), bound[np.argmax(gap / bound)])
+
+
+_OMEGA = st.floats(0.0, 2.0 * math.pi, exclude_max=True)
+_SIGN = st.sampled_from((1.0, -1.0))
+_SMALL = _log_uniform(1e-12, HALF_PI)
+_CORNER_LOOPS = st.one_of(
+    # theta -> 0, phi -> 0
+    st.tuples(_SMALL, _OMEGA, st.tuples(_SMALL, _SIGN).map(lambda v: v[0] * v[1])),
+    # theta -> pi, phi -> +-pi/2
+    st.tuples(
+        _SMALL.map(lambda x: math.pi - x),
+        _OMEGA,
+        st.tuples(_SMALL, _SIGN).map(lambda v: (HALF_PI - v[0]) * v[1]),
+    ),
+    st.tuples(st.floats(1e-6, math.pi), _OMEGA, st.floats(-HALF_PI, HALF_PI)),
+)
+
+
+class TestChartGap:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(loops=st.lists(_CORNER_LOOPS, min_size=1, max_size=50))
+    def test_draws_stay_within_the_derived_bound(self, loops):
+        _assert_chart_gap_within_bound(*(np.array(v) for v in zip(*loops)))
+
+    def test_corner_grid_stays_within_the_derived_bound(self):
+        # theta = 1e-14 has s above S_Z: its beta must come off the z axis
+        small = np.array([1e-14, 1e-12, 1e-9, 1e-6, 1e-3])
+        theta, omega, phi = (
+            a.ravel()
+            for a in np.meshgrid(small, [0.0, 2.0, math.pi, 5.9], np.concatenate([small, -small]))
+        )
+        _assert_chart_gap_within_bound(theta, omega, phi)
+        far_phi = np.copysign(HALF_PI - np.abs(phi), phi)
+        _assert_chart_gap_within_bound(math.pi - theta, omega, far_phi)
+        # theta = 0 (the z axis, where beta = 0) and theta = pi exactly
+        _assert_chart_gap_within_bound(0.0, omega, np.where(phi > 0, 0.8, -1e-6))
+        _assert_chart_gap_within_bound(math.pi, omega, far_phi)
+
+    @pytest.mark.parametrize("seed", [53, 87, 137, 143])
+    def test_rate_draws_stay_within_the_derived_bound(self, seed):
+        # the 40000 draws of a rate-draws run; each of these seeds draws a
+        # theta near 1e-6 (2.8e-7 at seed 53)
+        theta, omega, phi = sample_loop_angles(make_rng(seed), 40_000)
+        assert theta.min() < 1.1e-6
+        _assert_chart_gap_within_bound(theta, omega, phi)
 
 
 @pytest.mark.parametrize(
