@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 
-from .su2 import HALF_PI, LoopParams, axis_angles, half_turn, loop_euler_angles, require_angles
+from .su2 import HALF_PI, LoopParams, _axis_alpha, half_turn, loop_euler_angles, require_angles
 
 
 class RemovableSingularityWarning(UserWarning):
@@ -76,7 +76,7 @@ def p_infinity_axis_array(theta, omega, phi):
     Raises IdentityRotationError when any loop operator is +/-identity and
     has no axis.
     """
-    alpha, _, _ = axis_angles(*loop_euler_angles(theta, omega, phi))
+    _, alpha = _axis_alpha(*loop_euler_angles(theta, omega, phi))
     sa = np.sin(alpha)
     return 0.5 * sa * sa
 

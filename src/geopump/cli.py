@@ -5,9 +5,13 @@ float64) per named field, and writes it as CSV or JSON.  Output bytes are a
 pure function of the effective configuration: floats are printed with 17
 significant digits, metadata keys have a fixed order, and line endings are
 LF.  Rows are formatted and written in blocks of at most BLOCK_ROWS rows, so
-memory while writing does not grow with the size of the output.  A float
+memory while writing does not grow with the size of the output.  CSV cells
+hold the bytes of '%.17g' % x and '%d' % n, spelled in numpy a column block
+at a time (see _cells): exact digits from a double-double product, with
+Python's % only for the cells the kernel cannot decide, such as near-ties
+and non-finite values.  JSON cells go through Python's %r and json.  A
 column block that repeats the previous block's bits, or runs of equal bits,
-is formatted once per distinct value, with the same bytes.  Grid commands
+is spelled once per distinct value, with the same bytes.  Grid commands
 put whole theta rows in each block; simulate computes each block as it is
 written, so its memory does not grow with --cycles.  --threads is accepted
 and validated but changes neither the bytes nor the parallelism.
@@ -19,6 +23,7 @@ Exit codes: 0 success, 1 bad configuration, 2 runtime or I/O failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -183,24 +188,31 @@ class ResultTable:
         return tuple(zip(*(c.tolist() for c in self.data)))
 
 
-def _spelled(fmt: str, convert, values) -> list[str]:
+def _texts(fmt: str, convert, col: np.ndarray) -> list[str]:
+    values = col.tolist()
     return [fmt % v for v in (values if convert is None else map(convert, values))]
 
 
-def _texts_once(col: np.ndarray, fmt: str, convert, last):
-    """(bits, texts) of a float column block.  texts holds one string per
-    cell when the block's float-to-text can be paid once per distinct
-    value, else None.  last is what the same column gave in the previous
-    block.  Values are compared as bits, so 0.0 and -0.0 differ."""
+def _reused(col: np.ndarray, last, spell, expand):
+    """(bits, cells) of a column block whose cells are spelled once per
+    distinct value, or (bits, None) when its values are too varied to gain.
+    last is what the same column gave in the previous block.  A block with
+    the bits of the previous one takes its cells, or spell(col) if it has
+    none; a block of runs of equal bits, two rows long on average, gives
+    expand(spell(run starts), run lengths).  Values are compared as bits,
+    so 0.0 and -0.0 differ."""
     bits = col.view(np.int64)
     if last is not None and np.array_equal(bits, last[0]):
-        return bits, _spelled(fmt, convert, col.tolist()) if last[1] is None else last[1]
+        return bits, spell(col) if last[1] is None else last[1]
+    last = None  # the caller hands last over, so its cells are freed here
     starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
     if 2 * len(starts) > len(bits):  # runs shorter than two rows on average
         return bits, None
-    once = _spelled(fmt, convert, col[starts].tolist())
-    runs = np.diff(starts, append=len(bits)).tolist()
-    return bits, list(itertools.chain.from_iterable(map(itertools.repeat, once, runs)))
+    return bits, expand(spell(col[starts]), np.diff(starts, append=len(bits)))
+
+
+def _repeat_texts(texts, runs):
+    return list(itertools.chain.from_iterable(map(itertools.repeat, texts, runs.tolist())))
 
 
 def _row_text(blocks, spell, frame, sep: str):
@@ -219,7 +231,8 @@ def _row_text(blocks, spell, frame, sep: str):
         for j, col in enumerate(block):
             fmt, convert = spell(col)
             if col.dtype.kind == "f":
-                last[j] = _texts_once(col, fmt, convert, last.get(j))
+                texts = functools.partial(_texts, fmt, convert)
+                last[j] = _reused(col, last.pop(j, None), texts, _repeat_texts)
             if col.dtype.kind == "f" and last[j][1] is not None:
                 fmt, cells[j::width] = "%s", last[j][1]
             else:
@@ -231,16 +244,40 @@ def _row_text(blocks, spell, frame, sep: str):
         lead = sep
 
 
-def _csv_cell(col):
-    # '%.17g' % x == format(x, '.17g')
-    return ("%d" if col.dtype.kind == "i" else "%.17g"), None
+# rows read out of the character planes at a time: the transposed copy and
+# its bytes stay small next to a block's planes, and so does the peak RSS
+_TEXT_ROWS = 1024
+_repeat_planes = functools.partial(np.repeat, axis=1)
+
+
+def _csv_rows(blocks):
+    """Yield the CSV rows of each column block, _TEXT_ROWS rows at a time.
+    Every column is spelled as character planes (see _cells), which are
+    stacked with the separator planes, transposed and read out with the
+    empty slots deleted.  A column block that repeats the previous block's
+    bits takes its planes; one made of runs of equal bits spells the run
+    starts and repeats their planes."""
+    from ._cells import float_planes, int_planes  # on the first CSV write, not at import
+
+    last = {}
+    for block in blocks:
+        planes = []
+        for j, col in enumerate(block):
+            spell = float_planes if col.dtype.kind == "f" else int_planes
+            bits, cells = _reused(col, last.pop(j, None), spell, _repeat_planes)
+            last[j] = bits, spell(col) if cells is None else cells
+            planes += [last[j][1], np.full((1, len(col)), ord(","), np.uint8)]
+        planes[-1] = np.full((1, len(block[0])), ord("\n"), np.uint8)
+        for lo in range(0, len(block[0]), _TEXT_ROWS):
+            part = np.concatenate([p[:, lo : lo + _TEXT_ROWS] for p in planes])
+            yield part.T.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _csv_blocks(table: ResultTable):
     lines = [f"# {key} = {value}" for key, value in table.metadata.items()]
     lines.append(",".join(table.columns))
     yield "\n".join(lines) + "\n"
-    yield from _row_text(table.blocks(), _csv_cell, ("", ",", "\n"), "")
+    yield from _csv_rows(table.blocks())
 
 
 def _json_cell(col):

@@ -243,17 +243,23 @@ def axis_angles(phi, theta, psi):
     sign and its axis is undefined.
     """
     phi, theta, psi = np.broadcast_arrays(phi, theta, psi)
+    ht, alpha = _axis_alpha(phi, theta, psi)
+    delta = 2.0 * ht.h
+    # on the z axis the azimuth is arbitrary
+    beta = np.where(np.sin(alpha) * ht.sin_h > 1e-15, (0.5 * (phi - psi)) % TWO_PI, 0.0)
+    return alpha, beta, delta
+
+
+def _axis_alpha(phi, theta, psi):
+    """(HalfTurn, alpha) of Euler triples: the checks and the axis polar
+    angle of axis_angles, without the turn angle and the azimuth."""
     require_angles(theta, phi=phi, psi=psi)
     ht = half_turn(theta, 0.5 * (phi + psi))
     if np.any(ht.sin_h < IDENTITY_SIN_TOL):
         raise IdentityRotationError(
             "rotation equals +/-identity; axis angles are undefined"
         )
-    delta = 2.0 * ht.h
-    alpha = _pointwise(math.atan2, ht.s, ht.c_sin)
-    # on the z axis the azimuth is arbitrary
-    beta = np.where(np.sin(alpha) * ht.sin_h > 1e-15, (0.5 * (phi - psi)) % TWO_PI, 0.0)
-    return alpha, beta, delta
+    return ht, _pointwise(math.atan2, ht.s, ht.c_sin)
 
 
 def axis_angle_from_euler(e: EulerAngles) -> AxisAngle:

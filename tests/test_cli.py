@@ -3,10 +3,15 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geopump import (
     IdentityRotationError,
@@ -902,3 +907,99 @@ def test_output_bytes_are_pinned(tmp_path, capsys, argv, csv_digest, json_digest
     assert main([*argv, "--format", fmt, "--out", str(out)]) == 0
     digest = csv_digest if fmt == "csv" else json_digest
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# --- CSV cell spelling ------------------------------------------------------
+
+def _percent_rows(columns):
+    # per cell through Python's %, joined by "," and "\n"
+    fmts = ["%d" if c.dtype.kind == "i" else "%.17g" for c in columns]
+    rows = zip(*(c.tolist() for c in columns))
+    return "".join(",".join(f % v for f, v in zip(fmts, row)) + "\n" for row in rows)
+
+
+def _csv_rows(columns):
+    text = to_csv(ResultTable([f"c{j}" for j in range(len(columns))], columns))
+    return text.split("\n", 1)[1]  # past the header line
+
+
+def _bits(x: float) -> int:
+    return int(np.float64(x).view(np.int64))
+
+
+_FLOAT_BITS = st.one_of(
+    # any sign, any biased exponent (0: zeros and subnormals, 2047: inf and NaN)
+    st.builds(
+        lambda sign, exponent, mantissa: (sign << 63 | exponent << 52 | mantissa) - (sign << 64),
+        st.integers(0, 1),
+        st.integers(0, 2047),
+        st.one_of(st.integers(0, 2**52 - 1), st.sampled_from([0, 1, 2**51, 2**52 - 1])),
+    ),
+    # short decimals: trailing zeros, powers of ten and their neighbourhood
+    st.builds(
+        lambda m, k: _bits(float(f"{m}e{k}")), st.integers(-(10**6), 10**6), st.integers(-300, 300)
+    ),
+    # m / 2^k with m * 5^k of about 18 digits: exact 18-digit decimal ties
+    st.builds(
+        lambda m, k: _bits(math.ldexp(m, -k)), st.integers(-(2**12), 2**12), st.integers(17, 30)
+    ),
+)
+_INT64 = st.one_of(
+    st.integers(-(2**63), 2**63 - 1),
+    st.integers(-(10**6), 10**6),
+    st.sampled_from([0, 2**63 - 1, -(2**63), -(2**63 - 1), 2**53, -(2**53), 2**53 - 1]),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(cells=st.lists(st.tuples(_FLOAT_BITS, _INT64), min_size=1, max_size=60))
+def test_csv_cells_are_spelled_as_percent_does(cells):
+    bits, ints = zip(*cells)
+    columns = (np.array(bits, np.int64).view(np.float64), np.array(ints, np.int64))
+    assert _csv_rows(columns) == _percent_rows(columns)
+
+
+def _neighbours(x):
+    x = np.asarray(x, dtype=np.float64)
+    return np.concatenate([x, np.nextafter(x, 0.0), np.nextafter(x, np.inf)])
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        # exact 18-digit ties, which % rounds half to even; 10^23 is no double
+        [1.0 + 2.0**-17] + [m / 2.0**24 for m in range(1, 2000, 2)],
+        _neighbours([float(f"1e{k}") for k in range(-300, 301)]),
+        _neighbours([9.9999999999999991e-5, 1e-4, 1e16, 1e17, 5e-324, 1e300]),
+    ],
+    ids=["ties", "powers-of-ten", "edges"],
+)
+def test_csv_spelling_at_ties_and_powers_of_ten(values):
+    x = np.asarray(values, dtype=np.float64)
+    columns = (x, -x)
+    assert _csv_rows(columns) == _percent_rows(columns)
+
+
+def test_csv_tie_rounds_half_to_even():
+    assert _csv_rows((np.array([1.0 + 2.0**-17]),)) == "1.0000076293945312\n"
+
+
+def test_cli_import_builds_no_format_table():
+    # a fresh interpreter: the tables are built on the first CSV write, and
+    # nothing imports the bignum modules that would cost set-up time
+    code = (
+        "import sys\n"
+        "import geopump.cli\n"
+        "from geopump import _cells\n"
+        "print(_cells._tables.cache_info().currsize,"
+        " sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out.strip() == "0 []"
