@@ -36,6 +36,17 @@ class GapClosedError(ValueError):
     """The spectral gap is (numerically) closed; the winding is undefined."""
 
 
+def _require_chain(**params) -> None:
+    """Raise ValueError unless every chain parameter is finite and the
+    lattice constant l has l > 0 and a finite 2*pi/l."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    l = params["l"]
+    if not (l > 0.0 and math.isfinite(TWO_PI / l)):
+        raise ValueError(f"lattice constant l needs l > 0 and finite 2*pi/l, got {l}")
+
+
 @dataclass(frozen=True)
 class ChainParams:
     """Static chain: intra-cell hopping v, inter-cell hopping w, lattice
@@ -46,11 +57,7 @@ class ChainParams:
     l: float = 1.0
 
     def __post_init__(self):
-        for name, value in (("v", self.v), ("w", self.w), ("l", self.l)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if not (self.l > 0.0 and math.isfinite(TWO_PI / self.l)):
-            raise ValueError(f"lattice constant l needs l > 0 and finite 2*pi/l, got {self.l}")
+        _require_chain(v=self.v, w=self.w, l=self.l)
 
 
 def min_gap(cp: ChainParams) -> float:
@@ -99,13 +106,9 @@ class DriveCycle:
     l: float = 1.0
 
     def __post_init__(self):
-        for name, value in (("a", self.a), ("w", self.w), ("l", self.l)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        _require_chain(a=self.a, w=self.w, l=self.l)
         if self.w == 0.0:
             raise ValueError("the chain needs w != 0")
-        if not (self.l > 0.0 and math.isfinite(TWO_PI / self.l)):
-            raise ValueError(f"lattice constant l needs l > 0 and finite 2*pi/l, got {self.l}")
 
     def v_at(self, time_fraction: float) -> float:
         """Drive value at the given fraction of the cycle."""

@@ -2,19 +2,21 @@
 
 Every command produces a ResultTable, one typed numpy column (int64 or
 float64) per named field, and writes it as CSV or JSON.  Output bytes are a
-pure function of the effective configuration: floats are printed with 17
-significant digits, metadata keys have a fixed order, and line endings are
-LF.  Rows are formatted and written in blocks of at most BLOCK_ROWS rows, so
-memory while writing does not grow with the size of the output.  CSV cells
-hold the bytes of '%.17g' % x and '%d' % n, spelled in numpy a column block
-at a time (see _cells): exact digits from a double-double product, with
-Python's % only for the cells the kernel cannot decide, such as near-ties
-and non-finite values.  JSON cells go through Python's %r and json.  A
-column block that repeats the previous block's bits, or runs of equal bits,
-is spelled once per distinct value, with the same bytes.  Grid commands
-put whole theta rows in each block; simulate computes each block as it is
-written, so its memory does not grow with --cycles.  --threads is accepted
-and validated but changes neither the bytes nor the parallelism.
+pure function of the effective configuration: CSV prints floats with 17
+significant digits and JSON with repr, metadata keys have a fixed order,
+and line endings are LF.  Every table is read and written in blocks of at
+most BLOCK_ROWS rows, so memory while writing does not grow with the size
+of the output.  CSV cells hold the bytes of '%.17g' % x and '%d' % n,
+spelled in numpy a column block at a time (see _cells): exact digits from
+a double-double product, with Python's % only for the cells the kernel
+cannot decide, such as near-ties and non-finite values.  JSON cells are
+spelled by repr, as json spells ints and finite floats, and by json for
+NaN and +/-inf.  In both formats a column block that repeats the previous
+block's bits, or runs of equal bits, is spelled once per distinct value,
+with the same bytes.  Grid commands put whole theta rows in each block;
+simulate computes each block as it is written, so its memory does not grow
+with --cycles.  --threads is accepted and validated but changes neither
+the bytes nor the parallelism.
 
 Exit codes: 0 success, 1 bad configuration, 2 runtime or I/O failure,
 3 verification failure.
@@ -41,7 +43,7 @@ from .asymptotics import p_geometric, p_infinity_array, p_infinity_axis_array
 from .band import DriveCycle, GapClosedError, pump_profile
 from .evolution import pump_trace_blocks
 from .sampling import make_rng, sample_loop_angles
-from .stability import phase_diagram
+from .stability import _axis, phase_diagram
 from .su2 import HALF_PI, IdentityRotationError, LoopParams
 
 
@@ -131,20 +133,29 @@ def _as_column(values) -> np.ndarray:
 BLOCK_ROWS = 4096
 
 
+def _column_blocks(*columns):
+    """Column blocks of BLOCK_ROWS rows (the last one shorter) cut from
+    equal-length 1-D columns, as views."""
+    n = len(columns[0]) if columns else 0
+    for start in range(0, n, BLOCK_ROWS):
+        yield tuple(c[start : start + BLOCK_ROWS] for c in columns)
+
+
 class ResultTable:
     """Named numeric columns plus the metadata needed to re-run them.
 
-    The rows are held either as whole columns (`data`) or as a block
-    source: a callable returning a fresh iterator of column blocks, each a
-    tuple of one 1-D array per column, of at most BLOCK_ROWS rows.  The
-    writers read every table through `blocks()`, so a streamed table is
-    computed while it is written and never held whole; its `data` and
-    `rows` are built on access.  Columns are read-only int64 or float64;
-    bool and unsigned input up to 32 bits is cast to int64.  Dtypes, the
-    column count and equal lengths are checked once per column (per block
-    for a source), never per cell.  `rows` is a derived view with Python
-    ints and floats.  `report` holds lines for stdout, never written into
-    the output.
+    The rows come from a block source: a callable returning a fresh
+    iterator of column blocks, each a tuple of one 1-D array per column,
+    of at most BLOCK_ROWS rows.  Whole columns passed as `data` are checked
+    once and cut into blocks by _column_blocks.  The writers read every
+    table through `blocks()`, so a streamed table is computed while it is
+    written and never held whole.  `data` is a read-only concatenated copy
+    of the blocks, and `rows` the same rows with Python ints and floats;
+    both are built on access.  Columns are read-only int64 or float64;
+    bool and unsigned input up to 32 bits is cast to int64, and a table
+    without rows reads float64 columns.  Dtypes, the column count and
+    equal lengths are checked once per column of each block, never per
+    cell.  `report` holds lines for stdout, never written into the output.
     """
 
     def __init__(self, columns, data=None, metadata=None, *, source=None, report=()):
@@ -153,7 +164,8 @@ class ResultTable:
         self.columns = tuple(str(c) for c in columns)
         self.metadata = {} if metadata is None else metadata
         self.report = tuple(report)
-        self._data = None if data is None else self._checked(data)
+        if data is not None:
+            source = functools.partial(_column_blocks, *self._checked(data))
         self._source = source
 
     def _checked(self, data) -> tuple[np.ndarray, ...]:
@@ -166,18 +178,10 @@ class ResultTable:
 
     def blocks(self):
         """Iterate the rows as non-empty column blocks of checked columns."""
-        if self._source is None:
-            n = len(self._data[0]) if self._data else 0
-            return (
-                tuple(c[start : start + BLOCK_ROWS] for c in self._data)
-                for start in range(0, n, BLOCK_ROWS)
-            )
         return (b for b in map(self._checked, self._source()) if b and len(b[0]))
 
     @property
     def data(self) -> tuple[np.ndarray, ...]:
-        if self._source is None:
-            return self._data
         parts = list(zip(*self.blocks()))
         if not parts:
             return self._checked([np.empty(0)] * len(self.columns))
@@ -188,9 +192,8 @@ class ResultTable:
         return tuple(zip(*(c.tolist() for c in self.data)))
 
 
-def _texts(fmt: str, convert, col: np.ndarray) -> list[str]:
-    values = col.tolist()
-    return [fmt % v for v in (values if convert is None else map(convert, values))]
+def _texts(spell, col: np.ndarray) -> list[str]:
+    return list(map(spell, col.tolist()))
 
 
 def _reused(col: np.ndarray, last, spell, expand):
@@ -213,35 +216,6 @@ def _reused(col: np.ndarray, last, spell, expand):
 
 def _repeat_texts(texts, runs):
     return list(itertools.chain.from_iterable(map(itertools.repeat, texts, runs.tolist())))
-
-
-def _row_text(blocks, spell, frame, sep: str):
-    """Yield each column block as text, each block after the first led by
-    `sep`.  A block is one % call: the one-row template (frame's head, the
-    column formats joined by its separator, and its tail) joined by `sep`,
-    applied to the block's cells interleaved column by column.
-    spell(column) gives the column's format and None or a function that
-    maps its Python values before formatting.  A float column that repeats
-    the previous block's bits, or is made of runs of equal bits, enters
-    the template as texts formatted once per distinct value."""
-    lead, last = "", {}
-    for block in blocks:
-        width, k = len(block), len(block[0])
-        cells, fmts = [None] * (k * width), []
-        for j, col in enumerate(block):
-            fmt, convert = spell(col)
-            if col.dtype.kind == "f":
-                texts = functools.partial(_texts, fmt, convert)
-                last[j] = _reused(col, last.pop(j, None), texts, _repeat_texts)
-            if col.dtype.kind == "f" and last[j][1] is not None:
-                fmt, cells[j::width] = "%s", last[j][1]
-            else:
-                values = col.tolist()
-                cells[j::width] = values if convert is None else map(convert, values)
-            fmts.append(fmt)
-        row = frame[0] + frame[1].join(fmts) + frame[2]
-        yield lead + sep.join([row] * k) % tuple(cells)
-        lead = sep
 
 
 # rows read out of the character planes at a time: the transposed copy and
@@ -280,14 +254,33 @@ def _csv_blocks(table: ResultTable):
     yield from _csv_rows(table.blocks())
 
 
-def _json_cell(col):
-    # json spells a finite float as repr() does; a block of a column
-    # holding NaN or +/-inf goes through json for its NaN/Infinity spelling
-    if col.dtype.kind == "i":
-        return "%d", None
-    if np.isfinite(col).all():
-        return "%r", None
-    return "%s", json.dumps
+def _json_rows(blocks):
+    """Yield the JSON rows of each column block as text, each block after
+    the first led by ",\n".  A block is one % call: the one-row template
+    joined k times, applied to the block's cells interleaved column by
+    column.  A cell is spelled as json spells it: repr for an int or a
+    finite float, json.dumps for a float block holding NaN or +/-inf.  A
+    column block that repeats the previous block's bits, or is made of
+    runs of equal bits, enters as texts spelled once per distinct value;
+    a varied repr block enters the template as its raw values."""
+    lead, last = "", {}
+    for block in blocks:
+        width, k = len(block), len(block[0])
+        cells, fmts = [None] * (k * width), []
+        for j, col in enumerate(block):
+            spell = repr if col.dtype.kind == "i" or np.isfinite(col).all() else json.dumps
+            texts = functools.partial(_texts, spell)
+            last[j] = _reused(col, last.pop(j, None), texts, _repeat_texts)
+            reused = last[j][1]
+            if reused is None and spell is repr:
+                fmts.append("%r")
+                cells[j::width] = col.tolist()
+            else:
+                fmts.append("%s")
+                cells[j::width] = texts(col) if reused is None else reused
+        row = "    [\n      " + ",\n      ".join(fmts) + "\n    ]"
+        yield lead + ",\n".join([row] * k) % tuple(cells)
+        lead = ",\n"
 
 
 def _json_blocks(table: ResultTable):
@@ -300,8 +293,7 @@ def _json_blocks(table: ResultTable):
         yield head[:-2] + ',\n  "rows": []\n}\n'
         return
     yield head[:-2] + ',\n  "rows": [\n'
-    frame = ("    [\n      ", ",\n      ", "\n    ]")
-    yield from _row_text(itertools.chain([first], blocks), _json_cell, frame, ",\n")
+    yield from _json_rows(itertools.chain([first], blocks))
     yield "\n  ]\n}\n"
 
 
@@ -400,12 +392,12 @@ def _run_asymptote(cfg: RunConfig) -> ResultTable:
     if p["samples"] > 0:
         _require_rows("samples", p["samples"])
         draws = sample_loop_angles(make_rng(cfg.seed), p["samples"])
-        blocks = zip(*(np.split(a, range(BLOCK_ROWS, len(a), BLOCK_ROWS)) for a in draws))
+        blocks = _column_blocks(*draws)
     elif p["theta_grid"] >= 2 and p["phi_grid"] >= 2:
         n_theta, n_phi = p["theta_grid"], p["phi_grid"]
         _require_rows("theta_grid * phi_grid", n_theta * n_phi)
-        thetas = (np.arange(n_theta) + 0.5) * math.pi / n_theta
-        phis = -HALF_PI + (np.arange(n_phi) + 0.5) * math.pi / n_phi
+        thetas = _axis(0.0, math.pi, n_theta, 0.5)
+        phis = _axis(-HALF_PI, HALF_PI, n_phi, 0.5)
         blocks = ((theta, 0.0, phi) for theta, phi in _grid_blocks(thetas, phis))
     else:
         raise ConfigError("need samples > 0 or both grids >= 2")

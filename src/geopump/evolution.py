@@ -16,13 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .su2 import (
-    IDENTITY_SIN_TOL,
-    TWO_PI,
-    IdentityRotationError,
-    LoopParams,
-    half_turn,
-)
+from .su2 import TWO_PI, LoopParams, _require_axis, half_turn
 
 
 def build_loop_operator(lp: LoopParams) -> np.ndarray:
@@ -168,7 +162,5 @@ def trajectory_angles(lp: LoopParams, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    ht = half_turn(lp.theta, lp.phi)
-    if ht.sin_h < IDENTITY_SIN_TOL:
-        raise IdentityRotationError("loop operator equals +/-identity; no turn axis")
+    ht = _require_axis(half_turn(lp.theta, lp.phi))
     return (2.0 * ht.h * np.arange(1, n + 1)) % TWO_PI

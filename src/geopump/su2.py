@@ -254,12 +254,16 @@ def _axis_alpha(phi, theta, psi):
     """(HalfTurn, alpha) of Euler triples: the checks and the axis polar
     angle of axis_angles, without the turn angle and the azimuth."""
     require_angles(theta, phi=phi, psi=psi)
-    ht = half_turn(theta, 0.5 * (phi + psi))
-    if np.any(ht.sin_h < IDENTITY_SIN_TOL):
-        raise IdentityRotationError(
-            "rotation equals +/-identity; axis angles are undefined"
-        )
+    ht = _require_axis(half_turn(theta, 0.5 * (phi + psi)))
     return ht, _pointwise(math.atan2, ht.s, ht.c_sin)
+
+
+def _require_axis(ht: HalfTurn) -> HalfTurn:
+    """ht itself, or IdentityRotationError when any of its rotations is
+    +/-identity to rounding and has no axis."""
+    if np.any(ht.sin_h < IDENTITY_SIN_TOL):
+        raise IdentityRotationError("rotation equals +/-identity; it has no axis")
+    return ht
 
 
 def axis_angle_from_euler(e: EulerAngles) -> AxisAngle:

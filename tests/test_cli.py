@@ -161,6 +161,20 @@ class TestResultTable:
                 {"say": 'a "quoted" \\ back', "name": "Θ-φ ümlaut ✓", "nan": math.nan},
                 id="metadata-strings",
             ),
+            # blocks that repeat the previous block's bits, runs of equal
+            # bits and varied blocks, in float columns with NaN and +/-inf
+            # and in int columns
+            pytest.param(
+                ("runs", "repeat", "n", "varied"),
+                (
+                    np.repeat([math.nan, 1.5, -math.inf, 2.0], BLOCK_ROWS)[: 3 * BLOCK_ROWS + 5],
+                    np.resize(np.resize([0.1, math.nan, math.inf], BLOCK_ROWS), 3 * BLOCK_ROWS + 5),
+                    np.repeat(np.arange(BLOCK_ROWS + 2), 3)[: 3 * BLOCK_ROWS + 5],
+                    np.linspace(-1.0, 1.0, 3 * BLOCK_ROWS + 5),
+                ),
+                {},
+                id="multi-block",
+            ),
         ],
     )
     def test_json_writer_matches_json_dumps(self, columns, data, metadata):
@@ -889,6 +903,12 @@ _GOLDEN = [
         ["band-scan", "--a", "1.0", "--k-grid", "256"],
         "3531891a4385debbc117bc18f8df9f4ee95bae8042915d799d4513f00864302b",
         "bb5e02ff4f126dabf8fb20f61ec5da0461a0368f5d17255c47f29cd1413c6408",
+    ),
+    # a whole-column table over three blocks, the last one partial
+    (
+        ["band-scan", "--k-grid", "10000", "--a", "1.0"],
+        "8f828ffb86ceb5e5948bc9d5c36a8effc7c964257310b9ceb59096de21a39197",
+        "24e0c98a4e10f77fe99b37d7b6eb24ee2e64ea0002cdee5983ecbbe0520f669c",
     ),
     (
         ["verify", "--seed", "1"],
