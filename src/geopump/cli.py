@@ -3,15 +3,15 @@
 Every command produces a ResultTable, one typed numpy column (int64 or
 float64) per named field, and writes it as CSV or JSON.  Output bytes are a
 pure function of the effective configuration: CSV prints floats with 17
-significant digits and JSON with repr, metadata keys have a fixed order,
-and line endings are LF.  Every table is read and written in blocks of at
-most BLOCK_ROWS rows, so memory while writing does not grow with the size
-of the output.  CSV cells hold the bytes of '%.17g' % x and '%d' % n,
-spelled in numpy a column block at a time (see _cells): exact digits from
-a double-double product, with Python's % only for the cells the kernel
-cannot decide, such as near-ties and non-finite values.  JSON cells are
-spelled by repr, as json spells ints and finite floats, and by json for
-NaN and +/-inf.  In both formats a column block that repeats the previous
+significant digits and JSON as json.dumps does (repr, and NaN, Infinity),
+metadata keys have a fixed order, and line endings are LF.  Every table is
+read and written in blocks of at most BLOCK_ROWS rows, so memory while
+writing does not grow with the size of the output.  Both formats go
+through one writer: each column block is spelled as character planes in
+numpy (see _cells), '%.17g' % x or repr(x) for a float and '%d' % n for an
+int, and the planes are framed by the format's separators and read out as
+rows.  Python spells only the cells the kernel cannot decide, such as
+near-ties and non-finite values.  A column block that repeats the previous
 block's bits, or runs of equal bits, is spelled once per distinct value,
 with the same bytes.  Grid commands put whole theta rows in each block;
 simulate computes each block as it is written, so its memory does not grow
@@ -192,98 +192,69 @@ class ResultTable:
         return tuple(zip(*(c.tolist() for c in self.data)))
 
 
-def _texts(spell, col: np.ndarray) -> list[str]:
-    return list(map(spell, col.tolist()))
-
-
-def _reused(col: np.ndarray, last, spell, expand):
-    """(bits, cells) of a column block whose cells are spelled once per
-    distinct value, or (bits, None) when its values are too varied to gain.
-    last is what the same column gave in the previous block.  A block with
-    the bits of the previous one takes its cells, or spell(col) if it has
-    none; a block of runs of equal bits, two rows long on average, gives
-    expand(spell(run starts), run lengths).  Values are compared as bits,
-    so 0.0 and -0.0 differ."""
+def _reused(col: np.ndarray, last, spell):
+    """(bits, planes) of a column block, spelled once per distinct value
+    where that gains.  last is what the same column gave in the previous
+    block: a block with its bits takes its planes.  A block of runs of
+    equal bits, two rows long on average, spells the run starts and repeats
+    their planes.  Values are compared as bits, so 0.0 and -0.0 differ."""
     bits = col.view(np.int64)
     if last is not None and np.array_equal(bits, last[0]):
-        return bits, spell(col) if last[1] is None else last[1]
-    last = None  # the caller hands last over, so its cells are freed here
+        return last
+    last = None  # the caller hands last over, so its planes are freed here
     starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
     if 2 * len(starts) > len(bits):  # runs shorter than two rows on average
-        return bits, None
-    return bits, expand(spell(col[starts]), np.diff(starts, append=len(bits)))
-
-
-def _repeat_texts(texts, runs):
-    return list(itertools.chain.from_iterable(map(itertools.repeat, texts, runs.tolist())))
+        return bits, spell(col)
+    return bits, np.repeat(spell(col[starts]), np.diff(starts, append=len(bits)), axis=1)
 
 
 # rows read out of the character planes at a time: the transposed copy and
 # its bytes stay small next to a block's planes, and so does the peak RSS
 _TEXT_ROWS = 1024
-_repeat_planes = functools.partial(np.repeat, axis=1)
+
+# a row frame: row start, cell separator, row end, and what joins two rows
+_CSV_FRAME = ("", ",", "\n", "")
+_JSON_FRAME = ("    [\n      ", ",\n      ", "\n    ]", ",\n")
 
 
-def _csv_rows(blocks):
-    """Yield the CSV rows of each column block, _TEXT_ROWS rows at a time.
-    Every column is spelled as character planes (see _cells), which are
-    stacked with the separator planes, transposed and read out with the
-    empty slots deleted.  A column block that repeats the previous block's
-    bits takes its planes; one made of runs of equal bits spells the run
-    starts and repeats their planes."""
-    from ._cells import float_planes, int_planes  # on the first CSV write, not at import
+def _rows(blocks, spell_float, frame):
+    """Yield the rows of each column block as text, _TEXT_ROWS rows at a
+    time.  Each column block is spelled as character planes (see _cells),
+    by spell_float for floats and int_planes for ints, once per distinct
+    value where that gains (see _reused).  The planes are stacked with the
+    frame's, transposed and read out with the empty slots deleted: every
+    row is led by the frame's join and start, and the first row's join is
+    cut off its text."""
+    from ._cells import int_planes  # on the first write, not at import
 
-    last = {}
+    start, sep, end, join = (np.frombuffer(s.encode(), np.uint8)[:, None] for s in frame)
+    lead, skip, last = np.concatenate([join, start]), len(join), {}
     for block in blocks:
-        planes = []
+        n = len(block[0])
+        planes = [np.broadcast_to(lead, (len(lead), n))]
         for j, col in enumerate(block):
-            spell = float_planes if col.dtype.kind == "f" else int_planes
-            bits, cells = _reused(col, last.pop(j, None), spell, _repeat_planes)
-            last[j] = bits, spell(col) if cells is None else cells
-            planes += [last[j][1], np.full((1, len(col)), ord(","), np.uint8)]
-        planes[-1] = np.full((1, len(block[0])), ord("\n"), np.uint8)
-        for lo in range(0, len(block[0]), _TEXT_ROWS):
+            spell = spell_float if col.dtype.kind == "f" else int_planes
+            last[j] = _reused(col, last.pop(j, None), spell)
+            planes += [last[j][1], np.broadcast_to(sep, (len(sep), n))]
+        planes[-1] = np.broadcast_to(end, (len(end), n))
+        for lo in range(0, n, _TEXT_ROWS):
             part = np.concatenate([p[:, lo : lo + _TEXT_ROWS] for p in planes])
-            yield part.T.tobytes().translate(None, b"\0").decode("ascii")
+            yield part.T.tobytes().translate(None, b"\0").decode("ascii")[skip:]
+            skip = 0
 
 
 def _csv_blocks(table: ResultTable):
+    from ._cells import float_planes  # on the first write, not at import
+
     lines = [f"# {key} = {value}" for key, value in table.metadata.items()]
     lines.append(",".join(table.columns))
     yield "\n".join(lines) + "\n"
-    yield from _csv_rows(table.blocks())
-
-
-def _json_rows(blocks):
-    """Yield the JSON rows of each column block as text, each block after
-    the first led by ",\n".  A block is one % call: the one-row template
-    joined k times, applied to the block's cells interleaved column by
-    column.  A cell is spelled as json spells it: repr for an int or a
-    finite float, json.dumps for a float block holding NaN or +/-inf.  A
-    column block that repeats the previous block's bits, or is made of
-    runs of equal bits, enters as texts spelled once per distinct value;
-    a varied repr block enters the template as its raw values."""
-    lead, last = "", {}
-    for block in blocks:
-        width, k = len(block), len(block[0])
-        cells, fmts = [None] * (k * width), []
-        for j, col in enumerate(block):
-            spell = repr if col.dtype.kind == "i" or np.isfinite(col).all() else json.dumps
-            texts = functools.partial(_texts, spell)
-            last[j] = _reused(col, last.pop(j, None), texts, _repeat_texts)
-            reused = last[j][1]
-            if reused is None and spell is repr:
-                fmts.append("%r")
-                cells[j::width] = col.tolist()
-            else:
-                fmts.append("%s")
-                cells[j::width] = texts(col) if reused is None else reused
-        row = "    [\n      " + ",\n      ".join(fmts) + "\n    ]"
-        yield lead + ",\n".join([row] * k) % tuple(cells)
-        lead = ",\n"
+    yield from _rows(table.blocks(), float_planes, _CSV_FRAME)
 
 
 def _json_blocks(table: ResultTable):
+    from ._cells import repr_planes  # on the first write, not at import
+
     head = json.dumps(
         {"columns": list(table.columns), "metadata": table.metadata}, indent=2, sort_keys=True
     )
@@ -293,7 +264,7 @@ def _json_blocks(table: ResultTable):
         yield head[:-2] + ',\n  "rows": []\n}\n'
         return
     yield head[:-2] + ',\n  "rows": [\n'
-    yield from _json_rows(itertools.chain([first], blocks))
+    yield from _rows(itertools.chain([first], blocks), repr_planes, _JSON_FRAME)
     yield "\n  ]\n}\n"
 
 

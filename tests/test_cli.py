@@ -496,10 +496,11 @@ def test_asymptote_memory_per_draw_is_bounded():
     assert peak / draws < 150, f"{peak / draws:.0f} bytes per draw"
 
 
-def test_emit_memory_stays_below_output_size(tmp_path):
-    out = tmp_path / "trace.csv"
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_memory_stays_below_output_size(tmp_path, fmt):
+    out = tmp_path / f"trace.{fmt}"
     params = {"theta": 1.1, "omega": 0.3, "phi": 0.4, "cycles": 200_000}
-    cfg = _simulate_cfg(params=params, output_path=str(out))
+    cfg = _simulate_cfg(params=params, output_path=str(out), format=fmt)
     table = run(cfg)
     tracemalloc.start()
     try:
@@ -1004,22 +1005,111 @@ def test_csv_tie_rounds_half_to_even():
     assert _csv_rows((np.array([1.0 + 2.0**-17]),)) == "1.0000076293945312\n"
 
 
+# --- JSON cell spelling -----------------------------------------------------
+
+def _json_text(columns):
+    return to_json(ResultTable([f"c{j}" for j in range(len(columns))], columns))
+
+
+def _dumps_text(columns):
+    # json spells an int or a finite float by repr, NaN and +/-inf by name
+    names = [f"c{j}" for j in range(len(columns))]
+    rows = [list(row) for row in zip(*(c.tolist() for c in columns))]
+    doc = {"columns": names, "metadata": {}, "rows": rows}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(cells=st.lists(st.tuples(_FLOAT_BITS, _INT64), min_size=1, max_size=60))
+def test_json_cells_are_spelled_as_repr_does(cells):
+    bits, ints = zip(*cells)
+    columns = (np.array(bits, np.int64).view(np.float64), np.array(ints, np.int64))
+    assert _json_text(columns) == _dumps_text(columns)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        # asymmetric intervals: the next double down is half as far
+        _neighbours(np.ldexp(1.0, np.arange(-1074, 1024))),
+        # the switch between fixed and scientific notation
+        _neighbours([1e-4, 1e-5, 1e16, 1e15, 9.999999999999999e15, 123456789012345.6]),
+        # the doubles nearest 10^k, 277 of which lie below it: their
+        # shortest digits carry to the next power of ten, as 1e23's do
+        [float(f"1e{k}") for k in range(-300, 301)] + [9.999999999999999e22, 9.9999999999999e-5],
+        # exact ties at the 17th digit, subnormals, zeros and non-finite values
+        [1.0 + 2.0**-17] + [m / 2.0**24 for m in range(1, 2000, 2)]
+        + [5e-324, 1e-310, 2.225073858507201e-308, 2.2250738585072014e-308]
+        + [0.0, -0.0, math.nan, math.inf, -math.inf],
+    ],
+    ids=["powers-of-two", "notation-switch", "carries", "ties-and-specials"],
+)
+def test_json_spelling_at_edges(values):
+    x = np.asarray(values, dtype=np.float64)
+    assert _json_text((x, -x)) == _dumps_text((x, -x))
+
+
+def test_rate_draws_are_spelled_by_the_kernel(monkeypatch):
+    # an over-eager fallback keeps every byte and loses the gain, so the
+    # share of cells spelled by Python is pinned below 1%
+    from geopump import _cells
+
+    finish, counts = _cells._finish, []
+
+    def counted(planes, spell, values, fast):
+        counts.append((len(values), int(np.count_nonzero(~fast))))
+        return finish(planes, spell, values, fast)
+
+    params = {"samples": 40000, "theta_grid": 50, "phi_grid": 50}
+    table = run(RunConfig("asymptote", params, seed=1, format="json"))
+    monkeypatch.setattr(_cells, "_finish", counted)
+    to_json(table)
+    cells, slow = map(sum, zip(*counts))
+    assert cells == 5 * 40000
+    assert slow <= 0.01 * cells, f"{slow} of {cells} cells spelled by Python"
+
+
 def test_cli_import_builds_no_format_table():
-    # a fresh interpreter: the tables are built on the first CSV write, and
+    # a fresh interpreter: importing the CLI neither imports _cells nor
+    # builds its tables, the first write of either format does, and
     # nothing imports the bignum modules that would cost set-up time
     code = (
         "import sys\n"
-        "import geopump.cli\n"
+        "import geopump.cli as cli\n"
+        "print('geopump._cells' in sys.modules)\n"
         "from geopump import _cells\n"
-        "print(_cells._tables.cache_info().currsize,"
-        " sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
+        "print(_cells._tables.cache_info().currsize)\n"
+        "table = cli.ResultTable(('x', 'n'), ([0.1, 2.5e-7], [3, -4]))\n"
+        "cli.to_FORMAT(table)\n"
+        "print(_cells._tables.cache_info().currsize)\n"
+        "print(sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
     )
     src = str(Path(cli.__file__).resolve().parent.parent)
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": src},
-    ).stdout
-    assert out.strip() == "0 []"
+    for fmt in ("csv", "json"):
+        out = subprocess.run(
+            [sys.executable, "-c", code.replace("FORMAT", fmt)],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        ).stdout
+        assert out.split("\n") == ["False", "0", "1", "[]", ""], fmt
+
+
+def test_json_grid_spells_a_repeated_phi_block_once(tmp_path, monkeypatch):
+    # 200^2 comes in ten blocks of 20 theta rows; each block's phi column
+    # is the first one's, whose 4000 cells are spelled once, and each
+    # theta column is 20 runs, whose starts are spelled
+    from geopump import _cells
+
+    spell, sizes = _cells.repr_planes, []
+
+    def counted(x):
+        sizes.append(len(x))
+        return spell(x)
+
+    monkeypatch.setattr(_cells, "repr_planes", counted)
+    out = tmp_path / "pd.json"
+    argv = ["phase-diagram", "--theta-grid", "200", "--phi-grid", "200", "--n-max", "200"]
+    assert main([*argv, "--format", "json", "--out", str(out)]) == 0
+    assert sizes == [20, 4000] + [20] * 9
