@@ -8,8 +8,9 @@ to the 1D cycle offset + cos(2 pi t) with offset a - w at k = pi/l and
 a + w at k = 0.  That closing is transversal exactly when |offset| < 1,
 and a transversal crossing of |v| = |w| always flips the winding, so it
 marks a band inversion: the inverted momentum pumps with opening angle
-pi while every other momentum stays inert.  The rule reads the offsets
-in closed form; `winding_number` is the independent, sampled route.
+pi while every other momentum stays inert.  One closed-form rule on the
+offsets gives both `theta_of_k`, on floats or whole momentum grids, and
+`pump_profile`'s flip count; `winding_number` is the sampled oracle.
 """
 
 from __future__ import annotations
@@ -125,9 +126,13 @@ class TptEvent:
 
 
 def _closing_momenta(dc: DriveCycle) -> tuple[tuple[float, float], ...]:
-    # (momentum, effective 1D drive offset) pairs; the gap can close only
-    # where the transverse field component vanishes
-    return ((math.pi / dc.l, dc.a - dc.w), (0.0, dc.a + dc.w))
+    # (lattice phase k*l, 1D drive offset) where the transverse field, and so the gap, can vanish
+    return ((math.pi, dc.a - dc.w), (0.0, dc.a + dc.w))
+
+
+def _inverted_phases(dc: DriveCycle) -> list[float]:
+    # closing phases where the gap closes transversally, twice a cycle: |offset| < 1
+    return [phase for phase, offset in _closing_momenta(dc) if abs(offset) < 1.0]
 
 
 def tpt_events(dc: DriveCycle) -> tuple[TptEvent, ...]:
@@ -137,47 +142,23 @@ def tpt_events(dc: DriveCycle) -> tuple[TptEvent, ...]:
     cycle with a shifted offset, so the closings are its zero crossings.
     """
     events = []
-    for k_star, offset in _closing_momenta(dc):
+    for phase, offset in _closing_momenta(dc):
         for ev in cosine_cycle_zeros(offset):
-            events.append(TptEvent(ev.time_fraction, k_star, ev.transversal))
+            events.append(TptEvent(ev.time_fraction, phase / dc.l, ev.transversal))
     return tuple(sorted(events, key=lambda e: (e.time_fraction, e.k_star)))
 
 
-def _classify_momentum(dc: DriveCycle, k: float) -> float | None:
-    """Return the closing momentum k identifies with, or None."""
-    phase = (k * dc.l) % TWO_PI
-    if min(phase, TWO_PI - phase) < _K_MATCH_TOL:
-        return 0.0
-    if abs(phase - math.pi) < _K_MATCH_TOL:
-        return math.pi / dc.l
-    return None
-
-
-def _inversion_angles(dc: DriveCycle) -> tuple[dict[float, float], int]:
-    """Opening angle at each closing momentum, and the winding flip count.
-
-    A closing momentum is inverted (angle pi) exactly when its offset
-    satisfies |offset| < 1, so that the gap closes there transversally; a
-    tangential touch (|offset| = 1), or no closing at all, leaves it at 0.
-    Every transversal closing flips the winding, so the flip count is the
-    number of transversal closings.
-    """
-    angles = {}
-    flips = 0
-    for k_star, offset in _closing_momenta(dc):
-        crossings = sum(e.transversal for e in cosine_cycle_zeros(offset))
-        angles[k_star] = math.pi if crossings else 0.0
-        flips += crossings
-    return angles, flips
-
-
-def theta_of_k(dc: DriveCycle, k: float) -> float:
-    """Pumping opening angle at momentum k: pi at a closing momentum whose
-    offset (a - w at pi/l, a + w at 0) has modulus below 1, 0 otherwise."""
-    k_star = _classify_momentum(dc, k)
-    if k_star is None:
-        return 0.0
-    return _inversion_angles(dc)[0][k_star]
+def theta_of_k(dc: DriveCycle, k):
+    """Pumping opening angle at momentum k, floats or arrays: pi where k*l
+    mod 2*pi is within _K_MATCH_TOL of an inverted closing phase (pi for
+    offset a - w, 0 for a + w), else 0, quietly also for non-finite k*l."""
+    inverted = np.zeros(np.shape(k), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = np.remainder(np.multiply(k, dc.l), TWO_PI)
+        for star in _inverted_phases(dc):
+            gap = np.abs(phase - star)
+            inverted |= np.minimum(gap, TWO_PI - gap) < _K_MATCH_TOL
+    return np.where(inverted, math.pi, 0.0)[()]
 
 
 @dataclass(frozen=True)
@@ -193,14 +174,12 @@ class PumpProfile:
 def pump_profile(dc: DriveCycle, k_grid: int) -> PumpProfile:
     """Opening angles and geometric pump rates over a Brillouin-zone grid.
 
-    The grid covers [-pi/l, pi/l) uniformly.  A grid momentum pumps (theta
-    = pi) when it is a closing momentum whose offset has modulus below 1.
-    tpt_count is the number of winding flips over the cycle: two per such
-    momentum, one at each transversal closing.
+    The grid covers [-pi/l, pi/l) uniformly and theta_of_k reads it whole.
+    tpt_count is the number of winding flips over the cycle: two per
+    inverted closing momentum, whether or not the grid holds it.
     """
     if k_grid < 16:
         raise ValueError(f"k_grid must be >= 16, got {k_grid}")
     ks = -math.pi / dc.l + (TWO_PI / dc.l) * np.arange(k_grid) / k_grid
-    angles, tpt_count = _inversion_angles(dc)
-    thetas = np.array([angles.get(_classify_momentum(dc, k), 0.0) for k in ks.tolist()])
-    return PumpProfile(ks, thetas, p_geometric(thetas), tpt_count)
+    thetas = theta_of_k(dc, ks)
+    return PumpProfile(ks, thetas, p_geometric(thetas), 2 * len(_inverted_phases(dc)))

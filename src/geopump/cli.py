@@ -43,8 +43,8 @@ from .asymptotics import p_geometric, p_infinity_array, p_infinity_axis_array
 from .band import DriveCycle, GapClosedError, pump_profile
 from .evolution import pump_trace_blocks
 from .sampling import make_rng, sample_loop_angles
-from .stability import _axis, phase_diagram
-from .su2 import HALF_PI, IdentityRotationError, LoopParams
+from .stability import _grid_axes, phase_diagram
+from .su2 import IdentityRotationError, LoopParams
 
 
 class ConfigError(ValueError):
@@ -350,9 +350,7 @@ def _grid_blocks(thetas: np.ndarray, phis: np.ndarray, *grids: np.ndarray):
 
 
 def _require_rows(field: str, rows: int) -> None:
-    # a float64 column of N rows takes 8 N bytes, which numpy caps at
-    # sys.maxsize with a message that names no field
-    if 8 * rows > sys.maxsize:
+    if 8 * rows > sys.maxsize:  # numpy's message for the float64 column names no field
         raise ConfigError(f"{field} must be at most sys.maxsize // 8 rows, got {rows}")
 
 
@@ -365,10 +363,7 @@ def _run_asymptote(cfg: RunConfig) -> ResultTable:
         draws = sample_loop_angles(make_rng(cfg.seed), p["samples"])
         blocks = _column_blocks(*draws)
     elif p["theta_grid"] >= 2 and p["phi_grid"] >= 2:
-        n_theta, n_phi = p["theta_grid"], p["phi_grid"]
-        _require_rows("theta_grid * phi_grid", n_theta * n_phi)
-        thetas = _axis(0.0, math.pi, n_theta, 0.5)
-        phis = _axis(-HALF_PI, HALF_PI, n_phi, 0.5)
+        thetas, phis = _grid_axes(p["theta_grid"], p["phi_grid"], 0.5)
         blocks = ((theta, 0.0, phi) for theta, phi in _grid_blocks(thetas, phis))
     else:
         raise ConfigError("need samples > 0 or both grids >= 2")

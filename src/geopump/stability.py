@@ -204,10 +204,22 @@ class PhaseDiagram:
         return tuple(tuple(verdicts[i : i + width]) for i in range(0, flat.size, width))
 
 
-def _axis(lo: float, hi: float, count: int, offset: float) -> np.ndarray:
-    if offset == 0.0:
-        return np.linspace(lo, hi, count)
-    return lo + (np.arange(count) + offset) * (hi - lo) / count
+def _grid_axes(theta_grid: int, phi_grid: int, offset: float) -> tuple[np.ndarray, ...]:
+    """The theta axis over [0, pi] and the phi axis over [-pi/2, pi/2] of a
+    product grid, each point at `offset` of its cell (0: endpoints)."""
+    if theta_grid < 2 or phi_grid < 2:
+        raise ValueError("grids need at least 2 points per axis")
+    if 8 * theta_grid * phi_grid > sys.maxsize:  # numpy's message names no field
+        raise ValueError(
+            f"theta_grid * phi_grid must be at most sys.maxsize // 8 cells, "
+            f"got {theta_grid} * {phi_grid}"
+        )
+    if not 0.0 <= offset < 1.0:
+        raise ValueError(f"offset must lie in [0, 1), got {offset}")
+    return tuple(
+        np.linspace(lo, hi, n) if offset == 0.0 else lo + (np.arange(n) + offset) * (hi - lo) / n
+        for lo, hi, n in ((0.0, math.pi, theta_grid), (-HALF_PI, HALF_PI, phi_grid))
+    )
 
 
 def phase_diagram(
@@ -226,18 +238,8 @@ def phase_diagram(
     grid advances as one array through the Chebyshev sequence of
     U^n = t_n U - t_{n-1} I, with y = tr U = 2 cos(theta/2) cos(phi) per cell.
     """
-    if theta_grid < 2 or phi_grid < 2:
-        raise ValueError("grids need at least 2 points per axis")
-    if 8 * theta_grid * phi_grid > sys.maxsize:  # numpy's message names no field
-        raise ValueError(
-            f"theta_grid * phi_grid must be at most sys.maxsize // 8 cells, "
-            f"got {theta_grid} * {phi_grid}"
-        )
-    if not 0.0 <= offset < 1.0:
-        raise ValueError(f"offset must lie in [0, 1), got {offset}")
+    thetas, phis = _grid_axes(theta_grid, phi_grid, offset)
     _check_scan(n_max, tol)
-    thetas = _axis(0.0, math.pi, theta_grid, offset)
-    phis = _axis(-HALF_PI, HALF_PI, phi_grid, offset)
     # rows along theta, columns along phi; each cell sees exactly the
     # floats classify reads from its own half turn
     ht = half_turn(thetas[:, None], phis[None, :])

@@ -199,6 +199,14 @@ class TestThetaOfK:
         dc = DriveCycle(a=1.0, l=2.0)
         assert theta_of_k(dc, math.pi / 2.0) == math.pi
 
+    @pytest.mark.parametrize("k", [math.inf, -math.inf, math.nan, 1e308])
+    def test_non_finite_phase_stays_quiet(self, k):
+        # k = 1e308 overflows k*l to inf; pytest turns any warning into an error
+        dc = DriveCycle(a=0.1, w=0.2, l=2.0)  # both closing momenta inverted
+        assert theta_of_k(dc, k) == 0.0
+        ks = np.array([k, math.pi / 2.0, k, 0.0])
+        assert theta_of_k(dc, ks).tolist() == [0.0, math.pi, 0.0, math.pi]
+
 
 class TestPumpProfile:
     def test_band_inverting_profile(self):
@@ -243,6 +251,9 @@ class TestPumpProfile:
                 profile = pump_profile(dc, 64)
                 for k, theta in zip(profile.k_values, profile.theta_values):
                     assert theta_of_k(dc, float(k)) == theta
+                ks = np.concatenate([profile.k_values, profile.k_values + 2.0 * math.pi / l])
+                scalar = [theta_of_k(dc, k) for k in ks.tolist()]
+                assert theta_of_k(dc, ks).tolist() == scalar
 
 
 class TestClosedFormInversion:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from geopump import (
@@ -970,9 +970,17 @@ _INT64 = st.one_of(
     st.integers(-(10**6), 10**6),
     st.sampled_from([0, 2**63 - 1, -(2**63), -(2**63 - 1), 2**53, -(2**53), 2**53 - 1]),
 )
+# no shrink phase: shrinking a failing list of 60 cells can take minutes
+_SPELLING_SETTINGS = settings(
+    derandomize=True,
+    database=None,
+    max_examples=400,
+    deadline=None,
+    phases=[Phase.explicit, Phase.generate],
+)
 
 
-@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@_SPELLING_SETTINGS
 @given(cells=st.lists(st.tuples(_FLOAT_BITS, _INT64), min_size=1, max_size=60))
 def test_csv_cells_are_spelled_as_percent_does(cells):
     bits, ints = zip(*cells)
@@ -1019,7 +1027,7 @@ def _dumps_text(columns):
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@_SPELLING_SETTINGS
 @given(cells=st.lists(st.tuples(_FLOAT_BITS, _INT64), min_size=1, max_size=60))
 def test_json_cells_are_spelled_as_repr_does(cells):
     bits, ints = zip(*cells)
