@@ -14,8 +14,6 @@ from .asymptotics import (
     RemovableSingularityWarning,
     p_geometric,
     p_infinity,
-    p_infinity_array,
-    p_infinity_axis_array,
     p_infinity_axis_route,
     phi_average,
 )
@@ -41,7 +39,7 @@ from .evolution import (
     pump_trace_blocks,
     trajectory_angles,
 )
-from .sampling import make_rng, sample_loop_angles, sample_loop_params
+from .sampling import make_rng, sample_loop_params
 from .stability import (
     EmptyCurveError,
     PhaseDiagram,
@@ -56,28 +54,22 @@ from .stability import (
     stable_curve,
 )
 from .su2 import (
-    AxisAngle,
-    EulerAngles,
     HalfTurn,
     IdentityRotationError,
     LoopParams,
     axis_angle_from_euler,
     axis_angle_matrices,
-    axis_angles,
     euler_from_loop,
     euler_matrices,
     half_turn,
-    loop_euler_angles,
     power,
     su2_defect,
 )
 
 __all__ = [
-    "AxisAngle",
     "ChainParams",
     "DriveCycle",
     "EmptyCurveError",
-    "EulerAngles",
     "GapClosedError",
     "HalfTurn",
     "IdentityRotationError",
@@ -92,7 +84,6 @@ __all__ = [
     "TptEvent",
     "axis_angle_from_euler",
     "axis_angle_matrices",
-    "axis_angles",
     "build_loop_operator",
     "classify",
     "cosine_cycle_zeros",
@@ -101,15 +92,12 @@ __all__ = [
     "euler_matrices",
     "fibonacci_poly",
     "half_turn",
-    "loop_euler_angles",
     "make_rng",
     "matrix_power_closed_form",
     "min_gap",
     "off_diagonal_magnitude",
     "p_geometric",
     "p_infinity",
-    "p_infinity_array",
-    "p_infinity_axis_array",
     "p_infinity_axis_route",
     "phase_diagram",
     "phi_average",
@@ -118,7 +106,6 @@ __all__ = [
     "pump_profile",
     "pump_trace",
     "pump_trace_blocks",
-    "sample_loop_angles",
     "sample_loop_params",
     "stable_curve",
     "su2_defect",

@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 
-from .su2 import HALF_PI, LoopParams, _axis_alpha, half_turn, loop_euler_angles, require_angles
+from .su2 import HALF_PI, _axis_alpha, euler_from_loop, half_turn, require_angles
 
 
 class RemovableSingularityWarning(UserWarning):
@@ -27,8 +27,8 @@ class RemovableSingularityWarning(UserWarning):
     """
 
 
-def p_infinity_array(theta, phi):
-    """Infinite-cycle mean excited-state weight, elementwise over arrays.
+def p_infinity(theta, phi):
+    """Infinite-cycle mean excited-state weight; floats or arrays.
 
     Evaluated as A^2 / 2 with the half turn amplitude A = s / sin h (see
     HalfTurn), s = sin(theta/2) and sin h = hypot(s, cos(theta/2) sin(phi)):
@@ -39,36 +39,26 @@ def p_infinity_array(theta, phi):
     Raises ValueError for a non-finite angle or theta outside [0, pi].
     """
     require_angles(theta, phi=phi)
-    return _p_infinity(theta, phi)
-
-
-def _p_infinity(theta, phi):
     ht = half_turn(theta, phi)
     if np.any(ht.sin_h == 0.0):
         warnings.warn(
             "pump rate is 0/0 at theta = 0 with zero dynamic phase; "
             "returning the limit along theta = 0, which is 0",
             RemovableSingularityWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
     a = ht.amplitude
     return 0.5 * a * a
 
 
-def p_infinity(lp: LoopParams) -> float:
-    """Infinite-cycle mean excited-state weight of the loop; see
-    p_infinity_array.  LoopParams has checked the angles already."""
-    return float(_p_infinity(lp.theta, lp.phi))
+def p_infinity_axis_route(theta, omega, phi):
+    """Same limit, computed from the rotation-axis polar angle instead;
+    floats or arrays.
 
-
-def p_infinity_axis_array(theta, omega, phi):
-    """Same limit, computed from the rotation-axis polar angle instead,
-    elementwise over arrays.
-
-    The route reads the Euler triple of loop_euler_angles, which stores the
+    The route reads the Euler triple of euler_from_loop, which stores the
     dynamic phase in psi = 2 phi - omega - pi/2, so near the theta = phi = 0
     corner phi is known only to about 2e-16 absolute: at theta =
-    phi = 1e-9 the route is 4.5e-9 off p_infinity_array at omega = 0 and
+    phi = 1e-9 the route is 4.5e-9 off p_infinity at omega = 0 and
     1.3e-8 off at omega = 2.  Rebuilding the operator from the chart cannot
     see this, since both matrices read the same rounded psi; verify
     samples the route on interior drives only.
@@ -76,14 +66,9 @@ def p_infinity_axis_array(theta, omega, phi):
     Raises IdentityRotationError when any loop operator is +/-identity and
     has no axis.
     """
-    _, alpha = _axis_alpha(*loop_euler_angles(theta, omega, phi))
+    _, alpha = _axis_alpha(*euler_from_loop(theta, omega, phi))
     sa = np.sin(alpha)
     return 0.5 * sa * sa
-
-
-def p_infinity_axis_route(lp: LoopParams) -> float:
-    """The axis-route limit of one loop; see p_infinity_axis_array."""
-    return float(p_infinity_axis_array(lp.theta, lp.omega, lp.phi))
 
 
 def p_geometric(theta):

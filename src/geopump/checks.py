@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import p_geometric, p_infinity_array, p_infinity_axis_array, phi_average
+from .asymptotics import p_geometric, p_infinity, p_infinity_axis_route, phi_average
 from .band import (
     ChainParams,
     DriveCycle,
@@ -33,7 +33,7 @@ from .evolution import (
     pump_trace,
     trajectory_angles,
 )
-from .sampling import make_rng, sample_loop_angles, sample_loop_params
+from .sampling import make_rng, sample_loop_params
 from .stability import (
     classify,
     curve_order,
@@ -45,10 +45,10 @@ from .su2 import (
     HALF_PI,
     TWO_PI,
     LoopParams,
+    axis_angle_from_euler,
     axis_angle_matrices,
-    axis_angles,
+    euler_from_loop,
     euler_matrices,
-    loop_euler_angles,
     power,
     su2_defect,
 )
@@ -78,9 +78,8 @@ def _first_diagonal_power(u, n_max, tol=1e-9):
 
 
 def _check_special_unitary(rng):
-    worst = max(
-        su2_defect(build_loop_operator(lp)) for lp in sample_loop_params(rng, 500)
-    )
+    loops = map(LoopParams, *sample_loop_params(rng, 500))
+    worst = max(su2_defect(build_loop_operator(lp)) for lp in loops)
     return worst, 1e-12
 
 
@@ -89,20 +88,20 @@ def _loop_operators(theta, omega, phi):
 
 
 def _check_euler_right_inverse(rng):
-    theta, omega, phi = sample_loop_angles(rng, 500)
-    rebuilt = euler_matrices(*loop_euler_angles(theta, omega, phi))
+    theta, omega, phi = sample_loop_params(rng, 500)
+    rebuilt = euler_matrices(*euler_from_loop(theta, omega, phi))
     return np.max(np.abs(rebuilt - _loop_operators(theta, omega, phi))), 1e-12
 
 
 def _check_axis_chain(rng):
-    theta, omega, phi = sample_loop_angles(rng, 500, **_INTERIOR)
-    rebuilt = axis_angle_matrices(*axis_angles(*loop_euler_angles(theta, omega, phi)))
+    theta, omega, phi = sample_loop_params(rng, 500, **_INTERIOR)
+    rebuilt = axis_angle_matrices(*axis_angle_from_euler(*euler_from_loop(theta, omega, phi)))
     return np.max(np.abs(rebuilt - _loop_operators(theta, omega, phi))), 1e-10
 
 
 def _check_power_semigroup(rng):
     worst = 0.0
-    for lp in sample_loop_params(rng, 20):
+    for lp in map(LoopParams, *sample_loop_params(rng, 20)):
         u = build_loop_operator(lp)
         n, m = (int(v) for v in rng.integers(0, 10_001, size=2))
         diff = power(u, n + m) - power(u, n) @ power(u, m)
@@ -113,7 +112,7 @@ def _check_power_semigroup(rng):
 def _check_characteristic_recurrence(rng):
     eye = np.eye(2)
     worst = 0.0
-    for lp in sample_loop_params(rng, 500):
+    for lp in map(LoopParams, *sample_loop_params(rng, 500)):
         u = build_loop_operator(lp)
         residual = u @ u - (u[0, 0] + u[1, 1]) * u + eye
         worst = max(worst, float(np.max(np.abs(residual))))
@@ -122,7 +121,7 @@ def _check_characteristic_recurrence(rng):
 
 def _check_closed_form_powers(rng):
     worst = 0.0
-    for lp in sample_loop_params(rng, 100):
+    for lp in map(LoopParams, *sample_loop_params(rng, 100)):
         u = build_loop_operator(lp)
         for n in rng.integers(0, 101, size=10):
             diff = matrix_power_closed_form(lp, int(n)) - power(u, int(n))
@@ -132,7 +131,7 @@ def _check_closed_form_powers(rng):
 
 def _check_off_diagonal_closed_form(rng):
     worst = 0.0
-    for lp in sample_loop_params(rng, 100):
+    for lp in map(LoopParams, *sample_loop_params(rng, 100)):
         u = build_loop_operator(lp)
         for n in rng.integers(1, 201, size=5):
             direct = abs(power(u, int(n))[0, 1])
@@ -141,8 +140,8 @@ def _check_off_diagonal_closed_form(rng):
 
 
 def _check_route_equivalence(rng):
-    theta, omega, phi = sample_loop_angles(rng, 1000, **_INTERIOR)
-    gap = p_infinity_array(theta, phi) - p_infinity_axis_array(theta, omega, phi)
+    theta, omega, phi = sample_loop_params(rng, 1000, **_INTERIOR)
+    gap = p_infinity(theta, phi) - p_infinity_axis_route(theta, omega, phi)
     return np.max(np.abs(gap)), 1e-10
 
 
@@ -156,12 +155,12 @@ def _check_phase_average(rng):
 def _check_rate_ceiling(rng):
     theta = np.linspace(0.0, math.pi, 100)[:, None]
     phi = np.linspace(-HALF_PI, HALF_PI, 100)[None, :]
-    return np.max(p_infinity_array(theta, phi)), 0.5 + 1e-12
+    return np.max(p_infinity(theta, phi)), 0.5 + 1e-12
 
 
 def _check_trace_projection(rng):
     worst = 0.0
-    for lp in sample_loop_params(rng, 20):
+    for lp in map(LoopParams, *sample_loop_params(rng, 20)):
         u = build_loop_operator(lp)
         trace = pump_trace(lp, 300)
         for j in (1, 2, 3, 7, 50, 299, 300):
@@ -172,7 +171,7 @@ def _check_trace_projection(rng):
 
 def _check_phase_shift_symmetry(rng):
     worst = 0.0
-    for lp in sample_loop_params(rng, 50):
+    for lp in map(LoopParams, *sample_loop_params(rng, 50)):
         shifted = LoopParams(lp.theta, lp.omega, lp.phi + math.pi)
         dq = pump_trace(lp, 300).q - pump_trace(shifted, 300).q
         worst = max(worst, float(np.max(np.abs(dq))))
@@ -181,7 +180,7 @@ def _check_phase_shift_symmetry(rng):
 
 def _check_norm_preservation(rng):
     worst = 0.0
-    for lp in sample_loop_params(rng, 5):
+    for lp in map(LoopParams, *sample_loop_params(rng, 5)):
         _, err = propagate_state(lp, 100_000)
         worst = max(worst, err)
     return worst, 1e-9
@@ -282,7 +281,7 @@ def _ks_uniform(x):
 
 def _check_equidistribution(rng):
     worst = 0.0
-    for lp in sample_loop_params(rng, 5, **_INTERIOR):
+    for lp in map(LoopParams, *sample_loop_params(rng, 5, **_INTERIOR)):
         angles = trajectory_angles(lp, 20_000)
         worst = max(worst, _ks_uniform(angles / TWO_PI))
     return worst, 0.01

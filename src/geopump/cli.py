@@ -39,10 +39,10 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .asymptotics import p_geometric, p_infinity_array, p_infinity_axis_array
+from .asymptotics import p_geometric, p_infinity, p_infinity_axis_route
 from .band import DriveCycle, GapClosedError, pump_profile
 from .evolution import pump_trace_blocks
-from .sampling import make_rng, sample_loop_angles
+from .sampling import make_rng, sample_loop_params
 from .stability import _grid_axes, phase_diagram
 from .su2 import IdentityRotationError, LoopParams
 
@@ -360,7 +360,7 @@ def _run_asymptote(cfg: RunConfig) -> ResultTable:
         raise ConfigError("samples must be >= 0")
     if p["samples"] > 0:
         _require_rows("samples", p["samples"])
-        draws = sample_loop_angles(make_rng(cfg.seed), p["samples"])
+        draws = sample_loop_params(make_rng(cfg.seed), p["samples"])
         blocks = _column_blocks(*draws)
     elif p["theta_grid"] >= 2 and p["phi_grid"] >= 2:
         thetas, phis = _grid_axes(p["theta_grid"], p["phi_grid"], 0.5)
@@ -370,7 +370,7 @@ def _run_asymptote(cfg: RunConfig) -> ResultTable:
     # every block is computed before anything is written: a +/-identity
     # draw has no axis, and a failed run writes nothing
     rows = [
-        (th, ph, p_infinity_array(th, ph), p_infinity_axis_array(th, om, ph), p_geometric(th))
+        (th, ph, p_infinity(th, ph), p_infinity_axis_route(th, om, ph), p_geometric(th))
         for th, om, ph in blocks
     ]
     columns = ("theta", "phi", "p_inf", "p_inf_axis", "p_g")

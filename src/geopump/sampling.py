@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .su2 import LoopParams, require_angles
+from .su2 import require_angles
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -19,7 +19,7 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def sample_loop_angles(
+def sample_loop_params(
     rng: np.random.Generator,
     count: int,
     theta_range: tuple[float, float] = (0.0, math.pi),
@@ -35,14 +35,3 @@ def sample_loop_angles(
     phis = rng.uniform(*phi_range, size=count)
     require_angles(thetas, omega=omegas, phi=phis)
     return thetas, omegas, phis
-
-
-def sample_loop_params(
-    rng: np.random.Generator,
-    count: int,
-    theta_range: tuple[float, float] = (0.0, math.pi),
-    phi_range: tuple[float, float] = (-0.5 * math.pi, 0.5 * math.pi),
-) -> list[LoopParams]:
-    """The draws of sample_loop_angles, one LoopParams each."""
-    angles = sample_loop_angles(rng, count, theta_range, phi_range)
-    return [LoopParams(t, o, p) for t, o, p in zip(*angles)]

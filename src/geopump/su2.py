@@ -10,8 +10,8 @@ Every closed form reads the rotation through one HalfTurn record: the
 quaternion parts of half_turn(theta, phase), the half turn angle h with
 cos h = cos(theta/2) cos(phase), and the amplitude A = s / sin h that sets
 both the pump trace from the ground state and its long-run mean.  The
-charts take arrays: half_turn, loop_euler_angles, axis_angles and the
-matrix builders work elementwise on floats or equal-shape arrays of
+charts take arrays: half_turn, euler_from_loop, axis_angle_from_euler and
+the matrix builders work elementwise on floats or equal-shape arrays of
 angles (matrices then stack as (..., 2, 2)), and check their domain once
 per array.
 """
@@ -34,12 +34,6 @@ IDENTITY_SIN_TOL = 4.0 * sys.float_info.epsilon
 
 class IdentityRotationError(ValueError):
     """The rotation is the identity up to global sign, so no axis exists."""
-
-
-def _require_finite(**angles):
-    for name, value in angles.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be a finite angle, got {value!r}")
 
 
 def _reject(name: str, values: np.ndarray, ok: np.ndarray, rule: str) -> None:
@@ -74,43 +68,10 @@ class LoopParams:
     phi: float = 0.0
 
     def __post_init__(self):
-        _require_finite(theta=self.theta, omega=self.omega, phi=self.phi)
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
-
-
-@dataclass(frozen=True)
-class AxisAngle:
-    """Rotation by delta about the axis with polar angle alpha, azimuth beta."""
-
-    alpha: float
-    beta: float
-    delta: float
-
-    def __post_init__(self):
-        _require_finite(alpha=self.alpha, beta=self.beta, delta=self.delta)
-        if not 0.0 <= self.alpha <= math.pi:
-            raise ValueError(f"alpha must lie in [0, pi], got {self.alpha}")
-        if not 0.0 <= self.beta < TWO_PI:
-            raise ValueError(f"beta must lie in [0, 2*pi), got {self.beta}")
-        if not 0.0 <= self.delta < TWO_PI:
-            raise ValueError(f"delta must lie in [0, 2*pi), got {self.delta}")
-
-
-@dataclass(frozen=True)
-class EulerAngles:
-    """z-x-z Euler angles (phi, theta, psi) with theta restricted to [0, pi].
-
-    phi and psi are unconstrained: reducing them modulo 2*pi would flip
-    the matrix by a global sign, so callers keep the raw values.
-    """
-
-    phi: float
-    theta: float
-    psi: float
-
-    def __post_init__(self):
-        _require_finite(phi=self.phi, theta=self.theta, psi=self.psi)
+        for name in ("theta", "omega", "phi"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite angle, got {value!r}")
         if not 0.0 <= self.theta <= math.pi:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
 
@@ -138,7 +99,7 @@ def _pointwise(fn, x, y):
     """fn(x, y) elementwise through the math module.
 
     A Python loop on purpose: the written tables follow the math roundings.
-    Over 1e6 draws of sample_loop_angles (seed 1, numpy 2.4.6, AVX512),
+    Over 1e6 draws of sample_loop_params (seed 1, numpy 2.4.6, AVX512),
     np.arctan2 differs from math.atan2 on 5.4% of the h inputs and 7.0% of
     the alpha inputs, and np.hypot from math.hypot on 0.67% of the sin_h
     inputs; math was the closer one in all 2000 hypot differences checked
@@ -231,7 +192,7 @@ def euler_matrices(phi, theta, psi) -> np.ndarray:
     )
 
 
-def axis_angles(phi, theta, psi):
+def axis_angle_from_euler(phi, theta, psi):
     """Axis-angle chart (alpha, beta, delta) of z-x-z Euler triples.
 
     Floats or equal-shape arrays, elementwise.  The turn angle and the axis
@@ -249,13 +210,13 @@ def axis_angles(phi, theta, psi):
     ht, alpha = _axis_alpha(phi, theta, psi)
     delta = 2.0 * ht.h
     # on the z axis the azimuth is arbitrary
-    beta = np.where(np.sin(alpha) * ht.sin_h > 1e-15, (0.5 * (phi - psi)) % TWO_PI, 0.0)
+    beta = np.where(np.sin(alpha) * ht.sin_h > 1e-15, (0.5 * (phi - psi)) % TWO_PI, 0.0)[()]
     return alpha, beta, delta
 
 
 def _axis_alpha(phi, theta, psi):
     """(HalfTurn, alpha) of Euler triples: the checks and the axis polar
-    angle of axis_angles, without the turn angle and the azimuth."""
+    angle of axis_angle_from_euler, without the turn angle and the azimuth."""
     require_angles(theta, phi=phi, psi=psi)
     ht = _require_axis(half_turn(theta, 0.5 * (phi + psi)))
     return ht, _pointwise(math.atan2, ht.s, ht.c_sin)
@@ -269,12 +230,7 @@ def _require_axis(ht: HalfTurn) -> HalfTurn:
     return ht
 
 
-def axis_angle_from_euler(e: EulerAngles) -> AxisAngle:
-    """Axis-angle chart of one Euler triple; see axis_angles."""
-    return AxisAngle(*map(float, axis_angles(e.phi, e.theta, e.psi)))
-
-
-def loop_euler_angles(theta, omega, phi):
+def euler_from_loop(theta, omega, phi):
     """Euler triple (phi, theta, psi) whose matrix equals the loop operator.
 
     Floats or arrays.  The half-sum of (phi, psi) carries the dynamic
@@ -283,8 +239,3 @@ def loop_euler_angles(theta, omega, phi):
     exact right inverse of euler_matrices.
     """
     return omega + HALF_PI, theta, 2.0 * phi - omega - HALF_PI
-
-
-def euler_from_loop(lp: LoopParams) -> EulerAngles:
-    """Euler triple whose matrix equals the loop operator entrywise."""
-    return EulerAngles(*loop_euler_angles(lp.theta, lp.omega, lp.phi))

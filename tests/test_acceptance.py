@@ -55,8 +55,8 @@ def test_01_convergence_to_asymptotic_rate():
     start = time.perf_counter()
     hits = 0
     worst = 0.0
-    for lp in draws:
-        gap = abs(pump_trace(lp, 10_000).p[-1] - p_infinity(lp))
+    for lp in map(LoopParams, *draws):
+        gap = abs(pump_trace(lp, 10_000).p[-1] - p_infinity(lp.theta, lp.phi))
         worst = max(worst, gap)
         hits += gap < 2e-2
     elapsed = time.perf_counter() - start
@@ -71,15 +71,10 @@ def test_01_convergence_to_asymptotic_rate():
 def test_02_rate_ceiling_attained_at_half_turn():
     thetas = np.linspace(0.0, math.pi, 200)
     phis = np.linspace(-math.pi / 2, math.pi / 2, 200)
-    top = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RemovableSingularityWarning)
-        for theta in thetas:
-            for phi in phis:
-                top = max(top, p_infinity(LoopParams(float(theta), 0.0, float(phi))))
-    row_gap = max(
-        abs(p_infinity(LoopParams(math.pi, 0.0, float(phi))) - 0.5) for phi in phis
-    )
+        top = float(np.max(p_infinity(thetas[:, None], phis[None, :])))
+    row_gap = float(np.max(np.abs(p_infinity(math.pi, phis) - 0.5)))
     ok = top <= 0.5 + 1e-12 and row_gap <= 1e-12
     _report(
         "02 rate-ceiling",
@@ -102,10 +97,9 @@ def test_03_phase_average_equals_geometric_rate():
 
 
 def test_04_route_equivalence():
-    rng = make_rng(SEED + 1)
-    worst = 0.0
-    for lp in sample_loop_params(rng, 1000):
-        worst = max(worst, abs(p_infinity(lp) - p_infinity_axis_route(lp)))
+    theta, omega, phi = sample_loop_params(make_rng(SEED + 1), 1000)
+    gap = p_infinity(theta, phi) - p_infinity_axis_route(theta, omega, phi)
+    worst = float(np.max(np.abs(gap)))
     ok = worst < 1e-10
     _report("04 route-equivalence", ok, f"worst |direct - axis| = {worst:.3e}")
 
@@ -113,7 +107,7 @@ def test_04_route_equivalence():
 def test_05_closed_form_powers():
     rng = make_rng(SEED + 2)
     worst = 0.0
-    for lp in sample_loop_params(rng, 200):
+    for lp in map(LoopParams, *sample_loop_params(rng, 200)):
         u = build_loop_operator(lp)
         m = np.eye(2, dtype=complex)
         for n in range(1, 101):
@@ -187,7 +181,7 @@ def test_08_stable_points_are_rare_inside():
 def test_09_norm_preserved_over_a_million_cycles():
     rng = make_rng(SEED + 3)
     worst = 0.0
-    for lp in sample_loop_params(rng, 10):
+    for lp in map(LoopParams, *sample_loop_params(rng, 10)):
         _, drift = propagate_state(lp, 1_000_000)
         worst = max(worst, drift)
     ok = worst < 1e-9
@@ -235,7 +229,7 @@ def test_11_jump_angles_equidistribute():
         rng, 10, theta_range=(0.1, math.pi - 0.1), phi_range=(-1.4, 1.4)
     )
     worst = 0.0
-    for lp in draws:
+    for lp in map(LoopParams, *draws):
         angles = trajectory_angles(lp, 100_000)
         worst = max(worst, float(kstest(angles / (2.0 * math.pi), "uniform").statistic))
     ok = worst < 0.01

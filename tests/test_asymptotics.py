@@ -1,3 +1,4 @@
+import inspect
 import math
 import warnings
 
@@ -15,12 +16,10 @@ from geopump import (
     make_rng,
     p_geometric,
     p_infinity,
-    p_infinity_array,
-    p_infinity_axis_array,
     p_infinity_axis_route,
     phi_average,
     pump_trace,
-    sample_loop_angles,
+    sample_loop_params,
 )
 
 RNG = np.random.default_rng(4242)
@@ -36,7 +35,7 @@ def _interior_loop(rng):
 
 class TestPInfinity:
     def test_frozen_reference_value(self):
-        assert p_infinity(LoopParams(math.pi / 2, 0.0, 0.3)) == pytest.approx(
+        assert p_infinity(math.pi / 2, 0.3) == pytest.approx(
             0.45984107104345956, abs=1e-15
         )
 
@@ -44,29 +43,33 @@ class TestPInfinity:
     def test_half_without_phase_bias(self, theta):
         # no dynamical phase: every open loop pumps at the ceiling;
         # tolerance covers the 1-cos^2 cancellation at small theta
-        assert abs(p_infinity(LoopParams(theta)) - 0.5) < 1e-13
+        assert abs(p_infinity(theta, 0.0) - 0.5) < 1e-13
 
     @pytest.mark.parametrize("phi", [-1.2, 0.0, 0.9])
     def test_half_turn_hits_ceiling(self, phi):
-        assert p_infinity(LoopParams(math.pi, 0.0, phi)) == 0.5
+        assert p_infinity(math.pi, phi) == 0.5
 
     def test_closed_loop_with_bias_is_zero(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert p_infinity(LoopParams(0.0, 0.0, 0.8)) == 0.0
+            assert p_infinity(0.0, 0.8) == 0.0
 
     def test_degenerate_corner_warns(self):
         with pytest.warns(RemovableSingularityWarning):
-            assert p_infinity(LoopParams(0.0, 0.0, 0.0)) == 0.0
+            assert p_infinity(0.0, 0.0) == 0.0
 
     def test_ceiling_on_random_draws(self):
         for _ in range(2000):
-            assert p_infinity(_interior_loop(RNG)) <= 0.5 + 1e-12
+            lp = _interior_loop(RNG)
+            assert p_infinity(lp.theta, lp.phi) <= 0.5 + 1e-12
 
     def test_omega_never_matters(self):
+        # p_infinity takes no azimuth; the axis route reads one and must
+        # land on the same rate for every omega
         lp = _interior_loop(RNG)
+        want = p_infinity(lp.theta, lp.phi)
         for omega in (0.0, 1.0, 4.0):
-            assert p_infinity(LoopParams(lp.theta, omega, lp.phi)) == p_infinity(lp)
+            assert abs(p_infinity_axis_route(lp.theta, omega, lp.phi) - want) < 1e-10
 
 
 def test_route_equivalence():
@@ -74,7 +77,8 @@ def test_route_equivalence():
     worst = 0.0
     for _ in range(500):
         lp = _interior_loop(RNG)
-        worst = max(worst, abs(p_infinity(lp) - p_infinity_axis_route(lp)))
+        gap = p_infinity(lp.theta, lp.phi) - p_infinity_axis_route(lp.theta, lp.omega, lp.phi)
+        worst = max(worst, abs(gap))
     assert worst < 1e-10
 
 
@@ -118,7 +122,7 @@ def test_stable_orbit_mean_equals_the_closed_form_rate():
     lp = LoopParams(math.pi / 2)
     order = classify(lp, 16).order
     assert order == 4
-    assert pump_trace(lp, order).p[-1] == pytest.approx(p_infinity(lp), abs=1e-12)
+    assert pump_trace(lp, order).p[-1] == pytest.approx(p_infinity(lp.theta, lp.phi), abs=1e-12)
 
 
 class TestDegenerateCorner:
@@ -130,12 +134,13 @@ class TestDegenerateCorner:
         limit = 0.5 * theta**2 / (theta**2 + 4.0 * phi**2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = p_infinity(LoopParams(theta, 0.0, phi))
+            got = p_infinity(theta, phi)
         assert got == pytest.approx(limit, rel=1e-9)
 
     @pytest.mark.parametrize("lp", [LoopParams(1e-6, 0.0, 0.3), LoopParams(1e-6, 0.0, 1e-6)])
     def test_axis_route_near_corner(self, lp):
-        assert abs(p_infinity_axis_route(lp) - p_infinity(lp)) < 1e-10
+        gap = p_infinity_axis_route(lp.theta, lp.omega, lp.phi) - p_infinity(lp.theta, lp.phi)
+        assert abs(gap) < 1e-10
 
 
 def _log_uniform(lo, hi):
@@ -156,7 +161,7 @@ def test_p_infinity_matches_mpmath_oracle(theta, abs_phi, phi_sign):
         half = mpmath.mpf(theta) / 2
         core = mpmath.cos(half) * mpmath.cos(mpmath.mpf(phi))
         want = mpmath.sin(half) ** 2 / (2 * (1 - core**2))
-        rel = abs((p_infinity(LoopParams(theta, 0.0, phi)) - want) / want)
+        rel = abs((p_infinity(theta, phi) - want) / want)
     assert rel <= 1e-14
 
 
@@ -174,14 +179,14 @@ def test_axis_route_matches_mpmath_oracle(theta, abs_phi, phi_sign):
         half = mpmath.mpf(theta) / 2
         core = mpmath.cos(half) * mpmath.cos(mpmath.mpf(phi))
         want = mpmath.sin(half) ** 2 / (2 * (1 - core**2))
-        err = abs(p_infinity_axis_route(LoopParams(theta, 0.0, phi)) - want)
+        err = abs(p_infinity_axis_route(theta, 0.0, phi) - want)
     assert err <= 1e-10
 
 
 def _reference_rates(theta, omega, phi):
     # p_inf, p_inf_axis and p_g one loop at a time through math, the way
-    # the written tables were first computed; the array kernels must give
-    # these bits
+    # the written tables were first computed; the kernels must give these
+    # bits on arrays and on floats alike
     s = math.sin(0.5 * theta)
     ratio = s / math.hypot(s, math.cos(0.5 * theta) * math.sin(phi))
     half_sum = 0.5 * ((omega + math.pi / 2) + (2.0 * phi - omega - math.pi / 2))
@@ -192,14 +197,13 @@ def _reference_rates(theta, omega, phi):
 def _assert_array_matches_scalar(theta, omega, phi, picks=None):
     theta, omega, phi = (np.asarray(v, dtype=float) for v in (theta, omega, phi))
     arrays = (
-        p_infinity_array(theta, phi),
-        p_infinity_axis_array(theta, omega, phi),
+        p_infinity(theta, phi),
+        p_infinity_axis_route(theta, omega, phi),
         p_geometric(theta),
     )
     for i in range(len(theta)) if picks is None else picks:
         t, o, f = float(theta[i]), float(omega[i]), float(phi[i])
-        lp = LoopParams(t, o, f)
-        scalar = (p_infinity(lp), p_infinity_axis_route(lp), p_geometric(t))
+        scalar = (p_infinity(t, f), p_infinity_axis_route(t, o, f), p_geometric(t))
         want = [x.hex() for x in _reference_rates(t, o, f)]
         assert [float(a[i]).hex() for a in arrays] == want, (t, o, f)
         assert [float(x).hex() for x in scalar] == want, (t, o, f)
@@ -228,7 +232,7 @@ def test_array_kernels_match_scalar_api_bitwise(draws):
 @pytest.mark.parametrize("seed", [53, 87, 137, 143])
 def test_array_kernels_match_on_asymptote_draws(seed):
     # these seeds draw theta ~ 1e-6, where the axis chart once failed
-    theta, omega, phi = sample_loop_angles(make_rng(seed), 40_000)
+    theta, omega, phi = sample_loop_params(make_rng(seed), 40_000)
     narrow = np.flatnonzero(theta < 1e-5)
     assert len(narrow) >= 1
     picks = [*narrow.tolist(), *range(0, 40_000, 997)]
@@ -240,13 +244,22 @@ def test_array_kernels_reject_bad_input():
     omega = np.array([0.1, 3.0, 5.0])
     phi = np.array([-0.3, 0.2, 1.1])
     with pytest.raises(ValueError, match="theta must lie in"):
-        p_infinity_array(theta + 1.0, phi)
+        p_infinity(theta + 1.0, phi)
     with pytest.raises(ValueError, match="phi must be a finite angle, got nan"):
-        p_infinity_array(theta, np.where(phi > 1.0, np.nan, phi))
+        p_infinity(theta, np.where(phi > 1.0, np.nan, phi))
     with pytest.raises(ValueError, match="theta must lie in"):
         p_geometric(-theta)
     theta[1] = phi[1] = 0.0
     with pytest.raises(IdentityRotationError):
-        p_infinity_axis_array(theta, omega, phi)
+        p_infinity_axis_route(theta, omega, phi)
     with pytest.warns(RemovableSingularityWarning):
-        assert p_infinity_array(theta, phi)[1] == 0.0
+        assert p_infinity(theta, phi)[1] == 0.0
+
+
+@pytest.mark.parametrize("angle", [0.0, np.zeros(3)], ids=["float", "array"])
+def test_corner_warning_names_the_caller(angle):
+    # the warning points at the line that called p_infinity, not into it
+    with pytest.warns(RemovableSingularityWarning) as record:
+        line = inspect.currentframe().f_lineno + 1
+        p_infinity(angle, angle)
+    assert [(w.filename, w.lineno) for w in record] == [(__file__, line)]

@@ -19,10 +19,10 @@ from geopump import (
     __version__,
     make_rng,
     p_geometric,
-    p_infinity_array,
-    p_infinity_axis_array,
+    p_infinity,
+    p_infinity_axis_route,
     pump_trace,
-    sample_loop_angles,
+    sample_loop_params,
 )
 from geopump.checks import CheckResult
 import geopump.cli as cli
@@ -353,14 +353,14 @@ class TestBlockBoundaries:
         table = run(RunConfig("asymptote", params, seed=11))
         assert len(table.data[0]) > 2 * BLOCK_ROWS
         if params["samples"]:
-            theta, omega, phi = sample_loop_angles(make_rng(11), params["samples"])
+            theta, omega, phi = sample_loop_params(make_rng(11), params["samples"])
         else:
             theta, omega, phi = table.data[0], 0.0, table.data[1]
         want = (
             theta,
             phi,
-            p_infinity_array(theta, phi),
-            p_infinity_axis_array(theta, omega, phi),
+            p_infinity(theta, phi),
+            p_infinity_axis_route(theta, omega, phi),
             p_geometric(theta),
         )
         for got, expected in zip(table.data, want):
@@ -441,7 +441,7 @@ class TestBlockBoundaries:
 
 
 def test_asymptote_failing_in_a_later_block_writes_nothing(tmp_path, monkeypatch, capsys):
-    draw, kernel, sizes = cli.sample_loop_angles, cli.p_infinity_axis_array, []
+    draw, kernel, sizes = cli.sample_loop_params, cli.p_infinity_axis_route, []
 
     def identity_in_second_block(rng, count):
         theta, omega, phi = draw(rng, count)
@@ -453,8 +453,8 @@ def test_asymptote_failing_in_a_later_block_writes_nothing(tmp_path, monkeypatch
         sizes.append(len(theta))
         return kernel(theta, omega, phi)
 
-    monkeypatch.setattr(cli, "sample_loop_angles", identity_in_second_block)
-    monkeypatch.setattr(cli, "p_infinity_axis_array", counted)
+    monkeypatch.setattr(cli, "sample_loop_params", identity_in_second_block)
+    monkeypatch.setattr(cli, "p_infinity_axis_route", counted)
     out = tmp_path / "rates.csv"
     assert main(["asymptote", "--samples", str(3 * BLOCK_ROWS), "--out", str(out)]) == 2
     assert sizes == [BLOCK_ROWS, BLOCK_ROWS]
@@ -849,7 +849,7 @@ def test_identity_rotation_is_runtime_exit(monkeypatch, capsys):
     def no_axis(theta, omega, phi):
         raise IdentityRotationError("no axis")
 
-    monkeypatch.setattr(cli, "p_infinity_axis_array", no_axis)
+    monkeypatch.setattr(cli, "p_infinity_axis_route", no_axis)
     assert main(["asymptote", "--theta-grid", "2", "--phi-grid", "2"]) == 2
     assert capsys.readouterr().err.startswith("error: no axis (command=asymptote")
 

@@ -200,7 +200,7 @@ class TestTrajectoryAngles:
         # interior keeps delta below pi, so the first angle is delta itself
         worst = 0.0
         for seed in range(40):
-            for lp in sample_loop_params(make_rng(seed), 50, **_INTERIOR):
+            for lp in map(LoopParams, *sample_loop_params(make_rng(seed), 50, **_INTERIOR)):
                 with mpmath.workdps(50):
                     half, phi = mpmath.mpf(lp.theta) / 2, mpmath.mpf(lp.phi)
                     c = mpmath.cos(half)

@@ -7,21 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geopump import (
-    AxisAngle,
-    EulerAngles,
     IdentityRotationError,
     LoopParams,
     axis_angle_from_euler,
     axis_angle_matrices,
-    axis_angles,
     build_loop_operator,
     euler_from_loop,
     euler_matrices,
     half_turn,
-    loop_euler_angles,
     make_rng,
     power,
-    sample_loop_angles,
+    sample_loop_params,
     su2_defect,
 )
 from geopump.su2 import require_angles
@@ -105,19 +101,12 @@ def test_su2_defect_and_membership():
     assert not su2_defect(1.0001 * u) <= 1e-12  # unit determinant is part of the contract
 
 
+def _loop_chart(theta, omega=0.0, phi=0.0):
+    # (alpha, beta, delta) of loop drives through the Euler chart
+    return axis_angle_from_euler(*euler_from_loop(theta, omega, phi))
+
+
 class TestAngleCharts:
-    def test_axis_angle_validation(self):
-        with pytest.raises(ValueError):
-            AxisAngle(-0.1, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            AxisAngle(1.0, 7.0, 1.0)
-        with pytest.raises(ValueError):
-            AxisAngle(1.0, 0.0, -1.0)
-
-    def test_euler_validation(self):
-        with pytest.raises(ValueError):
-            EulerAngles(0.0, math.pi + 0.2, 0.0)
-
     def test_z_axis_half_turn(self):
         u = axis_angle_matrices(0.0, 0.0, math.pi)
         np.testing.assert_allclose(u, np.diag([-1j, 1j]), atol=1e-15)
@@ -132,7 +121,7 @@ class TestAngleCharts:
         np.testing.assert_allclose(u, np.diag([-1j, 1j]), atol=1e-15)
 
     def test_euler_matches_composed_z_x_z(self):
-        e = EulerAngles(0.7, 1.1, -0.4)
+        phi, theta, psi = 0.7, 1.1, -0.4
 
         def rz(a):
             return np.diag([np.exp(-0.5j * a), np.exp(0.5j * a)])
@@ -146,60 +135,56 @@ class TestAngleCharts:
             )
 
         np.testing.assert_allclose(
-            euler_matrices(e.phi, e.theta, e.psi), rz(e.phi) @ rx(e.theta) @ rz(e.psi), atol=1e-15
+            euler_matrices(phi, theta, psi), rz(phi) @ rx(theta) @ rz(psi), atol=1e-15
         )
 
     def test_loop_chart_reproduces_operator(self):
         """The Euler chart of a loop drive must rebuild its matrix exactly."""
         for _ in range(300):
             lp = _random_loop(RNG)
-            e = euler_from_loop(lp)
-            rebuilt = euler_matrices(e.phi, e.theta, e.psi)
+            rebuilt = euler_matrices(*euler_from_loop(lp.theta, lp.omega, lp.phi))
             assert np.max(np.abs(rebuilt - _loop_matrix(lp))) < 1e-12
 
     def test_axis_angle_chain(self):
         for _ in range(300):
             lp = _random_loop(RNG, margin=1e-3)
-            e = euler_from_loop(lp)
-            aa = axis_angle_from_euler(e)
-            rebuilt = axis_angle_matrices(aa.alpha, aa.beta, aa.delta)
+            rebuilt = axis_angle_matrices(*_loop_chart(lp.theta, lp.omega, lp.phi))
             assert np.max(np.abs(rebuilt - _loop_matrix(lp))) < 1e-10
 
     def test_half_turn_loop_axis(self):
-        aa = axis_angle_from_euler(euler_from_loop(LoopParams(math.pi)))
-        assert aa.delta == pytest.approx(math.pi, abs=1e-12)
-        assert aa.alpha == pytest.approx(HALF_PI, abs=1e-12)
-        assert aa.beta == pytest.approx(HALF_PI, abs=1e-12)
+        alpha, beta, delta = _loop_chart(math.pi)
+        assert delta == pytest.approx(math.pi, abs=1e-12)
+        assert alpha == pytest.approx(HALF_PI, abs=1e-12)
+        assert beta == pytest.approx(HALF_PI, abs=1e-12)
 
     def test_quarter_turn_loop_axis(self):
-        aa = axis_angle_from_euler(euler_from_loop(LoopParams(HALF_PI)))
-        assert aa.delta == pytest.approx(HALF_PI, abs=1e-12)
-        assert aa.alpha == pytest.approx(HALF_PI, abs=1e-12)
+        alpha, _, delta = _loop_chart(HALF_PI)
+        assert delta == pytest.approx(HALF_PI, abs=1e-12)
+        assert alpha == pytest.approx(HALF_PI, abs=1e-12)
 
     def test_phase_bias_tilts_axis(self):
         # frozen from the closed form 2*acos(cos(theta/2)*cos(phi))
-        aa = axis_angle_from_euler(euler_from_loop(LoopParams(HALF_PI, 0.0, 0.3)))
-        assert aa.delta == pytest.approx(1.6582399145750082, abs=1e-14)
+        _, _, delta = _loop_chart(HALF_PI, 0.0, 0.3)
+        assert delta == pytest.approx(1.6582399145750082, abs=1e-14)
 
     def test_equatorial_axis_azimuth_tracks_omega(self):
-        for omega in (0.0, 0.9, 2.4, 5.5):
-            aa = axis_angle_from_euler(euler_from_loop(LoopParams(1.3, omega, 0.0)))
-            assert aa.alpha == pytest.approx(HALF_PI, abs=1e-12)
-            expected = (omega + HALF_PI) % (2.0 * math.pi)
-            diff = abs(aa.beta - expected)
-            assert min(diff, 2.0 * math.pi - diff) < 1e-12
+        omega = np.array([0.0, 0.9, 2.4, 5.5])
+        alpha, beta, _ = _loop_chart(1.3, omega, 0.0)
+        np.testing.assert_allclose(alpha, HALF_PI, rtol=0.0, atol=1e-12)
+        diff = np.abs(beta - (omega + HALF_PI) % (2.0 * math.pi))
+        assert np.all(np.minimum(diff, 2.0 * math.pi - diff) < 1e-12)
 
     @pytest.mark.parametrize("phi", [0.0, math.pi])
     def test_identity_rotation_rejected(self, phi):
-        e = euler_from_loop(LoopParams(0.0, 0.0, phi))
+        e = euler_from_loop(0.0, 0.0, phi)
         with pytest.raises(IdentityRotationError):
-            axis_angle_from_euler(e)
+            axis_angle_from_euler(*e)
 
     def test_z_rotation_has_polar_axis(self):
         # theta=0 with a phase bias precesses about the pole
-        aa = axis_angle_from_euler(euler_from_loop(LoopParams(0.0, 0.0, 0.8)))
-        assert math.sin(aa.alpha) == pytest.approx(0.0, abs=1e-12)
-        assert aa.delta == pytest.approx(1.6, abs=1e-12)
+        alpha, _, delta = _loop_chart(0.0, 0.0, 0.8)
+        assert math.sin(alpha) == pytest.approx(0.0, abs=1e-12)
+        assert delta == pytest.approx(1.6, abs=1e-12)
 
 
 class TestNearIdentityCharts:
@@ -207,8 +192,7 @@ class TestNearIdentityCharts:
         "lp", [LoopParams(1e-6, 0.0, 0.3), LoopParams(1e-6, 0.0, 1e-6), LoopParams(1e-6, 2.1, -1e-6)]
     )
     def test_axis_angle_rebuilds_operator(self, lp):
-        aa = axis_angle_from_euler(euler_from_loop(lp))
-        rebuilt = axis_angle_matrices(aa.alpha, aa.beta, aa.delta)
+        rebuilt = axis_angle_matrices(*_loop_chart(lp.theta, lp.omega, lp.phi))
         assert np.max(np.abs(rebuilt - build_loop_operator(lp))) < 1e-10
 
     def test_half_turn_has_no_cancellation(self):
@@ -300,40 +284,48 @@ class TestArrayCharts:
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
     @given(loops=st.lists(_LOOPS, min_size=1, max_size=40))
     def test_arrays_match_scalar_api_bitwise(self, loops):
-        phi, theta, psi = loop_euler_angles(*(np.array(v) for v in zip(*loops)))
-        chart = axis_angles(phi, theta, psi)
+        # the same names on whole arrays and on one float triple at a time
+        phi, theta, psi = euler_from_loop(*(np.array(v) for v in zip(*loops)))
+        chart = axis_angle_from_euler(phi, theta, psi)
         rotations = axis_angle_matrices(*chart)
         eulers = euler_matrices(phi, theta, psi)
-        for i, lp in enumerate(LoopParams(*v) for v in loops):
-            e = euler_from_loop(lp)
-            assert (e.phi, e.theta, e.psi) == (phi[i], theta[i], psi[i])
-            aa = axis_angle_from_euler(e)
-            want, rotation, euler = _reference_chart(e.phi, e.theta, e.psi)
-            assert [x.hex() for x in (aa.alpha, aa.beta, aa.delta)] == [x.hex() for x in want]
+        for i, loop in enumerate(loops):
+            e = euler_from_loop(*loop)
+            assert e == (phi[i], theta[i], psi[i])
+            aa = axis_angle_from_euler(*e)
+            want, rotation, euler = _reference_chart(*e)
+            assert [float(x).hex() for x in aa] == [x.hex() for x in want]
             assert [float(c[i]).hex() for c in chart] == [x.hex() for x in want]
-            assert np.array_equal(axis_angle_matrices(aa.alpha, aa.beta, aa.delta), rotation)
+            assert np.array_equal(axis_angle_matrices(*aa), rotation)
             assert np.array_equal(rotations[i], rotation)
-            assert np.array_equal(euler_matrices(e.phi, e.theta, e.psi), euler)
+            assert np.array_equal(euler_matrices(*e), euler)
             assert np.array_equal(eulers[i], euler)
 
     def test_array_errors_are_typed(self):
-        phi, theta, psi = loop_euler_angles(
+        phi, theta, psi = euler_from_loop(
             np.array([0.4, 1.0, 2.5]), np.array([0.1, 3.0, 5.0]), np.array([-0.3, 0.2, 1.1])
         )
-        assert all(a.shape == (3,) for a in axis_angles(phi, theta, psi))
+        assert all(a.shape == (3,) for a in axis_angle_from_euler(phi, theta, psi))
         with pytest.raises(ValueError, match="theta must lie in"):
-            axis_angles(phi, theta + 1.0, psi)
+            axis_angle_from_euler(phi, theta + 1.0, psi)
+        with pytest.raises(ValueError, match="theta must lie in"):
+            axis_angle_from_euler(phi, theta - 1.0, psi)
         with pytest.raises(ValueError, match="psi must be a finite angle, got inf"):
-            axis_angles(phi, theta, np.where(theta > 2.0, np.inf, psi))
-        # theta = 0 with no dynamic phase: the identity, which has no axis
-        theta, psi = theta.copy(), psi.copy()
-        theta[1], psi[1] = 0.0, -phi[1]
-        with pytest.raises(IdentityRotationError):
-            axis_angles(phi, theta, psi)
+            axis_angle_from_euler(phi, theta, np.where(theta > 2.0, np.inf, psi))
+        with pytest.raises(ValueError, match="phi must be a finite angle, got nan"):
+            axis_angle_from_euler(np.where(theta < 0.5, np.nan, phi), theta, psi)
+        # theta = 0 with a dynamic phase of 0 or pi: +/-identity, which has no axis
+        theta = theta.copy()
+        theta[1] = 0.0
+        for half_sum in (0.0, math.pi):
+            psi_at = psi.copy()
+            psi_at[1] = 2.0 * half_sum - phi[1]
+            with pytest.raises(IdentityRotationError):
+                axis_angle_from_euler(phi, theta, psi_at)
 
 
-# The chart gap: how far axis_angle_matrices(*axis_angles(*e)) may lie from
-# euler_matrices(*e), entry by entry.  Both read the same floats theta/2,
+# The chart gap: how far axis_angle_matrices(*axis_angle_from_euler(*e)) may
+# lie from euler_matrices(*e), entry by entry.  Both read the same floats theta/2,
 # sigma = (phi + psi)/2 and d = (phi - psi)/2, so both approximate one exact
 # matrix M of those floats.  With s = sin(theta/2), c = cos(theta/2) and the
 # identities cos h = c cos(sigma), sin h cos(alpha) = c sin(sigma) and
@@ -392,8 +384,8 @@ _Z_AXIS_S = (1e-15 + (_gamma(4) + math.pi * _gamma(2)) * (1.0 + _gamma(10))) / (
 def _assert_chart_gap_within_bound(theta, omega, phi):
     # rebuild the chart's matrices, compare them with the Euler matrices and
     # hold the largest entrywise gap of each draw to the derived bound above
-    phi_e, theta_e, psi = loop_euler_angles(*np.broadcast_arrays(theta, omega, phi))
-    alpha, beta, delta = axis_angles(phi_e, theta_e, psi)
+    phi_e, theta_e, psi = euler_from_loop(*np.broadcast_arrays(theta, omega, phi))
+    alpha, beta, delta = axis_angle_from_euler(phi_e, theta_e, psi)
     rebuilt = axis_angle_matrices(alpha, beta, delta)
     gap = np.abs(rebuilt - euler_matrices(phi_e, theta_e, psi)).max(axis=(-2, -1))
     s = np.sin(0.5 * theta_e)
@@ -443,7 +435,7 @@ class TestChartGap:
     def test_rate_draws_stay_within_the_derived_bound(self, seed):
         # the 40000 draws of a rate-draws run; each of these seeds draws a
         # theta near 1e-6 (2.8e-7 at seed 53)
-        theta, omega, phi = sample_loop_angles(make_rng(seed), 40_000)
+        theta, omega, phi = sample_loop_params(make_rng(seed), 40_000)
         assert theta.min() < 1.1e-6
         _assert_chart_gap_within_bound(theta, omega, phi)
 
