@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 
-from .su2 import HALF_PI, _axis_alpha, euler_from_loop, half_turn, require_angles
+from .su2 import _BLOCK, HALF_PI, _axis_alpha, euler_from_loop, half_turn, require_angles
 
 
 class RemovableSingularityWarning(UserWarning):
@@ -85,7 +85,9 @@ def phi_average(theta: float, quadrature_points: int = 10_000) -> float:
 
     Composite midpoint rule with the given number of cells; midpoints
     keep the sampling away from the interval endpoints.  Summation runs
-    left to right so results are bit-reproducible.
+    left to right so results are bit-reproducible: each block of terms,
+    cosines from math.cos, takes the running total into its first term
+    and is summed by np.add.accumulate, which is sequential.
     """
     if not 0.0 <= theta <= math.pi:
         raise ValueError(f"theta must lie in [0, pi], got {theta}")
@@ -96,9 +98,11 @@ def phi_average(theta: float, quadrature_points: int = 10_000) -> float:
     c = math.cos(0.5 * theta)
     half_num = 0.5 * s * s
     total = 0.0
-    for i in range(quadrature_points):
-        phi = -HALF_PI + (i + 0.5) * h
-        core = c * math.cos(phi)
+    for start in range(0, quadrature_points, _BLOCK):
+        phi = -HALF_PI + (np.arange(start, min(start + _BLOCK, quadrature_points)) + 0.5) * h
+        core = c * np.fromiter(map(math.cos, phi.tolist()), float, phi.size)
         denom = 1.0 - core * core
-        total += half_num / denom if denom > 0.0 else 0.0
+        terms = np.divide(half_num, denom, out=np.zeros_like(denom), where=denom > 0.0)
+        terms[0] += total
+        total = float(np.add.accumulate(terms)[-1])
     return total * h / math.pi

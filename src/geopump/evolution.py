@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .su2 import TWO_PI, LoopParams, _require_axis, half_turn
+from .su2 import _BLOCK, TWO_PI, LoopParams, _require_axis, half_turn
 
 
 def build_loop_operator(lp: LoopParams) -> np.ndarray:
@@ -101,29 +101,32 @@ def propagate_state(lp: LoopParams, cycles: int):
 
     Returns (final_state, max_norm_error) where max_norm_error is the
     largest deviation of the state norm from 1 seen along the way.  This
-    is the raw measure-preservation probe: nothing is renormalized.
+    is the raw measure-preservation probe: nothing is renormalized.  The
+    update is the raw Python complex iteration; the norm deviation is
+    evaluated per block of cycles in numpy in the same order, so the
+    state and the drift are bit-identical to a one-cycle-at-a-time loop.
     """
     if cycles < 1:
         raise ValueError(f"cycles must be >= 1, got {cycles}")
-    s0, s1 = 1.0 + 0.0j, 0.0j
     u = build_loop_operator(lp)
     ua, ub = complex(u[0, 0]), complex(u[0, 1])
     uc, ud = complex(u[1, 0]), complex(u[1, 1])
+
+    def orbit(s0, s1, n):
+        for _ in range(n):
+            s0, s1 = ua * s0 + ub * s1, uc * s0 + ud * s1
+            yield s0
+            yield s1
+
+    state = np.array([1.0 + 0.0j, 0.0j])
     worst = 0.0
-    for _ in range(cycles):
-        s0, s1 = ua * s0 + ub * s1, uc * s0 + ud * s1
-        err = abs(
-            math.sqrt(
-                s0.real * s0.real
-                + s0.imag * s0.imag
-                + s1.real * s1.real
-                + s1.imag * s1.imag
-            )
-            - 1.0
-        )
-        if err > worst:
-            worst = err
-    return np.array([s0, s1]), worst
+    for start in range(0, cycles, _BLOCK):
+        n = min(_BLOCK, cycles - start)
+        z = np.fromiter(orbit(*state.tolist(), n), complex, 2 * n)
+        state = z[-2:].copy()
+        r0, i0, r1, i1 = np.square(z.view(float).reshape(n, 4).T)
+        worst = max(worst, float(np.abs(np.sqrt(((r0 + i0) + r1) + i1) - 1.0).max()))
+    return state, worst
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,9 @@ HALF_PI = 0.5 * math.pi
 # half turn sines below this are +/-identity to rounding: no axis is defined
 IDENTITY_SIN_TOL = 4.0 * sys.float_info.epsilon
 
+# steps per numpy block of the scalar loops in propagate_state and phi_average
+_BLOCK = 4096
+
 
 class IdentityRotationError(ValueError):
     """The rotation is the identity up to global sign, so no axis exists."""

@@ -1,5 +1,6 @@
 import inspect
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -21,6 +22,7 @@ from geopump import (
     pump_trace,
     sample_loop_params,
 )
+from geopump.su2 import _BLOCK, HALF_PI
 
 RNG = np.random.default_rng(4242)
 
@@ -115,6 +117,46 @@ class TestPhiAverage:
             phi_average(1.0, 8)
         with pytest.raises(ValueError):
             phi_average(-0.2)
+        with pytest.raises(TypeError):
+            phi_average(1.0, 100.0)
+
+    @pytest.mark.parametrize("points", [16, 17, _BLOCK - 1, _BLOCK, _BLOCK + 1, 10_000])
+    def test_is_the_scalar_midpoint_sum_bit_for_bit(self, points):
+        thetas = [0.0, 1e-6, 1e-4, 0.05, math.pi, *np.linspace(0.0, math.pi, 25).tolist()]
+        for theta in thetas:
+            assert phi_average(theta, points) == _phi_average_point_by_point(theta, points)
+
+    def test_odd_grid_at_zero_opening_skips_the_zero_denominator(self):
+        # the middle midpoint of an odd grid is phi = 0, where denom = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert phi_average(0.0, 17) == 0.0
+            assert phi_average(0.0, 2 * _BLOCK + 1) == 0.0
+
+    def test_memory_is_one_block(self):
+        phi_average(1.0, 16)  # allocations made once per process are not per point
+        tracemalloc.start()
+        try:
+            phi_average(1.0, 1_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, f"peak {peak} bytes"
+
+
+def _phi_average_point_by_point(theta, quadrature_points):
+    # the midpoint sum in Python, one point at a time, left to right
+    h = math.pi / quadrature_points
+    s = math.sin(0.5 * theta)
+    c = math.cos(0.5 * theta)
+    half_num = 0.5 * s * s
+    total = 0.0
+    for i in range(quadrature_points):
+        phi = -HALF_PI + (i + 0.5) * h
+        core = c * math.cos(phi)
+        denom = 1.0 - core * core
+        total += half_num / denom if denom > 0.0 else 0.0
+    return total * h / math.pi
 
 
 def test_stable_orbit_mean_equals_the_closed_form_rate():

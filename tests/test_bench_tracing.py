@@ -35,3 +35,18 @@ def test_traced_asymptote_counts_its_rate_kernels(tmp_path):
     assert counts["asymptotics.p_infinity.calls"] == 2
     assert counts["asymptotics.p_infinity_axis_route.calls"] == 2
     assert counts["sampling.sample_loop_params.calls"] == 1
+
+
+def test_traced_verify_counts_its_probe_and_phase_average(tmp_path):
+    # five drives of 100 000 raw cycles for the norm probe, 36 000 cycles
+    # of pump_trace, and one phase average per theta of a 25-point grid
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    with tracer.traced_run():
+        assert main(["verify", "--seed", "1", "--out", str(tmp_path / "v.csv")]) == 0
+    (counts,) = tracer.counts
+    assert counts["evolution.propagate_state.calls"] == 5
+    assert counts["evolution.cycles"] == 536_000
+    assert counts["asymptotics.phi_average.calls"] == 25

@@ -803,6 +803,24 @@ class TestVerifyCommand:
         assert "check_id,passed,value" in text
         assert "# check.0 = loop-operator-special-unitary" in text
 
+    @pytest.mark.parametrize(
+        "fmt,digest",
+        [
+            ("csv", "e503e922a26d1f4cf302e6b165206dd4fa80adec115dee4ff0d50830f403debf"),
+            ("json", "7d79b0bf71de43b30c48d91e0c14ddc6f6ac2393651745ff8fc8bf71a01e7dd9"),
+        ],
+    )
+    def test_failing_seed_is_pinned(self, tmp_path, capsys, fmt, digest):
+        # seed 23 draws a near-rational drive whose jump angles fail the
+        # equidistribution check: the table is still written, then exit 3
+        out = tmp_path / f"verify.{fmt}"
+        assert main(["verify", "--seed", "23", "--format", fmt, "--out", str(out)]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("FAIL")] == [
+            "FAIL jump-angle-equidistribution (value=0.017922, bound=0.01)"
+        ]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
 
 class TestPhaseDiagramGolden:
     # SHA-256 of the CSV bytes, pinned when the grid was scanned cell by cell

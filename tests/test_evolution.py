@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -20,6 +21,7 @@ from geopump import (
     trajectory_angles,
 )
 from geopump.checks import _INTERIOR
+from geopump.su2 import _BLOCK
 
 RNG = np.random.default_rng(77)
 
@@ -143,6 +145,62 @@ class TestPropagateState:
         state, drift = propagate_state(LoopParams(0.0), 1000)
         assert drift == 0.0
         assert abs(state[1]) == 0.0
+
+
+def _propagate_cycle_by_cycle(lp, cycles):
+    # the probe with its norm worked out in Python after every cycle
+    s0, s1 = 1.0 + 0.0j, 0.0j
+    u = build_loop_operator(lp)
+    ua, ub = complex(u[0, 0]), complex(u[0, 1])
+    uc, ud = complex(u[1, 0]), complex(u[1, 1])
+    worst = 0.0
+    for _ in range(cycles):
+        s0, s1 = ua * s0 + ub * s1, uc * s0 + ud * s1
+        err = abs(
+            math.sqrt(
+                s0.real * s0.real
+                + s0.imag * s0.imag
+                + s1.real * s1.real
+                + s1.imag * s1.imag
+            )
+            - 1.0
+        )
+        if err > worst:
+            worst = err
+    return np.array([s0, s1]), worst
+
+
+_PIN_RNG = np.random.default_rng(2300)
+_PIN_DRIVES = [
+    *(_random_loop(_PIN_RNG) for _ in range(20)),
+    LoopParams(1e-9, 0.0, 1e-9),
+    LoopParams(math.pi, 1.0, 0.4),
+    LoopParams(0.0),
+]
+
+
+@pytest.mark.parametrize("lp", _PIN_DRIVES, ids=range(len(_PIN_DRIVES)))
+def test_propagate_state_is_the_cycle_by_cycle_loop_bit_for_bit(lp):
+    # block edges on either side, a partial last block, and verify's length
+    for cycles in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 100_000):
+        state, drift = propagate_state(lp, cycles)
+        ref_state, ref_drift = _propagate_cycle_by_cycle(lp, cycles)
+        assert drift == ref_drift, (cycles, drift, ref_drift)
+        assert np.array_equal(state, ref_state), cycles
+        if lp.theta == 0.0:
+            assert drift == 0.0
+
+
+def test_propagate_state_memory_is_one_block():
+    lp = LoopParams(1.1, 0.3, 0.4)
+    propagate_state(lp, 8)  # allocations made once per process are not per cycle
+    tracemalloc.start()
+    try:
+        propagate_state(lp, 1_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, f"peak {peak} bytes"
 
 
 class TestCosineCycle:
