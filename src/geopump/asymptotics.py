@@ -80,29 +80,36 @@ def p_geometric(theta):
     return 0.5 * np.sin(0.5 * theta)
 
 
-def phi_average(theta: float, quadrature_points: int = 10_000) -> float:
-    """Mean of p_infinity over the dynamic phase in [-pi/2, pi/2].
+def phi_average(theta, quadrature_points: int = 10_000):
+    """Mean of p_infinity over the dynamic phase in [-pi/2, pi/2]; floats or
+    arrays of theta, each checked before any quadrature work.
 
     Composite midpoint rule with the given number of cells; midpoints
     keep the sampling away from the interval endpoints.  Summation runs
-    left to right so results are bit-reproducible: each block of terms,
-    cosines from math.cos, takes the running total into its first term
-    and is summed by np.add.accumulate, which is sequential.
+    left to right so results are bit-reproducible: each block's cosines
+    come from math.cos once for all theta, and each theta's row of terms
+    takes its running total into its first term and is summed by
+    np.add.accumulate, which is sequential.
+
+    Narrow loops are out of reach: 1 - core^2 cancels and the rule misses
+    the width-sin(theta/2) peak at phi = 0, so at the default 10 000
+    points the mean is 54% off p_geometric at theta = 1e-4, 99.5% at 1e-6.
     """
-    if not 0.0 <= theta <= math.pi:
-        raise ValueError(f"theta must lie in [0, pi], got {theta}")
+    require_angles(theta)
     if quadrature_points < 16:
         raise ValueError(f"need at least 16 quadrature points, got {quadrature_points}")
     h = math.pi / quadrature_points
-    s = math.sin(0.5 * theta)
-    c = math.cos(0.5 * theta)
-    half_num = 0.5 * s * s
-    total = 0.0
+    halves = (0.5 * np.asarray(theta, dtype=float)).ravel().tolist()
+    rows = [(math.cos(x), 0.5 * math.sin(x) * math.sin(x)) for x in halves]  # c, s^2 / 2
+    totals = [0.0] * len(rows)
     for start in range(0, quadrature_points, _BLOCK):
         phi = -HALF_PI + (np.arange(start, min(start + _BLOCK, quadrature_points)) + 0.5) * h
-        core = c * np.fromiter(map(math.cos, phi.tolist()), float, phi.size)
-        denom = 1.0 - core * core
-        terms = np.divide(half_num, denom, out=np.zeros_like(denom), where=denom > 0.0)
-        terms[0] += total
-        total = float(np.add.accumulate(terms)[-1])
-    return total * h / math.pi
+        cosines = np.fromiter(map(math.cos, phi.tolist()), float, phi.size)
+        for i, (c, half_num) in enumerate(rows):
+            core = c * cosines
+            denom = 1.0 - core * core
+            terms = np.divide(half_num, denom, out=np.zeros_like(denom), where=denom > 0.0)
+            terms[0] += totals[i]
+            totals[i] = float(np.add.accumulate(terms)[-1])
+    means = np.array(totals) * h / math.pi
+    return float(means[0]) if np.ndim(theta) == 0 else means.reshape(np.shape(theta))

@@ -48,12 +48,19 @@ def _chebyshev(y):
         prev, cur = cur, nxt
 
 
-def _chebyshev_pair(y, n: int):
-    # (t_{n-1}, t_n) with t_{-1} = -1, holding two terms at a time
-    if n < 0:
-        raise ValueError(f"index must be a natural number, got {n}")
-    terms = itertools.chain((-1.0, 0.0), itertools.islice(_chebyshev(y), n))
-    return tuple(collections.deque(terms, maxlen=2))
+def _chebyshev_pair(y, n, least: int = 0):
+    # (t_{n-1}, t_n), t_{-1} = -1, for an integer n >= least, two terms held at
+    # a time; for an int array n, arrays of both from one run up to max(n)
+    ns = np.asarray(n)
+    if ns.dtype.kind not in "iu":
+        raise ValueError(f"n must be an int64 integer or integer array, got {n!r}")
+    if (ns < least).any():
+        raise ValueError(f"n must be >= {least}, got {ns[ns < least].flat[0]}")
+    terms = itertools.chain((-1.0, 0.0), itertools.islice(_chebyshev(y), int(ns.max(initial=0))))
+    if ns.ndim == 0:
+        return tuple(collections.deque(terms, maxlen=2))
+    t = np.fromiter(terms, float)
+    return t[ns], t[ns + 1]
 
 
 def fibonacci_poly(n: int, x: complex) -> complex:
@@ -67,20 +74,21 @@ def fibonacci_poly(n: int, x: complex) -> complex:
     return (1.0, -1j, -1.0, 1j)[(n - 1) % 4] * t_n + 0j
 
 
-def matrix_power_closed_form(lp: LoopParams, n: int) -> np.ndarray:
+def matrix_power_closed_form(lp: LoopParams, n) -> np.ndarray:
     """n-th power of the loop operator, U^n = t_n U - t_{n-1} I, where t is
     the Chebyshev sequence of y = tr U.  Agrees with repeated multiplication
-    to rounding; no products of matrices are performed."""
+    to rounding; no products of matrices are performed.  An int array n
+    gives n.shape + (2, 2), each power as its own call gives it, from one
+    run of the recurrence up to max(n).  ValueError unless each n is an int >= 0."""
     t_prev, t_n = _chebyshev_pair(_trace_and_s(lp)[0], n)
-    return t_n * build_loop_operator(lp) - t_prev * np.eye(2)
+    return np.multiply.outer(t_n, build_loop_operator(lp)) - np.multiply.outer(t_prev, np.eye(2))
 
 
-def off_diagonal_magnitude(lp: LoopParams, n: int) -> float:
-    """|entry (1, 2)| of the n-th power, |t_n| sin(theta/2)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+def off_diagonal_magnitude(lp: LoopParams, n):
+    """|entry (1, 2)| of the n-th power, |t_n| sin(theta/2); an int array n
+    gives an array from one run up to max(n).  ValueError unless each n is an int >= 1."""
     y, s = _trace_and_s(lp)
-    _, t_n = _chebyshev_pair(y, n)
+    _, t_n = _chebyshev_pair(y, n, least=1)
     return abs(t_n) * s
 
 

@@ -119,12 +119,24 @@ class TestPhiAverage:
             phi_average(-0.2)
         with pytest.raises(TypeError):
             phi_average(1.0, 100.0)
+        # every theta of an array is checked before any quadrature work
+        for bad in ([0.5, math.nan, 1.0], [0.5, 4.0], [[1.0], [-0.1]]):
+            with pytest.raises(ValueError, match="theta"):
+                phi_average(np.array(bad))
+        with pytest.raises(ValueError):
+            phi_average(np.array([0.5, 1.0]), 8)
+        with pytest.raises(TypeError):
+            phi_average(np.array([0.5, 1.0]), 100.0)
 
     @pytest.mark.parametrize("points", [16, 17, _BLOCK - 1, _BLOCK, _BLOCK + 1, 10_000])
     def test_is_the_scalar_midpoint_sum_bit_for_bit(self, points):
         thetas = [0.0, 1e-6, 1e-4, 0.05, math.pi, *np.linspace(0.0, math.pi, 25).tolist()]
-        for theta in thetas:
-            assert phi_average(theta, points) == _phi_average_point_by_point(theta, points)
+        want = [_phi_average_point_by_point(theta, points) for theta in thetas]
+        assert [phi_average(theta, points) for theta in thetas] == want
+        # an array call gives each theta its own call's float, in the array's shape
+        assert phi_average(np.array(thetas), points).tolist() == want
+        grid = phi_average(np.reshape(thetas, (5, 6)), points)
+        assert grid.tolist() == np.reshape(want, (5, 6)).tolist()
 
     def test_odd_grid_at_zero_opening_skips_the_zero_denominator(self):
         # the middle midpoint of an odd grid is phi = 0, where denom = 0
@@ -134,14 +146,16 @@ class TestPhiAverage:
             assert phi_average(0.0, 2 * _BLOCK + 1) == 0.0
 
     def test_memory_is_one_block(self):
-        phi_average(1.0, 16)  # allocations made once per process are not per point
-        tracemalloc.start()
-        try:
-            phi_average(1.0, 1_000_000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 2**20, f"peak {peak} bytes"
+        # a float and verify's 25-theta grid: one block of terms per theta at a time
+        for theta in (1.0, np.linspace(0.0, math.pi, 25)):
+            phi_average(theta, 16)  # allocations made once per process are not per point
+            tracemalloc.start()
+            try:
+                phi_average(theta, 200_000)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 2**20, f"peak {peak} bytes at {np.size(theta)} theta"
 
 
 def _phi_average_point_by_point(theta, quadrature_points):

@@ -39,7 +39,7 @@ def test_traced_asymptote_counts_its_rate_kernels(tmp_path):
 
 def test_traced_verify_counts_its_probe_and_phase_average(tmp_path):
     # five drives of 100 000 raw cycles for the norm probe, 36 000 cycles
-    # of pump_trace, and one phase average per theta of a 25-point grid
+    # of pump_trace, and one phase average over a 25-point theta grid
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
@@ -49,4 +49,4 @@ def test_traced_verify_counts_its_probe_and_phase_average(tmp_path):
     (counts,) = tracer.counts
     assert counts["evolution.propagate_state.calls"] == 5
     assert counts["evolution.cycles"] == 536_000
-    assert counts["asymptotics.phi_average.calls"] == 25
+    assert counts["asymptotics.phi_average.calls"] == 1

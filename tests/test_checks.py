@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,21 @@ from scipy.stats import kstest
 
 import geopump
 import geopump.checks as checks
-from geopump import ChainParams, GapClosedError, make_rng, winding_number
+from geopump import (
+    ChainParams,
+    GapClosedError,
+    LoopParams,
+    build_loop_operator,
+    make_rng,
+    matrix_power_closed_form,
+    off_diagonal_magnitude,
+    p_geometric,
+    phi_average,
+    power,
+    pump_trace,
+    sample_loop_params,
+    winding_number,
+)
 from geopump.checks import _ks_uniform
 
 # short lists straight from hypothesis: n = 1, exact 0 and 1, ties, any order
@@ -101,3 +116,81 @@ def test_one_d_consistency_compares_two_routes(monkeypatch):
     monkeypatch.setattr(checks, "theta_of_k", lambda dc, k: 0.0)
     value, bound = checks._check_one_d_consistency(None)
     assert value > bound
+
+
+# The per-draw forms of five checks that now run on whole draw sets: the
+# stacked forms must give each value bit for bit, from the same stream.
+
+
+def _per_draw_characteristic_recurrence(rng):
+    eye = np.eye(2)
+    worst = 0.0
+    for lp in map(LoopParams, *sample_loop_params(rng, 500)):
+        u = build_loop_operator(lp)
+        residual = u @ u - (u[0, 0] + u[1, 1]) * u + eye
+        worst = max(worst, float(np.max(np.abs(residual))))
+    return worst, 1e-12
+
+
+def _per_draw_closed_form_powers(rng):
+    worst = 0.0
+    for lp in map(LoopParams, *sample_loop_params(rng, 100)):
+        u = build_loop_operator(lp)
+        for n in rng.integers(0, 101, size=10):
+            diff = matrix_power_closed_form(lp, int(n)) - power(u, int(n))
+            worst = max(worst, float(np.max(np.abs(diff))))
+    return worst, 1e-10
+
+
+def _per_draw_off_diagonal_closed_form(rng):
+    worst = 0.0
+    for lp in map(LoopParams, *sample_loop_params(rng, 100)):
+        u = build_loop_operator(lp)
+        for n in rng.integers(1, 201, size=5):
+            direct = abs(power(u, int(n))[0, 1])
+            worst = max(worst, abs(direct - off_diagonal_magnitude(lp, int(n))))
+    return worst, 1e-10
+
+
+def _per_draw_phase_average(rng):
+    worst = 0.0
+    for theta in np.linspace(0.0, math.pi, 25):
+        worst = max(worst, abs(phi_average(float(theta), 10_000) - p_geometric(float(theta))))
+    return worst, 1e-6
+
+
+def _per_draw_trace_projection(rng):
+    worst = 0.0
+    for lp in map(LoopParams, *sample_loop_params(rng, 20)):
+        u = build_loop_operator(lp)
+        trace = pump_trace(lp, 300)
+        for j in (1, 2, 3, 7, 50, 299, 300):
+            expected = abs(power(u, j)[1, 0]) ** 2
+            worst = max(worst, abs(trace.q[j - 1] - expected))
+    return worst, 1e-10
+
+
+_PER_DRAW = [
+    (checks._check_characteristic_recurrence, _per_draw_characteristic_recurrence),
+    (checks._check_closed_form_powers, _per_draw_closed_form_powers),
+    (checks._check_off_diagonal_closed_form, _per_draw_off_diagonal_closed_form),
+    (checks._check_trace_projection, _per_draw_trace_projection),
+]
+
+
+def _hexes(check, seed):
+    rng = make_rng(seed)
+    value, bound = check(rng)
+    # the stream is left where the per-draw form leaves it too
+    return float(value).hex(), float(bound).hex(), rng.integers(0, 2**62)
+
+
+@pytest.mark.parametrize("stacked, per_draw", _PER_DRAW, ids=lambda f: f.__name__)
+def test_stacked_checks_are_the_per_draw_values_bit_for_bit(stacked, per_draw):
+    for seed in range(50):
+        assert _hexes(stacked, seed) == _hexes(per_draw, seed), seed
+
+
+def test_phase_average_check_is_the_per_theta_value_bit_for_bit():
+    # the phase average draws nothing, so one seed stands for all
+    assert _hexes(checks._check_phase_average, 0) == _hexes(_per_draw_phase_average, 0)

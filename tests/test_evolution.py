@@ -196,7 +196,7 @@ def test_propagate_state_memory_is_one_block():
     propagate_state(lp, 8)  # allocations made once per process are not per cycle
     tracemalloc.start()
     try:
-        propagate_state(lp, 1_000_000)
+        propagate_state(lp, 200_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

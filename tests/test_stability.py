@@ -149,6 +149,60 @@ class TestOffDiagonal:
             off_diagonal_magnitude(LoopParams(1.0), 0)
 
 
+# unsorted, repeated, both base cases and past one 4096-step block
+_EXPONENTS = np.array([7, 0, 4097, 1, 1, 5000, 0, 300, 7, 4096])
+
+
+class TestArrayExponents:
+    """An int array n is one call, each entry the float its own call gives."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matrix_power_is_the_per_n_calls(self, seed):
+        lp = _random_loop(np.random.default_rng(seed))
+        got = matrix_power_closed_form(lp, _EXPONENTS)
+        assert got.shape == (len(_EXPONENTS), 2, 2)
+        assert np.array_equal(got, [matrix_power_closed_form(lp, int(n)) for n in _EXPONENTS])
+        grid = matrix_power_closed_form(lp, _EXPONENTS.reshape(2, 5))
+        assert np.array_equal(grid.reshape(-1, 2, 2), got)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_off_diagonal_is_the_per_n_calls(self, seed):
+        lp = _random_loop(np.random.default_rng(seed))
+        ns = _EXPONENTS + 1
+        got = off_diagonal_magnitude(lp, ns)
+        assert np.array_equal(got, [off_diagonal_magnitude(lp, int(n)) for n in ns])
+        assert np.array_equal(off_diagonal_magnitude(lp, ns.reshape(5, 2)).ravel(), got)
+
+    def test_scalar_n_keeps_its_types(self):
+        lp = LoopParams(1.0, 0.5, 0.25)
+        assert matrix_power_closed_form(lp, np.int64(3)).shape == (2, 2)
+        assert type(off_diagonal_magnitude(lp, 3)) is float
+
+    def test_empty_array(self):
+        lp = LoopParams(1.0)
+        assert matrix_power_closed_form(lp, np.array([], dtype=int)).shape == (0, 2, 2)
+        assert off_diagonal_magnitude(lp, np.array([], dtype=int)).shape == (0,)
+
+    @pytest.mark.parametrize(
+        "closed_form, ns, first",
+        [
+            (matrix_power_closed_form, [3, -2, 5, -7], "-2"),
+            (matrix_power_closed_form, -1, "-1"),
+            (off_diagonal_magnitude, [3, 0, -1], "0"),
+            (off_diagonal_magnitude, 0, "0"),
+        ],
+    )
+    def test_rejects_the_first_bad_entry(self, closed_form, ns, first):
+        with pytest.raises(ValueError, match=f"got {first}$"):
+            closed_form(LoopParams(1.0), np.array(ns))
+
+    @pytest.mark.parametrize("closed_form", [matrix_power_closed_form, off_diagonal_magnitude])
+    @pytest.mark.parametrize("ns", [2.5, 3.0, np.array([1.0, 2.0]), np.array([1, 2]) + 0.5])
+    def test_rejects_non_integer_exponents(self, closed_form, ns):
+        with pytest.raises(ValueError, match="n must be an int64 integer"):
+            closed_form(LoopParams(1.0), ns)
+
+
 class TestClassify:
     def test_quarter_turn_order_four(self):
         verdict = classify(LoopParams(HALF_PI), 10)
