@@ -15,8 +15,8 @@ near-ties and non-finite values.  A column block that repeats the previous
 block's bits, or runs of equal bits, is spelled once per distinct value,
 with the same bytes.  Grid commands put whole theta rows in each block;
 simulate computes each block as it is written, so its memory does not grow
-with --cycles.  --threads is accepted and validated but changes neither
-the bytes nor the parallelism.
+with --cycles.  --threads is checked (>= 1) where it is parsed and never
+reaches a RunConfig, which checks its own settings when it is built.
 
 Exit codes: 0 success, 1 bad configuration, 2 runtime or I/O failure,
 3 verification failure.
@@ -34,7 +34,6 @@ import stat
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -55,8 +54,7 @@ class ConfigError(ValueError):
 class _Param:
     name: str
     kind: type
-    default: object = None
-    required: bool = False
+    default: object = None  # None: the parameter is required
     help: str = ""
 
 
@@ -70,7 +68,7 @@ _COMMON_HELP = {
 
 _COMMANDS: dict[str, tuple[_Param, ...]] = {
     "simulate": (
-        _Param("theta", float, required=True, help="loop opening angle, radians"),
+        _Param("theta", float, help="loop opening angle, radians"),
         _Param("omega", float, 0.0, help="azimuth offset, radians"),
         _Param("phi", float, 0.0, help="phase bias, radians"),
         _Param("cycles", int, 10_000, help="number of pump cycles"),
@@ -88,7 +86,7 @@ _COMMANDS: dict[str, tuple[_Param, ...]] = {
         _Param("tol", float, 1e-9, help="off-diagonal threshold for stability"),
     ),
     "band-scan": (
-        _Param("a", float, required=True, help="static intracell offset"),
+        _Param("a", float, help="static intracell offset"),
         _Param("w", float, 1.0, help="intercell hopping"),
         _Param("l", float, 1.0, help="lattice constant"),
         _Param("k_grid", int, 128, help="momentum grid size"),
@@ -99,18 +97,32 @@ _COMMANDS: dict[str, tuple[_Param, ...]] = {
 # resolved like every command's parameters, but kept out of RunConfig.params
 _RUN_PARAMS = (
     _Param("seed", int, 0, help="random seed"),
-    _Param("threads", int, 1, help="validated (>= 1); kernels run single-threaded"),
+    _Param("threads", int, 1, help="checked (>= 1), then unused: kernels run single-threaded"),
 )
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run's settings; ConfigError when built with an unknown command or
+    format, a negative seed or an output path that is not a non-empty str."""
+
     command: str
     params: dict
     seed: int = 0
-    output_path: Optional[str] = None
+    output_path: str | None = None
     format: str = "csv"
-    threads: int = 1
+
+    def __post_init__(self):
+        if self.command not in _COMMANDS:
+            raise ConfigError(f"unknown command: {self.command!r}")
+        # Path("") is the working directory, which no file can be written to
+        out = self.output_path
+        if out is not None and not (isinstance(out, str) and out):
+            raise ConfigError("field 'out' must be a non-empty string path")
+        if self.format not in ("csv", "json"):
+            raise ConfigError(f"format must be csv or json, got {self.format!r}")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
 def _as_column(values) -> np.ndarray:
@@ -303,8 +315,7 @@ def emit(table: ResultTable, cfg: RunConfig) -> list[Path]:
 
 
 def _metadata(cfg: RunConfig) -> dict:
-    # threads and output path are deliberately not echoed: bytes must not
-    # depend on worker count or destination
+    # the output path is deliberately not echoed: bytes must not depend on it
     meta = {
         "tool": "geopump",
         "version": __version__,
@@ -427,15 +438,7 @@ _HANDLERS = {
 
 
 def run(cfg: RunConfig) -> ResultTable:
-    """Dispatch a validated config to its command handler."""
-    if cfg.command not in _HANDLERS:
-        raise ConfigError(f"unknown command: {cfg.command!r}")
-    if cfg.format not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {cfg.format!r}")
-    if cfg.threads < 1:
-        raise ConfigError("threads must be >= 1")
-    if cfg.seed < 0:
-        raise ConfigError("seed must be >= 0")
+    """Dispatch a config, checked when it was built, to its command handler."""
     try:
         return _HANDLERS[cfg.command](cfg)
     except ConfigError:
@@ -517,26 +520,17 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             params[prm.name] = cli_value
         elif prm.name in file_values:
             params[prm.name] = _coerce(prm.name, prm.kind, file_values[prm.name])
-        elif prm.required:
+        elif prm.default is None:
             raise ConfigError(f"missing required flag --{prm.name.replace('_', '-')}")
         else:
             params[prm.name] = prm.default
-    seed, threads = params.pop("seed"), params.pop("threads")
+    seed = params.pop("seed")
+    if params.pop("threads") < 1:  # checked, then dropped: no kernel reads it
+        raise ConfigError("threads must be >= 1")
 
-    fmt = args.format if args.format is not None else file_values.get("format", "csv")
     out = args.out if args.out is not None else file_values.get("out")
-    # Path("") is the working directory, which no file can be written to
-    if out is not None and not (isinstance(out, str) and out):
-        raise ConfigError("field 'out' must be a non-empty string path")
-
-    return RunConfig(
-        command=args.command,
-        params=params,
-        seed=seed,
-        output_path=out,
-        format=fmt,
-        threads=threads,
-    )
+    fmt = args.format if args.format is not None else file_values.get("format", "csv")
+    return RunConfig(args.command, params, seed, out, fmt)
 
 
 def main(argv=None) -> int:

@@ -246,8 +246,8 @@ def phase_diagram(
     grid advances as one array through the Chebyshev sequence of
     U^n = t_n U - t_{n-1} I, with y = tr U = 2 cos(theta/2) cos(phi) per cell.
     """
+    _check_scan(n_max, tol)  # before the axes are allocated
     thetas, phis = _grid_axes(theta_grid, phi_grid, offset)
-    _check_scan(n_max, tol)
     # rows along theta, columns along phi; each cell sees exactly the
     # floats classify reads from its own half turn
     ht = half_turn(thetas[:, None], phis[None, :])

@@ -12,8 +12,8 @@ cos h = cos(theta/2) cos(phase), and the amplitude A = s / sin h that sets
 both the pump trace from the ground state and its long-run mean.  The
 charts take arrays: half_turn, euler_from_loop, axis_angle_from_euler and
 the matrix builders work elementwise on floats or equal-shape arrays of
-angles (matrices then stack as (..., 2, 2)), and check their domain once
-per array.
+angles (matrices then stack as (..., 2, 2)); require_angles, which
+LoopParams calls too, checks their domain once per array.
 """
 
 from __future__ import annotations
@@ -64,6 +64,8 @@ class LoopParams:
     per cycle (canonical range [-pi/2, pi/2]).  omega and phi are accepted
     outside their canonical windows because several symmetry checks need
     e.g. phi + pi, which flips the loop operator by a global sign.
+    Each field is stored as float() of the value given, which require_angles
+    then checks.
     """
 
     theta: float
@@ -72,11 +74,8 @@ class LoopParams:
 
     def __post_init__(self):
         for name in ("theta", "omega", "phi"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite angle, got {value!r}")
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
+            object.__setattr__(self, name, float(getattr(self, name)))
+        require_angles(self.theta, omega=self.omega, phi=self.phi)
 
 
 # --- group operations -----------------------------------------------------

@@ -1,18 +1,12 @@
 import importlib
-import importlib.util
-from pathlib import Path
 
 from geopump.cli import main
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
-
-def test_traced_run_finds_every_wrapped_function():
+def test_traced_run_finds_every_wrapped_function(load_bench):
     # the traced benchmark resolves (module, function) pairs with getattr,
     # so a library function it names must not disappear
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_bench("tracing")
     missing = [
         f"{module}.{function}"
         for module, function in tracing.WRAPPED
@@ -21,12 +15,10 @@ def test_traced_run_finds_every_wrapped_function():
     assert missing == []
 
 
-def test_traced_asymptote_counts_its_rate_kernels(tmp_path):
+def test_traced_asymptote_counts_its_rate_kernels(tmp_path, load_bench):
     # 5000 draws are two row blocks: each block calls both rate routes once,
     # and the draws are made once
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_bench("tracing")
     tracer = tracing.Tracer()
     argv = ["asymptote", "--samples", "5000", "--seed", "1", "--out", str(tmp_path / "r.csv")]
     with tracer.traced_run():
@@ -37,12 +29,10 @@ def test_traced_asymptote_counts_its_rate_kernels(tmp_path):
     assert counts["sampling.sample_loop_params.calls"] == 1
 
 
-def test_traced_verify_counts_its_probe_and_phase_average(tmp_path):
+def test_traced_verify_counts_its_probe_and_phase_average(tmp_path, load_bench):
     # five drives of 100 000 raw cycles for the norm probe, 36 000 cycles
     # of pump_trace, and one phase average over a 25-point theta grid
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_bench("tracing")
     tracer = tracing.Tracer()
     with tracer.traced_run():
         assert main(["verify", "--seed", "1", "--out", str(tmp_path / "v.csv")]) == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -248,6 +249,27 @@ class TestRun:
     def test_bad_format(self):
         with pytest.raises(ConfigError):
             run(_simulate_cfg(format="yaml"))
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("command", "explode", "unknown command: 'explode'"),
+            ("format", "yaml", "format must be csv or json, got 'yaml'"),
+            ("seed", -1, "seed must be >= 0"),
+            ("output_path", "", "field 'out' must be a non-empty string path"),
+            ("output_path", 7, "field 'out' must be a non-empty string path"),
+        ],
+    )
+    def test_bad_setting_fails_when_the_config_is_built(self, field, value, message):
+        # emit would write JSON for "yaml", and fail late on the directory ""
+        with pytest.raises(ConfigError) as info:
+            _simulate_cfg(**{field: value})
+        assert str(info.value) == message
+
+    def test_threads_is_not_a_run_setting(self):
+        assert "threads" not in {f.name for f in dataclasses.fields(RunConfig)}
+        with pytest.raises(TypeError):
+            _simulate_cfg(threads=1)
 
 
 class TestEmit:
@@ -623,6 +645,24 @@ class TestMain:
         ]
         assert main(argv) == 2
 
+    def test_zero_threads_rejected(self, capsys):
+        assert main(["simulate", "--theta", "1", "--cycles", "2", "--threads", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "config error: threads must be >= 1\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["phase-diagram", "--theta-grid", "1", "--n-max", "0"], "n_max must lie in"),
+            (["simulate", "--theta", "1", "--threads", "0", "--out", ""], "threads must be"),
+        ],
+    )
+    def test_first_reported_error(self, capsys, argv, message):
+        # the scan arguments before the grid, --threads before the RunConfig
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+
     def test_threads_do_not_change_bytes(self, tmp_path):
         outs = []
         for threads in ("1", "2", "8"):
@@ -722,6 +762,22 @@ class TestConfigFile:
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert "config error: field 'out' must be a non-empty string path" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "value,message",
+        [
+            ("0", "threads must be >= 1"),
+            ("1.5", "field 'threads' must be an integer"),
+            ("true", "field 'threads' must be a number"),
+        ],
+    )
+    def test_bad_threads_in_file_rejected(self, tmp_path, capsys, value, message):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(f'{{"theta": 1.0, "cycles": 2, "threads": {value}}}')
+        assert main(["simulate", "--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {message}\n"
         assert captured.out == ""
 
     def test_huge_integer_in_float_field_rejected(self, tmp_path, capsys):

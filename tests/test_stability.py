@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -348,6 +349,17 @@ class TestPhaseDiagram:
         # numpy would reject this grid with a message that names no field
         with pytest.raises(ValueError, match=r"theta_grid \* phi_grid"):
             phase_diagram(2**62, 4, 10)
+
+    def test_scan_arguments_are_checked_before_the_axes(self):
+        # the theta axis alone would take 15 MiB before n_max = 0 is read
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"n_max must lie in \[1, sys.maxsize\], got 0"):
+                phase_diagram(2_000_000, 2, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"peak {peak} bytes"
 
 
 class TestPhaseDiagramMatchesClassify:

@@ -59,6 +59,20 @@ class TestLoopParams:
         # symmetry checks need values outside the canonical windows
         LoopParams(1.0, -7.0, 9.0)
 
+    def test_numpy_scalar_message_reads_the_float(self):
+        with pytest.raises(ValueError) as info:
+            LoopParams(np.float64("nan"))
+        assert str(info.value) == "theta must be a finite angle, got nan"
+
+    def test_non_scalar_field_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            LoopParams(np.array([1.0, 2.0]))
+
+    def test_fields_hold_the_checked_floats(self):
+        lp = LoopParams("1.0", 0, np.float64(0.5))
+        assert (lp.theta, lp.omega, lp.phi) == (1.0, 0.0, 0.5)
+        assert all(type(v) is float for v in (lp.theta, lp.omega, lp.phi))
+
 
 def test_states_are_orthonormal():
     g, e = np.array([1.0 + 0.0j, 0.0j]), np.array([0.0j, 1.0 + 0.0j])
@@ -457,11 +471,15 @@ class TestChartGap:
     ],
 )
 def test_require_angles_message_does_not_depend_on_input_shape(theta, phi, message):
-    # one point as a float, a numpy scalar or a 0-d array reads as an array of it
-    for wrap in (float, np.float64, np.array, lambda x: np.array([x]), lambda x: np.array([[x]])):
+    # one point as a float, a numpy scalar or a 0-d array reads as an array
+    # of it; LoopParams, whose fields require_angles checks, reads the same
+    wraps = (float, np.float64, np.array, lambda x: np.array([x]), lambda x: np.array([[x]]))
+    calls = [lambda w=w: require_angles(w(theta), phi=w(phi)) for w in wraps]
+    calls += [lambda w=w: LoopParams(w(theta), 0.0, w(phi)) for w in wraps[:3]]
+    for call in calls:
         if message is None:
-            require_angles(wrap(theta), phi=wrap(phi))
+            call()
         else:
             with pytest.raises(ValueError) as info:
-                require_angles(wrap(theta), phi=wrap(phi))
+                call()
             assert type(info.value) is ValueError and str(info.value) == message
