@@ -22,7 +22,7 @@ import numpy as np
 
 from .asymptotics import p_geometric
 from .evolution import cosine_cycle_zeros
-from .su2 import TWO_PI
+from .su2 import TWO_PI, require_int
 
 GAP_TOL = 1e-10
 
@@ -178,7 +178,7 @@ def pump_profile(dc: DriveCycle, k_grid: int) -> PumpProfile:
     tpt_count is the number of winding flips over the cycle: two per
     inverted closing momentum, whether or not the grid holds it.
     """
-    if k_grid < 16:
+    if require_int("k_grid", k_grid) < 16:
         raise ValueError(f"k_grid must be >= 16, got {k_grid}")
     ks = -math.pi / dc.l + (TWO_PI / dc.l) * np.arange(k_grid) / k_grid
     thetas = theta_of_k(dc, ks)

@@ -15,8 +15,9 @@ near-ties and non-finite values.  A column block that repeats the previous
 block's bits, or runs of equal bits, is spelled once per distinct value,
 with the same bytes.  Grid commands put whole theta rows in each block;
 simulate computes each block as it is written, so its memory does not grow
-with --cycles.  --threads is checked (>= 1) where it is parsed and never
-reaches a RunConfig, which checks its own settings when it is built.
+with --cycles.  A RunConfig resolves its params against _COMMANDS when it
+is built (unknown and missing keys fail, defaults fill in, each value takes
+its declared kind), so a library caller's bad config fails there, not in run.
 
 Exit codes: 0 success, 1 bad configuration, 2 runtime or I/O failure,
 3 verification failure.
@@ -29,6 +30,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 import os
 import stat
 import sys
@@ -56,6 +58,8 @@ class _Param:
     kind: type
     default: object = None  # None: the parameter is required
     help: str = ""
+    least: int | None = None  # range rules for values no library call checks first
+    rows: bool = False  # a float64 column's length: 8 bytes a row fit sys.maxsize
 
 
 _COMMON_HELP = {
@@ -71,10 +75,12 @@ _COMMANDS: dict[str, tuple[_Param, ...]] = {
         _Param("theta", float, help="loop opening angle, radians"),
         _Param("omega", float, 0.0, help="azimuth offset, radians"),
         _Param("phi", float, 0.0, help="phase bias, radians"),
-        _Param("cycles", int, 10_000, help="number of pump cycles"),
+        _Param("cycles", int, 10_000, help="number of pump cycles", least=1),
     ),
     "asymptote": (
-        _Param("samples", int, 0, help="random parameter draws; 0 sweeps a grid"),
+        _Param(
+            "samples", int, 0, help="random parameter draws; 0 sweeps a grid", least=0, rows=True
+        ),
         _Param("theta_grid", int, 50, help="grid cells along theta"),
         _Param("phi_grid", int, 50, help="grid cells along phi"),
     ),
@@ -89,40 +95,76 @@ _COMMANDS: dict[str, tuple[_Param, ...]] = {
         _Param("a", float, help="static intracell offset"),
         _Param("w", float, 1.0, help="intercell hopping"),
         _Param("l", float, 1.0, help="lattice constant"),
-        _Param("k_grid", int, 128, help="momentum grid size"),
+        _Param("k_grid", int, 128, help="momentum grid size", rows=True),
     ),
     "verify": (),
 }
 
 # resolved like every command's parameters, but kept out of RunConfig.params
-_RUN_PARAMS = (
-    _Param("seed", int, 0, help="random seed"),
-    _Param("threads", int, 1, help="checked (>= 1), then unused: kernels run single-threaded"),
+_SEED = _Param("seed", int, 0, help="random seed", least=0)
+_THREADS = _Param(
+    "threads", int, 1, help="checked (>= 1), then unused: kernels run single-threaded", least=1
 )
+_RUN_PARAMS = (_SEED, _THREADS)
+
+
+def _coerce(prm: _Param, value):
+    """value in prm's kind and range; a float's finiteness is left to the
+    library call that owns its range."""
+    name = prm.name
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"field {name!r} must be a number")
+    if prm.kind is int and not isinstance(value, numbers.Integral):
+        if not math.isfinite(value):  # JSON Infinity, NaN
+            raise ConfigError(f"field {name!r} must be finite, got {value!r}")
+        if value != int(value):
+            raise ConfigError(f"field {name!r} must be an integer")
+    try:
+        value = prm.kind(value)
+    except OverflowError:  # an int too large for a float
+        raise ConfigError(f"field {name!r} is too large for a float") from None
+    if prm.least is not None and value < prm.least:
+        raise ConfigError(f"{name} must be >= {prm.least}")
+    if prm.rows and 8 * value > sys.maxsize:  # numpy's message names no field
+        raise ConfigError(f"{name} must be at most sys.maxsize // 8 rows, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """One run's settings; ConfigError when built with an unknown command or
-    format, a negative seed or an output path that is not a non-empty str."""
+    format, an output path that is not a non-empty str, or a seed or params
+    that do not resolve against their _Param.  params is stored resolved."""
 
     command: str
     params: dict
-    seed: int = 0
+    seed: int = _SEED.default
     output_path: str | None = None
     format: str = "csv"
 
     def __post_init__(self):
         if self.command not in _COMMANDS:
             raise ConfigError(f"unknown command: {self.command!r}")
+        declared = _COMMANDS[self.command]
+        unknown = sorted(map(str, set(self.params) - {prm.name for prm in declared}))
+        if unknown:
+            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+        params = {}
+        for prm in declared:
+            if prm.name in self.params:
+                params[prm.name] = _coerce(prm, self.params[prm.name])
+            elif prm.default is None:
+                raise ConfigError(f"missing required flag --{prm.name.replace('_', '-')}")
+            else:
+                params[prm.name] = prm.default
+        object.__setattr__(self, "params", params)
         # Path("") is the working directory, which no file can be written to
         out = self.output_path
         if out is not None and not (isinstance(out, str) and out):
             raise ConfigError("field 'out' must be a non-empty string path")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
+        object.__setattr__(self, "seed", _coerce(_SEED, self.seed))
 
 
 def _as_column(values) -> np.ndarray:
@@ -331,15 +373,12 @@ def _metadata(cfg: RunConfig) -> dict:
 def _run_simulate(cfg: RunConfig) -> ResultTable:
     p = cfg.params
     lp = LoopParams(p["theta"], p["omega"], p["phi"])
-    cycles = p["cycles"]
-    if cycles < 1:
-        raise ConfigError("cycles must be a positive integer")
 
     # streamed: each block is computed as it is written; nothing in it can
-    # fail once the drive and the cycle count are valid
+    # fail once the drive is valid (RunConfig has checked the cycle count)
     def source():
         start = 1
-        for q, mean in pump_trace_blocks(lp, cycles, BLOCK_ROWS):
+        for q, mean in pump_trace_blocks(lp, p["cycles"], BLOCK_ROWS):
             yield np.arange(start, start + len(q)), q, mean
             start += len(q)
 
@@ -360,24 +399,13 @@ def _grid_blocks(thetas: np.ndarray, phis: np.ndarray, *grids: np.ndarray):
             yield (theta, phi, *(grid[rows, cols].ravel() for grid in grids))
 
 
-def _require_rows(field: str, rows: int) -> None:
-    if 8 * rows > sys.maxsize:  # numpy's message for the float64 column names no field
-        raise ConfigError(f"{field} must be at most sys.maxsize // 8 rows, got {rows}")
-
-
 def _run_asymptote(cfg: RunConfig) -> ResultTable:
     p = cfg.params
-    if p["samples"] < 0:
-        raise ConfigError("samples must be >= 0")
     if p["samples"] > 0:
-        _require_rows("samples", p["samples"])
-        draws = sample_loop_params(make_rng(cfg.seed), p["samples"])
-        blocks = _column_blocks(*draws)
-    elif p["theta_grid"] >= 2 and p["phi_grid"] >= 2:
+        blocks = _column_blocks(*sample_loop_params(make_rng(cfg.seed), p["samples"]))
+    else:
         thetas, phis = _grid_axes(p["theta_grid"], p["phi_grid"], 0.5)
         blocks = ((theta, 0.0, phi) for theta, phi in _grid_blocks(thetas, phis))
-    else:
-        raise ConfigError("need samples > 0 or both grids >= 2")
     # every block is computed before anything is written: a +/-identity
     # draw has no axis, and a failed run writes nothing
     rows = [
@@ -400,7 +428,6 @@ def _run_phase_diagram(cfg: RunConfig) -> ResultTable:
 
 def _run_band_scan(cfg: RunConfig) -> ResultTable:
     p = cfg.params
-    _require_rows("k_grid", p["k_grid"])
     profile = pump_profile(DriveCycle(p["a"], w=p["w"], l=p["l"]), p["k_grid"])
     meta = _metadata(cfg)
     meta["tpt_count"] = profile.tpt_count
@@ -441,8 +468,6 @@ def run(cfg: RunConfig) -> ResultTable:
     """Dispatch a config, checked when it was built, to its command handler."""
     try:
         return _HANDLERS[cfg.command](cfg)
-    except ConfigError:
-        raise
     except (GapClosedError, IdentityRotationError) as exc:
         raise RuntimeError(f"{exc} (command={cfg.command}, params={cfg.params})") from exc
     except ValueError as exc:
@@ -460,12 +485,7 @@ def _build_parser() -> _Parser:
     for name, params in _COMMANDS.items():
         sp = sub.add_parser(name, help=_COMMON_HELP[name])
         for prm in params + _RUN_PARAMS:
-            sp.add_argument(
-                "--" + prm.name.replace("_", "-"),
-                type=prm.kind,
-                default=None,
-                help=prm.help,
-            )
+            sp.add_argument("--" + prm.name.replace("_", "-"), type=prm.kind, help=prm.help)
         sp.add_argument("--config", default=None, help="JSON file with defaults")
         sp.add_argument("--format", choices=("csv", "json"), default=None)
         sp.add_argument("--out", default=None, help="output path; stdout when absent")
@@ -486,51 +506,20 @@ def _load_config_file(path: str) -> dict:
     return {str(key).replace("-", "_"): value for key, value in raw.items()}
 
 
-def _coerce(name: str, kind: type, value):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"field {name!r} must be a number")
-    if isinstance(value, float) and not math.isfinite(value):  # JSON Infinity, NaN
-        raise ConfigError(f"field {name!r} must be finite, got {value!r}")
-    if kind is int and value != int(value):
-        raise ConfigError(f"field {name!r} must be an integer")
-    try:
-        return kind(value)
-    except OverflowError:  # an int too large for a float
-        raise ConfigError(f"field {name!r} is too large for a float") from None
-
-
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """Merge CLI flags over config-file values over declared defaults."""
-    declared = _COMMANDS[args.command]
-    file_values = _load_config_file(args.config) if args.config else {}
-
-    known = {p.name for p in declared + _RUN_PARAMS} | {"command", "format", "out"}
-    unknown = sorted(set(file_values) - known)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    if "command" in file_values and file_values["command"] != args.command:
-        raise ConfigError(
-            f"config file is for {file_values['command']!r}, not {args.command!r}"
-        )
-
-    params = {}
-    for prm in declared + _RUN_PARAMS:
-        cli_value = getattr(args, prm.name)
-        if cli_value is not None:
-            params[prm.name] = cli_value
-        elif prm.name in file_values:
-            params[prm.name] = _coerce(prm.name, prm.kind, file_values[prm.name])
-        elif prm.default is None:
-            raise ConfigError(f"missing required flag --{prm.name.replace('_', '-')}")
-        else:
-            params[prm.name] = prm.default
-    seed = params.pop("seed")
-    if params.pop("threads") < 1:  # checked, then dropped: no kernel reads it
-        raise ConfigError("threads must be >= 1")
-
-    out = args.out if args.out is not None else file_values.get("out")
-    fmt = args.format if args.format is not None else file_values.get("format", "csv")
-    return RunConfig(args.command, params, seed, out, fmt)
+    """Merge CLI flags over config-file values; --threads is checked and
+    dropped, and the RunConfig resolves the rest."""
+    values = _load_config_file(args.config) if args.config else {}
+    command = values.pop("command", args.command)
+    if command != args.command:
+        raise ConfigError(f"config file is for {command!r}, not {args.command!r}")
+    for name in [prm.name for prm in _COMMANDS[args.command] + _RUN_PARAMS] + ["format", "out"]:
+        if getattr(args, name) is not None:
+            values[name] = getattr(args, name)
+    _coerce(_THREADS, values.pop("threads", _THREADS.default))  # then dropped: no kernel reads it
+    fields = {"seed": "seed", "out": "output_path", "format": "format"}
+    settings = {fields[key]: values.pop(key) for key in list(values) if key in fields}
+    return RunConfig(args.command, values, **settings)
 
 
 def main(argv=None) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .su2 import _BLOCK, TWO_PI, LoopParams, _require_axis, half_turn
+from .su2 import _BLOCK, TWO_PI, LoopParams, _require_axis, half_turn, require_int
 
 
 def build_loop_operator(lp: LoopParams) -> np.ndarray:
@@ -163,7 +163,7 @@ def trajectory_angles(lp: LoopParams, n: int) -> np.ndarray:
     fixed axis, read from its half turn.  Raises IdentityRotationError when
     the operator is +/-identity and has no axis.
     """
-    if n < 1:
+    if require_int("n", n) < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     ht = _require_axis(half_turn(lp.theta, lp.phi))
     return (2.0 * ht.h * np.arange(1, n + 1)) % TWO_PI

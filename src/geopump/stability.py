@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .evolution import build_loop_operator
-from .su2 import HALF_PI, LoopParams, half_turn
+from .su2 import HALF_PI, LoopParams, half_turn, require_int
 
 # off-diagonal magnitudes in [tol, MARGINAL_BAND) are flagged but do not
 # count as a detected return
@@ -108,7 +108,7 @@ class StabilityVerdict:
 
 
 def _check_scan(n_max: int, tol: float) -> None:
-    if not 1 <= n_max <= sys.maxsize:  # islice accepts no longer scan
+    if not 1 <= require_int("n_max", n_max) <= sys.maxsize:  # islice takes no longer scan
         raise ValueError(f"n_max must lie in [1, sys.maxsize], got {n_max}")
     if not 0.0 < tol <= MARGINAL_BAND:
         raise ValueError(f"tol must lie in (0, {MARGINAL_BAND}], got {tol}")
@@ -170,7 +170,7 @@ def stable_curve(p: int, q: int, resolution: int) -> StableCurve:
         raise ValueError(f"p/q must be in lowest terms, got {p}/{q}")
     if not p < 2 * q:
         raise ValueError(f"p/q must lie in (0, 2), got {p}/{q}")
-    if resolution < 2:
+    if require_int("resolution", resolution) < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     delta = p * math.pi / q
     target = math.cos(delta / 2.0)  # cos h of the curve's half turn
@@ -215,6 +215,7 @@ class PhaseDiagram:
 def _grid_axes(theta_grid: int, phi_grid: int, offset: float) -> tuple[np.ndarray, ...]:
     """The theta axis over [0, pi] and the phi axis over [-pi/2, pi/2] of a
     product grid, each point at `offset` of its cell (0: endpoints)."""
+    theta_grid, phi_grid = require_int("theta_grid", theta_grid), require_int("phi_grid", phi_grid)
     if theta_grid < 2 or phi_grid < 2:
         raise ValueError("grids need at least 2 points per axis")
     if 8 * theta_grid * phi_grid > sys.maxsize:  # numpy's message names no field

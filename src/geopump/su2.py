@@ -19,6 +19,7 @@ LoopParams calls too, checks their domain once per array.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -52,6 +53,14 @@ def require_angles(theta, **angles) -> None:
         _reject(name, values, np.isfinite(values), "be a finite angle")
     theta = np.asarray(theta)
     _reject("theta", theta, (theta >= 0.0) & (theta <= math.pi), "lie in [0, pi]")
+
+
+def require_int(name: str, value) -> int:
+    """operator.index(value), so 2.5 or 2.0 is no size; ValueError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)

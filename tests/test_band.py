@@ -243,6 +243,9 @@ class TestPumpProfile:
     def test_validation(self):
         with pytest.raises(ValueError):
             pump_profile(DriveCycle(a=1.0), 8)
+        # would give 33 momenta ending at 3.045, unevenly spaced
+        with pytest.raises(ValueError, match="k_grid must be an integer, got 32.5"):
+            pump_profile(DriveCycle(a=1.0), 32.5)
 
     def test_matches_theta_of_k_on_the_grid(self):
         for a in np.linspace(-3.0, 3.0, 25):

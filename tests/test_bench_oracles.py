@@ -4,7 +4,7 @@ from geopump.cli import main
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("name", ["pump-trace", "phase-grid", "rate-draws"])
+@pytest.mark.parametrize("name", ["pump-trace", "phase-grid", "rate-draws", "verify"])
 def test_workload_output_passes_its_oracle(tmp_path, load_bench, name, seed):
     # the benchmark's own argv builders and oracles
     workload = load_bench("workloads").WORKLOADS[name]

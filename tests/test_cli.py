@@ -258,13 +258,47 @@ class TestRun:
             ("seed", -1, "seed must be >= 0"),
             ("output_path", "", "field 'out' must be a non-empty string path"),
             ("output_path", 7, "field 'out' must be a non-empty string path"),
+            ("params", {}, "missing required flag --theta"),
+            ("params", {"theta": 1.0, "cycles": 2.5}, "field 'cycles' must be an integer"),
+            ("params", {"theta": 1.0, "bogus": 1}, "unknown config keys: bogus"),
+            ("params", {"theta": 1.0, "cycles": 0}, "cycles must be >= 1"),
+            ("seed", 1.5, "field 'seed' must be an integer"),
+            ("seed", True, "field 'seed' must be a number"),
+            # field None: value holds several settings
+            (
+                None,
+                {"command": "band-scan", "params": {"a": 1.0, "k_grid": 32.5}},
+                "field 'k_grid' must be an integer",
+            ),
         ],
     )
     def test_bad_setting_fails_when_the_config_is_built(self, field, value, message):
-        # emit would write JSON for "yaml", and fail late on the directory ""
+        # emit would write JSON for "yaml", and fail late on the directory "";
+        # a missing theta would be a KeyError in run, a cycles of 2.5 a
+        # TypeError after the CSV head, and a k_grid of 32.5 would write 33
+        # uneven momenta
         with pytest.raises(ConfigError) as info:
-            _simulate_cfg(**{field: value})
+            _simulate_cfg(**({field: value} if field else value))
         assert str(info.value) == message
+
+    def test_params_are_resolved_to_their_declared_kinds(self):
+        spelled = {"theta": 1, "omega": 0, "phi": 0, "cycles": 8.0}
+        cfg = RunConfig("simulate", spelled)
+        spelled.update(theta=2.0, bogus=1)  # the config holds its own copy
+        floats = RunConfig("simulate", {"theta": 1.0, "omega": 0.0, "phi": 0.0, "cycles": 8})
+        assert cfg == floats
+        assert [type(v) for v in cfg.params.values()] == [float, float, float, int]
+        for write in (to_csv, to_json):
+            assert write(run(cfg)) == write(run(floats))
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_declared_defaults_resolve_to_themselves(self, command):
+        declared = cli._COMMANDS[command]
+        required = {p.name: 1 for p in declared if p.default is None}
+        params = RunConfig(command, required).params
+        assert params == {p.name: required.get(p.name, p.default) for p in declared}
+        assert [type(params[p.name]) for p in declared] == [p.kind for p in declared]
+        assert RunConfig(command, params).params == params
 
     def test_threads_is_not_a_run_setting(self):
         assert "threads" not in {f.name for f in dataclasses.fields(RunConfig)}
@@ -333,11 +367,11 @@ class TestBlockBoundaries:
         want = _reference_csv(table) if fmt == "csv" else _reference_json(table)
         assert (to_csv(table) if fmt == "csv" else to_json(table)) == want
         out = tmp_path / f"t.{fmt}"
-        cfg = RunConfig("simulate", {}, output_path=str(out), format=fmt)
+        cfg = _simulate_cfg(output_path=str(out), format=fmt)
         assert emit(table, cfg) == [out]
         assert out.read_bytes() == want.encode()
         capsys.readouterr()
-        assert emit(table, RunConfig("simulate", {}, format=fmt)) == []
+        assert emit(table, _simulate_cfg(format=fmt)) == []
         assert capsys.readouterr().out == want
 
     @pytest.mark.parametrize("n", [BLOCK_ROWS - 1, BLOCK_ROWS + 1])

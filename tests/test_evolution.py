@@ -248,6 +248,12 @@ class TestTrajectoryAngles:
         angles = trajectory_angles(LoopParams(math.pi / 2, 0.0, 0.3), 20_000)
         assert kstest(angles / (2.0 * math.pi), "uniform").statistic < 0.02
 
+    @pytest.mark.parametrize("n,message", [(0, "n must be >= 1"), (2.5, "n must be an integer")])
+    def test_validation(self, n, message):
+        # n = 2.5 would return 3 angles
+        with pytest.raises(ValueError, match=message):
+            trajectory_angles(LoopParams(math.pi / 2), n)
+
     @pytest.mark.parametrize("phi", [0.0, math.pi])
     def test_identity_drive_has_no_turn_axis(self, phi):
         with pytest.raises(IdentityRotationError):

@@ -250,6 +250,8 @@ class TestClassify:
             classify(LoopParams(1.0), 0)
         with pytest.raises(ValueError):
             classify(LoopParams(1.0), 10, tol=1e-3)
+        with pytest.raises(ValueError, match="n_max must be an integer, got 2.5"):
+            classify(LoopParams(1.0), 2.5)
 
 
 class TestCurveOrder:
@@ -306,6 +308,8 @@ class TestStableCurve:
             stable_curve(5, 2, 8)  # delta out of range
         with pytest.raises(ValueError):
             stable_curve(1, 2, 1)
+        with pytest.raises(ValueError, match="resolution must be an integer, got 2.5"):
+            stable_curve(1, 2, 2.5)  # would sample theta = 1.885, past delta = pi/2
 
 
 class TestPhaseDiagram:
@@ -349,6 +353,12 @@ class TestPhaseDiagram:
         # numpy would reject this grid with a message that names no field
         with pytest.raises(ValueError, match=r"theta_grid \* phi_grid"):
             phase_diagram(2**62, 4, 10)
+        # a 5-row grid at the cell midpoints, numpy's TypeError at offset 0
+        for offset in (0.5, 0.0):
+            with pytest.raises(ValueError, match="theta_grid must be an integer, got 4.5"):
+                phase_diagram(4.5, 4, 10, offset=offset)
+        with pytest.raises(ValueError, match="phi_grid must be an integer, got 4.0"):
+            phase_diagram(4, 4.0, 10)
 
     def test_scan_arguments_are_checked_before_the_axes(self):
         # the theta axis alone would take 15 MiB before n_max = 0 is read
@@ -399,6 +409,9 @@ class TestPhaseDiagramMatchesClassify:
             phase_diagram(5, 5, 0)
         with pytest.raises(ValueError):
             phase_diagram(5, 5, 10, tol=1e-3)
+        # islice's message would name no field
+        with pytest.raises(ValueError, match="n_max must be an integer, got 2.5"):
+            phase_diagram(4, 4, 2.5)
 
 
 def _fibonacci_pair(n, x):
