@@ -78,31 +78,24 @@ def _first_diagonal_power(u, n_max, tol=1e-9):
 
 
 def _check_special_unitary(rng):
-    loops = map(LoopParams, *sample_loop_params(rng, 500))
-    worst = max(su2_defect(build_loop_operator(lp)) for lp in loops)
-    return worst, 1e-12
-
-
-def _loop_operators(theta, omega, phi):
-    return np.array([build_loop_operator(LoopParams(*v)) for v in zip(theta, omega, phi)])
+    return np.max(su2_defect(build_loop_operator(*sample_loop_params(rng, 500)))), 1e-12
 
 
 def _check_euler_right_inverse(rng):
     theta, omega, phi = sample_loop_params(rng, 500)
     rebuilt = euler_matrices(*euler_from_loop(theta, omega, phi))
-    return np.max(np.abs(rebuilt - _loop_operators(theta, omega, phi))), 1e-12
+    return np.max(np.abs(rebuilt - build_loop_operator(theta, omega, phi))), 1e-12
 
 
 def _check_axis_chain(rng):
     theta, omega, phi = sample_loop_params(rng, 500, **_INTERIOR)
     rebuilt = axis_angle_matrices(*axis_angle_from_euler(*euler_from_loop(theta, omega, phi)))
-    return np.max(np.abs(rebuilt - _loop_operators(theta, omega, phi))), 1e-10
+    return np.max(np.abs(rebuilt - build_loop_operator(theta, omega, phi))), 1e-10
 
 
 def _check_power_semigroup(rng):
     worst = 0.0
-    for lp in map(LoopParams, *sample_loop_params(rng, 20)):
-        u = build_loop_operator(lp)
+    for u in build_loop_operator(*sample_loop_params(rng, 20)):
         n, m = (int(v) for v in rng.integers(0, 10_001, size=2))
         diff = power(u, n + m) - power(u, n) @ power(u, m)
         worst = max(worst, float(np.max(np.abs(diff))))
@@ -110,7 +103,7 @@ def _check_power_semigroup(rng):
 
 
 def _check_characteristic_recurrence(rng):
-    u = _loop_operators(*sample_loop_params(rng, 500))
+    u = build_loop_operator(*sample_loop_params(rng, 500))
     trace = (u[:, 0, 0] + u[:, 1, 1])[:, None, None]
     return np.max(np.abs(u @ u - trace * u + np.eye(2))), 1e-12
 
@@ -123,7 +116,7 @@ def _closed_form_and_powers(rng, closed_form, low, high, size):
     for lp in map(LoopParams, theta, omega, phi):
         ns.append(rng.integers(low, high, size=size))
         closed.append(closed_form(lp, ns[-1]))
-    ns, u = np.array(ns), _loop_operators(theta, omega, phi)
+    ns, u = np.array(ns), build_loop_operator(theta, omega, phi)
     powers = np.empty(ns.shape + (2, 2), dtype=complex)
     for n in set(ns.ravel().tolist()):  # np.unique would import numpy.ma: 1.5 MiB of RSS
         drive, draw = np.nonzero(ns == n)
@@ -163,7 +156,7 @@ def _check_rate_ceiling(rng):
 def _check_trace_projection(rng):
     theta, omega, phi = sample_loop_params(rng, 20)
     q = np.array([pump_trace(lp, 300).q for lp in map(LoopParams, theta, omega, phi)])
-    u = _loop_operators(theta, omega, phi)
+    u = build_loop_operator(theta, omega, phi)
     worst = 0.0
     for j in (1, 2, 3, 7, 50, 299, 300):
         # abs and square of each numpy scalar, as the stacked forms round otherwise
@@ -182,11 +175,8 @@ def _check_phase_shift_symmetry(rng):
 
 
 def _check_norm_preservation(rng):
-    worst = 0.0
-    for lp in map(LoopParams, *sample_loop_params(rng, 5)):
-        _, err = propagate_state(lp, 100_000)
-        worst = max(worst, err)
-    return worst, 1e-9
+    loops = map(LoopParams, *sample_loop_params(rng, 5))
+    return max(propagate_state(lp, 100_000)[1] for lp in loops), 1e-9
 
 
 def _check_winding_criterion(rng):
@@ -216,9 +206,8 @@ def _check_rational_orders(rng):
             for theta, phi in stable_curve(p, q, 4).points:
                 lp = LoopParams(theta, 0.0, phi)
                 verdict = classify(lp, 2 * expected + 2)
-                oracle = _first_diagonal_power(
-                    build_loop_operator(lp), 2 * expected + 2
-                )
+                u = build_loop_operator(lp.theta, lp.omega, lp.phi)
+                oracle = _first_diagonal_power(u, 2 * expected + 2)
                 if not verdict.stable or verdict.order != expected or oracle != expected:
                     mismatches += 1
     return float(mismatches), 0.5
@@ -283,11 +272,8 @@ def _ks_uniform(x):
 
 
 def _check_equidistribution(rng):
-    worst = 0.0
-    for lp in map(LoopParams, *sample_loop_params(rng, 5, **_INTERIOR)):
-        angles = trajectory_angles(lp, 20_000)
-        worst = max(worst, _ks_uniform(angles / TWO_PI))
-    return worst, 0.01
+    loops = map(LoopParams, *sample_loop_params(rng, 5, **_INTERIOR))
+    return max(_ks_uniform(trajectory_angles(lp, 20_000) / TWO_PI) for lp in loops), 0.01
 
 
 _CHECKS = (

@@ -34,8 +34,10 @@ import numbers
 import os
 import stat
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -134,10 +136,11 @@ def _coerce(prm: _Param, value):
 class RunConfig:
     """One run's settings; ConfigError when built with an unknown command or
     format, an output path that is not a non-empty str, or a seed or params
-    that do not resolve against their _Param.  params is stored resolved."""
+    that do not resolve against their _Param.  params is stored resolved,
+    as a read-only mapping, so nothing unchecked reaches run."""
 
     command: str
-    params: dict
+    params: Mapping
     seed: int = _SEED.default
     output_path: str | None = None
     format: str = "csv"
@@ -157,7 +160,7 @@ class RunConfig:
                 raise ConfigError(f"missing required flag --{prm.name.replace('_', '-')}")
             else:
                 params[prm.name] = prm.default
-        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "params", MappingProxyType(params))
         # Path("") is the working directory, which no file can be written to
         out = self.output_path
         if out is not None and not (isinstance(out, str) and out):

@@ -10,25 +10,24 @@ per-cycle jump angles of the Bloch-sphere trajectory.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .su2 import _BLOCK, TWO_PI, LoopParams, _require_axis, half_turn, require_int
+from .su2 import _BLOCK, TWO_PI, LoopParams, _cis, _require_axis, _stack, half_turn
+from .su2 import require_angles, require_int
 
 
-def build_loop_operator(lp: LoopParams) -> np.ndarray:
-    """Special-unitary one-cycle operator of the loop (theta, omega, phi)."""
-    c = math.cos(0.5 * lp.theta)
-    s = math.sin(0.5 * lp.theta)
-    return np.array(
-        [
-            [c * cmath.exp(-1j * lp.phi), -s * cmath.exp(-1j * (lp.omega - lp.phi))],
-            [s * cmath.exp(1j * (lp.omega - lp.phi)), c * cmath.exp(1j * lp.phi)],
-        ]
-    )
+def build_loop_operator(theta, omega, phi) -> np.ndarray:
+    """Special-unitary one-cycle operators of loops (theta, omega, phi):
+    floats or equal-shape arrays, checked as LoopParams checks one loop,
+    stacked as (..., 2, 2).  Entries c e^{-i phi}, -s e^{-i(omega - phi)},
+    s e^{i(omega - phi)}, c e^{i phi} (c, s of theta/2), bit for bit as
+    math and cmath compute them."""
+    require_angles(theta, omega=omega, phi=phi)
+    c, s, d = np.cos(0.5 * theta), np.sin(0.5 * theta), omega - phi
+    return _stack(c * _cis(phi, -1), -s * _cis(d, -1), s * _cis(d), c * _cis(phi))
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,7 @@ def pump_trace_blocks(lp: LoopParams, cycles: int, block_rows: int):
     before the block's cumsum, which adds left to right, so p is bit for
     bit np.cumsum(q) / n of the whole trace, however it is blocked.
     """
-    if cycles < 1:
+    if require_int("cycles", cycles) < 1:
         raise ValueError(f"cycles must be >= 1, got {cycles}")
     if block_rows < 1:
         raise ValueError(f"block_rows must be >= 1, got {block_rows}")
@@ -106,9 +105,9 @@ def propagate_state(lp: LoopParams, cycles: int):
     evaluated per block of cycles in numpy in the same order, so the
     state and the drift are bit-identical to a one-cycle-at-a-time loop.
     """
-    if cycles < 1:
+    if require_int("cycles", cycles) < 1:
         raise ValueError(f"cycles must be >= 1, got {cycles}")
-    u = build_loop_operator(lp)
+    u = build_loop_operator(lp.theta, lp.omega, lp.phi)
     ua, ub = complex(u[0, 0]), complex(u[0, 1])
     uc, ud = complex(u[1, 0]), complex(u[1, 1])
 

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .su2 import require_angles
+from .su2 import require_angles, require_int
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -30,6 +30,7 @@ def sample_loop_params(
 
     The angles are checked once per array, as LoopParams checks one loop.
     """
+    count = require_int("count", count)
     thetas = rng.uniform(*theta_range, size=count)
     omegas = rng.uniform(0.0, 2.0 * math.pi, size=count)
     phis = rng.uniform(*phi_range, size=count)

@@ -81,7 +81,8 @@ def matrix_power_closed_form(lp: LoopParams, n) -> np.ndarray:
     gives n.shape + (2, 2), each power as its own call gives it, from one
     run of the recurrence up to max(n).  ValueError unless each n is an int >= 0."""
     t_prev, t_n = _chebyshev_pair(_trace_and_s(lp)[0], n)
-    return np.multiply.outer(t_n, build_loop_operator(lp)) - np.multiply.outer(t_prev, np.eye(2))
+    u = build_loop_operator(lp.theta, lp.omega, lp.phi)
+    return np.multiply.outer(t_n, u) - np.multiply.outer(t_prev, np.eye(2))
 
 
 def off_diagonal_magnitude(lp: LoopParams, n):

@@ -96,12 +96,14 @@ def power(u: np.ndarray, n: int) -> np.ndarray:
     return np.linalg.matrix_power(u, int(n))
 
 
-def su2_defect(u: np.ndarray) -> float:
-    """Largest deviation from unitarity and from det = 1."""
-    gram = u.conj().T @ u
-    unit = float(np.max(np.abs(gram - np.eye(2))))
-    det = abs(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0] - 1.0)
-    return max(unit, det)
+def su2_defect(u: np.ndarray):
+    """Largest deviation from unitarity and from det = 1 of each matrix of
+    a (..., 2, 2) stack; a float for one (2, 2) matrix."""
+    unit = np.max(np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(2)), axis=(-2, -1))
+    # det in Python complex arithmetic, which rounds as numpy's complex
+    # scalars do; numpy's array product rounds otherwise
+    det = [abs(a * d - b * c - 1.0) for a, b, c, d in np.reshape(u, (-1, 4)).tolist()]
+    return np.maximum(unit, np.reshape(det, unit.shape))[()]
 
 
 # --- chart conversions ----------------------------------------------------
@@ -123,16 +125,19 @@ def _pointwise(fn, x, y):
     return out.reshape(x.shape)[()]
 
 
-def _cis(x):
-    # exp(ix) from np.cos and np.sin, bit for bit what cmath.exp(1j * x)
-    # gives: the products by 0 and 1 in 1j * sin are exact
-    return np.cos(x) + 1j * np.sin(x)
+def _cis(x, sign=1):
+    # exp(sign * ix) bit for bit as cmath.exp(sign * 1j * x) gives it, signed
+    # zeros too: cos and sin of that argument's imaginary part t, which is
+    # x + 0.0 for sign 1 (-0.0 turns into 0.0) and -x for sign -1
+    t = (sign * 1j * np.asarray(x)).imag
+    out = np.empty(t.shape, dtype=complex)
+    out.real, out.imag = np.cos(t), np.sin(t)
+    return out
 
 
 def _stack(u00, u01, u10, u11) -> np.ndarray:
     # entries of shape S -> matrices of shape S + (2, 2)
-    u00, u01, u10, u11 = np.broadcast_arrays(u00, u01, u10, u11)
-    out = np.empty(u00.shape + (2, 2), dtype=complex)
+    out = np.empty(np.broadcast(u00, u01, u10, u11).shape + (2, 2), dtype=complex)
     out[..., 0, 0] = u00
     out[..., 0, 1] = u01
     out[..., 1, 0] = u10
@@ -186,7 +191,7 @@ def axis_angle_matrices(alpha, beta, delta) -> np.ndarray:
     ca = np.cos(alpha)
     sa = np.sin(alpha)
     off = -1j * sh * sa
-    return _stack(ch - 1j * sh * ca, off * _cis(-beta), off * _cis(beta), ch + 1j * sh * ca)
+    return _stack(ch - 1j * sh * ca, off * _cis(beta, -1), off * _cis(beta), ch + 1j * sh * ca)
 
 
 def euler_matrices(phi, theta, psi) -> np.ndarray:
@@ -196,8 +201,8 @@ def euler_matrices(phi, theta, psi) -> np.ndarray:
     half_sum = 0.5 * (phi + psi)
     half_diff = 0.5 * (phi - psi)
     return _stack(
-        ch * _cis(-half_sum),
-        -1j * sh * _cis(-half_diff),
+        ch * _cis(half_sum, -1),
+        -1j * sh * _cis(half_diff, -1),
         -1j * sh * _cis(half_diff),
         ch * _cis(half_sum),
     )

@@ -108,7 +108,7 @@ def test_05_closed_form_powers():
     rng = make_rng(SEED + 2)
     worst = 0.0
     for lp in map(LoopParams, *sample_loop_params(rng, 200)):
-        u = build_loop_operator(lp)
+        u = build_loop_operator(lp.theta, lp.omega, lp.phi)
         m = np.eye(2, dtype=complex)
         for n in range(1, 101):
             m = u @ m
@@ -132,7 +132,7 @@ def test_06_stability_exactness_on_rational_curves():
             for theta, phi in stable_curve(p, q, 5).points:
                 lp = LoopParams(theta, 0.0, phi)
                 verdict = classify(lp, 2 * expected + 2)
-                u = build_loop_operator(lp)
+                u = build_loop_operator(lp.theta, lp.omega, lp.phi)
                 oracle = None
                 m = np.eye(2, dtype=complex)
                 for n in range(1, 2 * expected + 3):

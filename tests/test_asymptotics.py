@@ -295,6 +295,15 @@ def test_array_kernels_match_on_asymptote_draws(seed):
     _assert_array_matches_scalar(theta, omega, phi, picks)
 
 
+@pytest.mark.parametrize("count", [2.5, "3"])
+def test_sample_loop_params_rejects_a_non_integer_count(count):
+    # numpy's own message would name no argument
+    with pytest.raises(ValueError) as info:
+        sample_loop_params(make_rng(0), count)
+    assert str(info.value) == f"count must be an integer, got {count!r}"
+    assert len(sample_loop_params(make_rng(0), np.int64(3))[0]) == 3
+
+
 def test_array_kernels_reject_bad_input():
     theta = np.array([0.4, 1.0, 2.5])
     omega = np.array([0.1, 3.0, 5.0])

@@ -31,7 +31,9 @@ def test_traced_asymptote_counts_its_rate_kernels(tmp_path, load_bench):
 
 def test_traced_verify_counts_its_probe_and_phase_average(tmp_path, load_bench):
     # five drives of 100 000 raw cycles for the norm probe, 36 000 cycles
-    # of pump_trace, and one phase average over a 25-point theta grid
+    # of pump_trace, and one phase average over a 25-point theta grid; the
+    # loop operators come one stack per draw set (eight calls), one per
+    # closed-form drive (100), norm probe (5) and stable-curve point (88)
     tracing = load_bench("tracing")
     tracer = tracing.Tracer()
     with tracer.traced_run():
@@ -40,3 +42,4 @@ def test_traced_verify_counts_its_probe_and_phase_average(tmp_path, load_bench):
     assert counts["evolution.propagate_state.calls"] == 5
     assert counts["evolution.cycles"] == 536_000
     assert counts["asymptotics.phi_average.calls"] == 1
+    assert counts["evolution.build_loop_operator.calls"] == 201

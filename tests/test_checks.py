@@ -16,7 +16,11 @@ from geopump import (
     ChainParams,
     GapClosedError,
     LoopParams,
+    axis_angle_from_euler,
+    axis_angle_matrices,
     build_loop_operator,
+    euler_from_loop,
+    euler_matrices,
     make_rng,
     matrix_power_closed_form,
     off_diagonal_magnitude,
@@ -25,9 +29,11 @@ from geopump import (
     power,
     pump_trace,
     sample_loop_params,
+    su2_defect,
     winding_number,
 )
-from geopump.checks import _ks_uniform
+from geopump.checks import _INTERIOR, _ks_uniform
+from test_evolution import _cmath_loop_operator
 
 # short lists straight from hypothesis: n = 1, exact 0 and 1, ties, any order
 _SHORT = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60)
@@ -118,15 +124,51 @@ def test_one_d_consistency_compares_two_routes(monkeypatch):
     assert value > bound
 
 
-# The per-draw forms of five checks that now run on whole draw sets: the
+# The per-draw forms of the checks that now run on whole draw sets: the
 # stacked forms must give each value bit for bit, from the same stream.
+# The first four build each loop operator with the one-loop cmath builder.
+
+
+def _cmath_operator(lp):
+    return _cmath_loop_operator(lp.theta, lp.omega, lp.phi)
+
+
+def _per_draw_special_unitary(rng):
+    loops = map(LoopParams, *sample_loop_params(rng, 500))
+    return max(su2_defect(_cmath_operator(lp)) for lp in loops), 1e-12
+
+
+def _per_draw_euler_right_inverse(rng):
+    worst = 0.0
+    for lp in map(LoopParams, *sample_loop_params(rng, 500)):
+        rebuilt = euler_matrices(*euler_from_loop(lp.theta, lp.omega, lp.phi))
+        worst = max(worst, float(np.max(np.abs(rebuilt - _cmath_operator(lp)))))
+    return worst, 1e-12
+
+
+def _per_draw_axis_chain(rng):
+    worst = 0.0
+    for lp in map(LoopParams, *sample_loop_params(rng, 500, **_INTERIOR)):
+        chart = axis_angle_from_euler(*euler_from_loop(lp.theta, lp.omega, lp.phi))
+        worst = max(worst, float(np.max(np.abs(axis_angle_matrices(*chart) - _cmath_operator(lp)))))
+    return worst, 1e-10
+
+
+def _per_draw_power_semigroup(rng):
+    worst = 0.0
+    for lp in map(LoopParams, *sample_loop_params(rng, 20)):
+        u = _cmath_operator(lp)
+        n, m = (int(v) for v in rng.integers(0, 10_001, size=2))
+        diff = power(u, n + m) - power(u, n) @ power(u, m)
+        worst = max(worst, float(np.max(np.abs(diff))))
+    return worst, 1e-10
 
 
 def _per_draw_characteristic_recurrence(rng):
     eye = np.eye(2)
     worst = 0.0
     for lp in map(LoopParams, *sample_loop_params(rng, 500)):
-        u = build_loop_operator(lp)
+        u = build_loop_operator(lp.theta, lp.omega, lp.phi)
         residual = u @ u - (u[0, 0] + u[1, 1]) * u + eye
         worst = max(worst, float(np.max(np.abs(residual))))
     return worst, 1e-12
@@ -135,7 +177,7 @@ def _per_draw_characteristic_recurrence(rng):
 def _per_draw_closed_form_powers(rng):
     worst = 0.0
     for lp in map(LoopParams, *sample_loop_params(rng, 100)):
-        u = build_loop_operator(lp)
+        u = build_loop_operator(lp.theta, lp.omega, lp.phi)
         for n in rng.integers(0, 101, size=10):
             diff = matrix_power_closed_form(lp, int(n)) - power(u, int(n))
             worst = max(worst, float(np.max(np.abs(diff))))
@@ -145,7 +187,7 @@ def _per_draw_closed_form_powers(rng):
 def _per_draw_off_diagonal_closed_form(rng):
     worst = 0.0
     for lp in map(LoopParams, *sample_loop_params(rng, 100)):
-        u = build_loop_operator(lp)
+        u = build_loop_operator(lp.theta, lp.omega, lp.phi)
         for n in rng.integers(1, 201, size=5):
             direct = abs(power(u, int(n))[0, 1])
             worst = max(worst, abs(direct - off_diagonal_magnitude(lp, int(n))))
@@ -162,7 +204,7 @@ def _per_draw_phase_average(rng):
 def _per_draw_trace_projection(rng):
     worst = 0.0
     for lp in map(LoopParams, *sample_loop_params(rng, 20)):
-        u = build_loop_operator(lp)
+        u = build_loop_operator(lp.theta, lp.omega, lp.phi)
         trace = pump_trace(lp, 300)
         for j in (1, 2, 3, 7, 50, 299, 300):
             expected = abs(power(u, j)[1, 0]) ** 2
@@ -171,6 +213,10 @@ def _per_draw_trace_projection(rng):
 
 
 _PER_DRAW = [
+    (checks._check_special_unitary, _per_draw_special_unitary),
+    (checks._check_euler_right_inverse, _per_draw_euler_right_inverse),
+    (checks._check_axis_chain, _per_draw_axis_chain),
+    (checks._check_power_semigroup, _per_draw_power_semigroup),
     (checks._check_characteristic_recurrence, _per_draw_characteristic_recurrence),
     (checks._check_closed_form_powers, _per_draw_closed_form_powers),
     (checks._check_off_diagonal_closed_form, _per_draw_off_diagonal_closed_form),

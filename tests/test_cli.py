@@ -300,6 +300,14 @@ class TestRun:
         assert [type(params[p.name]) for p in declared] == [p.kind for p in declared]
         assert RunConfig(command, params).params == params
 
+    def test_params_are_read_only(self):
+        # a value set after the config is built would reach run unchecked
+        cfg = RunConfig("simulate", {"theta": 1.0})
+        with pytest.raises(TypeError):
+            cfg.params["cycles"] = 2.5
+        assert cfg.params["cycles"] == 10_000
+        assert RunConfig("simulate", cfg.params) == cfg
+
     def test_threads_is_not_a_run_setting(self):
         assert "threads" not in {f.name for f in dataclasses.fields(RunConfig)}
         with pytest.raises(TypeError):
@@ -1023,6 +1031,12 @@ _GOLDEN = [
         ["verify", "--seed", "1"],
         "35e131e5085eee8089d43732e83c8ac523891419ff0487eb799ddf0fb397200c",
         "ec9aa7925094fffd3c1d08c34d693347e77d008dd7d222e63f4efeda01ebcace",
+    ),
+    # the default seed
+    (
+        ["verify", "--seed", "0"],
+        "9764bbd8d10c2ff81f0ec285c490021aac95e6b3046ba8645917b43ad45a335c",
+        "3b6997023b06a9d5f4814109ca073bd1c3d33ee1b2cd483bfda49a808198985d",
     ),
 ]
 

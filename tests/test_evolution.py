@@ -1,3 +1,4 @@
+import cmath
 import math
 import tracemalloc
 
@@ -36,7 +37,7 @@ def _random_loop(rng):
 
 def test_loop_operator_entries():
     lp = LoopParams(math.pi / 2, 0.7, 0.3)
-    u = build_loop_operator(lp)
+    u = build_loop_operator(lp.theta, lp.omega, lp.phi)
     ch, sh = math.cos(lp.theta / 2), math.sin(lp.theta / 2)
     assert u[0, 0] == pytest.approx(ch * np.exp(-1j * 0.3), abs=1e-15)
     assert u[0, 1] == pytest.approx(-sh * np.exp(-1j * 0.4), abs=1e-15)
@@ -46,9 +47,74 @@ def test_loop_operator_entries():
 
 
 def test_loop_operator_is_periodic_in_phase():
-    base = build_loop_operator(LoopParams(1.1, 0.4, 0.2))
-    shifted = build_loop_operator(LoopParams(1.1, 0.4, 0.2 + math.pi))
+    base = build_loop_operator(1.1, 0.4, 0.2)
+    shifted = build_loop_operator(1.1, 0.4, 0.2 + math.pi)
     np.testing.assert_allclose(shifted, -base, atol=1e-15)
+
+
+def _cmath_loop_operator(theta, omega, phi):
+    # the one-loop builder as first written, through math and cmath
+    c = math.cos(0.5 * theta)
+    s = math.sin(0.5 * theta)
+    return np.array(
+        [
+            [c * cmath.exp(-1j * phi), -s * cmath.exp(-1j * (omega - phi))],
+            [s * cmath.exp(1j * (omega - phi)), c * cmath.exp(1j * phi)],
+        ]
+    )
+
+
+def _parts(u):
+    # both parts of every entry as float.hex, so the sign of a zero counts too
+    return [(z.real.hex(), z.imag.hex()) for z in np.ravel(u).tolist()]
+
+
+class TestLoopOperatorBuilder:
+    @staticmethod
+    def _draws():
+        # seeded draws, the same with phi + pi, and a grid of edges: theta at
+        # 0, -0.0, the smallest subnormal (s = 0) and pi, phi at signed zeros
+        # and +-pi/2, omega across [0, 2 pi) and at phi itself
+        theta, omega, phi = sample_loop_params(make_rng(3), 2000)
+        edges = np.array(
+            [
+                (t, o, p)
+                for t in (0.0, -0.0, 5e-324, 1.0, math.pi)
+                for p in (0.0, -0.0, math.pi / 2, -math.pi / 2, 1.5 * math.pi, 0.3)
+                for o in (0.0, -0.0, p, 1.0, math.pi, np.nextafter(2.0 * math.pi, 0.0))
+            ]
+        ).T
+        return (np.concatenate([a, a, e]) for a, e in zip((theta, omega, phi), edges))
+
+    def test_floats_and_arrays_match_the_cmath_builder_bitwise(self):
+        theta, omega, phi = self._draws()
+        phi[2000:4000] += math.pi
+        stacked = build_loop_operator(theta, omega, phi)
+        assert stacked.shape == (len(theta), 2, 2)
+        for i, loop in enumerate(zip(theta.tolist(), omega.tolist(), phi.tolist())):
+            want = _parts(_cmath_loop_operator(*loop))
+            assert _parts(build_loop_operator(*loop)) == want, loop
+            assert _parts(stacked[i]) == want, loop
+
+    def test_arrays_stack_in_their_own_shape(self):
+        flat = [x[:2000] for x in self._draws()]
+        stacked = build_loop_operator(*(x.reshape(40, 50) for x in flat))
+        assert stacked.shape == (40, 50, 2, 2)
+        assert _parts(stacked) == _parts(build_loop_operator(*flat))
+
+    @pytest.mark.parametrize(
+        "theta,omega,phi,message",
+        [
+            (np.array([1.0, 4.0]), 0.0, 0.0, "theta must lie in [0, pi], got 4.0"),
+            (1.0, np.array([0.0, np.inf]), 0.0, "omega must be a finite angle, got inf"),
+            (1.0, 0.0, math.nan, "phi must be a finite angle, got nan"),
+        ],
+    )
+    def test_validation(self, theta, omega, phi, message):
+        # the checks and messages of LoopParams, once per array
+        with pytest.raises(ValueError) as info:
+            build_loop_operator(theta, omega, phi)
+        assert str(info.value) == message
 
 
 class TestPumpTrace:
@@ -69,7 +135,7 @@ class TestPumpTrace:
 
     def test_q_matches_matrix_powers(self):
         lp = _random_loop(RNG)
-        u = build_loop_operator(lp)
+        u = build_loop_operator(lp.theta, lp.omega, lp.phi)
         trace = pump_trace(lp, 64)
         for j in range(1, 65):
             assert trace.q[j - 1] == pytest.approx(
@@ -89,9 +155,9 @@ class TestPumpTrace:
         trace = pump_trace(LoopParams(math.pi, 1.0, 0.0), 3000)
         assert np.all(trace.q >= 0.0) and np.all(trace.q <= 1.0)
 
-    @pytest.mark.parametrize("cycles", [0, -3])
+    @pytest.mark.parametrize("cycles", [0, -3, 2.5])
     def test_rejects_bad_cycle_count(self, cycles):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cycles must be"):
             pump_trace(LoopParams(1.0), cycles)
 
 
@@ -124,7 +190,7 @@ class TestPumpTraceBlocks:
         assert _hex(np.concatenate([q for q, _ in blocks])) == _hex(whole.q)
         assert _hex(np.concatenate([p for _, p in blocks])) == _hex(whole.p)
 
-    @pytest.mark.parametrize("cycles,block_rows", [(0, 8), (-3, 8), (8, 0)])
+    @pytest.mark.parametrize("cycles,block_rows", [(0, 8), (-3, 8), (8, 0), (2.5, 8)])
     def test_rejects_bad_sizes_on_the_call(self, cycles, block_rows):
         with pytest.raises(ValueError):
             pump_trace_blocks(LoopParams(1.0), cycles, block_rows)
@@ -138,7 +204,7 @@ class TestPropagateState:
     def test_final_state_matches_power(self):
         lp = _random_loop(RNG)
         state, _ = propagate_state(lp, 500)
-        expected = power(build_loop_operator(lp), 500)[:, 0]
+        expected = power(build_loop_operator(lp.theta, lp.omega, lp.phi), 500)[:, 0]
         np.testing.assert_allclose(state, expected, atol=1e-11)
 
     def test_identity_drive_is_exact(self):
@@ -146,11 +212,20 @@ class TestPropagateState:
         assert drift == 0.0
         assert abs(state[1]) == 0.0
 
+    @pytest.mark.parametrize(
+        "cycles,message",
+        [(0, "cycles must be >= 1, got 0"), (2.5, "cycles must be an integer, got 2.5")],
+    )
+    def test_validation(self, cycles, message):
+        with pytest.raises(ValueError) as info:
+            propagate_state(LoopParams(1.0), cycles)
+        assert str(info.value) == message
+
 
 def _propagate_cycle_by_cycle(lp, cycles):
     # the probe with its norm worked out in Python after every cycle
     s0, s1 = 1.0 + 0.0j, 0.0j
-    u = build_loop_operator(lp)
+    u = build_loop_operator(lp.theta, lp.omega, lp.phi)
     ua, ub = complex(u[0, 0]), complex(u[0, 1])
     uc, ud = complex(u[1, 0]), complex(u[1, 1])
     worst = 0.0
@@ -279,7 +354,7 @@ class TestClosedFormTrace:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_matrix_power_up_to_a_million_cycles(self, seed):
         lp = _random_loop(np.random.default_rng(seed))
-        u = build_loop_operator(lp)
+        u = build_loop_operator(lp.theta, lp.omega, lp.phi)
         trace = pump_trace(lp, 1_000_000)
         for n in (1, 999, 123_457, 1_000_000):
             expected = abs(np.linalg.matrix_power(u, n)[1, 0]) ** 2
@@ -300,9 +375,8 @@ class TestClosedFormTrace:
         # the closed form's n*h rounding costs at most 0.64 n eps here
         trace = pump_trace(lp, 1_000_000)
         with mpmath.workdps(40):
-            u = mpmath.matrix(
-                [[mpmath.mpc(z.real, z.imag) for z in row] for row in build_loop_operator(lp)]
-            )
+            u = build_loop_operator(lp.theta, lp.omega, lp.phi)
+            u = mpmath.matrix([[mpmath.mpc(z.real, z.imag) for z in row] for row in u])
             for n in (1, 999, 123_457, 1_000_000):
                 want = abs((u**n)[1, 0]) ** 2
                 assert abs(trace.q[n - 1] - want) <= 2 * n * np.finfo(float).eps

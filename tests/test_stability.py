@@ -56,7 +56,7 @@ class TestTraceParameter:
 
     def test_matches_trace(self):
         lp = _random_loop(RNG)
-        u = build_loop_operator(lp)
+        u = build_loop_operator(lp.theta, lp.omega, lp.phi)
         assert _trace(lp) == pytest.approx(u[0, 0] + u[1, 1], abs=1e-15)
 
     def test_bit_identical_to_math(self):
@@ -108,7 +108,7 @@ class TestClosedFormPowers:
     def test_matches_matrix_power(self):
         for _ in range(50):
             lp = _random_loop(RNG)
-            u = build_loop_operator(lp)
+            u = build_loop_operator(lp.theta, lp.omega, lp.phi)
             n = int(RNG.integers(0, 200))
             np.testing.assert_allclose(
                 matrix_power_closed_form(lp, n), power(u, n), atol=1e-11
@@ -116,9 +116,8 @@ class TestClosedFormPowers:
 
     def test_first_power_is_operator(self):
         lp = _random_loop(RNG)
-        np.testing.assert_allclose(
-            matrix_power_closed_form(lp, 1), build_loop_operator(lp), atol=1e-15
-        )
+        u = build_loop_operator(lp.theta, lp.omega, lp.phi)
+        np.testing.assert_allclose(matrix_power_closed_form(lp, 1), u, atol=1e-15)
 
 
 class TestOffDiagonal:
@@ -126,7 +125,7 @@ class TestOffDiagonal:
         for _ in range(50):
             lp = _random_loop(RNG)
             n = int(RNG.integers(1, 300))
-            direct = abs(power(build_loop_operator(lp), n)[0, 1])
+            direct = abs(power(build_loop_operator(lp.theta, lp.omega, lp.phi), n)[0, 1])
             assert off_diagonal_magnitude(lp, n) == pytest.approx(direct, abs=1e-11)
 
     def test_quarter_bias_vanishes_at_two(self):
@@ -142,7 +141,8 @@ class TestOffDiagonal:
         for omega in (0.0, 1.0, 5.0):
             shifted = LoopParams(lp.theta, omega, lp.phi)
             assert off_diagonal_magnitude(shifted, n) == off_diagonal_magnitude(lp, n)
-            direct = abs(power(build_loop_operator(shifted), n)[0, 1])
+            u = build_loop_operator(shifted.theta, shifted.omega, shifted.phi)
+            direct = abs(power(u, n)[0, 1])
             assert off_diagonal_magnitude(shifted, n) == pytest.approx(direct, abs=1e-11)
 
     def test_rejects_zero(self):
@@ -236,7 +236,7 @@ class TestClassify:
             lp = _random_loop(RNG)
             n_max = 60
             verdict = classify(lp, n_max)
-            u = build_loop_operator(lp)
+            u = build_loop_operator(lp.theta, lp.omega, lp.phi)
             orders = [
                 n for n in range(1, n_max + 1) if _is_diagonal(power(u, n))
             ]
@@ -451,7 +451,7 @@ class TestChebyshevMatchesFibonacciForms:
     @given(lp=_LOOPS, n=st.integers(0, 400))
     def test_matrix_power_and_off_diagonal(self, lp, n):
         f_n, f_prev = _fibonacci_pair(n, -1j * _trace(lp))
-        u = build_loop_operator(lp)
+        u = build_loop_operator(lp.theta, lp.omega, lp.phi)
         phase = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)[n % 4]  # i**n
         want = phase * (f_n * (-1j * u) + f_prev * np.eye(2))
         got = matrix_power_closed_form(lp, n)
@@ -469,7 +469,7 @@ def test_phase_diagram_orders_match_iterated_products():
     diagram = phase_diagram(60, 60, n_max, offset=0.0, tol=tol)
     u = np.array(
         [
-            build_loop_operator(LoopParams(float(theta), 0.0, float(phi)))
+            build_loop_operator(float(theta), 0.0, float(phi))
             for theta in diagram.theta_values
             for phi in diagram.phi_values
         ]

@@ -83,25 +83,26 @@ def test_states_are_orthonormal():
 
 class TestPower:
     def test_zeroth_power(self):
-        u = build_loop_operator(LoopParams(1.0, 2.0, 0.5))
+        u = build_loop_operator(1.0, 2.0, 0.5)
         np.testing.assert_allclose(power(u, 0), np.eye(2))
 
     def test_half_turn_squares_to_minus_identity(self):
-        u = build_loop_operator(LoopParams(math.pi))
+        u = build_loop_operator(math.pi, 0.0, 0.0)
         np.testing.assert_allclose(power(u, 2), -np.eye(2), atol=1e-15)
 
     def test_quarter_turn_fourth_power(self):
-        u = build_loop_operator(LoopParams(HALF_PI))
+        u = build_loop_operator(HALF_PI, 0.0, 0.0)
         np.testing.assert_allclose(power(u, 4), -np.eye(2), atol=1e-14)
 
     @pytest.mark.parametrize("n", [-1, 1.5])
     def test_rejects_bad_exponent(self, n):
-        u = build_loop_operator(LoopParams(1.0))
+        u = build_loop_operator(1.0, 0.0, 0.0)
         with pytest.raises((ValueError, TypeError)):
             power(u, n)
 
     def test_agrees_with_repeated_multiplication(self):
-        u = build_loop_operator(_random_loop(RNG))
+        lp = _random_loop(RNG)
+        u = build_loop_operator(lp.theta, lp.omega, lp.phi)
         m = np.eye(2, dtype=complex)
         for n in range(1, 40):
             m = u @ m
@@ -109,10 +110,30 @@ class TestPower:
 
 
 def test_su2_defect_and_membership():
-    u = build_loop_operator(_random_loop(RNG))
+    lp = _random_loop(RNG)
+    u = build_loop_operator(lp.theta, lp.omega, lp.phi)
     assert su2_defect(u) <= 1e-12
     assert not su2_defect(u + 1e-6) <= 1e-12
     assert not su2_defect(1.0001 * u) <= 1e-12  # unit determinant is part of the contract
+
+
+def _defect_of_one_matrix(u):
+    # su2_defect as first written, for one matrix through numpy scalars
+    unit = float(np.max(np.abs(u.conj().T @ u - np.eye(2))))
+    return max(unit, abs(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0] - 1.0))
+
+
+def test_su2_defect_of_a_stack_is_each_matrix_defect():
+    theta, omega, phi = sample_loop_params(make_rng(5), 300)
+    u = build_loop_operator(theta, omega, phi)
+    u[100:200] += 1e-6
+    u[200:] *= 1.0001
+    stacked = su2_defect(u.reshape(3, 100, 2, 2))
+    assert stacked.shape == (3, 100)
+    want = [float(_defect_of_one_matrix(m)).hex() for m in u]
+    assert [x.hex() for x in stacked.ravel().tolist()] == want
+    assert [float(su2_defect(m)).hex() for m in u] == want
+    assert isinstance(su2_defect(u[0]), float)
 
 
 def _loop_chart(theta, omega=0.0, phi=0.0):
@@ -207,7 +228,7 @@ class TestNearIdentityCharts:
     )
     def test_axis_angle_rebuilds_operator(self, lp):
         rebuilt = axis_angle_matrices(*_loop_chart(lp.theta, lp.omega, lp.phi))
-        assert np.max(np.abs(rebuilt - build_loop_operator(lp))) < 1e-10
+        assert np.max(np.abs(rebuilt - build_loop_operator(lp.theta, lp.omega, lp.phi))) < 1e-10
 
     def test_half_turn_has_no_cancellation(self):
         ht = half_turn(2e-9, 1e-9)
@@ -279,6 +300,10 @@ def _reference_chart(phi, theta, psi):
     return (alpha, beta, delta), rotation, euler
 
 
+def _hex_parts(u):
+    return [(z.real.hex(), z.imag.hex()) for z in u.ravel().tolist()]
+
+
 def _log_uniform(lo, hi):
     return st.floats(math.log(lo), math.log(hi)).map(lambda x: min(math.exp(x), hi))
 
@@ -314,6 +339,16 @@ class TestArrayCharts:
             assert np.array_equal(rotations[i], rotation)
             assert np.array_equal(euler_matrices(*e), euler)
             assert np.array_equal(eulers[i], euler)
+
+    @pytest.mark.parametrize(
+        "euler", [(0.3, 0.0, 0.3), (0.0, 0.0, 0.0), (-0.0, 0.0, 0.0), (0.2, 0.0, -0.2)]
+    )
+    def test_matrices_keep_the_reference_signs_of_zeros(self, euler):
+        # theta = 0 and half-angles of +-0.0, where np.array_equal above
+        # cannot see the sign of a zero part
+        want, rotation, matrix = _reference_chart(*euler)
+        got = (axis_angle_matrices(*want), euler_matrices(*euler))
+        assert [_hex_parts(m) for m in got] == [_hex_parts(m) for m in (rotation, matrix)]
 
     def test_array_errors_are_typed(self):
         phi, theta, psi = euler_from_loop(
