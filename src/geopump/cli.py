@@ -13,14 +13,14 @@ int, and the planes are framed by the format's separators and read out as
 rows.  Python spells only the cells the kernel cannot decide, such as
 near-ties and non-finite values.  A column block that repeats the previous
 block's bits, or runs of equal bits, is spelled once per distinct value,
-with the same bytes.  Grid commands put whole theta rows in each block;
-simulate computes each block as it is written, so its memory does not grow
-with --cycles.  A RunConfig resolves its params against _COMMANDS when it
-is built (unknown and missing keys fail, defaults fill in, each value takes
-its declared kind), so a library caller's bad config fails there, not in run.
+with the same bytes.  Grid commands put whole theta rows in each block.
+simulate and asymptote compute each block as it is written, so memory
+grows neither with --cycles nor, past the draws held, with --samples.  A
+RunConfig resolves its params against _COMMANDS when it is built, so a
+library caller's bad config fails there, not in run.
 
 Exit codes: 0 success, 1 bad configuration, 2 runtime or I/O failure,
-3 verification failure.
+also one raised while writing (see emit), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -338,8 +338,8 @@ def to_json(table: ResultTable) -> str:
 
 def emit(table: ResultTable, cfg: RunConfig) -> list[Path]:
     """Write the table per cfg, block by block; stdout when no output path
-    is set.  A regular file whose writing fails is removed, never left
-    truncated; a symlink, device or FIFO at the output path is kept."""
+    is set, which keeps what was written before a failure.  A regular file
+    that fails part way is removed; a symlink, device or FIFO is kept."""
     blocks = _csv_blocks(table) if cfg.format == "csv" else _json_blocks(table)
     if cfg.output_path is None:
         sys.stdout.writelines(blocks)
@@ -377,9 +377,7 @@ def _run_simulate(cfg: RunConfig) -> ResultTable:
     p = cfg.params
     lp = LoopParams(p["theta"], p["omega"], p["phi"])
 
-    # streamed: each block is computed as it is written; nothing in it can
-    # fail once the drive is valid (RunConfig has checked the cycle count)
-    def source():
+    def source():  # streamed: each block is computed as it is written
         start = 1
         for q, mean in pump_trace_blocks(lp, p["cycles"], BLOCK_ROWS):
             yield np.arange(start, start + len(q)), q, mean
@@ -404,19 +402,19 @@ def _grid_blocks(thetas: np.ndarray, phis: np.ndarray, *grids: np.ndarray):
 
 def _run_asymptote(cfg: RunConfig) -> ResultTable:
     p = cfg.params
-    if p["samples"] > 0:
-        blocks = _column_blocks(*sample_loop_params(make_rng(cfg.seed), p["samples"]))
+    if p["samples"] > 0:  # the draws or the grid axes are made and checked before any output
+        draws = sample_loop_params(make_rng(cfg.seed), p["samples"])
+        blocks = functools.partial(_column_blocks, *draws)
     else:
-        thetas, phis = _grid_axes(p["theta_grid"], p["phi_grid"], 0.5)
-        blocks = ((theta, 0.0, phi) for theta, phi in _grid_blocks(thetas, phis))
-    # every block is computed before anything is written: a +/-identity
-    # draw has no axis, and a failed run writes nothing
-    rows = [
-        (th, ph, p_infinity(th, ph), p_infinity_axis_route(th, om, ph), p_geometric(th))
-        for th, om, ph in blocks
-    ]
+        axes = _grid_axes(p["theta_grid"], p["phi_grid"], 0.5)
+        blocks = lambda: ((theta, 0.0, phi) for theta, phi in _grid_blocks(*axes))
+
+    def source():  # streamed: each block's rates are computed as it is written
+        for th, om, ph in blocks():
+            yield th, ph, p_infinity(th, ph), p_infinity_axis_route(th, om, ph), p_geometric(th)
+
     columns = ("theta", "phi", "p_inf", "p_inf_axis", "p_g")
-    return ResultTable(columns, metadata=_metadata(cfg), source=lambda: iter(rows))
+    return ResultTable(columns, metadata=_metadata(cfg), source=source)
 
 
 def _run_phase_diagram(cfg: RunConfig) -> ResultTable:
@@ -534,18 +532,16 @@ def main(argv=None) -> int:
         table = run(cfg)
         for line in table.report:
             print(line)
+        if not (cfg.command == "verify" and cfg.output_path is None):
+            emit(table, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        if not (cfg.command == "verify" and cfg.output_path is None):
-            emit(table, cfg)
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
     if cfg.command == "verify" and not table.data[table.columns.index("passed")].all():

@@ -136,7 +136,7 @@ def classify(lp: LoopParams, n_max: int, tol: float = 1e-9) -> StabilityVerdict:
 def curve_order(p: int, q: int) -> int:
     """Smallest N with N * p divisible by 2 * q: the return order shared by
     every interior point of the (p, q) curve."""
-    if q < 1 or p < 1:
+    if require_int("p", p) < 1 or require_int("q", q) < 1:
         raise ValueError("p and q must be positive integers")
     return 2 * q // math.gcd(p, 2 * q)
 
@@ -165,7 +165,7 @@ def stable_curve(p: int, q: int, resolution: int) -> StableCurve:
     Raises EmptyCurveError when delta > pi, where the right-hand side is
     negative and no canonical (theta, phi) can reach it.
     """
-    if q < 1 or p < 1:
+    if require_int("p", p) < 1 or require_int("q", q) < 1:
         raise ValueError("p and q must be positive integers")
     if math.gcd(p, q) != 1:
         raise ValueError(f"p/q must be in lowest terms, got {p}/{q}")

@@ -1,5 +1,6 @@
 import importlib
 
+from geopump import phase_diagram
 from geopump.cli import main
 
 
@@ -43,3 +44,16 @@ def test_traced_verify_counts_its_probe_and_phase_average(tmp_path, load_bench):
     assert counts["evolution.cycles"] == 536_000
     assert counts["asymptotics.phi_average.calls"] == 1
     assert counts["evolution.build_loop_operator.calls"] == 201
+
+
+def test_traced_phase_diagram_counts_its_grid(tmp_path, load_bench):
+    # the tracer's phase-diagram hook reads the diagram's axes and verdicts
+    tracing = load_bench("tracing")
+    tracer = tracing.Tracer()
+    flags = ["--theta-grid", "20", "--phi-grid", "20", "--n-max", "60", "--offset", "0"]
+    with tracer.traced_run():
+        assert main(["phase-diagram", *flags, "--out", str(tmp_path / "pd.csv")]) == 0
+    (counts,) = tracer.counts
+    stable = int((phase_diagram(20, 20, 60, offset=0.0).orders > 0).sum())
+    assert counts["stability.grid_points"] == 400
+    assert counts["stability.grid_stable_points"] == stable == 76

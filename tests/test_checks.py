@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from geopump import (
     ChainParams,
     GapClosedError,
     LoopParams,
+    StabilityVerdict,
     axis_angle_from_euler,
     axis_angle_matrices,
     build_loop_operator,
@@ -27,8 +29,10 @@ from geopump import (
     p_geometric,
     phi_average,
     power,
+    pump_profile,
     pump_trace,
     sample_loop_params,
+    stable_curve,
     su2_defect,
     winding_number,
 )
@@ -105,13 +109,57 @@ class _ScriptedRng:
         return self._rng.uniform(low, high, size=size)
 
 
-def test_winding_criterion_redraws_an_unresolvable_gap():
-    # the gap 2.5e-6 passes the near-closed filter but is too small to sample
-    pair = (1.999997, 1.9999995)
+def test_winding_criterion_redraws_an_unresolvable_gap(monkeypatch):
+    # the gap 2.5e-6 passes the near-closed filter but is too small to
+    # sample; a pair within 1e-6 of |v| = |w| never reaches the sampler
+    pair, near = (1.999997, 1.9999995), (-0.75, 0.7500005)
     with pytest.raises(GapClosedError):
         winding_number(ChainParams(*pair))
-    value, bound = checks._check_winding_criterion(_ScriptedRng([pair]))
+    chains = []
+
+    def counted(chain):
+        chains.append(chain)
+        return winding_number(chain)
+
+    monkeypatch.setattr(checks, "winding_number", counted)
+    value, bound = checks._check_winding_criterion(_ScriptedRng([near, pair]))
     assert value == 0.0 <= bound
+    assert len(chains) == 201 and chains[0] == ChainParams(*pair)
+
+
+def test_first_diagonal_power_is_none_without_a_return():
+    # a stable-curve drive returns at its curve order; a drive off every
+    # short curve has no diagonal power among the first 50
+    (theta, phi), *_ = stable_curve(1, 2, 4).points
+    assert checks._first_diagonal_power(build_loop_operator(theta, 0.0, phi), 10) == 4
+    assert checks._first_diagonal_power(build_loop_operator(1.0, 0.0, 0.3), 50) is None
+
+
+def _no_return(lp, n_max):
+    return StabilityVerdict(False, n_max)
+
+
+def _shifted_profile(dc, k_grid):
+    # one winding flip too many and every rate a quarter too high
+    profile = pump_profile(dc, k_grid)
+    return replace(profile, p_g_values=profile.p_g_values + 0.25, tpt_count=profile.tpt_count + 1)
+
+
+@pytest.mark.parametrize(
+    "check,route,broken",
+    [
+        (checks._check_winding_criterion, "winding_number", lambda chain: 0),
+        (checks._check_rational_orders, "classify", _no_return),
+        (checks._check_band_profiles, "pump_profile", _shifted_profile),
+    ],
+    ids=["winding", "rational-orders", "band-profiles"],
+)
+def test_check_fails_on_a_broken_route(monkeypatch, check, route, broken):
+    value, bound = check(make_rng(0))
+    assert value == 0.0
+    monkeypatch.setattr(checks, route, broken)
+    value, bound = check(make_rng(0))
+    assert value > bound
 
 
 def test_one_d_consistency_compares_two_routes(monkeypatch):

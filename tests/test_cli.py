@@ -53,6 +53,8 @@ class TestResultTable:
             ResultTable(("a", "b"), ([1.0, 2.0], [3.0]))
         with pytest.raises(ValueError):
             ResultTable(("a", "b"), ([1.0],))
+        with pytest.raises(ValueError, match="must be 1-D, got shape"):
+            ResultTable(("a",), (np.zeros((2, 2)),))
 
     def test_normalizes_numpy_scalars(self):
         table = ResultTable(
@@ -561,6 +563,23 @@ def test_asymptote_memory_per_draw_is_bounded():
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_asymptote_streams_its_rates(tmp_path, fmt):
+    # only the three float64 draw columns grow with --samples, 24 bytes a
+    # draw; rates held for every block before writing would add about 40
+    out = tmp_path / f"rates.{fmt}"
+
+    def asymptote(samples):
+        argv = ["asymptote", "--samples", str(samples), "--seed", "3", "--format", fmt]
+        assert main([*argv, "--out", str(out)]) == 0
+
+    asymptote(8)  # allocations made once per process are not per draw
+    small = _traced_peak(lambda: asymptote(4 * BLOCK_ROWS))
+    large = _traced_peak(lambda: asymptote(32 * BLOCK_ROWS))
+    per_draw = (large - small) / (28 * BLOCK_ROWS)
+    assert per_draw < 32, f"peak {small} -> {large} bytes, {per_draw:.1f} per extra draw"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_emit_memory_stays_below_output_size(tmp_path, fmt):
     out = tmp_path / f"trace.{fmt}"
     params = {"theta": 1.1, "omega": 0.3, "phi": 0.4, "cycles": 200_000}
@@ -871,10 +890,13 @@ class TestConfigFile:
     def test_missing_file_rejected(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 1
 
-    def test_invalid_json_rejected(self, tmp_path):
+    def test_invalid_json_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text("{not json")
         assert main(["simulate", "--config", str(cfg_path)]) == 1
+        cfg_path.write_text('["theta", 1.0]')  # valid JSON, but not an object
+        assert main(["simulate", "--config", str(cfg_path)]) == 1
+        assert "config file must hold a JSON object" in capsys.readouterr().err
 
 
 class TestVerifyCommand:
@@ -967,7 +989,7 @@ def test_identity_rotation_is_runtime_exit(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "p_infinity_axis_route", no_axis)
     assert main(["asymptote", "--theta-grid", "2", "--phi-grid", "2"]) == 2
-    assert capsys.readouterr().err.startswith("error: no axis (command=asymptote")
+    assert capsys.readouterr().err.startswith("error: no axis")
 
 
 # SHA-256 of each command's output bytes in both formats; a change to the

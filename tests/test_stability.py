@@ -272,6 +272,12 @@ class TestCurveOrder:
                 for n in range(1, order):
                     assert (n * p) % (2 * q) != 0
 
+    def test_validation(self):
+        with pytest.raises(ValueError, match="p and q must be positive"):
+            curve_order(0, 2)
+        with pytest.raises(ValueError, match="p must be an integer, got 1.5"):
+            curve_order(1.5, 2)
+
 
 class TestStableCurve:
     def test_half_turn_curve_sits_on_boundary(self):
@@ -310,6 +316,10 @@ class TestStableCurve:
             stable_curve(1, 2, 1)
         with pytest.raises(ValueError, match="resolution must be an integer, got 2.5"):
             stable_curve(1, 2, 2.5)  # would sample theta = 1.885, past delta = pi/2
+        with pytest.raises(ValueError, match="p and q must be positive"):
+            stable_curve(1, 0, 8)
+        with pytest.raises(ValueError, match="p must be an integer, got 1.5"):
+            stable_curve(1.5, 2, 4)
 
 
 class TestPhaseDiagram:
