@@ -25,6 +25,7 @@ from .band import (
     TptEvent,
     min_gap,
     pump_profile,
+    pump_profile_blocks,
     theta_of_k,
     tpt_events,
     winding_number,
@@ -104,6 +105,7 @@ __all__ = [
     "power",
     "propagate_state",
     "pump_profile",
+    "pump_profile_blocks",
     "pump_trace",
     "pump_trace_blocks",
     "sample_loop_params",

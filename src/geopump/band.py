@@ -9,8 +9,8 @@ a + w at k = 0.  That closing is transversal exactly when |offset| < 1,
 and a transversal crossing of |v| = |w| always flips the winding, so it
 marks a band inversion: the inverted momentum pumps with opening angle
 pi while every other momentum stays inert.  One closed-form rule on the
-offsets gives both `theta_of_k`, on floats or whole momentum grids, and
-`pump_profile`'s flip count; `winding_number` is the sampled oracle.
+offsets gives both `theta_of_k`, on floats or momentum blocks, and the
+flip count `DriveCycle.tpt_count`; `winding_number` is the sampled oracle.
 """
 
 from __future__ import annotations
@@ -115,6 +115,11 @@ class DriveCycle:
         """Drive value at the given fraction of the cycle."""
         return self.a + math.cos(TWO_PI * time_fraction)
 
+    @property
+    def tpt_count(self) -> int:
+        """Winding flips over one cycle: two per inverted closing momentum."""
+        return 2 * len(_inverted_phases(self))
+
 
 @dataclass(frozen=True)
 class TptEvent:
@@ -171,15 +176,26 @@ class PumpProfile:
     tpt_count: int
 
 
-def pump_profile(dc: DriveCycle, k_grid: int) -> PumpProfile:
-    """Opening angles and geometric pump rates over a Brillouin-zone grid.
-
-    The grid covers [-pi/l, pi/l) uniformly and theta_of_k reads it whole.
-    tpt_count is the number of winding flips over the cycle: two per
-    inverted closing momentum, whether or not the grid holds it.
-    """
+def pump_profile_blocks(dc: DriveCycle, k_grid: int, block_rows: int):
+    """An iterator of (k, theta, p_g) blocks of at most `block_rows` momenta
+    that cover [-pi/l, pi/l) in `k_grid` uniform steps, each momentum bit for
+    bit as on the whole grid; the arguments are checked on the call."""
     if require_int("k_grid", k_grid) < 16:
         raise ValueError(f"k_grid must be >= 16, got {k_grid}")
-    ks = -math.pi / dc.l + (TWO_PI / dc.l) * np.arange(k_grid) / k_grid
-    thetas = theta_of_k(dc, ks)
-    return PumpProfile(ks, thetas, p_geometric(thetas), 2 * len(_inverted_phases(dc)))
+    if block_rows < 1:
+        raise ValueError(f"block_rows must be >= 1, got {block_rows}")
+
+    def blocks():
+        for start in range(0, k_grid, block_rows):
+            index = np.arange(start, min(start + block_rows, k_grid))
+            ks = -math.pi / dc.l + (TWO_PI / dc.l) * index / k_grid
+            thetas = theta_of_k(dc, ks)
+            yield ks, thetas, p_geometric(thetas)
+
+    return blocks()
+
+
+def pump_profile(dc: DriveCycle, k_grid: int) -> PumpProfile:
+    """The momentum grid of pump_profile_blocks as one block, and the drive's tpt_count."""
+    ((ks, thetas, p_g),) = pump_profile_blocks(dc, k_grid, k_grid)
+    return PumpProfile(ks, thetas, p_g, dc.tpt_count)

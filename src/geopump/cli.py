@@ -14,10 +14,10 @@ rows.  Python spells only the cells the kernel cannot decide, such as
 near-ties and non-finite values.  A column block that repeats the previous
 block's bits, or runs of equal bits, is spelled once per distinct value,
 with the same bytes.  Grid commands put whole theta rows in each block.
-simulate and asymptote compute each block as it is written, so memory
-grows neither with --cycles nor, past the draws held, with --samples.  A
-RunConfig resolves its params against _COMMANDS when it is built, so a
-library caller's bad config fails there, not in run.
+simulate, asymptote and band-scan compute each block as it is written, so
+memory grows with none of --cycles, --k-grid and, past the draws held,
+--samples.  A RunConfig resolves its params against _COMMANDS when it is
+built, so a library caller's bad config fails there, not in run.
 
 Exit codes: 0 success, 1 bad configuration, 2 runtime or I/O failure,
 also one raised while writing (see emit), 3 verification failure.
@@ -43,10 +43,10 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import p_geometric, p_infinity, p_infinity_axis_route
-from .band import DriveCycle, GapClosedError, pump_profile
+from .band import DriveCycle, GapClosedError, pump_profile_blocks
 from .evolution import pump_trace_blocks
 from .sampling import make_rng, sample_loop_params
-from .stability import _grid_axes, phase_diagram
+from .stability import _check_grid, _grid_axes, phase_diagram
 from .su2 import IdentityRotationError, LoopParams
 
 
@@ -402,6 +402,7 @@ def _grid_blocks(thetas: np.ndarray, phis: np.ndarray, *grids: np.ndarray):
 
 def _run_asymptote(cfg: RunConfig) -> ResultTable:
     p = cfg.params
+    _check_grid(p["theta_grid"], p["phi_grid"])  # in draw mode too, before any output
     if p["samples"] > 0:  # the draws or the grid axes are made and checked before any output
         draws = sample_loop_params(make_rng(cfg.seed), p["samples"])
         blocks = functools.partial(_column_blocks, *draws)
@@ -418,10 +419,7 @@ def _run_asymptote(cfg: RunConfig) -> ResultTable:
 
 
 def _run_phase_diagram(cfg: RunConfig) -> ResultTable:
-    p = cfg.params
-    diagram = phase_diagram(
-        p["theta_grid"], p["phi_grid"], p["n_max"], offset=p["offset"], tol=p["tol"]
-    )
+    diagram = phase_diagram(**cfg.params)  # the params are phase_diagram's arguments
     grid = (diagram.theta_values, diagram.phi_values, diagram.orders > 0, diagram.orders)
     columns = ("theta", "phi", "stable", "order")
     return ResultTable(columns, metadata=_metadata(cfg), source=lambda: _grid_blocks(*grid))
@@ -429,11 +427,11 @@ def _run_phase_diagram(cfg: RunConfig) -> ResultTable:
 
 def _run_band_scan(cfg: RunConfig) -> ResultTable:
     p = cfg.params
-    profile = pump_profile(DriveCycle(p["a"], w=p["w"], l=p["l"]), p["k_grid"])
-    meta = _metadata(cfg)
-    meta["tpt_count"] = profile.tpt_count
-    data = (profile.k_values, profile.theta_values, profile.p_g_values)
-    return ResultTable(("k", "theta", "p_g"), data, meta)
+    dc = DriveCycle(p["a"], w=p["w"], l=p["l"])
+    source = functools.partial(pump_profile_blocks, dc, p["k_grid"], BLOCK_ROWS)
+    source()  # checks k_grid before any output; each block is computed as it is written
+    meta = {**_metadata(cfg), "tpt_count": dc.tpt_count}
+    return ResultTable(("k", "theta", "p_g"), metadata=meta, source=source)
 
 
 def _run_verify(cfg: RunConfig) -> ResultTable:

@@ -2,8 +2,8 @@
 
 U^n = t_n U - t_{n-1} I, where t_n = sin(nh)/sin h is the Chebyshev sequence
 of y = tr U = 2 cos h; one recurrence yields it for the closed forms, for
-classify and, over a whole grid, for phase_diagram.  A point is stable of
-order N when U^N is the first diagonal power: its off-diagonal magnitude
+classify and, per block of theta rows, for phase_diagram.  A point is stable
+of order N when U^N is the first diagonal power: its off-diagonal magnitude
 |t_N| sin(theta/2) vanishes.  The stable set organizes into curves of constant
 rational turn angle, which this module samples, classifies and rasterizes.
 """
@@ -25,6 +25,9 @@ from .su2 import HALF_PI, LoopParams, half_turn, require_int
 # off-diagonal magnitudes in [tol, MARGINAL_BAND) are flagged but do not
 # count as a detected return
 MARGINAL_BAND = 1e-6
+
+# phase_diagram scans blocks of whole theta rows of about this many cells
+_SCAN_CELLS = 16384
 
 
 class EmptyCurveError(ValueError):
@@ -213,9 +216,7 @@ class PhaseDiagram:
         return tuple(tuple(verdicts[i : i + width]) for i in range(0, flat.size, width))
 
 
-def _grid_axes(theta_grid: int, phi_grid: int, offset: float) -> tuple[np.ndarray, ...]:
-    """The theta axis over [0, pi] and the phi axis over [-pi/2, pi/2] of a
-    product grid, each point at `offset` of its cell (0: endpoints)."""
+def _check_grid(theta_grid: int, phi_grid: int) -> None:  # _grid_axes' sizes, without the axes
     theta_grid, phi_grid = require_int("theta_grid", theta_grid), require_int("phi_grid", phi_grid)
     if theta_grid < 2 or phi_grid < 2:
         raise ValueError("grids need at least 2 points per axis")
@@ -224,6 +225,12 @@ def _grid_axes(theta_grid: int, phi_grid: int, offset: float) -> tuple[np.ndarra
             f"theta_grid * phi_grid must be at most sys.maxsize // 8 cells, "
             f"got {theta_grid} * {phi_grid}"
         )
+
+
+def _grid_axes(theta_grid: int, phi_grid: int, offset: float) -> tuple[np.ndarray, ...]:
+    """The theta axis over [0, pi] and the phi axis over [-pi/2, pi/2] of a
+    product grid, each point at `offset` of its cell (0: endpoints)."""
+    _check_grid(theta_grid, phi_grid)
     if not 0.0 <= offset < 1.0:
         raise ValueError(f"offset must lie in [0, 1), got {offset}")
     return tuple(
@@ -244,29 +251,31 @@ def phase_diagram(
     offset = 0.5 (default) samples cell midpoints, staying off the
     boundary stable lines; offset = 0 uses an endpoint-inclusive grid.
 
-    Every cell equals classify(LoopParams(theta, 0, phi), n_max, tol): the
-    grid advances as one array through the Chebyshev sequence of
-    U^n = t_n U - t_{n-1} I, with y = tr U = 2 cos(theta/2) cos(phi) per cell.
+    Every cell equals classify(LoopParams(theta, 0, phi), n_max, tol): each
+    block of whole theta rows, about _SCAN_CELLS cells, advances as one
+    array through the Chebyshev sequence of U^n = t_n U - t_{n-1} I, with
+    y = tr U = 2 cos(theta/2) cos(phi) per cell; only the int64 orders grow.
     """
     _check_scan(n_max, tol)  # before the axes are allocated
     thetas, phis = _grid_axes(theta_grid, phi_grid, offset)
-    # rows along theta, columns along phi; each cell sees exactly the
-    # floats classify reads from its own half turn
-    ht = half_turn(thetas[:, None], phis[None, :])
-    y, s = 2.0 * ht.c_cos, np.broadcast_to(ht.s, ht.c_cos.shape)
-    order = np.zeros(y.shape, dtype=np.int64)
+    orders = np.zeros((len(thetas), len(phis)), dtype=np.int64)
     marginal: dict[int, list[int]] = {}
-    for n, t_n in enumerate(itertools.islice(_chebyshev(y), n_max), 1):
-        magnitude = np.abs(t_n)
-        magnitude *= s
-        near = magnitude < MARGINAL_BAND
-        if not near.any():
-            continue
-        near &= order == 0
-        hit = near & (magnitude < tol)
-        order[hit] = n
-        for cell in np.flatnonzero(near & ~hit).tolist():
-            marginal.setdefault(cell, []).append(n)
-
-    order.flags.writeable = False
-    return PhaseDiagram(thetas, phis, n_max, order, {c: tuple(m) for c, m in marginal.items()})
+    per_block = max(1, _SCAN_CELLS // len(phis))
+    for start in range(0, len(thetas), per_block):
+        # theta rows by phi columns: each cell sees the floats classify reads
+        ht = half_turn(thetas[start : start + per_block, None], phis[None, :])
+        y, s = 2.0 * ht.c_cos, np.broadcast_to(ht.s, ht.c_cos.shape)
+        order, first = orders[start : start + per_block], start * len(phis)
+        for n, t_n in enumerate(itertools.islice(_chebyshev(y), n_max), 1):
+            magnitude = np.abs(t_n)
+            magnitude *= s
+            near = magnitude < MARGINAL_BAND
+            if not near.any():
+                continue
+            near &= order == 0
+            hit = near & (magnitude < tol)
+            order[hit] = n
+            for cell in np.flatnonzero(near & ~hit).tolist():
+                marginal.setdefault(first + cell, []).append(n)
+    orders.flags.writeable = False
+    return PhaseDiagram(thetas, phis, n_max, orders, {c: tuple(m) for c, m in marginal.items()})

@@ -553,13 +553,13 @@ def test_simulate_memory_does_not_grow_with_cycles(tmp_path, fmt):
 
 
 def test_asymptote_memory_per_draw_is_bounded():
-    # the six whole columns of the draws take 48 bytes per draw; the
+    # the three float64 columns of the draws take 24 bytes per draw; the
     # kernels' temporaries are bounded by one block, not by the draw count
     draws = 16 * BLOCK_ROWS
     params = {"samples": draws, "theta_grid": 50, "phi_grid": 50}
     run(RunConfig("asymptote", {**params, "samples": 8}, seed=3))
     peak = _traced_peak(lambda: run(RunConfig("asymptote", params, seed=3)))
-    assert peak / draws < 150, f"{peak / draws:.0f} bytes per draw"
+    assert peak / draws < 32, f"{peak / draws:.1f} bytes per draw"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -577,6 +577,23 @@ def test_asymptote_streams_its_rates(tmp_path, fmt):
     large = _traced_peak(lambda: asymptote(32 * BLOCK_ROWS))
     per_draw = (large - small) / (28 * BLOCK_ROWS)
     assert per_draw < 32, f"peak {small} -> {large} bytes, {per_draw:.1f} per extra draw"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_band_scan_streams_its_profile(tmp_path, fmt):
+    # each block's momenta, angles and rates are computed as it is written;
+    # three whole columns would add 24 bytes a momentum
+    out = tmp_path / f"band.{fmt}"
+
+    def band_scan(k_grid):
+        argv = ["band-scan", "--a", "1.0", "--k-grid", str(k_grid), "--format", fmt]
+        assert main([*argv, "--out", str(out)]) == 0
+
+    band_scan(16)  # allocations made once per process are not per momentum
+    small = _traced_peak(lambda: band_scan(4 * BLOCK_ROWS))
+    large = _traced_peak(lambda: band_scan(64 * BLOCK_ROWS))
+    per_k = (large - small) / (60 * BLOCK_ROWS)
+    assert per_k < 4, f"peak {small} -> {large} bytes, {per_k:.1f} per extra momentum"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -689,6 +706,27 @@ class TestMain:
         captured = capsys.readouterr()
         assert "samples must be >= 0" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "grid,message",
+        [
+            (["--theta-grid", "-3", "--phi-grid", "0"], "grids need at least 2 points per axis"),
+            (["--theta-grid", str(2**61), "--phi-grid", "2"], "theta_grid * phi_grid must be"),
+        ],
+    )
+    def test_draws_check_the_grid_flags(self, capsys, grid, message):
+        # the grid flags are echoed into the metadata, so draw mode checks them too
+        assert main(["asymptote", "--samples", "2", *grid]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: {message}")
+        assert captured.out == ""
+
+    def test_draws_build_no_grid_axes(self):
+        # a 1e9-point theta axis would take 7.5 GiB; the check builds no axis
+        cfg = RunConfig("asymptote", {"samples": 5, "theta_grid": 10**9, "phi_grid": 50})
+        peak = _traced_peak(lambda: run(cfg))
+        assert peak < 2**20, f"peak {peak} bytes"
+        assert len(run(cfg).rows) == 5
 
     @pytest.mark.parametrize("flag", [["--omega", "2"], ["--time-samples", "64"]])
     def test_removed_band_scan_flags_rejected(self, flag):

@@ -20,6 +20,7 @@ from geopump import (
     power,
     stable_curve,
 )
+from geopump import stability
 
 RNG = np.random.default_rng(98765)
 
@@ -422,6 +423,60 @@ class TestPhaseDiagramMatchesClassify:
         # islice's message would name no field
         with pytest.raises(ValueError, match="n_max must be an integer, got 2.5"):
             phase_diagram(4, 4, 2.5)
+
+
+class TestPhaseDiagramBlocks:
+    """phase_diagram scans one block of whole theta rows at a time."""
+
+    def test_small_blocks_change_no_verdict(self, monkeypatch):
+        # 60 x 60 = 3600 cells fit one scan block; three theta rows per block
+        # put the 8 marginal cells (rows 4, 9, 29 and 42) into four blocks
+        whole = phase_diagram(60, 60, 1000, offset=0.0)
+        monkeypatch.setattr(stability, "_SCAN_CELLS", 3 * 60)
+        blocked = phase_diagram(60, 60, 1000, offset=0.0)
+        np.testing.assert_array_equal(blocked.orders, whole.orders)
+        assert blocked.marginal == whole.marginal
+        assert np.count_nonzero(blocked.orders) == 236 and len(blocked.marginal) == 8
+        for row, theta in zip(blocked.verdicts, blocked.theta_values):
+            for verdict, phi in zip(row, blocked.phi_values):
+                assert verdict == classify(LoopParams(float(theta), 0.0, float(phi)), 1000)
+
+    def test_rows_longer_than_a_block(self, monkeypatch):
+        whole = phase_diagram(30, 47, 600, offset=0.0)
+        monkeypatch.setattr(stability, "_SCAN_CELLS", 7)  # one theta row per block
+        blocked = phase_diagram(30, 47, 600, offset=0.0)
+        np.testing.assert_array_equal(blocked.orders, whole.orders)
+        assert np.count_nonzero(blocked.orders) == 178
+        assert blocked.marginal == whole.marginal and sorted(blocked.marginal) == [55, 85]
+
+    def test_benchmark_grid_marginal_is_pinned(self):
+        # 26 cells with 52 hits; 200 phi columns make 81-row scan blocks, so
+        # the last two cells, 30698 and 30701, lie in the second block
+        marginal = phase_diagram(200, 200, 200).marginal
+        assert marginal == {
+            2: (80, 160), 7: (80, 160),
+            12: (16, 32, 48, 64, 80, 96, 112, 128, 144, 160),
+            17: (80,), 22: (80,), 37: (16, 32), 162: (16, 32), 177: (80,), 182: (80,),
+            187: (16, 32, 48, 64, 80, 96, 112, 128, 144, 160),
+            192: (80, 160), 197: (80, 160), 260: (81, 162), 269: (59,), 330: (59,),
+            339: (81, 162), 2045: (128,), 2154: (128,), 5453: (187,), 5546: (187,),
+            5816: (81,), 5983: (81,), 15421: (97,), 15578: (97,),
+            30698: (185,), 30701: (185,),
+        }
+        assert sum(marginal) == 121787 and sum(map(len, marginal.values())) == 52
+        assert min(30698, 30701) >= stability._SCAN_CELLS // 200 * 200
+
+    def test_memory_is_the_orders_and_one_block(self):
+        # the int64 orders take 8 bytes a cell; the recurrence's arrays are
+        # one block's, where a whole-grid scan took about 66 bytes a cell
+        phase_diagram(20, 20, 10)  # allocations made once per process are not per cell
+        tracemalloc.start()
+        try:
+            phase_diagram(500, 500, 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 500**2 < 20, f"{peak / 500**2:.1f} bytes per cell"
 
 
 def _fibonacci_pair(n, x):
