@@ -13,7 +13,7 @@ as max(D+, D-) with numpy; SciPy's `kstest` serves only as a test oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,20 +27,9 @@ from .band import (
     tpt_events,
     winding_number,
 )
-from .evolution import (
-    build_loop_operator,
-    propagate_state,
-    pump_trace,
-    trajectory_angles,
-)
+from .evolution import build_loop_operator, propagate_state, pump_trace, trajectory_angles
 from .sampling import make_rng, sample_loop_params
-from .stability import (
-    classify,
-    curve_order,
-    matrix_power_closed_form,
-    off_diagonal_magnitude,
-    stable_curve,
-)
+from .stability import _scan, matrix_power_closed_form, off_diagonal_magnitude, stable_curve
 from .su2 import (
     HALF_PI,
     TWO_PI,
@@ -108,32 +97,28 @@ def _check_characteristic_recurrence(rng):
     return np.max(np.abs(u @ u - trace * u + np.eye(2))), 1e-12
 
 
-def _closed_form_and_powers(rng, closed_form, low, high, size):
-    """closed_form(lp, ns) of 100 drives, each with its own `size` exponents in
-    [low, high), and the oracle U^n of each, one stacked power per exponent."""
+def _drives_and_powers(rng, low, high, size):
+    """100 drives as (theta, omega, phi) columns, `size` exponents in [low,
+    high) for each, and the oracle U^n of each, one stacked power per exponent."""
     theta, omega, phi = sample_loop_params(rng, 100)
-    ns, closed = [], []
-    for lp in map(LoopParams, theta, omega, phi):
-        ns.append(rng.integers(low, high, size=size))
-        closed.append(closed_form(lp, ns[-1]))
-    ns, u = np.array(ns), build_loop_operator(theta, omega, phi)
+    ns, u = rng.integers(low, high, size=(100, size)), build_loop_operator(theta, omega, phi)
     powers = np.empty(ns.shape + (2, 2), dtype=complex)
     for n in set(ns.ravel().tolist()):  # np.unique would import numpy.ma: 1.5 MiB of RSS
         drive, draw = np.nonzero(ns == n)
         powers[drive, draw] = power(u[drive], n)
-    return np.array(closed), powers
+    return (theta[:, None], omega[:, None], phi[:, None]), ns, powers
 
 
 def _check_closed_form_powers(rng):
-    closed, powers = _closed_form_and_powers(rng, matrix_power_closed_form, 0, 101, 10)
-    return np.max(np.abs(closed - powers)), 1e-10
+    (theta, omega, phi), ns, powers = _drives_and_powers(rng, 0, 101, 10)
+    return np.max(np.abs(matrix_power_closed_form(theta, omega, phi, ns) - powers)), 1e-10
 
 
 def _check_off_diagonal_closed_form(rng):
-    closed, powers = _closed_form_and_powers(rng, off_diagonal_magnitude, 1, 201, 5)
+    (theta, _, phi), ns, powers = _drives_and_powers(rng, 1, 201, 5)
     # abs of each numpy complex scalar, as np.abs of a complex array rounds otherwise
-    direct = np.fromiter(map(abs, powers[..., 0, 1].ravel()), float, closed.size)
-    return np.max(np.abs(direct - closed.ravel())), 1e-10
+    direct = np.fromiter(map(abs, powers[..., 0, 1].ravel()), float, ns.size)
+    return np.max(np.abs(direct - off_diagonal_magnitude(theta, phi, ns).ravel())), 1e-10
 
 
 def _check_route_equivalence(rng):
@@ -168,8 +153,7 @@ def _check_trace_projection(rng):
 def _check_phase_shift_symmetry(rng):
     worst = 0.0
     for lp in map(LoopParams, *sample_loop_params(rng, 50)):
-        shifted = LoopParams(lp.theta, lp.omega, lp.phi + math.pi)
-        dq = pump_trace(lp, 300).q - pump_trace(shifted, 300).q
+        dq = pump_trace(lp, 300).q - pump_trace(replace(lp, phi=lp.phi + math.pi), 300).q
         worst = max(worst, float(np.max(np.abs(dq))))
     return worst, 1e-12
 
@@ -197,19 +181,16 @@ def _check_winding_criterion(rng):
 
 
 def _check_rational_orders(rng):
-    mismatches = 0
-    for q in range(1, 9):
-        for p in range(1, q + 1):
-            if math.gcd(p, q) != 1:
-                continue
-            expected = curve_order(p, q)
-            for theta, phi in stable_curve(p, q, 4).points:
-                lp = LoopParams(theta, 0.0, phi)
-                verdict = classify(lp, 2 * expected + 2)
-                u = build_loop_operator(lp.theta, lp.omega, lp.phi)
-                oracle = _first_diagonal_power(u, 2 * expected + 2)
-                if not verdict.stable or verdict.order != expected or oracle != expected:
-                    mismatches += 1
+    pairs = [(p, q) for q in range(1, 9) for p in range(1, q + 1) if math.gcd(p, q) == 1]
+    curves = [stable_curve(p, q, 4) for p, q in pairs]
+    theta, phi = np.array([point for curve in curves for point in curve.points]).T
+    expected = [curve.order for curve in curves for _ in curve.points]
+    # one scan to the largest bound: a return past a point's own is a mismatch anyway
+    orders, _ = _scan(theta, phi, 2 * max(expected) + 2, 1e-9)
+    mismatches = sum(
+        order != want or _first_diagonal_power(u, 2 * want + 2) != want
+        for order, u, want in zip(orders.tolist(), build_loop_operator(theta, 0.0, phi), expected)
+    )
     return float(mismatches), 0.5
 
 
@@ -272,8 +253,8 @@ def _ks_uniform(x):
 
 
 def _check_equidistribution(rng):
-    loops = map(LoopParams, *sample_loop_params(rng, 5, **_INTERIOR))
-    return max(_ks_uniform(trajectory_angles(lp, 20_000) / TWO_PI) for lp in loops), 0.01
+    theta, _, phi = sample_loop_params(rng, 5, **_INTERIOR)
+    return max(_ks_uniform(a / TWO_PI) for a in trajectory_angles(theta, phi, 20_000)), 0.01
 
 
 _CHECKS = (

@@ -155,14 +155,17 @@ def cosine_cycle_zeros(offset: float) -> tuple[PumpEvent1D, ...]:
     )
 
 
-def trajectory_angles(lp: LoopParams, n: int) -> np.ndarray:
-    """Accumulated rotation angles (j * delta) mod 2*pi for j = 1..n.
+def trajectory_angles(theta, phi, n: int) -> np.ndarray:
+    """Accumulated rotation angles (j * delta) mod 2*pi for j = 1..n of the
+    drives (theta, phi), floats or equal-shape arrays: their shape + (n,).
 
     delta = 2h is the per-cycle turn angle of the loop operator about its
     fixed axis, read from its half turn.  Raises IdentityRotationError when
-    the operator is +/-identity and has no axis.
+    an operator is +/-identity and has no axis.
     """
     if require_int("n", n) < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    ht = _require_axis(half_turn(lp.theta, lp.phi))
-    return (2.0 * ht.h * np.arange(1, n + 1)) % TWO_PI
+    require_angles(theta, phi=phi)
+    ht = _require_axis(half_turn(theta, phi))
+    angles = np.multiply.outer(2.0 * ht.h, np.arange(1, n + 1))
+    return np.remainder(angles, TWO_PI, out=angles)

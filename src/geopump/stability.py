@@ -2,15 +2,14 @@
 
 U^n = t_n U - t_{n-1} I, where t_n = sin(nh)/sin h is the Chebyshev sequence
 of y = tr U = 2 cos h; one recurrence yields it for the closed forms, for
-classify and, per block of theta rows, for phase_diagram.  A point is stable
-of order N when U^N is the first diagonal power: its off-diagonal magnitude
-|t_N| sin(theta/2) vanishes.  The stable set organizes into curves of constant
-rational turn angle, which this module samples, classifies and rasterizes.
+classify and for _scan, the one array scan, which serves phase_diagram and
+verify.  A point is stable of order N when U^N is the first diagonal power,
+where |t_N| sin(theta/2) vanishes.  The stable set organizes into curves of
+constant rational turn angle, sampled, classified and rasterized here.
 """
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 import sys
@@ -20,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .evolution import build_loop_operator
-from .su2 import HALF_PI, LoopParams, half_turn, require_int
+from .su2 import HALF_PI, half_turn, require_angles, require_int
 
 # off-diagonal magnitudes in [tol, MARGINAL_BAND) are flagged but do not
 # count as a detected return
@@ -32,12 +31,6 @@ _SCAN_CELLS = 16384
 
 class EmptyCurveError(ValueError):
     """No point in the canonical parameter ranges satisfies the curve relation."""
-
-
-def _trace_and_s(lp: LoopParams) -> tuple[float, float]:
-    # the trace y = tr U = 2 cos h and s = sin(theta/2) of the loop, as floats
-    ht = half_turn(lp.theta, lp.phi)
-    return 2.0 * float(ht.c_cos), float(ht.s)
 
 
 def _chebyshev(y):
@@ -52,18 +45,20 @@ def _chebyshev(y):
 
 
 def _chebyshev_pair(y, n, least: int = 0):
-    # (t_{n-1}, t_n), t_{-1} = -1, for an integer n >= least, two terms held at
-    # a time; for an int array n, arrays of both from one run up to max(n)
+    # (t_{n-1}, t_n), t_{-1} = -1, for integers n >= least against the y they
+    # broadcast with, from one run up to max(n) that keeps every term, on y
+    # as given: numpy's complex arrays round otherwise
     ns = np.asarray(n)
     if ns.dtype.kind not in "iu":
         raise ValueError(f"n must be an int64 integer or integer array, got {n!r}")
     if (ns < least).any():
         raise ValueError(f"n must be >= {least}, got {ns[ns < least].flat[0]}")
-    terms = itertools.chain((-1.0, 0.0), itertools.islice(_chebyshev(y), int(ns.max(initial=0))))
-    if ns.ndim == 0:
-        return tuple(collections.deque(terms, maxlen=2))
-    t = np.fromiter(terms, float)
-    return t[ns], t[ns + 1]
+    np.broadcast_shapes(np.shape(y), ns.shape)  # before the run
+    top = int(ns.max(initial=0))
+    terms = itertools.chain((-1.0, 0.0), itertools.islice(_chebyshev(y), top))
+    t = np.fromiter(terms, np.dtype((np.result_type(y, 0.0), np.shape(y))), top + 2)
+    cells = np.indices(np.shape(y), sparse=True)
+    return t[(ns,) + cells], t[(ns + 1,) + cells]
 
 
 def fibonacci_poly(n: int, x: complex) -> complex:
@@ -77,23 +72,26 @@ def fibonacci_poly(n: int, x: complex) -> complex:
     return (1.0, -1j, -1.0, 1j)[(n - 1) % 4] * t_n + 0j
 
 
-def matrix_power_closed_form(lp: LoopParams, n) -> np.ndarray:
-    """n-th power of the loop operator, U^n = t_n U - t_{n-1} I, where t is
-    the Chebyshev sequence of y = tr U.  Agrees with repeated multiplication
-    to rounding; no products of matrices are performed.  An int array n
-    gives n.shape + (2, 2), each power as its own call gives it, from one
-    run of the recurrence up to max(n).  ValueError unless each n is an int >= 0."""
-    t_prev, t_n = _chebyshev_pair(_trace_and_s(lp)[0], n)
-    u = build_loop_operator(lp.theta, lp.omega, lp.phi)
-    return np.multiply.outer(t_n, u) - np.multiply.outer(t_prev, np.eye(2))
+def matrix_power_closed_form(theta, omega, phi, n) -> np.ndarray:
+    """n-th powers U^n = t_n U - t_{n-1} I of loop operators, t the
+    Chebyshev sequence of y = tr U: no matrix products, and equal to
+    repeated multiplication to rounding.  The drives (floats or equal-shape
+    arrays, checked by build_loop_operator) broadcast against an int or int
+    array n, giving that shape + (2, 2) from one run up to max(n), each
+    power as its own call gives it.  ValueError unless each n is an int >= 0."""
+    u = build_loop_operator(theta, omega, phi)
+    t_prev, t_n = _chebyshev_pair(2.0 * half_turn(theta, phi).c_cos, n)
+    return t_n[..., None, None] * u - t_prev[..., None, None] * np.eye(2)
 
 
-def off_diagonal_magnitude(lp: LoopParams, n):
-    """|entry (1, 2)| of the n-th power, |t_n| sin(theta/2); an int array n
-    gives an array from one run up to max(n).  ValueError unless each n is an int >= 1."""
-    y, s = _trace_and_s(lp)
-    _, t_n = _chebyshev_pair(y, n, least=1)
-    return abs(t_n) * s
+def off_diagonal_magnitude(theta, phi, n):
+    """|entry (1, 2)| of the n-th powers, |t_n| sin(theta/2), of the drives
+    (theta, phi) broadcast against an int or int array n, from one run up
+    to max(n).  ValueError for a bad angle or unless each n is an int >= 1."""
+    require_angles(theta, phi=phi)
+    ht = half_turn(theta, phi)
+    _, t_n = _chebyshev_pair(2.0 * ht.c_cos, n, least=1)
+    return np.abs(t_n) * ht.s
 
 
 @dataclass(frozen=True)
@@ -118,14 +116,16 @@ def _check_scan(n_max: int, tol: float) -> None:
         raise ValueError(f"tol must lie in (0, {MARGINAL_BAND}], got {tol}")
 
 
-def classify(lp: LoopParams, n_max: int, tol: float = 1e-9) -> StabilityVerdict:
-    """Scan n = 1..n_max for the first power with vanishing off-diagonal.
-
-    Never declares a point unstable: a miss only means no return was found
-    within n_max.
+def classify(theta: float, phi: float, n_max: int, tol: float = 1e-9) -> StabilityVerdict:
+    """Scan n = 1..n_max for the first power with vanishing off-diagonal of
+    the drive (theta, phi), two floats checked as build_loop_operator
+    checks them.  Never declares a point unstable: a miss only means no
+    return was found within n_max.
     """
     _check_scan(n_max, tol)
-    y, s = _trace_and_s(lp)
+    require_angles(theta, phi=phi)
+    ht = half_turn(float(theta), float(phi))
+    y, s = 2.0 * float(ht.c_cos), float(ht.s)
     marginal = []
     for n, t_n in enumerate(itertools.islice(_chebyshev(y), n_max), 1):
         magnitude = abs(t_n) * s
@@ -134,6 +134,29 @@ def classify(lp: LoopParams, n_max: int, tol: float = 1e-9) -> StabilityVerdict:
         if magnitude < MARGINAL_BAND:
             marginal.append(n)
     return StabilityVerdict(False, n_max, None, tuple(marginal))
+
+
+def _scan(theta, phi, n_max: int, tol: float):
+    """classify of every cell of the angles' broadcast stack at once, its
+    traces advanced as one array: the int64 first return orders, 0 where
+    none was found, and the marginal scan indices of each cell that has
+    any, keyed by its flat index."""
+    ht = half_turn(theta, phi)
+    y = 2.0 * ht.c_cos
+    order, s = np.zeros(y.shape, dtype=np.int64), np.broadcast_to(ht.s, y.shape)
+    marginal: dict[int, list[int]] = {}
+    for n, t_n in enumerate(itertools.islice(_chebyshev(y), n_max), 1):
+        magnitude = np.abs(t_n)
+        magnitude *= s
+        near = magnitude < MARGINAL_BAND
+        if not near.any():
+            continue
+        near &= order == 0
+        hit = near & (magnitude < tol)
+        order[hit] = n
+        for cell in np.flatnonzero(near & ~hit).tolist():
+            marginal.setdefault(cell, []).append(n)
+    return order, {cell: tuple(marks) for cell, marks in marginal.items()}
 
 
 def curve_order(p: int, q: int) -> int:
@@ -168,8 +191,7 @@ def stable_curve(p: int, q: int, resolution: int) -> StableCurve:
     Raises EmptyCurveError when delta > pi, where the right-hand side is
     negative and no canonical (theta, phi) can reach it.
     """
-    if require_int("p", p) < 1 or require_int("q", q) < 1:
-        raise ValueError("p and q must be positive integers")
+    curve_order(p, q)  # p and q are positive integers
     if math.gcd(p, q) != 1:
         raise ValueError(f"p/q must be in lowest terms, got {p}/{q}")
     if not p < 2 * q:
@@ -251,31 +273,20 @@ def phase_diagram(
     offset = 0.5 (default) samples cell midpoints, staying off the
     boundary stable lines; offset = 0 uses an endpoint-inclusive grid.
 
-    Every cell equals classify(LoopParams(theta, 0, phi), n_max, tol): each
-    block of whole theta rows, about _SCAN_CELLS cells, advances as one
-    array through the Chebyshev sequence of U^n = t_n U - t_{n-1} I, with
-    y = tr U = 2 cos(theta/2) cos(phi) per cell; only the int64 orders grow.
+    Every cell equals classify(theta, phi, n_max, tol): each block of
+    whole theta rows, about _SCAN_CELLS cells, goes through _scan as one
+    array, with y = tr U = 2 cos(theta/2) cos(phi) per cell; only the
+    int64 orders grow.
     """
     _check_scan(n_max, tol)  # before the axes are allocated
     thetas, phis = _grid_axes(theta_grid, phi_grid, offset)
     orders = np.zeros((len(thetas), len(phis)), dtype=np.int64)
-    marginal: dict[int, list[int]] = {}
+    marginal: dict[int, tuple[int, ...]] = {}
     per_block = max(1, _SCAN_CELLS // len(phis))
     for start in range(0, len(thetas), per_block):
         # theta rows by phi columns: each cell sees the floats classify reads
-        ht = half_turn(thetas[start : start + per_block, None], phis[None, :])
-        y, s = 2.0 * ht.c_cos, np.broadcast_to(ht.s, ht.c_cos.shape)
-        order, first = orders[start : start + per_block], start * len(phis)
-        for n, t_n in enumerate(itertools.islice(_chebyshev(y), n_max), 1):
-            magnitude = np.abs(t_n)
-            magnitude *= s
-            near = magnitude < MARGINAL_BAND
-            if not near.any():
-                continue
-            near &= order == 0
-            hit = near & (magnitude < tol)
-            order[hit] = n
-            for cell in np.flatnonzero(near & ~hit).tolist():
-                marginal.setdefault(first + cell, []).append(n)
+        rows = thetas[start : start + per_block, None]
+        orders[start : start + per_block], marks = _scan(rows, phis[None, :], n_max, tol)
+        marginal.update((start * len(phis) + cell, m) for cell, m in marks.items())
     orders.flags.writeable = False
-    return PhaseDiagram(thetas, phis, n_max, orders, {c: tuple(m) for c, m in marginal.items()})
+    return PhaseDiagram(thetas, phis, n_max, orders, marginal)

@@ -13,7 +13,11 @@ both the pump trace from the ground state and its long-run mean.  The
 charts take arrays: half_turn, euler_from_loop, axis_angle_from_euler and
 the matrix builders work elementwise on floats or equal-shape arrays of
 angles (matrices then stack as (..., 2, 2)); require_angles, which
-LoopParams calls too, checks their domain once per array.
+LoopParams calls too, checks their domain once per array.  Output bytes
+rest only on numpy ufuncs that round alike at every SIMD dispatch level:
+IEEE arithmetic, sqrt, abs, floor, remainder, sin and cos.  atan2 and hypot
+go through math (_pointwise); np.arctan2 feeds only band.winding_number's
+integer, and matrix products only verify's oracles (BLAS has its own dispatch).
 """
 
 from __future__ import annotations
@@ -112,11 +116,12 @@ def _pointwise(fn, x, y):
     """fn(x, y) elementwise through the math module.
 
     A Python loop on purpose: the written tables follow the math roundings.
-    Over 1e6 draws of sample_loop_params (seed 1, numpy 2.4.6, AVX512),
-    np.arctan2 differs from math.atan2 on 5.4% of the h inputs and 7.0% of
-    the alpha inputs, and np.hypot from math.hypot on 0.67% of the sin_h
-    inputs; math was the closer one in all 2000 hypot differences checked
-    exactly.  Vectorising would move many output bytes and lose accuracy.
+    Over 1e6 draws of sample_loop_params (seed 1, numpy 2.4.6), np.arctan2
+    differs from math.atan2 on 5.4% of the h inputs and 7.0% of the alpha
+    inputs under AVX512 (X86_V4) dispatch and on none with it disabled, and
+    np.hypot from math.hypot on 0.67% of the sin_h inputs at every level;
+    math was the closer one in all 2000 hypot differences checked exactly.
+    Vectorising would tie output bytes to the host's SIMD level.
     """
     if np.ndim(x) == np.ndim(y) == 0:
         return fn(x, y)

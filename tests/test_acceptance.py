@@ -112,9 +112,8 @@ def test_05_closed_form_powers():
         m = np.eye(2, dtype=complex)
         for n in range(1, 101):
             m = u @ m
-            worst = max(
-                worst, float(np.max(np.abs(matrix_power_closed_form(lp, n) - m)))
-            )
+            closed = matrix_power_closed_form(lp.theta, lp.omega, lp.phi, n)
+            worst = max(worst, float(np.max(np.abs(closed - m))))
     ok = worst < 1e-10
     _report("05 closed-form-powers", ok, f"worst entry gap {worst:.3e} over n<=100")
 
@@ -131,7 +130,7 @@ def test_06_stability_exactness_on_rational_curves():
             assert (expected * p) % (2 * q) == 0
             for theta, phi in stable_curve(p, q, 5).points:
                 lp = LoopParams(theta, 0.0, phi)
-                verdict = classify(lp, 2 * expected + 2)
+                verdict = classify(lp.theta, lp.phi, 2 * expected + 2)
                 u = build_loop_operator(lp.theta, lp.omega, lp.phi)
                 oracle = None
                 m = np.eye(2, dtype=complex)
@@ -230,7 +229,7 @@ def test_11_jump_angles_equidistribute():
     )
     worst = 0.0
     for lp in map(LoopParams, *draws):
-        angles = trajectory_angles(lp, 100_000)
+        angles = trajectory_angles(lp.theta, lp.phi, 100_000)
         worst = max(worst, float(kstest(angles / (2.0 * math.pi), "uniform").statistic))
     ok = worst < 0.01
     _report("11 equidistribution", ok, f"worst KS statistic {worst:.5f} at n=1e5")

@@ -176,7 +176,7 @@ def _phi_average_point_by_point(theta, quadrature_points):
 def test_stable_orbit_mean_equals_the_closed_form_rate():
     # one full period of a stable orbit averages to the generic rate
     lp = LoopParams(math.pi / 2)
-    order = classify(lp, 16).order
+    order = classify(lp.theta, lp.phi, 16).order
     assert order == 4
     assert pump_trace(lp, order).p[-1] == pytest.approx(p_infinity(lp.theta, lp.phi), abs=1e-12)
 

@@ -17,10 +17,11 @@ from geopump import (
     ChainParams,
     GapClosedError,
     LoopParams,
-    StabilityVerdict,
     axis_angle_from_euler,
     axis_angle_matrices,
     build_loop_operator,
+    classify,
+    curve_order,
     euler_from_loop,
     euler_matrices,
     make_rng,
@@ -34,9 +35,11 @@ from geopump import (
     sample_loop_params,
     stable_curve,
     su2_defect,
+    trajectory_angles,
     winding_number,
 )
 from geopump.checks import _INTERIOR, _ks_uniform
+from geopump.su2 import TWO_PI
 from test_evolution import _cmath_loop_operator
 
 # short lists straight from hypothesis: n = 1, exact 0 and 1, ties, any order
@@ -135,8 +138,8 @@ def test_first_diagonal_power_is_none_without_a_return():
     assert checks._first_diagonal_power(build_loop_operator(1.0, 0.0, 0.3), 50) is None
 
 
-def _no_return(lp, n_max):
-    return StabilityVerdict(False, n_max)
+def _no_return(theta, phi, n_max, tol):
+    return np.zeros(np.shape(theta), dtype=np.int64), {}
 
 
 def _shifted_profile(dc, k_grid):
@@ -149,7 +152,7 @@ def _shifted_profile(dc, k_grid):
     "check,route,broken",
     [
         (checks._check_winding_criterion, "winding_number", lambda chain: 0),
-        (checks._check_rational_orders, "classify", _no_return),
+        (checks._check_rational_orders, "_scan", _no_return),
         (checks._check_band_profiles, "pump_profile", _shifted_profile),
     ],
     ids=["winding", "rational-orders", "band-profiles"],
@@ -227,7 +230,8 @@ def _per_draw_closed_form_powers(rng):
     for lp in map(LoopParams, *sample_loop_params(rng, 100)):
         u = build_loop_operator(lp.theta, lp.omega, lp.phi)
         for n in rng.integers(0, 101, size=10):
-            diff = matrix_power_closed_form(lp, int(n)) - power(u, int(n))
+            closed = matrix_power_closed_form(lp.theta, lp.omega, lp.phi, int(n))
+            diff = closed - power(u, int(n))
             worst = max(worst, float(np.max(np.abs(diff))))
     return worst, 1e-10
 
@@ -238,7 +242,7 @@ def _per_draw_off_diagonal_closed_form(rng):
         u = build_loop_operator(lp.theta, lp.omega, lp.phi)
         for n in rng.integers(1, 201, size=5):
             direct = abs(power(u, int(n))[0, 1])
-            worst = max(worst, abs(direct - off_diagonal_magnitude(lp, int(n))))
+            worst = max(worst, abs(direct - off_diagonal_magnitude(lp.theta, lp.phi, int(n))))
     return worst, 1e-10
 
 
@@ -260,6 +264,30 @@ def _per_draw_trace_projection(rng):
     return worst, 1e-10
 
 
+def _per_point_rational_orders(rng):
+    # classify and the product oracle on each stable-curve point, each to
+    # its own bound 2 * order + 2
+    mismatches = 0
+    for q in range(1, 9):
+        for p in range(1, q + 1):
+            if math.gcd(p, q) != 1:
+                continue
+            expected = curve_order(p, q)
+            for theta, phi in stable_curve(p, q, 4).points:
+                verdict = classify(theta, phi, 2 * expected + 2)
+                u = _cmath_loop_operator(theta, 0.0, phi)
+                oracle = checks._first_diagonal_power(u, 2 * expected + 2)
+                if not verdict.stable or verdict.order != expected or oracle != expected:
+                    mismatches += 1
+    return float(mismatches), 0.5
+
+
+def _per_drive_equidistribution(rng):
+    loops = map(LoopParams, *sample_loop_params(rng, 5, **_INTERIOR))
+    angles = (trajectory_angles(lp.theta, lp.phi, 20_000) for lp in loops)
+    return max(_ks_uniform(a / TWO_PI) for a in angles), 0.01
+
+
 _PER_DRAW = [
     (checks._check_special_unitary, _per_draw_special_unitary),
     (checks._check_euler_right_inverse, _per_draw_euler_right_inverse),
@@ -269,6 +297,8 @@ _PER_DRAW = [
     (checks._check_closed_form_powers, _per_draw_closed_form_powers),
     (checks._check_off_diagonal_closed_form, _per_draw_off_diagonal_closed_form),
     (checks._check_trace_projection, _per_draw_trace_projection),
+    (checks._check_rational_orders, _per_point_rational_orders),
+    (checks._check_equidistribution, _per_drive_equidistribution),
 ]
 
 

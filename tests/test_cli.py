@@ -1098,6 +1098,12 @@ _GOLDEN = [
         "9764bbd8d10c2ff81f0ec285c490021aac95e6b3046ba8645917b43ad45a335c",
         "3b6997023b06a9d5f4814109ca073bd1c3d33ee1b2cd483bfda49a808198985d",
     ),
+    # the benchmark's seed
+    (
+        ["verify", "--seed", "3"],
+        "70be51f5027e0cf74945d108ed30d7a41f6d28590e27e1bfaf7d968af815cd0d",
+        "0f85e7b95f2f2821c0a07113b7fb2655c442e7b6c3f5270b0e3043b4b1ca509a",
+    ),
 ]
 
 
@@ -1110,6 +1116,49 @@ def test_output_bytes_are_pinned(tmp_path, capsys, argv, csv_digest, json_digest
     assert main([*argv, "--format", fmt, "--out", str(out)]) == 0
     digest = csv_digest if fmt == "csv" else json_digest
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# one golden command per subcommand: the drawn rates read math.atan2, and
+# verify --seed 3 runs the stacked closed forms and the stable-curve scan
+_CAPPED = [_GOLDEN[i] for i in (0, 2, 4, 8, 12)]
+
+# in a child process: whether each named dispatch target is still enabled,
+# then the SHA-256 of each command's output
+_CAPPED_CHILD = """
+import contextlib, hashlib, io, json, sys
+from numpy._core import _multiarray_umath as umath
+from geopump.cli import main
+names, runs, out = json.loads(sys.argv[1])
+print(json.dumps([umath.__cpu_features__[name] for name in names]))
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):  # verify's PASS lines
+        assert main([*argv, "--out", out]) == 0
+    with open(out, "rb") as fh:
+        print(hashlib.sha256(fh.read()).hexdigest())
+"""
+
+
+def test_output_bytes_do_not_depend_on_simd_dispatch(tmp_path):
+    # NPY_DISABLE_CPU_FEATURES acts on the child process only; naming every
+    # target of this build's dispatch list caps numpy at its baseline loops
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    names = getattr(umath, "__cpu_dispatch__", None)
+    if not names:
+        pytest.skip("numpy names no dispatch targets (private __cpu_dispatch__)")
+    assert {g[0][0] for g in _CAPPED} == set(cli._COMMANDS)
+    runs = [[*argv, "--format", fmt] for argv, _, _ in _CAPPED for fmt in ("csv", "json")]
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "NPY_DISABLE_CPU_FEATURES": " ".join(names)}
+    args = json.dumps([list(names), runs, str(tmp_path / "out")])
+    lines = subprocess.run(
+        [sys.executable, "-c", _CAPPED_CHILD, args],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=env,
+    ).stdout.splitlines()
+    assert json.loads(lines[0]) == [False] * len(names)  # the cap took effect
+    assert lines[1:] == [digest for _, *digests in _CAPPED for digest in digests]
 
 
 # --- CSV cell spelling ------------------------------------------------------

@@ -148,7 +148,7 @@ class TestPumpTrace:
         trace = pump_trace(lp, 2000)
         for j in (1, 17, 500, 1024, 1025, 1999, 2000):
             assert trace.q[j - 1] == pytest.approx(
-                off_diagonal_magnitude(lp, j) ** 2, abs=1e-9
+                off_diagonal_magnitude(lp.theta, lp.phi, j) ** 2, abs=1e-9
             )
 
     def test_probabilities_stay_in_unit_interval(self):
@@ -306,33 +306,34 @@ class TestCosineCycle:
 
 class TestTrajectoryAngles:
     def test_quarter_turn_walk(self):
-        angles = trajectory_angles(LoopParams(math.pi / 2), 4)
+        angles = trajectory_angles(math.pi / 2, 0.0, 4)
         expected = [math.pi / 2, math.pi, 3 * math.pi / 2, 0.0]
         for got, want in zip(angles, expected):
             diff = abs(got - want) % (2.0 * math.pi)
             assert min(diff, 2.0 * math.pi - diff) < 1e-12
 
     def test_range_and_length(self):
-        angles = trajectory_angles(_random_loop(RNG), 500)
+        lp = _random_loop(RNG)
+        angles = trajectory_angles(lp.theta, lp.phi, 500)
         assert angles.shape == (500,)
         assert np.all(angles >= 0.0) and np.all(angles < 2.0 * math.pi)
 
     def test_uniformity_for_generic_drive(self):
         from scipy.stats import kstest
 
-        angles = trajectory_angles(LoopParams(math.pi / 2, 0.0, 0.3), 20_000)
+        angles = trajectory_angles(math.pi / 2, 0.3, 20_000)
         assert kstest(angles / (2.0 * math.pi), "uniform").statistic < 0.02
 
     @pytest.mark.parametrize("n,message", [(0, "n must be >= 1"), (2.5, "n must be an integer")])
     def test_validation(self, n, message):
         # n = 2.5 would return 3 angles
         with pytest.raises(ValueError, match=message):
-            trajectory_angles(LoopParams(math.pi / 2), n)
+            trajectory_angles(math.pi / 2, 0.0, n)
 
     @pytest.mark.parametrize("phi", [0.0, math.pi])
     def test_identity_drive_has_no_turn_axis(self, phi):
         with pytest.raises(IdentityRotationError):
-            trajectory_angles(LoopParams(0.0, 0.4, phi), 3)
+            trajectory_angles(0.0, phi, 3)
 
     def test_turn_angle_matches_mpmath(self):
         # delta = 2h with cos h = cos(theta/2) cos(phi), at 50 digits; the
@@ -345,7 +346,7 @@ class TestTrajectoryAngles:
                     c = mpmath.cos(half)
                     sin_h = mpmath.hypot(mpmath.sin(half), c * mpmath.sin(phi))
                     h = mpmath.atan2(sin_h, c * mpmath.cos(phi))
-                    gap = abs(float(trajectory_angles(lp, 1)[0] - 2 * h))
+                    gap = abs(float(trajectory_angles(lp.theta, lp.phi, 1)[0] - 2 * h))
                 worst = max(worst, gap)
         assert worst <= 1e-15
 

@@ -112,13 +112,14 @@ class TestClosedFormPowers:
             u = build_loop_operator(lp.theta, lp.omega, lp.phi)
             n = int(RNG.integers(0, 200))
             np.testing.assert_allclose(
-                matrix_power_closed_form(lp, n), power(u, n), atol=1e-11
+                matrix_power_closed_form(lp.theta, lp.omega, lp.phi, n), power(u, n), atol=1e-11
             )
 
     def test_first_power_is_operator(self):
         lp = _random_loop(RNG)
         u = build_loop_operator(lp.theta, lp.omega, lp.phi)
-        np.testing.assert_allclose(matrix_power_closed_form(lp, 1), u, atol=1e-15)
+        got = matrix_power_closed_form(lp.theta, lp.omega, lp.phi, 1)
+        np.testing.assert_allclose(got, u, atol=1e-15)
 
 
 class TestOffDiagonal:
@@ -127,28 +128,26 @@ class TestOffDiagonal:
             lp = _random_loop(RNG)
             n = int(RNG.integers(1, 300))
             direct = abs(power(build_loop_operator(lp.theta, lp.omega, lp.phi), n)[0, 1])
-            assert off_diagonal_magnitude(lp, n) == pytest.approx(direct, abs=1e-11)
+            assert off_diagonal_magnitude(lp.theta, lp.phi, n) == pytest.approx(direct, abs=1e-11)
 
     def test_quarter_bias_vanishes_at_two(self):
-        assert off_diagonal_magnitude(LoopParams(HALF_PI, 0.0, HALF_PI), 2) < 1e-12
+        assert off_diagonal_magnitude(HALF_PI, HALF_PI, 2) < 1e-12
 
     def test_quarter_turn_cubed(self):
-        got = off_diagonal_magnitude(LoopParams(HALF_PI), 3)
+        got = off_diagonal_magnitude(HALF_PI, 0.0, 3)
         assert got == pytest.approx(math.sin(math.pi / 4), abs=1e-15)
 
     def test_azimuth_has_no_effect(self):
+        # the closed form takes no omega: each azimuth's product agrees with it
         lp = _random_loop(RNG)
         n = 37
         for omega in (0.0, 1.0, 5.0):
-            shifted = LoopParams(lp.theta, omega, lp.phi)
-            assert off_diagonal_magnitude(shifted, n) == off_diagonal_magnitude(lp, n)
-            u = build_loop_operator(shifted.theta, shifted.omega, shifted.phi)
-            direct = abs(power(u, n)[0, 1])
-            assert off_diagonal_magnitude(shifted, n) == pytest.approx(direct, abs=1e-11)
+            direct = abs(power(build_loop_operator(lp.theta, omega, lp.phi), n)[0, 1])
+            assert off_diagonal_magnitude(lp.theta, lp.phi, n) == pytest.approx(direct, abs=1e-11)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
-            off_diagonal_magnitude(LoopParams(1.0), 0)
+            off_diagonal_magnitude(1.0, 0.0, 0)
 
 
 # unsorted, repeated, both base cases and past one 4096-step block
@@ -161,29 +160,31 @@ class TestArrayExponents:
     @pytest.mark.parametrize("seed", range(5))
     def test_matrix_power_is_the_per_n_calls(self, seed):
         lp = _random_loop(np.random.default_rng(seed))
-        got = matrix_power_closed_form(lp, _EXPONENTS)
+        drive = (lp.theta, lp.omega, lp.phi)
+        got = matrix_power_closed_form(*drive, _EXPONENTS)
         assert got.shape == (len(_EXPONENTS), 2, 2)
-        assert np.array_equal(got, [matrix_power_closed_form(lp, int(n)) for n in _EXPONENTS])
-        grid = matrix_power_closed_form(lp, _EXPONENTS.reshape(2, 5))
+        assert np.array_equal(got, [matrix_power_closed_form(*drive, int(n)) for n in _EXPONENTS])
+        grid = matrix_power_closed_form(*drive, _EXPONENTS.reshape(2, 5))
         assert np.array_equal(grid.reshape(-1, 2, 2), got)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_off_diagonal_is_the_per_n_calls(self, seed):
         lp = _random_loop(np.random.default_rng(seed))
         ns = _EXPONENTS + 1
-        got = off_diagonal_magnitude(lp, ns)
-        assert np.array_equal(got, [off_diagonal_magnitude(lp, int(n)) for n in ns])
-        assert np.array_equal(off_diagonal_magnitude(lp, ns.reshape(5, 2)).ravel(), got)
+        got = off_diagonal_magnitude(lp.theta, lp.phi, ns)
+        assert np.array_equal(got, [off_diagonal_magnitude(lp.theta, lp.phi, int(n)) for n in ns])
+        grid = off_diagonal_magnitude(lp.theta, lp.phi, ns.reshape(5, 2))
+        assert np.array_equal(grid.ravel(), got)
 
     def test_scalar_n_keeps_its_types(self):
-        lp = LoopParams(1.0, 0.5, 0.25)
-        assert matrix_power_closed_form(lp, np.int64(3)).shape == (2, 2)
-        assert type(off_diagonal_magnitude(lp, 3)) is float
+        # float angles and an int n give one matrix and a numpy float scalar
+        assert matrix_power_closed_form(1.0, 0.5, 0.25, np.int64(3)).shape == (2, 2)
+        got = off_diagonal_magnitude(1.0, 0.25, 3)
+        assert type(got) is np.float64 and isinstance(got, float)
 
     def test_empty_array(self):
-        lp = LoopParams(1.0)
-        assert matrix_power_closed_form(lp, np.array([], dtype=int)).shape == (0, 2, 2)
-        assert off_diagonal_magnitude(lp, np.array([], dtype=int)).shape == (0,)
+        assert matrix_power_closed_form(1.0, 0.0, 0.0, np.array([], dtype=int)).shape == (0, 2, 2)
+        assert off_diagonal_magnitude(1.0, 0.0, np.array([], dtype=int)).shape == (0,)
 
     @pytest.mark.parametrize(
         "closed_form, ns, first",
@@ -196,39 +197,88 @@ class TestArrayExponents:
     )
     def test_rejects_the_first_bad_entry(self, closed_form, ns, first):
         with pytest.raises(ValueError, match=f"got {first}$"):
-            closed_form(LoopParams(1.0), np.array(ns))
+            closed_form(*_ANGLES[closed_form], np.array(ns))
 
     @pytest.mark.parametrize("closed_form", [matrix_power_closed_form, off_diagonal_magnitude])
     @pytest.mark.parametrize("ns", [2.5, 3.0, np.array([1.0, 2.0]), np.array([1, 2]) + 0.5])
     def test_rejects_non_integer_exponents(self, closed_form, ns):
         with pytest.raises(ValueError, match="n must be an int64 integer"):
-            closed_form(LoopParams(1.0), ns)
+            closed_form(*_ANGLES[closed_form], ns)
+
+
+# one drive's angles for each closed form's signature
+_ANGLES = {matrix_power_closed_form: (1.0, 0.0, 0.0), off_diagonal_magnitude: (1.0, 0.0)}
+
+
+class TestDriveStacks:
+    """A stack of drives broadcasts against n: each entry is the value of
+    its own one-drive call, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_each_drive_gets_its_own_exponents(self, seed):
+        rng = np.random.default_rng(seed)
+        theta, omega, phi = (rng.uniform(lo, hi, (7, 1)) for lo, hi in _WINDOWS)
+        ns = rng.integers(1, 300, size=(7, 4))
+        powers = matrix_power_closed_form(theta, omega, phi, ns)
+        off = off_diagonal_magnitude(theta, phi, ns)
+        assert powers.shape == (7, 4, 2, 2) and off.shape == (7, 4)
+        for i, j in np.ndindex(ns.shape):
+            drive, n = (theta[i, 0], omega[i, 0], phi[i, 0]), int(ns[i, j])
+            assert np.array_equal(powers[i, j], matrix_power_closed_form(*drive, n))
+            assert off[i, j] == off_diagonal_magnitude(theta[i, 0], phi[i, 0], n)
+
+    def test_one_n_for_every_drive(self):
+        theta, phi = np.linspace(0.0, math.pi, 5), np.linspace(-HALF_PI, HALF_PI, 5)
+        powers = matrix_power_closed_form(theta, 0.3, phi, 17)
+        assert powers.shape == (5, 2, 2)
+        for got, t, p in zip(powers, theta, phi):
+            assert np.array_equal(got, matrix_power_closed_form(float(t), 0.3, float(p), 17))
+
+    def test_shapes_that_do_not_broadcast_are_rejected(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            off_diagonal_magnitude(np.ones(3), np.zeros(3), np.arange(1, 5))
+
+    @pytest.mark.parametrize(
+        "closed_form, angles, message",
+        [
+            (matrix_power_closed_form, (np.array([1.0, 4.0]), 0.0, 0.0), "theta must lie in"),
+            (matrix_power_closed_form, (1.0, math.inf, 0.0), "omega must be a finite angle"),
+            (off_diagonal_magnitude, (-0.5, 0.0), "theta must lie in"),
+            (off_diagonal_magnitude, (1.0, np.array([0.0, math.nan])), "phi must be a finite"),
+        ],
+    )
+    def test_angles_are_checked(self, closed_form, angles, message):
+        with pytest.raises(ValueError, match=message):
+            closed_form(*angles, 3)
+
+
+_WINDOWS = ((0.0, math.pi), (0.0, 2.0 * math.pi), (-HALF_PI, HALF_PI))
 
 
 class TestClassify:
     def test_quarter_turn_order_four(self):
-        verdict = classify(LoopParams(HALF_PI), 10)
+        verdict = classify(HALF_PI, 0.0, 10)
         assert verdict.stable and verdict.order == 4
 
     def test_quarter_bias_order_two(self):
-        verdict = classify(LoopParams(math.pi / 3, 0.0, HALF_PI), 10)
+        verdict = classify(math.pi / 3, HALF_PI, 10)
         assert verdict.stable and verdict.order == 2
 
     def test_closed_loop_order_one(self):
-        assert classify(LoopParams(0.0), 5).order == 1
+        assert classify(0.0, 0.0, 5).order == 1
 
     def test_half_turn_order_two(self):
-        assert classify(LoopParams(math.pi), 5).order == 2
+        assert classify(math.pi, 0.0, 5).order == 2
 
     def test_generic_drive_never_returns(self):
-        verdict = classify(LoopParams(HALF_PI, 0.0, 0.3), 1000)
+        verdict = classify(HALF_PI, 0.3, 1000)
         assert not verdict.stable
         assert verdict.order is None
 
     def test_marginal_band_is_not_stable(self):
         # delta just off a quarter turn: the best off-diagonal lands in
         # the guard band and must be flagged rather than accepted
-        verdict = classify(LoopParams(HALF_PI + 2e-7), 10)
+        verdict = classify(HALF_PI + 2e-7, 0.0, 10)
         assert not verdict.stable
         assert 4 in verdict.marginal
 
@@ -236,7 +286,7 @@ class TestClassify:
         for _ in range(20):
             lp = _random_loop(RNG)
             n_max = 60
-            verdict = classify(lp, n_max)
+            verdict = classify(lp.theta, lp.phi, n_max)
             u = build_loop_operator(lp.theta, lp.omega, lp.phi)
             orders = [
                 n for n in range(1, n_max + 1) if _is_diagonal(power(u, n))
@@ -248,11 +298,15 @@ class TestClassify:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            classify(LoopParams(1.0), 0)
+            classify(1.0, 0.0, 0)
         with pytest.raises(ValueError):
-            classify(LoopParams(1.0), 10, tol=1e-3)
+            classify(1.0, 0.0, 10, tol=1e-3)
         with pytest.raises(ValueError, match="n_max must be an integer, got 2.5"):
-            classify(LoopParams(1.0), 2.5)
+            classify(1.0, 0.0, 2.5)
+        with pytest.raises(ValueError, match="theta must lie in"):
+            classify(3.5, 0.0, 10)
+        with pytest.raises(ValueError, match="phi must be a finite angle"):
+            classify(1.0, math.nan, 10)
 
 
 class TestCurveOrder:
@@ -301,7 +355,7 @@ class TestStableCurve:
         for p, q in ((1, 2), (2, 3), (3, 4), (1, 5)):
             curve = stable_curve(p, q, 5)
             for theta, phi in curve.points:
-                verdict = classify(LoopParams(theta, 0.0, phi), 2 * curve.order + 2)
+                verdict = classify(theta, phi, 2 * curve.order + 2)
                 assert verdict.stable and verdict.order == curve.order
 
     def test_wide_turns_have_no_curve(self):
@@ -391,7 +445,7 @@ class TestPhaseDiagramMatchesClassify:
         diagram = phase_diagram(grid, grid, n_max, offset=offset)
         for row, theta in zip(diagram.verdicts, diagram.theta_values):
             for verdict, phi in zip(row, diagram.phi_values):
-                expected = classify(LoopParams(float(theta), 0.0, float(phi)), n_max)
+                expected = classify(float(theta), float(phi), n_max)
                 assert verdict == expected  # stable, order and marginal
 
     def test_endpoint_grid_has_stable_and_marginal_cells(self):
@@ -439,7 +493,7 @@ class TestPhaseDiagramBlocks:
         assert np.count_nonzero(blocked.orders) == 236 and len(blocked.marginal) == 8
         for row, theta in zip(blocked.verdicts, blocked.theta_values):
             for verdict, phi in zip(row, blocked.phi_values):
-                assert verdict == classify(LoopParams(float(theta), 0.0, float(phi)), 1000)
+                assert verdict == classify(float(theta), float(phi), 1000)
 
     def test_rows_longer_than_a_block(self, monkeypatch):
         whole = phase_diagram(30, 47, 600, offset=0.0)
@@ -477,6 +531,50 @@ class TestPhaseDiagramBlocks:
         finally:
             tracemalloc.stop()
         assert peak / 500**2 < 20, f"{peak / 500**2:.1f} bytes per cell"
+
+
+def _scan_cells(theta, phi, n_max, tol=1e-9):
+    # _scan of a stack of drives, and each cell checked against classify
+    order, marginal = stability._scan(theta, phi, n_max, tol)
+    assert order.shape == np.shape(theta) and order.dtype == np.int64
+    assert set(marginal) <= set(range(order.size))
+    for cell, (t, p) in enumerate(zip(np.ravel(theta).tolist(), np.ravel(phi).tolist())):
+        verdict = classify(t, p, n_max, tol)
+        assert (order.flat[cell], marginal.get(cell, ())) == (verdict.order or 0, verdict.marginal)
+    return order, marginal
+
+
+# a quarter turn, two near misses of it (guard band) and a generic drive
+_NEAR_QUARTER = np.array([HALF_PI, HALF_PI + 2e-7, HALF_PI - 3e-7, 1.0])
+
+
+class TestScan:
+    """stability._scan gives every cell of a stack the verdict classify gives it."""
+
+    @pytest.mark.parametrize("theta", _NEAR_QUARTER.tolist())
+    def test_zero_d(self, theta):
+        order, marginal = _scan_cells(theta, 0.0, 50)
+        assert order.shape == ()
+
+    def test_one_d(self):
+        order, marginal = _scan_cells(_NEAR_QUARTER, np.zeros(4), 50)
+        assert order.tolist() == [4, 0, 0, 0] and sorted(marginal) == [1, 2]
+
+    def test_two_d(self):
+        rng = np.random.default_rng(7)
+        theta = np.concatenate([_NEAR_QUARTER, [0.0, math.pi], rng.uniform(0.0, math.pi, 6)])
+        phi = np.concatenate([np.zeros(6), rng.uniform(-HALF_PI, HALF_PI, 6)])
+        order, marginal = _scan_cells(theta.reshape(3, 4), phi.reshape(3, 4), 300)
+        assert order.ravel()[:6].tolist() == [4, 0, 0, 0, 1, 2] and sorted(marginal) == [1, 2]
+
+    def test_stable_curve_points(self):
+        # verify's rational-order check scans these 88 points as one stack
+        pairs = [(p, q) for q in range(1, 9) for p in range(1, q + 1) if math.gcd(p, q) == 1]
+        curves = [stable_curve(p, q, 4) for p, q in pairs]
+        theta, phi = np.array([point for curve in curves for point in curve.points]).T
+        order, _ = _scan_cells(theta, phi, 34)
+        assert order.tolist() == [curve.order for curve in curves for _ in curve.points]
+        assert len(order) == 88
 
 
 def _fibonacci_pair(n, x):
@@ -519,13 +617,14 @@ class TestChebyshevMatchesFibonacciForms:
         u = build_loop_operator(lp.theta, lp.omega, lp.phi)
         phase = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)[n % 4]  # i**n
         want = phase * (f_n * (-1j * u) + f_prev * np.eye(2))
-        got = matrix_power_closed_form(lp, n)
+        got = matrix_power_closed_form(lp.theta, lp.omega, lp.phi, n)
         # == on both parts of every entry, which fixes the sign of each nonzero
         # part; an exactly zero part (e.g. off the diagonal at n = 0) may be
         # +0 on one side and -0 on the other
         assert np.array_equal(got, want)
         if n >= 1:
-            assert off_diagonal_magnitude(lp, n) == abs(f_n) * math.sin(0.5 * lp.theta)
+            want = abs(f_n) * math.sin(0.5 * lp.theta)
+            assert off_diagonal_magnitude(lp.theta, lp.phi, n) == want
 
 
 def test_phase_diagram_orders_match_iterated_products():

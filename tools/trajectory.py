@@ -10,14 +10,18 @@ as a subprocess, S being BENCHMARK.json's run_seconds, and keeps the run's
 `# machine:` line and its last stdout line, one JSON object with correct,
 attempted, failed and metrics.  It then times one tier-1 run (the pytest
 command in ROADMAP.md) and counts its passes and failures.  The file goes
-to the root of the checkout, with the commit from `git rev-parse HEAD` and
-whether the working tree differed from it.  A change that claims a gain
-quotes the numbers of two such files, before and after.
+to the root of the checkout, with the commit from `git rev-parse HEAD`,
+whether the working tree differed from it, and diff_sha256, the SHA-256 of
+`git diff HEAD --binary` (untracked files aside), so that a point measured
+before its commit names the tree it measured; a clean tree gives the hash
+of no bytes.  A change that claims a gain quotes the numbers of two such
+files, before and after.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -31,8 +35,8 @@ SEED = 3
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
-def _run(argv, **kwargs) -> subprocess.CompletedProcess:
-    return subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, **kwargs)
+def _run(argv, text=True, **kwargs) -> subprocess.CompletedProcess:
+    return subprocess.run(argv, cwd=ROOT, capture_output=True, text=text, **kwargs)
 
 
 def bench(workload: str, seconds: float) -> dict:
@@ -71,6 +75,9 @@ def main(argv=None) -> int:
         "n": n,
         "commit": _run(["git", "rev-parse", "HEAD"], check=True).stdout.strip(),
         "dirty": bool(_run(["git", "status", "--porcelain"], check=True).stdout.strip()),
+        "diff_sha256": hashlib.sha256(
+            _run(["git", "diff", "HEAD", "--binary"], text=False, check=True).stdout
+        ).hexdigest(),
         "seed": SEED,
         "seconds": seconds,
         "workloads": {wl["name"]: bench(wl["name"], seconds) for wl in declared["workloads"]},
