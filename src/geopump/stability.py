@@ -6,6 +6,11 @@ classify and for _scan, the one array scan, which serves phase_diagram and
 verify.  A point is stable of order N when U^N is the first diagonal power,
 where |t_N| sin(theta/2) vanishes.  The stable set organizes into curves of
 constant rational turn angle, sampled, classified and rasterized here.
+
+phase_diagram scans only the cells that can come near a return: the
+continued fraction of h/pi bounds each cell's nearest approach over
+n <= n_max in O(log n_max) steps (_nearest_return), so a grid costs
+O(cells log n_max + candidates n_max).
 """
 
 from __future__ import annotations
@@ -19,14 +24,17 @@ from functools import cached_property
 import numpy as np
 
 from .evolution import build_loop_operator
-from .su2 import HALF_PI, half_turn, require_angles, require_int
+from .su2 import _BLOCK, HALF_PI, half_turn, require_angles, require_int
 
 # off-diagonal magnitudes in [tol, MARGINAL_BAND) are flagged but do not
 # count as a detected return
 MARGINAL_BAND = 1e-6
 
-# phase_diagram scans blocks of whole theta rows of about this many cells
-_SCAN_CELLS = 16384
+# phase_diagram filters blocks of whole theta rows of about this many cells
+# and scans its candidate cells in blocks of at most this many
+_SCAN_CELLS = 4096
+
+_U = 2.0**-53  # unit roundoff of float64
 
 
 class EmptyCurveError(ValueError):
@@ -46,19 +54,35 @@ def _chebyshev(y):
 
 def _chebyshev_pair(y, n, least: int = 0):
     # (t_{n-1}, t_n), t_{-1} = -1, for integers n >= least against the y they
-    # broadcast with, from one run up to max(n) that keeps every term, on y
-    # as given: numpy's complex arrays round otherwise
+    # broadcast with, from one run up to max(n) on y as given (numpy's
+    # complex arrays round otherwise) that keeps only the terms asked for:
+    # it reads the run in pieces of about _BLOCK cells, or of as many as
+    # there are pairs, so picking the pairs out of each piece costs no more
+    # than the run itself
     ns = np.asarray(n)
     if ns.dtype.kind not in "iu":
         raise ValueError(f"n must be an int64 integer or integer array, got {n!r}")
     if (ns < least).any():
         raise ValueError(f"n must be >= {least}, got {ns[ns < least].flat[0]}")
-    np.broadcast_shapes(np.shape(y), ns.shape)  # before the run
-    top = int(ns.max(initial=0))
+    shape = np.broadcast_shapes(np.shape(y), ns.shape)  # before the run
+    want, cells = np.broadcast_to(ns, shape), np.indices(np.shape(y), sparse=True)
+    dtype, top = np.result_type(y, 0.0), int(ns.max(initial=0))
+    t_prev, t_n = np.empty(shape, dtype), np.empty(shape, dtype)
     terms = itertools.chain((-1.0, 0.0), itertools.islice(_chebyshev(y), top))
-    t = np.fromiter(terms, np.dtype((np.result_type(y, 0.0), np.shape(y))), top + 2)
-    cells = np.indices(np.shape(y), sparse=True)
-    return t[(ns,) + cells], t[(ns + 1,) + cells]
+    per = max(2, (_BLOCK + t_n.size) // max(1, np.size(y)))
+    lo, buf = 0, np.empty((0,) + np.shape(y), dtype)
+    while lo <= top:
+        # buf holds terms lo, lo + 1, ... (term j is t_{j-1}): the pairs of
+        # terms j, j + 1 with lo <= j < hi, its last term carried on
+        piece = np.fromiter(itertools.islice(terms, per), np.dtype((dtype, np.shape(y))))
+        buf = np.concatenate([buf[-1:], piece])
+        hi = lo + len(buf) - 1
+        here = (want >= lo) & (want < hi)
+        j = np.where(here, want - lo, 0)
+        np.copyto(t_prev, buf[(j,) + cells], where=here)
+        np.copyto(t_n, buf[(j + 1,) + cells], where=here)
+        lo = hi
+    return t_prev[()], t_n[()]
 
 
 def fibonacci_poly(n: int, x: complex) -> complex:
@@ -157,6 +181,51 @@ def _scan(theta, phi, n_max: int, tol: float):
         for cell in np.flatnonzero(near & ~hit).tolist():
             marginal.setdefault(cell, []).append(n)
     return order, {cell: tuple(marks) for cell, marks in marginal.items()}
+
+
+def _nearest_return(x, n_max: int):
+    """min over 1 <= n <= n_max of ||n x||, the distance from n x to the
+    nearest integer, for each float x in [0, 1] of an array, from the
+    continued fraction of x: by Lagrange's best-approximation theorem the
+    minimum is |q x - p| at the largest convergent denominator q <= n_max.
+    O(log n_max) steps a cell.  Each error q x - p is recomputed from the
+    integers p and q, so rounding does not compound: for n_max <= 2**25,
+    where a partial quotient comes out at most one too large and a sign
+    check mends it, each value is within n_max * x * 2**-53 of the exact
+    minimum for the float x as given."""
+    x = np.asarray(x, dtype=float)
+    nearest = np.zeros(x.size)  # x = 0 returns at n = 1
+    cells = np.flatnonzero(x)
+    xs = x.ravel()[cells]
+    # convergents p0/q0 and p1/q1 with errors d = q x - p of opposite signs,
+    # from 1/0 (d = -1) and 0/1 (d = x)
+    q0, p0, d0 = np.zeros(xs.size), np.ones(xs.size), np.full(xs.size, -1.0)
+    q1, p1, d1 = np.ones(xs.size), np.zeros(xs.size), xs
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while cells.size:
+            # the next convergent, into the older one's arrays: minus the
+            # partial quotient is ceil(d0 / d1), as d0 and d1 differ in sign
+            minus_a = np.ceil(d0 / d1)
+            q0 -= minus_a * q1
+            p0 -= minus_a * p1
+            np.multiply(q0, xs, out=d0)
+            d0 -= p0
+            sides = d0 * d1  # > 0 where the quotient rounded up past the true one
+            over = sides > 0.0
+            if over.any():
+                q0[over] -= q1[over]
+                p0[over] -= p1[over]
+                d0[over] = q0[over] * xs[over] - p0[over]
+                sides[over] = d0[over] * d1[over]
+            done = q0 > n_max
+            ended = np.flatnonzero(done)  # integer indices: faster than masks here
+            nearest[cells[ended]] = np.abs(d1[ended])
+            # d0 = 0 is a return, and a quotient still too large leaves 0 as
+            # well, which bounds it: only errors at the rounding level do that
+            live = np.flatnonzero((sides < 0.0) & ~done)
+            cells, xs = cells[live], xs[live]
+            q0, p0, d0, q1, p1, d1 = q1[live], p1[live], d1[live], q0[live], p0[live], d0[live]
+    return nearest.reshape(x.shape)
 
 
 def curve_order(p: int, q: int) -> int:
@@ -261,6 +330,57 @@ def _grid_axes(theta_grid: int, phi_grid: int, offset: float) -> tuple[np.ndarra
     )
 
 
+# A cell is dropped when the recurrence _scan runs on it cannot come within
+# MARGINAL_BAND at any n <= N = n_max.  With u = 2**-53, c = c_cos and
+# y = 2c (exact), the exact recurrence gives t_n = sin(n h')/sin h' with
+# cos h' = c: the h' of the float c, not HalfTurn.h, which differs from it
+# near the corner.  Its magnitudes are A' |sin(n h')| = A' sin(pi ||n x'||)
+# with A' = s/sin h' and x' = h'/pi, so their least value over n <= N is
+# the floor A' sin(pi m(x')), m(x) = min over n <= N of ||n x||.
+#
+# Recurrence side (Higham ch. 2-3).  Each step t_{k+1} = fl(fl(y t_k) -
+# t_{k-1}) adds an error of at most 2u|t_k| + u|t_{k+1}|/(1-u) <= 3u Mc/(1-u),
+# Mc the largest computed |t_j| so far, and that error travels through the
+# same linear recurrence: a unit error at step k adds t_{n-k+1} at n.  With
+# M the largest exact |t_j| <= min(n, 1/sin h'), s |dt_n| <= 3u n s M Mc/(1-u),
+# and Mc <= M / (1 - 3u n M/(1-u)).  So every error is below
+#     drift = 4u N s M^2 / (1 - 4u N M),   M = min(N, 1/sin h'),
+# where 4 for 3 covers sin h' computed as sqrt((1-c)(1+c)) (relative 3u) and
+# this line's own roundings.  When s <= sin h', s M^2 <= N, so drift is
+# 4u N^2 at most away from the corner; far from it, M is about 1/sin h'.
+# The scan's fl(|t_n| s) loses one more u.
+#
+# Filter side.  x = atan2(sin h', c)/pi comes within 9u x' of x': 3u from
+# sin h', 2 ulp of np.arctan2 (0.75 measured against mpmath), and pi and
+# the division.  _nearest_return is within 2u N of m(x), and Dirichlet's
+# theorem, m(x) <= 1/(N+1), caps it.  Together with 6u on np.sin (2 ulp),
+# 5u on A and one product, the computed floor F exceeds the exact one by
+# at most 13u F + 36u N A.  A cell is dropped when F >= MARGINAL_BAND +
+# drift + 64u N A, which leaves room for 2u MARGINAL_BAND <= 2u A and the
+# roundings of this sum.
+#
+# Range.  The kernel's partial quotients, from errors each within u q of
+# their own, come out at most one too large while 6u N^2 < 1, so it holds
+# for N <= 2**25.  Past N = 2.1e7 the capped floor, at most A pi/(N+1),
+# stays under 64u N A, so no cell is dropped there whatever the kernel
+# returns.  A NaN or infinite A, at sin h' = 0, keeps its cell as well.
+
+
+def _may_return(theta, phi, n_max: int) -> np.ndarray:
+    """False for each cell of the angles' broadcast stack whose _scan to
+    n_max is bound to find neither a return nor a marginal index."""
+    ht = half_turn(theta, phi)
+    c = ht.c_cos  # y / 2 of the recurrence _scan runs
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sin_h = np.sqrt((1.0 - c) * (1.0 + c))
+        amplitude = ht.s / sin_h
+        nearest = _nearest_return(np.arctan2(sin_h, c) / math.pi, n_max)
+        floor = amplitude * np.sin(math.pi * np.minimum(nearest, 1.0 / (n_max + 1)))
+        peak = np.minimum(n_max, 1.0 / sin_h)
+        drift = 4.0 * _U * n_max * ht.s * peak**2 / np.maximum(1.0 - 4.0 * _U * n_max * peak, 0.0)
+        return ~(floor >= MARGINAL_BAND + drift + 64.0 * _U * n_max * amplitude)
+
+
 def phase_diagram(
     theta_grid: int,
     phi_grid: int,
@@ -273,20 +393,31 @@ def phase_diagram(
     offset = 0.5 (default) samples cell midpoints, staying off the
     boundary stable lines; offset = 0 uses an endpoint-inclusive grid.
 
-    Every cell equals classify(theta, phi, n_max, tol): each block of
-    whole theta rows, about _SCAN_CELLS cells, goes through _scan as one
-    array, with y = tr U = 2 cos(theta/2) cos(phi) per cell; only the
-    int64 orders grow.
+    Every cell equals classify(theta, phi, n_max, tol).  A prefilter
+    bounds each cell's nearest approach from the continued fraction of its
+    half turn, O(log n_max) a cell, one block of whole theta rows of about
+    _SCAN_CELLS cells at a time, and drops the cells that cannot come
+    within MARGINAL_BAND; the kept candidates go through _scan in blocks of
+    at most _SCAN_CELLS, O(n_max) a cell.  So a grid costs
+    O(cells log n_max + candidates n_max), and only the int64 orders, one
+    keep flag a cell and the candidates' indices grow with it.
     """
     _check_scan(n_max, tol)  # before the axes are allocated
     thetas, phis = _grid_axes(theta_grid, phi_grid, offset)
     orders = np.zeros((len(thetas), len(phis)), dtype=np.int64)
-    marginal: dict[int, tuple[int, ...]] = {}
+    kept = np.empty(orders.shape, dtype=bool)
     per_block = max(1, _SCAN_CELLS // len(phis))
     for start in range(0, len(thetas), per_block):
-        # theta rows by phi columns: each cell sees the floats classify reads
         rows = thetas[start : start + per_block, None]
-        orders[start : start + per_block], marks = _scan(rows, phis[None, :], n_max, tol)
-        marginal.update((start * len(phis) + cell, m) for cell, m in marks.items())
+        kept[start : start + per_block] = _may_return(rows, phis[None, :], n_max)
+    candidates = np.flatnonzero(kept)
+    del kept
+    marginal: dict[int, tuple[int, ...]] = {}
+    for start in range(0, candidates.size, _SCAN_CELLS):
+        cells = candidates[start : start + _SCAN_CELLS]
+        i, j = np.divmod(cells, len(phis))
+        # each cell sees the floats classify reads
+        orders.flat[cells], marks = _scan(thetas[i], phis[j], n_max, tol)
+        marginal.update((int(cells[cell]), m) for cell, m in marks.items())
     orders.flags.writeable = False
     return PhaseDiagram(thetas, phis, n_max, orders, marginal)

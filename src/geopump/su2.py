@@ -17,7 +17,11 @@ LoopParams calls too, checks their domain once per array.  Output bytes
 rest only on numpy ufuncs that round alike at every SIMD dispatch level:
 IEEE arithmetic, sqrt, abs, floor, remainder, sin and cos.  atan2 and hypot
 go through math (_pointwise); np.arctan2 feeds only band.winding_number's
-integer, and matrix products only verify's oracles (BLAS has its own dispatch).
+integer and the keep/drop decision of phase_diagram's prefilter, and matrix
+products only verify's oracles (BLAS has its own dispatch).  The prefilter
+cannot tie bytes to the dispatch level either: its margin covers an error of
+2 ulp in np.arctan2, far above any wobble between levels, so no level drops
+a cell that could come near a return, and a kept cell is scanned exactly.
 """
 
 from __future__ import annotations

@@ -1,6 +1,9 @@
+import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -185,6 +188,34 @@ class TestArrayExponents:
     def test_empty_array(self):
         assert matrix_power_closed_form(1.0, 0.0, 0.0, np.array([], dtype=int)).shape == (0, 2, 2)
         assert off_diagonal_magnitude(1.0, 0.0, np.array([], dtype=int)).shape == (0,)
+
+    @pytest.mark.parametrize("drives", [3, 5000])
+    def test_pairs_across_reads_are_the_recurrence_terms(self, drives):
+        # the run is read about _BLOCK cells at a time (1365 terms of 3
+        # drives, 2 of 5000), so pairs t_{n-1}, t_n cross from one read to
+        # the next
+        rng = np.random.default_rng(drives)
+        y = rng.uniform(-2.0, 2.0, drives)
+        top = 5000 if drives == 3 else 12
+        ns = rng.integers(0, top, size=(40, drives))
+        ns[0] = top
+        terms = itertools.chain([-1.0, 0.0], itertools.islice(stability._chebyshev(y), top))
+        run = np.array([np.broadcast_to(t, drives) for t in terms])  # row j is t_{j-1}
+        prev, cur = stability._chebyshev_pair(y, ns)
+        cells = np.arange(drives)
+        assert prev.tobytes() == run[ns, cells].tobytes()
+        assert cur.tobytes() == run[ns + 1, cells].tobytes()
+
+    def test_a_long_run_keeps_only_the_terms_asked_for(self):
+        # one n = 10**6 once held every term up to it, 8 MB
+        off_diagonal_magnitude(1.0, 0.25, 10)  # allocations made once per process
+        tracemalloc.start()
+        try:
+            off_diagonal_magnitude(1.0, 0.25, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"peak {peak} bytes"
 
     @pytest.mark.parametrize(
         "closed_form, ns, first",
@@ -504,8 +535,8 @@ class TestPhaseDiagramBlocks:
         assert blocked.marginal == whole.marginal and sorted(blocked.marginal) == [55, 85]
 
     def test_benchmark_grid_marginal_is_pinned(self):
-        # 26 cells with 52 hits; 200 phi columns make 81-row scan blocks, so
-        # the last two cells, 30698 and 30701, lie in the second block
+        # 26 cells with 52 hits; 200 phi columns make 20-row filter blocks,
+        # so the last two cells, 30698 and 30701, lie past the first block
         marginal = phase_diagram(200, 200, 200).marginal
         assert marginal == {
             2: (80, 160), 7: (80, 160),
@@ -531,6 +562,133 @@ class TestPhaseDiagramBlocks:
         finally:
             tracemalloc.stop()
         assert peak / 500**2 < 20, f"{peak / 500**2:.1f} bytes per cell"
+
+
+_U = 2.0**-53
+
+
+def _nearest_exact(x, n_max):
+    # min over 1 <= n <= n_max of ||n x|| for the float x, as an exact
+    # Fraction, by brute force over every n
+    num, den = Fraction(x).as_integer_ratio()
+    return Fraction(min(min(r, den - r) for r in (n * num % den for n in range(1, n_max + 1))), den)
+
+
+_FRACTIONS = [p / q for q in range(1, 12) for p in range(q + 1)]
+_NEAR_RATIONAL = st.builds(
+    # one huge partial quotient: p/q off by far less than 1/q^2
+    lambda x, e: min(1.0, max(0.0, x + e)),
+    st.sampled_from(_FRACTIONS),
+    st.sampled_from([0.0, 1e-15, -1e-15, 3e-12, -3e-12, 1e-9, -1e-9, 2.0**-40]),
+)
+_UNIT_X = st.one_of(
+    st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0, 5e-324, 1e-300, 0.6180339887498949]),
+    _NEAR_RATIONAL,
+)
+
+
+class TestNearestReturn:
+    """stability._nearest_return against brute force in exact rationals."""
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(xs=st.lists(_UNIT_X, min_size=1, max_size=8), n_max=st.integers(1, 2000))
+    def test_matches_fraction_brute_force(self, xs, n_max):
+        got = stability._nearest_return(np.array(xs), n_max)
+        for x, nearest in zip(xs, got.tolist()):
+            gap = abs(Fraction(nearest) - _nearest_exact(x, n_max))
+            assert gap <= Fraction(n_max) * Fraction(x) * Fraction(_U), (x, n_max, nearest)
+
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 6, 7, 200, 2000])
+    def test_special_values(self, n_max):
+        xs = [0.0, 0.5, 1.0, 1 / 3, 2 / 7, 0.25, 1 / 7 + 2.0**-40, 3 / 11 - 1e-9]
+        got = stability._nearest_return(np.array(xs).reshape(2, 4), n_max)
+        assert got.shape == (2, 4)
+        for x, nearest in zip(xs, got.ravel().tolist()):
+            gap = abs(Fraction(nearest) - _nearest_exact(x, n_max))
+            assert gap <= Fraction(n_max) * Fraction(x) * Fraction(_U)
+        # 0 and 1 return at n = 1, and 1/2 at n = 2
+        assert got.ravel()[:3].tolist() == [0.0, 0.5 if n_max == 1 else 0.0, 0.0]
+
+
+def _plain_scan(theta_grid, phi_grid, n_max, offset):
+    # _scan over every cell of phase_diagram's grid as one array, unpruned
+    thetas, phis = stability._grid_axes(theta_grid, phi_grid, offset)
+    return stability._scan(thetas[:, None], phis[None, :], n_max, 1e-9)
+
+
+class TestPrefilter:
+    """phase_diagram's pruned scan against a scan of every cell."""
+
+    @pytest.mark.parametrize(
+        "theta_grid,phi_grid,n_max,offset",
+        [
+            (200, 200, 200, 0.5),  # the benchmark grid
+            (201, 201, 200, 0.0),  # theta = 0 and theta = pi rows
+            (100, 100, 10_000, 0.5),
+            (3, stability._SCAN_CELLS + 404, 200, 0.0),  # phi rows longer than a block
+        ],
+    )
+    def test_pruned_orders_and_marginal_are_the_full_scan(self, theta_grid, phi_grid, n_max, offset):
+        diagram = phase_diagram(theta_grid, phi_grid, n_max, offset=offset)
+        orders, marginal = _plain_scan(theta_grid, phi_grid, n_max, offset)
+        assert diagram.orders.tobytes() == orders.tobytes()
+        assert diagram.marginal == marginal
+
+    def test_benchmark_grid_scans_only_its_marginal_cells(self, monkeypatch):
+        scanned = []
+        scan = stability._scan
+
+        def counting(theta, phi, n_max, tol):
+            scanned.append(np.size(theta))
+            return scan(theta, phi, n_max, tol)
+
+        monkeypatch.setattr(stability, "_scan", counting)
+        diagram = phase_diagram(200, 200, 200)
+        assert scanned == [26] and len(diagram.marginal) == 26
+
+    def test_cells_at_the_identity_are_kept(self):
+        # theta = 0 has s = 0; theta = 0, phi = 0 has sin h' = 0 and a NaN amplitude
+        keep = stability._may_return(np.zeros(3), np.array([0.0, 1e-9, 0.7]), 200)
+        assert keep.all()
+
+    def test_no_cell_is_dropped_past_the_kernels_range(self):
+        thetas, phis = stability._grid_axes(40, 40, 0.5)
+        assert not stability._may_return(thetas[:, None], phis[None, :], 10**4).all()
+        assert stability._may_return(thetas[:, None], phis[None, :], 2**25 + 1).all()
+
+
+# near-identity drives: the recurrence's error grows fastest where sin h' is small
+_NEAR_IDENTITY = [
+    (4e-8, 1e-8), (1e-7, 3e-8), (1e-6, -2e-6), (3e-6, 1e-5), (1e-5, 0.0),
+    (2e-5, -4e-5), (1e-4, 1e-4), (3e-4, -1e-4), (1e-3, 2e-3), (2e-3, -1e-3),
+]
+
+
+def test_recurrence_error_stays_under_the_derived_drift():
+    # s |t_n - exact t_n| of the recurrence _scan runs, the exact one taken
+    # in 50-digit arithmetic from the same float y = 2c, against
+    # 4u n s M^2 / (1 - 4u n M) with M = min(n, 1/sin h'): the drift term of
+    # phase_diagram's prefilter at n_max = n
+    n_max = 10_000
+    n = np.arange(1, n_max + 1)
+    worst = 0.0
+    for theta, phi in _NEAR_IDENTITY:
+        ht = half_turn(theta, phi)
+        c, s = float(ht.c_cos), float(ht.s)
+        assert c < 1.0  # sin h' > 0
+        y = 2.0 * c
+        computed = np.fromiter(itertools.islice(stability._chebyshev(y), n_max), float, n_max)
+        with mpmath.workdps(50):
+            exact, prev, cur, ym = [], mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(y)
+            for t in computed.tolist():
+                exact.append(float(s * abs(mpmath.mpf(t) - cur)))
+                prev, cur = cur, ym * cur - prev
+        error = np.array(exact)
+        peak = np.minimum(n, 1.0 / math.sqrt((1.0 - c) * (1.0 + c)))
+        drift = 4.0 * _U * n * s * peak**2 / (1.0 - 4.0 * _U * n * peak)
+        assert np.all(error <= drift), (theta, phi, np.max(error / drift))
+        worst = max(worst, float(np.max(error / drift)))
+    assert worst > 1e-3  # the bound is not vacuous on these drives
 
 
 def _scan_cells(theta, phi, n_max, tol=1e-9):
