@@ -15,6 +15,7 @@ import warnings
 import numpy as np
 
 from .su2 import _BLOCK, HALF_PI, _axis_alpha, euler_from_loop, half_turn, require_angles
+from .su2 import require_int
 
 
 class RemovableSingularityWarning(UserWarning):
@@ -100,7 +101,7 @@ def phi_average(theta, quadrature_points: int = 10_000):
     rounds to 1 near theta = 2e-8.  Even counts stay at or below it.
     """
     require_angles(theta)
-    if quadrature_points < 16:
+    if require_int("quadrature_points", quadrature_points) < 16:
         raise ValueError(f"need at least 16 quadrature points, got {quadrature_points}")
     h = math.pi / quadrature_points
     halves = (0.5 * np.asarray(theta, dtype=float)).ravel().tolist()

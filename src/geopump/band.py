@@ -22,7 +22,7 @@ import numpy as np
 
 from .asymptotics import p_geometric
 from .evolution import cosine_cycle_zeros
-from .su2 import TWO_PI, require_int
+from .su2 import _BLOCK, TWO_PI, require_int
 
 GAP_TOL = 1e-10
 
@@ -176,18 +176,16 @@ class PumpProfile:
     tpt_count: int
 
 
-def pump_profile_blocks(dc: DriveCycle, k_grid: int, block_rows: int):
-    """An iterator of (k, theta, p_g) blocks of at most `block_rows` momenta
+def pump_profile_blocks(dc: DriveCycle, k_grid: int):
+    """An iterator of (k, theta, p_g) blocks of at most _BLOCK momenta
     that cover [-pi/l, pi/l) in `k_grid` uniform steps, each momentum bit for
     bit as on the whole grid; the arguments are checked on the call."""
     if require_int("k_grid", k_grid) < 16:
         raise ValueError(f"k_grid must be >= 16, got {k_grid}")
-    if block_rows < 1:
-        raise ValueError(f"block_rows must be >= 1, got {block_rows}")
 
     def blocks():
-        for start in range(0, k_grid, block_rows):
-            index = np.arange(start, min(start + block_rows, k_grid))
+        for start in range(0, k_grid, _BLOCK):
+            index = np.arange(start, min(start + _BLOCK, k_grid))
             ks = -math.pi / dc.l + (TWO_PI / dc.l) * index / k_grid
             thetas = theta_of_k(dc, ks)
             yield ks, thetas, p_geometric(thetas)
@@ -196,6 +194,6 @@ def pump_profile_blocks(dc: DriveCycle, k_grid: int, block_rows: int):
 
 
 def pump_profile(dc: DriveCycle, k_grid: int) -> PumpProfile:
-    """The momentum grid of pump_profile_blocks as one block, and the drive's tpt_count."""
-    ((ks, thetas, p_g),) = pump_profile_blocks(dc, k_grid, k_grid)
+    """The blocks of pump_profile_blocks joined, and the drive's tpt_count."""
+    ks, thetas, p_g = map(np.concatenate, zip(*pump_profile_blocks(dc, k_grid)))
     return PumpProfile(ks, thetas, p_g, dc.tpt_count)

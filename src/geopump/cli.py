@@ -5,8 +5,10 @@ float64) per named field, and writes it as CSV or JSON.  Output bytes are a
 pure function of the effective configuration: CSV prints floats with 17
 significant digits and JSON as json.dumps does (repr, and NaN, Infinity),
 metadata keys have a fixed order, and line endings are LF.  Every table is
-read and written in blocks of at most BLOCK_ROWS rows, so memory while
-writing does not grow with the size of the output.  Both formats go
+read and written in blocks of at most su2._BLOCK rows, the package's one
+block size: _column_blocks, _grid_blocks, pump_trace_blocks and
+pump_profile_blocks cut them, so memory while writing does not grow with
+the size of the output.  Both formats go
 through one writer: each column block is spelled as character planes in
 numpy (see _cells), '%.17g' % x or repr(x) for a float and '%d' % n for an
 int, and the planes are framed by the format's separators and read out as
@@ -47,7 +49,7 @@ from .band import DriveCycle, GapClosedError, pump_profile_blocks
 from .evolution import pump_trace_blocks
 from .sampling import make_rng, sample_loop_params
 from .stability import _check_grid, _grid_axes, phase_diagram
-from .su2 import IdentityRotationError, LoopParams
+from .su2 import _BLOCK, IdentityRotationError, LoopParams
 
 
 class ConfigError(ValueError):
@@ -185,17 +187,12 @@ def _as_column(values) -> np.ndarray:
     return col
 
 
-# rows per block: a streamed table computes and a writer formats one
-# block at a time, so memory does not grow with the length of the table
-BLOCK_ROWS = 4096
-
-
 def _column_blocks(*columns):
-    """Column blocks of BLOCK_ROWS rows (the last one shorter) cut from
+    """Column blocks of _BLOCK rows (the last one shorter) cut from
     equal-length 1-D columns, as views."""
     n = len(columns[0]) if columns else 0
-    for start in range(0, n, BLOCK_ROWS):
-        yield tuple(c[start : start + BLOCK_ROWS] for c in columns)
+    for start in range(0, n, _BLOCK):
+        yield tuple(c[start : start + _BLOCK] for c in columns)
 
 
 class ResultTable:
@@ -203,7 +200,7 @@ class ResultTable:
 
     The rows come from a block source: a callable returning a fresh
     iterator of column blocks, each a tuple of one 1-D array per column,
-    of at most BLOCK_ROWS rows.  Whole columns passed as `data` are checked
+    of at most _BLOCK rows.  Whole columns passed as `data` are checked
     once and cut into blocks by _column_blocks.  The writers read every
     table through `blocks()`, so a streamed table is computed while it is
     written and never held whole.  `data` is a read-only concatenated copy
@@ -379,7 +376,7 @@ def _run_simulate(cfg: RunConfig) -> ResultTable:
 
     def source():  # streamed: each block is computed as it is written
         start = 1
-        for q, mean in pump_trace_blocks(lp, p["cycles"], BLOCK_ROWS):
+        for q, mean in pump_trace_blocks(lp, p["cycles"]):
             yield np.arange(start, start + len(q)), q, mean
             start += len(q)
 
@@ -389,13 +386,13 @@ def _run_simulate(cfg: RunConfig) -> ResultTable:
 def _grid_blocks(thetas: np.ndarray, phis: np.ndarray, *grids: np.ndarray):
     """Yield column blocks of the product grid, rows along theta: theta,
     phi and each (n_theta, n_phi) array in grids flattened.  Each block
-    holds whole theta rows, max(1, BLOCK_ROWS // n_phi) of them, and a
-    theta row longer than BLOCK_ROWS comes in pieces."""
-    per_block = max(1, BLOCK_ROWS // len(phis))
+    holds whole theta rows, max(1, _BLOCK // n_phi) of them, and a
+    theta row longer than _BLOCK comes in pieces."""
+    per_block = max(1, _BLOCK // len(phis))
     for start in range(0, len(thetas), per_block):
         rows = slice(start, start + per_block)
-        for lo in range(0, len(phis), BLOCK_ROWS):
-            cols, n_rows = slice(lo, lo + BLOCK_ROWS), len(thetas[rows])
+        for lo in range(0, len(phis), _BLOCK):
+            cols, n_rows = slice(lo, lo + _BLOCK), len(thetas[rows])
             theta, phi = np.repeat(thetas[rows], len(phis[cols])), np.tile(phis[cols], n_rows)
             yield (theta, phi, *(grid[rows, cols].ravel() for grid in grids))
 
@@ -428,7 +425,7 @@ def _run_phase_diagram(cfg: RunConfig) -> ResultTable:
 def _run_band_scan(cfg: RunConfig) -> ResultTable:
     p = cfg.params
     dc = DriveCycle(p["a"], w=p["w"], l=p["l"])
-    source = functools.partial(pump_profile_blocks, dc, p["k_grid"], BLOCK_ROWS)
+    source = functools.partial(pump_profile_blocks, dc, p["k_grid"])
     source()  # checks k_grid before any output; each block is computed as it is written
     meta = {**_metadata(cfg), "tpt_count": dc.tpt_count}
     return ResultTable(("k", "theta", "p_g"), metadata=meta, source=source)

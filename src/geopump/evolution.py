@@ -40,14 +40,13 @@ class PumpTrace:
     p: np.ndarray
 
 
-def pump_trace_blocks(lp: LoopParams, cycles: int, block_rows: int):
+def pump_trace_blocks(lp: LoopParams, cycles: int):
     """Excited-state weights q_j from the ground state and their running
     means, block by block.
 
-    Returns an iterator of (q, p) array pairs, at most `block_rows` cycles
-    each, that together cover cycles 1..`cycles`; pump_trace is the same
-    trace as one block.  The arguments are checked on the call, before
-    the first block.
+    Returns an iterator of (q, p) array pairs, at most _BLOCK cycles each,
+    that together cover cycles 1..`cycles`; pump_trace joins them.  The
+    arguments are checked on the call, before the first block.
 
     Closed form, with no matrix products.  With the half turn angle h of
     the loop operator U (cos h = cos(theta/2) cos(phi)),
@@ -63,15 +62,13 @@ def pump_trace_blocks(lp: LoopParams, cycles: int, block_rows: int):
     """
     if require_int("cycles", cycles) < 1:
         raise ValueError(f"cycles must be >= 1, got {cycles}")
-    if block_rows < 1:
-        raise ValueError(f"block_rows must be >= 1, got {block_rows}")
     ht = half_turn(lp.theta, lp.phi)
     amplitude, h = ht.amplitude, ht.h
 
     def blocks():
         total = 0.0
-        for start in range(0, cycles, block_rows):
-            n = np.arange(start + 1, min(start + block_rows, cycles) + 1, dtype=float)
+        for start in range(0, cycles, _BLOCK):
+            n = np.arange(start + 1, min(start + _BLOCK, cycles) + 1, dtype=float)
             # no clip: math.hypot is faithful on Python >= 3.10, so
             # sin_h >= s, A <= 1 after a correctly rounded division, and q <= 1
             q = np.sin(h * n)
@@ -89,8 +86,8 @@ def pump_trace_blocks(lp: LoopParams, cycles: int, block_rows: int):
 
 def pump_trace(lp: LoopParams, cycles: int) -> PumpTrace:
     """Excited-state weights q_j and their running means over `cycles`
-    cycles, as one block of pump_trace_blocks."""
-    ((q, p),) = pump_trace_blocks(lp, cycles, cycles)
+    cycles: the blocks of pump_trace_blocks joined."""
+    q, p = map(np.concatenate, zip(*pump_trace_blocks(lp, cycles)))
     return PumpTrace(q=q, p=p)
 
 

@@ -15,6 +15,7 @@ O(cells log n_max + candidates n_max).
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import sys
@@ -29,10 +30,6 @@ from .su2 import _BLOCK, HALF_PI, half_turn, require_angles, require_int
 # off-diagonal magnitudes in [tol, MARGINAL_BAND) are flagged but do not
 # count as a detected return
 MARGINAL_BAND = 1e-6
-
-# phase_diagram filters blocks of whole theta rows of about this many cells
-# and scans its candidate cells in blocks of at most this many
-_SCAN_CELLS = 4096
 
 _U = 2.0**-53  # unit roundoff of float64
 
@@ -55,33 +52,23 @@ def _chebyshev(y):
 def _chebyshev_pair(y, n, least: int = 0):
     # (t_{n-1}, t_n), t_{-1} = -1, for integers n >= least against the y they
     # broadcast with, from one run up to max(n) on y as given (numpy's
-    # complex arrays round otherwise) that keeps only the terms asked for:
-    # it reads the run in pieces of about _BLOCK cells, or of as many as
-    # there are pairs, so picking the pairs out of each piece costs no more
-    # than the run itself
+    # complex arrays round otherwise): one walk through the distinct n in
+    # ascending order that holds two terms, the pair at k copied where n = k
     ns = np.asarray(n)
     if ns.dtype.kind not in "iu":
         raise ValueError(f"n must be an int64 integer or integer array, got {n!r}")
     if (ns < least).any():
         raise ValueError(f"n must be >= {least}, got {ns[ns < least].flat[0]}")
     shape = np.broadcast_shapes(np.shape(y), ns.shape)  # before the run
-    want, cells = np.broadcast_to(ns, shape), np.indices(np.shape(y), sparse=True)
-    dtype, top = np.result_type(y, 0.0), int(ns.max(initial=0))
+    want, dtype = np.broadcast_to(ns, shape), np.result_type(y, 0.0)
     t_prev, t_n = np.empty(shape, dtype), np.empty(shape, dtype)
-    terms = itertools.chain((-1.0, 0.0), itertools.islice(_chebyshev(y), top))
-    per = max(2, (_BLOCK + t_n.size) // max(1, np.size(y)))
-    lo, buf = 0, np.empty((0,) + np.shape(y), dtype)
-    while lo <= top:
-        # buf holds terms lo, lo + 1, ... (term j is t_{j-1}): the pairs of
-        # terms j, j + 1 with lo <= j < hi, its last term carried on
-        piece = np.fromiter(itertools.islice(terms, per), np.dtype((dtype, np.shape(y))))
-        buf = np.concatenate([buf[-1:], piece])
-        hi = lo + len(buf) - 1
-        here = (want >= lo) & (want < hi)
-        j = np.where(here, want - lo, 0)
-        np.copyto(t_prev, buf[(j,) + cells], where=here)
-        np.copyto(t_n, buf[(j + 1,) + cells], where=here)
-        lo = hi
+    terms = itertools.chain((-1.0, 0.0), _chebyshev(y))  # term j is t_{j-1}
+    pair, k = collections.deque(itertools.islice(terms, 2), 2), 0  # terms k, k + 1
+    for step in sorted(set(ns.ravel().tolist())):  # not np.unique: it imports numpy.ma
+        pair.extend(itertools.islice(terms, step - k))  # at C speed, keeping the last two
+        k, here = step, want == step
+        np.copyto(t_prev, pair[0], where=here)
+        np.copyto(t_n, pair[1], where=here)
     return t_prev[()], t_n[()]
 
 
@@ -396,9 +383,9 @@ def phase_diagram(
     Every cell equals classify(theta, phi, n_max, tol).  A prefilter
     bounds each cell's nearest approach from the continued fraction of its
     half turn, O(log n_max) a cell, one block of whole theta rows of about
-    _SCAN_CELLS cells at a time, and drops the cells that cannot come
-    within MARGINAL_BAND; the kept candidates go through _scan in blocks of
-    at most _SCAN_CELLS, O(n_max) a cell.  So a grid costs
+    _BLOCK cells at a time, and drops the cells that cannot come within
+    MARGINAL_BAND; the kept candidates go through _scan in blocks of at
+    most _BLOCK, O(n_max) a cell.  So a grid costs
     O(cells log n_max + candidates n_max), and only the int64 orders, one
     keep flag a cell and the candidates' indices grow with it.
     """
@@ -406,15 +393,15 @@ def phase_diagram(
     thetas, phis = _grid_axes(theta_grid, phi_grid, offset)
     orders = np.zeros((len(thetas), len(phis)), dtype=np.int64)
     kept = np.empty(orders.shape, dtype=bool)
-    per_block = max(1, _SCAN_CELLS // len(phis))
+    per_block = max(1, _BLOCK // len(phis))
     for start in range(0, len(thetas), per_block):
         rows = thetas[start : start + per_block, None]
         kept[start : start + per_block] = _may_return(rows, phis[None, :], n_max)
     candidates = np.flatnonzero(kept)
     del kept
     marginal: dict[int, tuple[int, ...]] = {}
-    for start in range(0, candidates.size, _SCAN_CELLS):
-        cells = candidates[start : start + _SCAN_CELLS]
+    for start in range(0, candidates.size, _BLOCK):
+        cells = candidates[start : start + _BLOCK]
         i, j = np.divmod(cells, len(phis))
         # each cell sees the floats classify reads
         orders.flat[cells], marks = _scan(thetas[i], phis[j], n_max, tol)

@@ -40,7 +40,10 @@ HALF_PI = 0.5 * math.pi
 # half turn sines below this are +/-identity to rounding: no axis is defined
 IDENTITY_SIN_TOL = 4.0 * sys.float_info.epsilon
 
-# steps per numpy block of the scalar loops in propagate_state and phi_average
+# the one block size, so memory does not grow with a run's length: rows of
+# a table block (cli._column_blocks, cli._grid_blocks), cycles of
+# pump_trace_blocks and propagate_state, momenta of pump_profile_blocks,
+# phases of phi_average, cells of phase_diagram's filter and candidate scan
 _BLOCK = 4096
 
 

@@ -19,3 +19,16 @@ def load_bench():
         return module
 
     return load
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """small_blocks(n) sets the block size _BLOCK to n in every loaded
+    geopump module that binds it, for the test's duration."""
+
+    def patch(n):
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "geopump" and "_BLOCK" in vars(module):
+                monkeypatch.setattr(module, "_BLOCK", n)
+
+    return patch

@@ -117,7 +117,7 @@ class TestPhiAverage:
             phi_average(1.0, 8)
         with pytest.raises(ValueError):
             phi_average(-0.2)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="quadrature_points must be an integer, got 100.0"):
             phi_average(1.0, 100.0)
         # every theta of an array is checked before any quadrature work
         for bad in ([0.5, math.nan, 1.0], [0.5, 4.0], [[1.0], [-0.1]]):
@@ -125,7 +125,7 @@ class TestPhiAverage:
                 phi_average(np.array(bad))
         with pytest.raises(ValueError):
             phi_average(np.array([0.5, 1.0]), 8)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="quadrature_points must be an integer"):
             phi_average(np.array([0.5, 1.0]), 100.0)
 
     @pytest.mark.parametrize("points", [16, 17, _BLOCK - 1, _BLOCK, _BLOCK + 1, 10_000])

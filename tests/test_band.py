@@ -12,6 +12,7 @@ from geopump import (
     GapClosedError,
     min_gap,
     pump_profile,
+    pump_profile_blocks,
     theta_of_k,
     tpt_events,
     winding_number,
@@ -246,6 +247,23 @@ class TestPumpProfile:
         # would give 33 momenta ending at 3.045, unevenly spaced
         with pytest.raises(ValueError, match="k_grid must be an integer, got 32.5"):
             pump_profile(DriveCycle(a=1.0), 32.5)
+
+    @pytest.mark.parametrize(
+        "k_grid,block", [(16, 1), (16, 64), (127, 16), (128, 16), (129, 16), (10_001, 4096)]
+    )
+    def test_blocks_concatenate_to_the_whole_profile(self, small_blocks, k_grid, block):
+        # k = 0 is on every even grid, where the zone-center inversion pumps
+        dc = DriveCycle(a=-1.0, l=2.0)
+        small_blocks(k_grid)
+        (whole,) = pump_profile_blocks(dc, k_grid)
+        small_blocks(block)
+        blocks = list(pump_profile_blocks(dc, k_grid))
+        sizes = [min(block, k_grid - start) for start in range(0, k_grid, block)]
+        assert [len(k) for k, _, _ in blocks] == sizes
+        profile = pump_profile(dc, k_grid)
+        joined = (profile.k_values, profile.theta_values, profile.p_g_values)
+        for got in (tuple(map(np.concatenate, zip(*blocks))), joined):
+            assert [c.tobytes() for c in got] == [c.tobytes() for c in whole]
 
     def test_matches_theta_of_k_on_the_grid(self):
         for a in np.linspace(-3.0, 3.0, 25):

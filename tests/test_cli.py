@@ -27,8 +27,8 @@ from geopump import (
 )
 from geopump.checks import CheckResult
 import geopump.cli as cli
+from geopump.su2 import _BLOCK
 from geopump.cli import (
-    BLOCK_ROWS,
     ConfigError,
     ResultTable,
     RunConfig,
@@ -170,10 +170,10 @@ class TestResultTable:
             pytest.param(
                 ("runs", "repeat", "n", "varied"),
                 (
-                    np.repeat([math.nan, 1.5, -math.inf, 2.0], BLOCK_ROWS)[: 3 * BLOCK_ROWS + 5],
-                    np.resize(np.resize([0.1, math.nan, math.inf], BLOCK_ROWS), 3 * BLOCK_ROWS + 5),
-                    np.repeat(np.arange(BLOCK_ROWS + 2), 3)[: 3 * BLOCK_ROWS + 5],
-                    np.linspace(-1.0, 1.0, 3 * BLOCK_ROWS + 5),
+                    np.repeat([math.nan, 1.5, -math.inf, 2.0], _BLOCK)[: 3 * _BLOCK + 5],
+                    np.resize(np.resize([0.1, math.nan, math.inf], _BLOCK), 3 * _BLOCK + 5),
+                    np.repeat(np.arange(_BLOCK + 2), 3)[: 3 * _BLOCK + 5],
+                    np.linspace(-1.0, 1.0, 3 * _BLOCK + 5),
                 ),
                 {},
                 id="multi-block",
@@ -364,7 +364,7 @@ _EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 1.0 / 3.0]
 
 class TestBlockBoundaries:
     @pytest.mark.parametrize(
-        "n", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]
+        "n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]
     )
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_every_writer_matches_row_by_row(self, tmp_path, capsys, n, fmt):
@@ -384,7 +384,7 @@ class TestBlockBoundaries:
         assert emit(table, _simulate_cfg(format=fmt)) == []
         assert capsys.readouterr().out == want
 
-    @pytest.mark.parametrize("n", [BLOCK_ROWS - 1, BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK + 1])
     def test_all_finite_json_rows(self, n):
         # a float column with no NaN or inf takes the repr template
         table = ResultTable(("x", "n"), (np.linspace(-1.0, 1e22, n), np.arange(n)))
@@ -392,7 +392,7 @@ class TestBlockBoundaries:
         assert tuple(map(tuple, json.loads(to_json(table))["rows"])) == table.rows
 
     @pytest.mark.parametrize(
-        "n", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]
+        "n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]
     )
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_simulate_matches_the_whole_trace(self, tmp_path, n, fmt):
@@ -410,14 +410,14 @@ class TestBlockBoundaries:
     @pytest.mark.parametrize(
         "params",
         [
-            pytest.param({"samples": 2 * BLOCK_ROWS + 1}, id="draws"),
+            pytest.param({"samples": 2 * _BLOCK + 1}, id="draws"),
             pytest.param({"samples": 0, "theta_grid": 91, "phi_grid": 91}, id="grid"),
         ],
     )
     def test_asymptote_matches_the_whole_array_kernels(self, params):
         params = {"theta_grid": 50, "phi_grid": 50, **params}
         table = run(RunConfig("asymptote", params, seed=11))
-        assert len(table.data[0]) > 2 * BLOCK_ROWS
+        assert len(table.data[0]) > 2 * _BLOCK
         if params["samples"]:
             theta, omega, phi = sample_loop_params(make_rng(11), params["samples"])
         else:
@@ -434,10 +434,10 @@ class TestBlockBoundaries:
 
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_signed_zeros_are_told_apart(self, monkeypatch, fmt):
+    def test_signed_zeros_are_told_apart(self, small_blocks, fmt):
         # 0.0 == -0.0 in Python, but their bits and texts differ: within a
         # block of runs, and between two blocks of equal values
-        monkeypatch.setattr(cli, "BLOCK_ROWS", 4)
+        small_blocks(4)
         x = np.array([0.0, 0.0, -0.0, -0.0] + [0.0] * 4 + [-0.0] * 4)
         table = ResultTable(("x", "i"), (x, np.arange(12)))
         if fmt == "csv":
@@ -451,8 +451,8 @@ class TestBlockBoundaries:
             ]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_blocks_one_ulp_apart_are_not_repeats(self, monkeypatch, fmt):
-        monkeypatch.setattr(cli, "BLOCK_ROWS", 4)
+    def test_blocks_one_ulp_apart_are_not_repeats(self, small_blocks, fmt):
+        small_blocks(4)
         third, tenth = 1.0 / 3.0, 0.1
         up = np.nextafter(third, 1.0), np.nextafter(0.4, 1.0)
         runs = [third] * 4 + [third] * 3 + [up[0]] + [third] * 3 + [up[0]]
@@ -461,10 +461,10 @@ class TestBlockBoundaries:
         want = _reference_csv(table) if fmt == "csv" else _reference_json(table)
         assert (to_csv(table) if fmt == "csv" else to_json(table)) == want
 
-    def test_repeated_nonfinite_json_blocks(self, monkeypatch):
+    def test_repeated_nonfinite_json_blocks(self, small_blocks):
         # NaN and +/-inf blocks go through json.dumps, whether repeated,
         # in runs or neither
-        monkeypatch.setattr(cli, "BLOCK_ROWS", 4)
+        small_blocks(4)
         nan, inf = math.nan, math.inf
         x = [nan] * 8 + [inf, inf, -inf, -inf] * 2 + [nan, inf, -inf, 1.5] * 2 + [2.5] * 4
         table = ResultTable(("x", "y"), (x, np.resize([nan, 0.5], len(x))))
@@ -472,8 +472,8 @@ class TestBlockBoundaries:
         assert to_csv(table) == _reference_csv(table)
 
     @pytest.mark.parametrize("n_theta,n_phi", [(5, 3), (2, 4), (4, 7), (3, 10), (1, 15)])
-    def test_grid_blocks_hold_whole_theta_rows(self, monkeypatch, n_theta, n_phi):
-        monkeypatch.setattr(cli, "BLOCK_ROWS", 7)
+    def test_grid_blocks_hold_whole_theta_rows(self, small_blocks, n_theta, n_phi):
+        small_blocks(7)
         thetas, phis = np.arange(n_theta) + 0.5, np.arange(n_phi) / 8.0
         blocks = list(cli._grid_blocks(thetas, phis))
         assert all(0 < len(theta) == len(phi) <= 7 for theta, phi in blocks)
@@ -490,20 +490,21 @@ class TestBlockBoundaries:
             ("phase-diagram", {"theta_grid": 3, "phi_grid": 10, "n_max": 20, "offset": 0.0}),
             ("asymptote", {"samples": 0, "theta_grid": 4, "phi_grid": 5}),
             ("asymptote", {"samples": 0, "theta_grid": 2, "phi_grid": 9}),
+            ("simulate", {"theta": 1.1, "omega": 0.3, "phi": 0.4, "cycles": 30}),
+            ("band-scan", {"a": 1.0, "k_grid": 40}),
         ],
     )
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_grid_commands_across_small_blocks(self, monkeypatch, command, params, fmt):
+    def test_grid_commands_across_small_blocks(self, small_blocks, command, params, fmt):
         defaults = {"offset": 0.5, "tol": 1e-9} if command == "phase-diagram" else {}
         cfg = RunConfig(command, {**defaults, **params}, format=fmt)
-        whole = run(cfg).data
-        monkeypatch.setattr(cli, "BLOCK_ROWS", 7)
+        write = to_csv if fmt == "csv" else to_json
+        whole = write(run(cfg))
+        small_blocks(7)
         table = run(cfg)
         assert all(len(block[0]) <= 7 for block in table.blocks())
-        for got, want in zip(table.data, whole):
-            assert got.tobytes() == want.tobytes()
-        want = _reference_csv(table) if fmt == "csv" else _reference_json(table)
-        assert (to_csv(table) if fmt == "csv" else to_json(table)) == want
+        assert write(table) == whole
+        assert whole == (_reference_csv(table) if fmt == "csv" else _reference_json(table))
 
 
 def test_asymptote_failing_in_a_later_block_writes_nothing(tmp_path, monkeypatch, capsys):
@@ -512,7 +513,7 @@ def test_asymptote_failing_in_a_later_block_writes_nothing(tmp_path, monkeypatch
     def identity_in_second_block(rng, count):
         theta, omega, phi = draw(rng, count)
         # theta = 0, phi = pi: the loop operator is -identity and has no axis
-        theta[BLOCK_ROWS + 5], phi[BLOCK_ROWS + 5] = 0.0, math.pi
+        theta[_BLOCK + 5], phi[_BLOCK + 5] = 0.0, math.pi
         return theta, omega, phi
 
     def counted(theta, omega, phi):
@@ -522,8 +523,8 @@ def test_asymptote_failing_in_a_later_block_writes_nothing(tmp_path, monkeypatch
     monkeypatch.setattr(cli, "sample_loop_params", identity_in_second_block)
     monkeypatch.setattr(cli, "p_infinity_axis_route", counted)
     out = tmp_path / "rates.csv"
-    assert main(["asymptote", "--samples", str(3 * BLOCK_ROWS), "--out", str(out)]) == 2
-    assert sizes == [BLOCK_ROWS, BLOCK_ROWS]
+    assert main(["asymptote", "--samples", str(3 * _BLOCK), "--out", str(out)]) == 2
+    assert sizes == [_BLOCK, _BLOCK]
     assert not out.exists()
     assert "rotation equals +/-identity" in capsys.readouterr().err
 
@@ -547,15 +548,15 @@ def test_simulate_memory_does_not_grow_with_cycles(tmp_path, fmt):
         assert main(argv) == 0
 
     simulate(8)  # allocations made once per process are not per row
-    small = _traced_peak(lambda: simulate(4 * BLOCK_ROWS))
-    large = _traced_peak(lambda: simulate(32 * BLOCK_ROWS))
+    small = _traced_peak(lambda: simulate(4 * _BLOCK))
+    large = _traced_peak(lambda: simulate(32 * _BLOCK))
     assert abs(large - small) < 0.25 * 2**20, f"peak {small} -> {large} bytes"
 
 
 def test_asymptote_memory_per_draw_is_bounded():
     # the three float64 columns of the draws take 24 bytes per draw; the
     # kernels' temporaries are bounded by one block, not by the draw count
-    draws = 16 * BLOCK_ROWS
+    draws = 16 * _BLOCK
     params = {"samples": draws, "theta_grid": 50, "phi_grid": 50}
     run(RunConfig("asymptote", {**params, "samples": 8}, seed=3))
     peak = _traced_peak(lambda: run(RunConfig("asymptote", params, seed=3)))
@@ -573,9 +574,9 @@ def test_asymptote_streams_its_rates(tmp_path, fmt):
         assert main([*argv, "--out", str(out)]) == 0
 
     asymptote(8)  # allocations made once per process are not per draw
-    small = _traced_peak(lambda: asymptote(4 * BLOCK_ROWS))
-    large = _traced_peak(lambda: asymptote(32 * BLOCK_ROWS))
-    per_draw = (large - small) / (28 * BLOCK_ROWS)
+    small = _traced_peak(lambda: asymptote(4 * _BLOCK))
+    large = _traced_peak(lambda: asymptote(32 * _BLOCK))
+    per_draw = (large - small) / (28 * _BLOCK)
     assert per_draw < 32, f"peak {small} -> {large} bytes, {per_draw:.1f} per extra draw"
 
 
@@ -590,9 +591,9 @@ def test_band_scan_streams_its_profile(tmp_path, fmt):
         assert main([*argv, "--out", str(out)]) == 0
 
     band_scan(16)  # allocations made once per process are not per momentum
-    small = _traced_peak(lambda: band_scan(4 * BLOCK_ROWS))
-    large = _traced_peak(lambda: band_scan(64 * BLOCK_ROWS))
-    per_k = (large - small) / (60 * BLOCK_ROWS)
+    small = _traced_peak(lambda: band_scan(4 * _BLOCK))
+    large = _traced_peak(lambda: band_scan(64 * _BLOCK))
+    per_k = (large - small) / (60 * _BLOCK)
     assert per_k < 4, f"peak {small} -> {large} bytes, {per_k:.1f} per extra momentum"
 
 
@@ -620,7 +621,7 @@ def failing_csv_writer(monkeypatch):
     def fail_after_first_rows(table):
         stream = blocks(table)
         yield next(stream)  # metadata and header
-        yield next(stream)  # the first BLOCK_ROWS rows
+        yield next(stream)  # the first _BLOCK rows
         raise OSError(28, "No space left on device")
 
     monkeypatch.setattr(cli, "_csv_blocks", fail_after_first_rows)
@@ -633,7 +634,7 @@ def _simulate_argv(out, cycles):
 def test_failed_write_leaves_no_file(tmp_path, failing_csv_writer, capsys):
     out = tmp_path / "out.csv"
     out.write_text("an earlier run\n")
-    assert main(_simulate_argv(out, 3 * BLOCK_ROWS)) == 2
+    assert main(_simulate_argv(out, 3 * _BLOCK)) == 2
     assert not out.exists()
     assert "No space left on device" in capsys.readouterr().err
 
@@ -643,7 +644,7 @@ def test_failed_write_keeps_a_symlinked_out(tmp_path, failing_csv_writer):
     target.write_text("an earlier run\n")
     link = tmp_path / "link.csv"
     link.symlink_to(target)
-    assert main(_simulate_argv(link, 3 * BLOCK_ROWS)) == 2
+    assert main(_simulate_argv(link, 3 * _BLOCK)) == 2
     # the link is the user's, not this run's; the write went through to the target
     assert link.is_symlink() and link.resolve() == target
     assert target.read_text().startswith("# ")

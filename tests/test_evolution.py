@@ -179,21 +179,26 @@ class TestPumpTraceBlocks:
         ],
     )
     @pytest.mark.parametrize(
-        "cycles,block_rows",
+        "cycles,block",
         [(1, 1), (1, 64), (7, 1), (1023, 1024), (1024, 1024), (1025, 1024), (10_001, 4096)],
     )
-    def test_blocks_concatenate_to_the_whole_trace(self, lp, cycles, block_rows):
-        whole = pump_trace(lp, cycles)
-        blocks = list(pump_trace_blocks(lp, cycles, block_rows))
-        sizes = [min(block_rows, cycles - start) for start in range(0, cycles, block_rows)]
+    def test_blocks_concatenate_to_the_whole_trace(self, small_blocks, lp, cycles, block):
+        small_blocks(cycles)
+        ((whole_q, whole_p),) = pump_trace_blocks(lp, cycles)
+        small_blocks(block)
+        blocks = list(pump_trace_blocks(lp, cycles))
+        sizes = [min(block, cycles - start) for start in range(0, cycles, block)]
         assert [(len(q), len(p)) for q, p in blocks] == [(k, k) for k in sizes]
-        assert _hex(np.concatenate([q for q, _ in blocks])) == _hex(whole.q)
-        assert _hex(np.concatenate([p for _, p in blocks])) == _hex(whole.p)
+        trace = pump_trace(lp, cycles)
+        for q in (np.concatenate([q for q, _ in blocks]), trace.q):
+            assert _hex(q) == _hex(whole_q)
+        for p in (np.concatenate([p for _, p in blocks]), trace.p):
+            assert _hex(p) == _hex(whole_p)
 
-    @pytest.mark.parametrize("cycles,block_rows", [(0, 8), (-3, 8), (8, 0), (2.5, 8)])
-    def test_rejects_bad_sizes_on_the_call(self, cycles, block_rows):
+    @pytest.mark.parametrize("cycles", [0, -3, 2.5])
+    def test_rejects_bad_sizes_on_the_call(self, cycles):
         with pytest.raises(ValueError):
-            pump_trace_blocks(LoopParams(1.0), cycles, block_rows)
+            pump_trace_blocks(LoopParams(1.0), cycles)
 
 
 class TestPropagateState:

@@ -24,6 +24,7 @@ from geopump import (
     stable_curve,
 )
 from geopump import stability
+from geopump.su2 import _BLOCK
 
 RNG = np.random.default_rng(98765)
 
@@ -189,11 +190,18 @@ class TestArrayExponents:
         assert matrix_power_closed_form(1.0, 0.0, 0.0, np.array([], dtype=int)).shape == (0, 2, 2)
         assert off_diagonal_magnitude(1.0, 0.0, np.array([], dtype=int)).shape == (0,)
 
+    def test_empty_drive_stack(self):
+        empty = np.zeros(0)
+        assert off_diagonal_magnitude(empty, empty, 3).shape == (0,)
+        assert matrix_power_closed_form(empty, empty, empty, 3).shape == (0, 2, 2)
+        column, ns = np.zeros((0, 1)), np.ones((0, 5), dtype=int)
+        assert off_diagonal_magnitude(column, column, ns).shape == (0, 5)
+        assert matrix_power_closed_form(column, column, column, ns).shape == (0, 5, 2, 2)
+
     @pytest.mark.parametrize("drives", [3, 5000])
     def test_pairs_across_reads_are_the_recurrence_terms(self, drives):
-        # the run is read about _BLOCK cells at a time (1365 terms of 3
-        # drives, 2 of 5000), so pairs t_{n-1}, t_n cross from one read to
-        # the next
+        # exponents unsorted and repeated, each drive with its own: every
+        # pair t_{n-1}, t_n is the run's, whatever order n comes in
         rng = np.random.default_rng(drives)
         y = rng.uniform(-2.0, 2.0, drives)
         top = 5000 if drives == 3 else 12
@@ -513,11 +521,11 @@ class TestPhaseDiagramMatchesClassify:
 class TestPhaseDiagramBlocks:
     """phase_diagram scans one block of whole theta rows at a time."""
 
-    def test_small_blocks_change_no_verdict(self, monkeypatch):
+    def test_small_blocks_change_no_verdict(self, small_blocks):
         # 60 x 60 = 3600 cells fit one scan block; three theta rows per block
         # put the 8 marginal cells (rows 4, 9, 29 and 42) into four blocks
         whole = phase_diagram(60, 60, 1000, offset=0.0)
-        monkeypatch.setattr(stability, "_SCAN_CELLS", 3 * 60)
+        small_blocks(3 * 60)
         blocked = phase_diagram(60, 60, 1000, offset=0.0)
         np.testing.assert_array_equal(blocked.orders, whole.orders)
         assert blocked.marginal == whole.marginal
@@ -526,9 +534,9 @@ class TestPhaseDiagramBlocks:
             for verdict, phi in zip(row, blocked.phi_values):
                 assert verdict == classify(float(theta), float(phi), 1000)
 
-    def test_rows_longer_than_a_block(self, monkeypatch):
+    def test_rows_longer_than_a_block(self, small_blocks):
         whole = phase_diagram(30, 47, 600, offset=0.0)
-        monkeypatch.setattr(stability, "_SCAN_CELLS", 7)  # one theta row per block
+        small_blocks(7)  # one theta row per block
         blocked = phase_diagram(30, 47, 600, offset=0.0)
         np.testing.assert_array_equal(blocked.orders, whole.orders)
         assert np.count_nonzero(blocked.orders) == 178
@@ -549,7 +557,7 @@ class TestPhaseDiagramBlocks:
             30698: (185,), 30701: (185,),
         }
         assert sum(marginal) == 121787 and sum(map(len, marginal.values())) == 52
-        assert min(30698, 30701) >= stability._SCAN_CELLS // 200 * 200
+        assert min(30698, 30701) >= _BLOCK // 200 * 200
 
     def test_memory_is_the_orders_and_one_block(self):
         # the int64 orders take 8 bytes a cell; the recurrence's arrays are
@@ -625,7 +633,7 @@ class TestPrefilter:
             (200, 200, 200, 0.5),  # the benchmark grid
             (201, 201, 200, 0.0),  # theta = 0 and theta = pi rows
             (100, 100, 10_000, 0.5),
-            (3, stability._SCAN_CELLS + 404, 200, 0.0),  # phi rows longer than a block
+            (3, _BLOCK + 404, 200, 0.0),  # phi rows longer than a block
         ],
     )
     def test_pruned_orders_and_marginal_are_the_full_scan(self, theta_grid, phi_grid, n_max, offset):
