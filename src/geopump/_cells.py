@@ -31,28 +31,23 @@ from functools import cache
 
 import numpy as np
 
-_SPLIT = float(2**27 + 1)  # Dekker's splitter for 53-bit significands
+from .su2 import _EXP, _split
+
 _K = range(-256, 289)  # 16 - E for every E the fast path meets
 _TINY, _HUGE = np.array([1e-270, 1e270]).view(np.int64).tolist()
 _SIGN = -(2**63)  # the bits of -x are those of x plus this
 _LOG10_2 = math.log10(2.0)
-_MINUS, _PLUS = map(np.uint8, b"-+")
-_EXP, _FRAC = 0x7FF << 52, 2**52 - 1  # a double's exponent and significand bits
+_MINUS, _PLUS, _POINT, _E = map(np.uint8, b"-+.e")
+_FRAC = 2**52 - 1  # a double's significand bits
 _EDGE = 1e-6  # a decision this near a tie or an interval edge goes to Python
-
-
-def _split(a):
-    c = a * _SPLIT
-    hi = c - (c - a)
-    return hi, a - hi
 
 
 @cache
 def _tables():
     """(texts, ends, tens): the 4-digit texts of 0..9999 as uint32; in row
     q - 1, the digits up to the last nonzero one of a 17-digit number that
-    this quad ends as its q-th (digits 4q - 2 to 4q + 1); per k in _K, hi,
-    hi's Dekker halves and lo of 10^k = hi + lo, from Python ints, whose
+    this quad ends as its q-th (digits 4q - 2 to 4q + 1); in row k - _K.start,
+    hi, hi's Dekker halves and lo of 10^k = hi + lo, from Python ints, whose
     true division is correctly rounded."""
     pairs = [b"%02d" % n for n in range(100)]
     texts = b"".join(b"".join(a + b for b in pairs) for a in pairs)
@@ -68,7 +63,7 @@ def _tables():
         hi = num / den
         hn, hd = hi.as_integer_ratio()
         tens.append((hi, *_split(hi), (num * hd - hn * den) / (den * hd)))
-    return np.frombuffer(texts, "<u4"), ends, np.array(tens).T.copy()
+    return np.frombuffer(texts, "<u4"), ends, np.array(tens)
 
 
 def _quads(hi, lo) -> list:
@@ -111,18 +106,20 @@ def int_planes(v: np.ndarray) -> np.ndarray:
     f = np.abs(np.where(fast, v, 0).astype(np.float64))
     m, sign = len(str(int(f.max()))), int((v < 0).any())
     planes = np.zeros((sign + m, len(v)), np.uint8)
-    np.copyto(planes[0], _MINUS, where=v < 0)
+    if sign:
+        np.multiply(v < 0, _MINUS, out=planes[0])
     hi = np.floor(f / 1e8)
     _put_digits(planes, range(sign, sign + m), _quads(hi, f - hi * 1e8))
     for i in range(1, m):  # a leading zero is an empty slot
-        np.copyto(planes[sign + m - 1 - i], 0, where=(v < 10**i) & (v > -(10**i)))
+        planes[sign + m - 1 - i] *= f >= 10.0**i
     return _finish(planes, "%d".__mod__, v, fast)
 
 
 def _significand(a, e):
     """(p, w, f): p + w + f = a 10^(16 - e) within about 1e-14, with p the
     rounded product, w an integer and 0 <= f < 1."""
-    hi, hh, hl, lo = np.take(_tables()[2], (16 - _K.start - e).astype(np.int64), axis=1)
+    # whole rows of the table, gathered in about half the time of its columns
+    hi, hh, hl, lo = np.take(_tables()[2], (16 - _K.start - e).astype(np.int64), axis=0).T
     p = a * hi
     ah, al = _split(a)
     # p plus all but the last term is a hi exactly (Dekker); a lo adds the rest of 10^k
@@ -196,22 +193,25 @@ def _layout(x: np.ndarray, e, hi, lo, shortest: bool) -> np.ndarray:
     exp = 0 if not sci.any() else 4 + int(np.abs(e).max() >= 100)
     rows = [sign + lead + j + sum(q <= j for q in at) for j in range(17)]
     planes = np.zeros((rows[-1] + 1 + exp, len(x)), np.uint8)
-    np.copyto(planes[0], _MINUS, where=bits < 0)
+    # each slot below is written whole, a char times a mask, or cleared by
+    # a mask: a masked copy costs about five times as much
+    if sign:
+        np.multiply(bits < 0, _MINUS, out=planes[0])
     for z, char in enumerate(b"0.000"[:lead]):
-        np.copyto(planes[sign + z], char, where=(ei <= -max(z, 1)) & (ei >= -4))
+        np.multiply((ei <= -max(z, 1)) & (ei >= -4), np.uint8(char), out=planes[sign + z])
     for j in at:
-        np.copyto(planes[rows[j - 1] + 1], ord("."), where=point == j)
+        np.multiply(point == j, _POINT, out=planes[rows[j - 1] + 1])
     _put_digits(planes, rows, quads)
     for j in range(int(keep.min()), 17):  # a trailing zero of the fraction is empty
-        np.copyto(planes[rows[j]], 0, where=keep <= j)
+        planes[rows[j]] *= keep > j
     if exp:
         tail, mag = rows[-1] + 1, np.abs(e).astype(np.int64)
-        np.copyto(planes[tail], ord("e"), where=sci)
-        np.copyto(planes[tail + 1], np.where(ei < 0, _MINUS, _PLUS), where=sci)
+        np.multiply(sci, _E, out=planes[tail])
+        np.multiply(sci, np.where(ei < 0, _MINUS, _PLUS), out=planes[tail + 1])
         _put_digits(planes, range(tail + 2, len(planes)), [mag])
-        np.copyto(planes[tail + 2 :], 0, where=~sci)
+        planes[tail + 2 :] *= sci
         if exp == 5:  # a two-digit exponent leaves the hundreds empty
-            np.copyto(planes[tail + 2], 0, where=mag < 100)
+            planes[tail + 2] *= mag >= 100
     return planes
 
 
@@ -230,7 +230,7 @@ def repr_planes(x: np.ndarray) -> np.ndarray:
     fast, a, e, p, w, f = _scaled(x)
     bits = a.view(np.int64)
     spacing = ((bits & _EXP) - (52 << 52)).view(np.float64)  # x's own, a power of two
-    ten = np.take(_tables()[2][0], (16 - _K.start - e).astype(np.int64))
+    ten = np.take(_tables()[2][:, 0], (16 - _K.start - e).astype(np.int64))
     above = 0.5 * spacing * ten  # the rounding interval's half widths in X's units
     below = np.where(bits & _FRAC, above, 0.5 * above)
     tie = ((f - 0.5) * 1e6).astype(np.int64) == 0  # decides D at m = 0 only

@@ -69,8 +69,9 @@ def pump_trace_blocks(lp: LoopParams, cycles: int):
         total = 0.0
         for start in range(0, cycles, _BLOCK):
             n = np.arange(start + 1, min(start + _BLOCK, cycles) + 1, dtype=float)
-            # no clip: math.hypot is faithful on Python >= 3.10, so
-            # sin_h >= s, A <= 1 after a correctly rounded division, and q <= 1
+            # no clip: sin_h is math.hypot of the legs (su2._hypot on arrays
+            # is the same bits), faithful on Python >= 3.10, so sin_h >= s,
+            # A <= 1 after a correctly rounded division, and q <= 1
             q = np.sin(h * n)
             q *= amplitude
             np.square(q, out=q)

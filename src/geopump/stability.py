@@ -53,23 +53,30 @@ def _chebyshev_pair(y, n, least: int = 0):
     # (t_{n-1}, t_n), t_{-1} = -1, for integers n >= least against the y they
     # broadcast with, from one run up to max(n) on y as given (numpy's
     # complex arrays round otherwise): one walk through the distinct n in
-    # ascending order that holds two terms, the pair at k copied where n = k
+    # ascending order that holds two terms; the cells are ordered by n once,
+    # so each step writes only its own group, at y's entries for them
     ns = np.asarray(n)
     if ns.dtype.kind not in "iu":
         raise ValueError(f"n must be an int64 integer or integer array, got {n!r}")
     if (ns < least).any():
         raise ValueError(f"n must be >= {least}, got {ns[ns < least].flat[0]}")
     shape = np.broadcast_shapes(np.shape(y), ns.shape)  # before the run
-    want, dtype = np.broadcast_to(ns, shape), np.result_type(y, 0.0)
-    t_prev, t_n = np.empty(shape, dtype), np.empty(shape, dtype)
+    want, dtype = np.broadcast_to(ns, shape).ravel(), np.result_type(y, 0.0)
+    t_prev, t_n = np.empty(want.size, dtype), np.empty(want.size, dtype)
+    cells = np.argsort(want, kind="stable")
+    want = want[cells]
+    ys = np.broadcast_to(np.arange(np.size(y)).reshape(np.shape(y)), shape).ravel()[cells]
+    # the first cell of each distinct n, none when there are no cells (not
+    # np.unique: it imports numpy.ma)
+    firsts = [0, *(np.flatnonzero(want[1:] != want[:-1]) + 1).tolist()][: want.size]
     terms = itertools.chain((-1.0, 0.0), _chebyshev(y))  # term j is t_{j-1}
     pair, k = collections.deque(itertools.islice(terms, 2), 2), 0  # terms k, k + 1
-    for step in sorted(set(ns.ravel().tolist())):  # not np.unique: it imports numpy.ma
+    for step, start, stop in zip(want[firsts].tolist(), firsts, [*firsts[1:], want.size]):
         pair.extend(itertools.islice(terms, step - k))  # at C speed, keeping the last two
-        k, here = step, want == step
-        np.copyto(t_prev, pair[0], where=here)
-        np.copyto(t_n, pair[1], where=here)
-    return t_prev[()], t_n[()]
+        k, here = step, cells[start:stop]
+        for out, term in zip((t_prev, t_n), pair):  # t_{-1} to t_1 are scalars
+            out[here] = term.ravel()[ys[start:stop]] if type(term) is np.ndarray else term
+    return t_prev.reshape(shape)[()], t_n.reshape(shape)[()]
 
 
 def fibonacci_poly(n: int, x: complex) -> complex:

@@ -1309,6 +1309,31 @@ def test_rate_draws_are_spelled_by_the_kernel(monkeypatch):
     assert slow <= 0.01 * cells, f"{slow} of {cells} cells spelled by Python"
 
 
+def test_rate_draw_hypots_run_in_numpy(monkeypatch, capsys):
+    # sin_h goes through su2._hypot, which hands an element to math.hypot
+    # only at 0, subnormal, huge, inf or NaN legs; a fallback that caught
+    # more would keep every byte and lose the gain, so it is pinned below 1%
+    from geopump import su2
+
+    port, fallback, counts = su2._hypot, math.hypot, {"port": 0, "math": 0}
+
+    def counted_port(x, y):
+        counts["port"] += np.broadcast(x, y).size
+        return port(x, y)
+
+    def counted_math(x, y):
+        counts["math"] += 1
+        return fallback(x, y)
+
+    monkeypatch.setattr(su2, "_hypot", counted_port)
+    monkeypatch.setattr(math, "hypot", counted_math)
+    assert main(["asymptote", "--samples", "40000", "--seed", "1", "--format", "json"]) == 0
+    assert capsys.readouterr().out.count("\n") > 40000
+    # one sin_h for p_inf and one for the axis route's identity guard
+    assert counts["port"] == 2 * 40000
+    assert counts["math"] <= 0.01 * counts["port"], counts
+
+
 def test_cli_import_builds_no_format_table():
     # a fresh interpreter: importing the CLI neither imports _cells nor
     # builds its tables, the first write of either format does, and

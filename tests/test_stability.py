@@ -214,6 +214,25 @@ class TestArrayExponents:
         assert prev.tobytes() == run[ns, cells].tobytes()
         assert cur.tobytes() == run[ns + 1, cells].tobytes()
 
+    def test_many_exponents_are_the_separate_calls(self):
+        # more distinct exponents than drives: each step writes only its own
+        # cells, and every value is that of its own call, bit for bit
+        rng = np.random.default_rng(7)
+        ns = rng.integers(1, 1500, 5000)  # unsorted, repeated, ~1450 distinct
+        got = off_diagonal_magnitude(1.0, 0.25, ns)
+        alone = {n: off_diagonal_magnitude(1.0, 0.25, n) for n in set(ns.tolist())}
+        assert got.tobytes() == np.array([alone[n] for n in ns.tolist()]).tobytes()
+        box = ((0.0, math.pi), (0.0, 2.0 * math.pi), (-HALF_PI, HALF_PI))
+        theta, omega, phi = (rng.uniform(lo, hi, (3, 4)) for lo, hi in box)
+        ns = rng.integers(0, 60, (3, 4))
+        cells = list(np.ndindex(3, 4))
+        stack = matrix_power_closed_form(theta, omega, phi, ns)
+        each = [matrix_power_closed_form(theta[c], omega[c], phi[c], int(ns[c])) for c in cells]
+        assert stack.tobytes() == np.array(each).tobytes()
+        stack = off_diagonal_magnitude(theta, phi, ns + 1)
+        each = [off_diagonal_magnitude(theta[c], phi[c], int(ns[c]) + 1) for c in cells]
+        assert stack.tobytes() == np.array(each).tobytes()
+
     def test_a_long_run_keeps_only_the_terms_asked_for(self):
         # one n = 10**6 once held every term up to it, 8 MB
         off_diagonal_magnitude(1.0, 0.25, 10)  # allocations made once per process
