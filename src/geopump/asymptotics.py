@@ -86,34 +86,35 @@ def phi_average(theta, quadrature_points: int = 10_000):
     arrays of theta, each checked before any quadrature work.
 
     Composite midpoint rule with the given number of cells; midpoints
-    keep the sampling away from the interval endpoints.  Summation runs
-    left to right so results are bit-reproducible: each block's cosines
-    come from math.cos once for all theta, and each theta's row of terms
-    takes its running total into its first term and is summed by
-    np.add.accumulate, which is sequential.
+    keep the sampling away from the interval endpoints.  The terms
+    s^2 / (2 (s^2 + (c sin phi)^2)) are p_infinity without the 1 - (c cos
+    phi)^2 cancellation.  Summation runs left to right so results are
+    bit-reproducible: each block's sines come from math.sin once for all
+    theta, and each theta's row of terms takes its running total into its
+    first term and is summed by np.add.accumulate, which is sequential.
 
-    Narrow loops are out of reach: 1 - core^2 cancels and the rule misses
-    the width-sin(theta/2) peak at phi = 0, so at the default 10 000
-    points the mean is 54% off p_geometric at theta = 1e-4, 99.5% at 1e-6.
-    An odd count n puts a midpoint at phi = 0, whose term is 1/2 at any
-    theta, so the mean is about 2 / (n theta) times p_geometric (1176 at
-    n = 17, theta = 1e-4; 200 at n = 10 001, theta = 1e-6) until cos(theta/2)
-    rounds to 1 near theta = 2e-8.  Even counts stay at or below it.
+    An even count M gives p_geometric tanh(M asinh(tan(theta/2))) to about
+    M eps relative, so narrow loops are out of reach: at the default
+    10 000 points the mean is 54% off p_geometric at theta = 1e-4, 99.5%
+    at 1e-6.  An odd count n puts a midpoint at phi = 0, whose term is 1/2
+    at any theta > 0, so the mean is about 2 / (n theta) times p_geometric
+    (1176 at n = 17, theta = 1e-4; 200 at n = 10 001, theta = 1e-6).  Even
+    counts stay at or below it.
     """
     require_angles(theta)
     if require_int("quadrature_points", quadrature_points) < 16:
         raise ValueError(f"need at least 16 quadrature points, got {quadrature_points}")
     h = math.pi / quadrature_points
     halves = (0.5 * np.asarray(theta, dtype=float)).ravel().tolist()
-    rows = [(math.cos(x), 0.5 * math.sin(x) * math.sin(x)) for x in halves]  # c, s^2 / 2
+    rows = [(math.cos(x), math.sin(x) * math.sin(x)) for x in halves]  # c, s^2
     totals = [0.0] * len(rows)
     for start in range(0, quadrature_points, _BLOCK):
         phi = -HALF_PI + (np.arange(start, min(start + _BLOCK, quadrature_points)) + 0.5) * h
-        cosines = np.fromiter(map(math.cos, phi.tolist()), float, phi.size)
-        for i, (c, half_num) in enumerate(rows):
-            core = c * cosines
-            denom = 1.0 - core * core
-            terms = np.divide(half_num, denom, out=np.zeros_like(denom), where=denom > 0.0)
+        sines = np.fromiter(map(math.sin, phi.tolist()), float, phi.size)
+        for i, (c, s2) in enumerate(rows):
+            core = c * sines
+            denom = s2 + core * core
+            terms = np.divide(0.5 * s2, denom, out=np.zeros_like(denom), where=denom > 0.0)
             terms[0] += totals[i]
             totals[i] = float(np.add.accumulate(terms)[-1])
     means = np.array(totals) * h / math.pi

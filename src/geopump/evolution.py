@@ -92,38 +92,51 @@ def pump_trace(lp: LoopParams, cycles: int) -> PumpTrace:
     return PumpTrace(q=q, p=p)
 
 
+def _rotate(a, v, out):
+    # U v into out for U = [[a0, -conj a1], [a1, conj a0]], with a and v the
+    # real parts (Re a0, Im a0, Re a1, Im a1) of U's first column and of v
+    ar, ai, br, bi = a
+    xr, xi, yr, yi = v
+    out[0] = (ar * xr - ai * xi) - (br * yr + bi * yi)
+    out[1] = (ar * xi + ai * xr) - (br * yi - bi * yr)
+    out[2] = (br * xr - bi * xi) + (ar * yr + ai * yi)
+    out[3] = (br * xi + bi * xr) + (ar * yi - ai * yr)
+    return out
+
+
 def propagate_state(lp: LoopParams, cycles: int):
     """Apply the loop operator `cycles` times to the ground state (1, 0),
     with no rescaling.
 
     Returns (final_state, max_norm_error) where max_norm_error is the
     largest deviation of the state norm from 1 seen along the way.  This
-    is the raw measure-preservation probe: nothing is renormalized.  The
-    update is the raw Python complex iteration; the norm deviation is
-    evaluated per block of cycles in numpy in the same order, so the
-    state and the drift are bit-identical to a one-cycle-at-a-time loop.
+    is the raw measure-preservation probe: an iterated product, blocked,
+    and never renormalized.  U = [[a, -conj b], [b, conj a]] bit for bit,
+    so powers are kept as first columns: U^j, j = 1.._BLOCK, by doubling
+    (U^(m+j) = U^j U^m), then each block's states U^j s from its first
+    state s in one numpy step of float64 products and sums.  A step errs
+    by at most 2 gamma_3 (3 eps), so U^n e_0 and the drift stay within
+    about 3 n eps, as one cycle at a time; a relative fault f in U drifts n f.
     """
     if require_int("cycles", cycles) < 1:
         raise ValueError(f"cycles must be >= 1, got {cycles}")
     u = build_loop_operator(lp.theta, lp.omega, lp.phi)
-    ua, ub = complex(u[0, 0]), complex(u[0, 1])
-    uc, ud = complex(u[1, 0]), complex(u[1, 1])
-
-    def orbit(s0, s1, n):
-        for _ in range(n):
-            s0, s1 = ua * s0 + ub * s1, uc * s0 + ud * s1
-            yield s0
-            yield s1
-
-    state = np.array([1.0 + 0.0j, 0.0j])
-    worst = 0.0
-    for start in range(0, cycles, _BLOCK):
-        n = min(_BLOCK, cycles - start)
-        z = np.fromiter(orbit(*state.tolist(), n), complex, 2 * n)
-        state = z[-2:].copy()
-        r0, i0, r1, i1 = np.square(z.view(float).reshape(n, 4).T)
+    size = min(cycles, _BLOCK)
+    powers = np.empty((4, size))  # U^(j+1) e_0 as real parts, in column j
+    powers[:, 0] = u[0, 0].real, u[0, 0].imag, u[1, 0].real, u[1, 0].imag
+    m = 1
+    while m < size:
+        k = min(m, size - m)
+        _rotate(powers[:, :k], powers[:, m - 1].tolist(), powers[:, m : m + k])
+        m += k
+    state, worst = [1.0, 0.0, 0.0, 0.0], 0.0
+    for start in range(0, cycles, size):
+        n = min(size, cycles - start)
+        z = _rotate(powers[:, :n], state, np.empty((4, n)))
+        state = z[:, -1].tolist()
+        r0, i0, r1, i1 = np.square(z, out=z)
         worst = max(worst, float(np.abs(np.sqrt(((r0 + i0) + r1) + i1) - 1.0).max()))
-    return state, worst
+    return np.array(state).view(complex), worst
 
 
 @dataclass(frozen=True)

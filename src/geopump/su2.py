@@ -50,8 +50,9 @@ _HYPOT_MIN, _HYPOT_SPAN = 1 << 52, (0x7FE << 52) - (1 << 52)
 
 # the one block size, so memory does not grow with a run's length: rows of
 # a table block (cli._column_blocks, cli._grid_blocks), cycles of
-# pump_trace_blocks and propagate_state, momenta of pump_profile_blocks,
-# phases of phi_average, cells of phase_diagram's filter and candidate scan
+# pump_trace_blocks and propagate_state (and its table of powers), momenta
+# of pump_profile_blocks, phases of phi_average, cells of phase_diagram's
+# filter and candidate scan
 _BLOCK = 4096
 
 

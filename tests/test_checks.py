@@ -13,6 +13,7 @@ from scipy.stats import kstest
 
 import geopump
 import geopump.checks as checks
+import geopump.evolution as evolution
 from geopump import (
     ChainParams,
     GapClosedError,
@@ -163,6 +164,16 @@ def test_check_fails_on_a_broken_route(monkeypatch, check, route, broken):
     monkeypatch.setattr(checks, route, broken)
     value, bound = check(make_rng(0))
     assert value > bound
+
+
+def test_norm_probe_fails_on_a_scaled_operator(monkeypatch):
+    # a relative fault f in U drifts the norm by about n f: 1e-13 over the
+    # probe's 1e5 cycles reads 1e-8, ten times the row's bound
+    build = evolution.build_loop_operator
+    monkeypatch.setattr(evolution, "build_loop_operator", lambda *a: build(*a) * (1.0 + 1e-13))
+    (row,) = [r for r in checks.run_checks(0) if r.name == "norm-preservation"]
+    assert not row.passed
+    assert row.value == pytest.approx(1e-8, rel=0.05)
 
 
 def test_one_d_consistency_compares_two_routes(monkeypatch):

@@ -965,8 +965,8 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "fmt,digest",
         [
-            ("csv", "e503e922a26d1f4cf302e6b165206dd4fa80adec115dee4ff0d50830f403debf"),
-            ("json", "7d79b0bf71de43b30c48d91e0c14ddc6f6ac2393651745ff8fc8bf71a01e7dd9"),
+            ("csv", "6ef47e13ef47fecad791c14fae23f044ff214dbf809106300da54ca6618890db"),
+            ("json", "5c3f2aad457ae7796d0883f69248c8137d086b9d9c6f2226b81e9792dec52e11"),
         ],
     )
     def test_failing_seed_is_pinned(self, tmp_path, capsys, fmt, digest):
@@ -1090,20 +1090,20 @@ _GOLDEN = [
     ),
     (
         ["verify", "--seed", "1"],
-        "35e131e5085eee8089d43732e83c8ac523891419ff0487eb799ddf0fb397200c",
-        "ec9aa7925094fffd3c1d08c34d693347e77d008dd7d222e63f4efeda01ebcace",
+        "147ead902e777c5cae06761bf2539d6674ca2d39ed757dd711899b08de80c0eb",
+        "13fd79dd815911d707103710b2f003f764939c34614e8bef7fecf46c90ce5aa4",
     ),
     # the default seed
     (
         ["verify", "--seed", "0"],
-        "9764bbd8d10c2ff81f0ec285c490021aac95e6b3046ba8645917b43ad45a335c",
-        "3b6997023b06a9d5f4814109ca073bd1c3d33ee1b2cd483bfda49a808198985d",
+        "3f51a8bad041e7e08fbde73f6de9d3c8607988de963cf76c9172c489f0fb75cc",
+        "a84fe707ac6388b7503e15ef73bec151129650d9392f2a3ee82b82a3a4894e36",
     ),
     # the benchmark's seed
     (
         ["verify", "--seed", "3"],
-        "70be51f5027e0cf74945d108ed30d7a41f6d28590e27e1bfaf7d968af815cd0d",
-        "0f85e7b95f2f2821c0a07113b7fb2655c442e7b6c3f5270b0e3043b4b1ca509a",
+        "7ec64edca80d29bbfd5a3a6de807086441c3887e13336f421f36b63d0d0df740",
+        "9bd96d7dcaf9ed7cacbf67fa496992ac649f18f7e407c67453882fbc1ae22a60",
     ),
 ]
 

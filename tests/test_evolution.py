@@ -23,6 +23,7 @@ from geopump import (
 )
 from geopump.checks import _INTERIOR
 from geopump.su2 import _BLOCK
+from test_su2 import _gamma
 
 RNG = np.random.default_rng(77)
 
@@ -227,29 +228,6 @@ class TestPropagateState:
         assert str(info.value) == message
 
 
-def _propagate_cycle_by_cycle(lp, cycles):
-    # the probe with its norm worked out in Python after every cycle
-    s0, s1 = 1.0 + 0.0j, 0.0j
-    u = build_loop_operator(lp.theta, lp.omega, lp.phi)
-    ua, ub = complex(u[0, 0]), complex(u[0, 1])
-    uc, ud = complex(u[1, 0]), complex(u[1, 1])
-    worst = 0.0
-    for _ in range(cycles):
-        s0, s1 = ua * s0 + ub * s1, uc * s0 + ud * s1
-        err = abs(
-            math.sqrt(
-                s0.real * s0.real
-                + s0.imag * s0.imag
-                + s1.real * s1.real
-                + s1.imag * s1.imag
-            )
-            - 1.0
-        )
-        if err > worst:
-            worst = err
-    return np.array([s0, s1]), worst
-
-
 _PIN_RNG = np.random.default_rng(2300)
 _PIN_DRIVES = [
     *(_random_loop(_PIN_RNG) for _ in range(20)),
@@ -258,17 +236,52 @@ _PIN_DRIVES = [
     LoopParams(0.0),
 ]
 
+# The probe's product tree against the exact U^n e_0 of the same float
+# entries, at 50 digits.  Errors are in units of u = eps/2 with gamma_n as in
+# tests/test_su2.py.  U = [[a, -conj b], [b, conj a]] bit for bit, so every
+# computed power and every difference of two powers has that form too, with
+# its spectral norm the norm of its first column.  Let R bound the norms of
+# every computed column and state and of every exact U^j, j <= n.
+#   One step.  Each real part of U v is two pairwise sums of two products
+#     each, three roundings per term, so it is off by at most gamma_3 times
+#     the sum of the |products|, which is at most |U| |v| by Cauchy-Schwarz:
+#     the step errs by at most g = 2 gamma_3 R^2 in norm.
+#   Doubling.  Column 1 is U e_0 itself, E_1 = 0, and column m + j is
+#     U^j (U^m e_0) computed, so E_(m+j) <= g + R (E_j + E_m).  By induction
+#     over the levels, E_j <= (j - 1) g R^L with L = ceil(log2 _BLOCK).
+#   Blocks.  From the exact e_0, block b + 1 starts at U^(n_b) s_b computed,
+#     so F_(b+1) <= g + R (E_(n_b) + F_b), and after K blocks of n cycles in
+#     all, F_K <= n g R^(L + K).
+# So |state - U^n e_0| <= 2 n gamma_3 R^(L + K + 2): 3 n eps to first order,
+# the same linear growth as a product taken one cycle at a time.  The first
+# block's states are the table's columns bit for bit, so the returned drift
+# covers every computed norm: a drift of at most 1e-9 and an exact growth
+# max(1, |a|^2 + |b|^2)^(n/2) <= 1 + 1e-9 make R = 1 + 2e-9 a bound, the
+# extra 1e-9 covering the rounding of the drift itself.
+_TREE_R = 1.0 + 2e-9
+
 
 @pytest.mark.parametrize("lp", _PIN_DRIVES, ids=range(len(_PIN_DRIVES)))
-def test_propagate_state_is_the_cycle_by_cycle_loop_bit_for_bit(lp):
+def test_propagate_state_is_the_power_within_the_product_tree_bound(lp):
     # block edges on either side, a partial last block, and verify's length
-    for cycles in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 100_000):
-        state, drift = propagate_state(lp, cycles)
-        ref_state, ref_drift = _propagate_cycle_by_cycle(lp, cycles)
-        assert drift == ref_drift, (cycles, drift, ref_drift)
-        assert np.array_equal(state, ref_state), cycles
-        if lp.theta == 0.0:
-            assert drift == 0.0
+    u = build_loop_operator(lp.theta, lp.omega, lp.phi)
+    levels = (_BLOCK - 1).bit_length()
+    with mpmath.workdps(50):
+        m = mpmath.matrix([[mpmath.mpc(z.real, z.imag) for z in row] for row in u])
+        rho = abs(m[0, 0]) ** 2 + abs(m[1, 0]) ** 2
+        for cycles in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 100_000):
+            state, drift = propagate_state(lp, cycles)
+            got = [mpmath.mpc(z.real, z.imag) for z in state]
+            gap = mpmath.sqrt(sum(abs(z - w) ** 2 for z, w in zip(got, (m**cycles)[:, 0])))
+            growth = max(1, rho) ** (mpmath.mpf(cycles) / 2)
+            assert drift <= 1e-9 and growth <= 1.0 + 1e-9, (cycles, drift)
+            blocks = -(-cycles // _BLOCK)
+            bound = 2 * cycles * _gamma(3) * _TREE_R ** (levels + blocks + 2)
+            assert gap <= bound, (cycles, float(gap), bound)
+            r0, i0, r1, i1 = state.view(float).tolist()
+            assert drift >= abs(math.sqrt(r0 * r0 + i0 * i0 + r1 * r1 + i1 * i1) - 1.0)
+            if lp.theta == 0.0:
+                assert drift == 0.0
 
 
 def test_propagate_state_memory_is_one_block():
