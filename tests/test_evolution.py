@@ -284,6 +284,53 @@ def test_propagate_state_is_the_power_within_the_product_tree_bound(lp):
                 assert drift == 0.0
 
 
+def _propagate_cycle_by_cycle(lp, cycles, start=(1.0 + 0.0j, 0.0j)):
+    # the probe with its norm worked out in Python after every cycle
+    s0, s1 = start
+    u = build_loop_operator(lp.theta, lp.omega, lp.phi)
+    ua, ub = complex(u[0, 0]), complex(u[0, 1])
+    uc, ud = complex(u[1, 0]), complex(u[1, 1])
+    worst = 0.0
+    for _ in range(cycles):
+        s0, s1 = ua * s0 + ub * s1, uc * s0 + ud * s1
+        err = abs(
+            math.sqrt(
+                s0.real * s0.real
+                + s0.imag * s0.imag
+                + s1.real * s1.real
+                + s1.imag * s1.imag
+            )
+            - 1.0
+        )
+        if err > worst:
+            worst = err
+    return np.array([s0, s1]), worst
+
+
+@pytest.mark.parametrize("lp", _PIN_DRIVES, ids=range(len(_PIN_DRIVES)))
+def test_propagate_state_is_the_cycle_by_cycle_loop_bit_for_bit(lp):
+    # Wherever the product tree takes one cycle, it is the per-cycle loop bit
+    # for bit: U^2 e_0 = U (U e_0) and U^3 e_0 = U (U^2 e_0) in the table's
+    # doubling, and the first state of every block is U times the state the
+    # last block carried forward.  U's real-part step (-(x + y) for -x - y)
+    # rounds as Python's complex product does, since U = [[a, -conj b],
+    # [b, conj a]] bit for bit; np.array_equal reads -0.0 as 0.0.
+    for cycles in (1, 2, 3):
+        state, drift = propagate_state(lp, cycles)
+        ref_state, ref_drift = _propagate_cycle_by_cycle(lp, cycles)
+        assert drift == ref_drift, (cycles, drift, ref_drift)
+        assert np.array_equal(state, ref_state), cycles
+    # block edges, and the last whole block of verify's 100 000 cycles
+    for edge in (_BLOCK, 2 * _BLOCK, (100_000 // _BLOCK) * _BLOCK):
+        carried, carried_drift = propagate_state(lp, edge)
+        state, drift = propagate_state(lp, edge + 1)
+        ref_state, step_drift = _propagate_cycle_by_cycle(lp, 1, carried.tolist())
+        assert drift == max(carried_drift, step_drift), (edge, drift, carried_drift)
+        assert np.array_equal(state, ref_state), edge
+        if lp.theta == 0.0:
+            assert drift == 0.0
+
+
 def test_propagate_state_memory_is_one_block():
     lp = LoopParams(1.1, 0.3, 0.4)
     propagate_state(lp, 8)  # allocations made once per process are not per cycle
