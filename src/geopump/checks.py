@@ -29,7 +29,7 @@ from .band import (
 )
 from .evolution import build_loop_operator, propagate_state, pump_trace, trajectory_angles
 from .sampling import make_rng, sample_loop_params
-from .stability import _scan, matrix_power_closed_form, off_diagonal_magnitude, stable_curve
+from .stability import _returns, matrix_power_closed_form, off_diagonal_magnitude, stable_curve
 from .su2 import (
     HALF_PI,
     TWO_PI,
@@ -186,7 +186,7 @@ def _check_rational_orders(rng):
     theta, phi = np.array([point for curve in curves for point in curve.points]).T
     expected = [curve.order for curve in curves for _ in curve.points]
     # one scan to the largest bound: a return past a point's own is a mismatch anyway
-    orders, _ = _scan(theta, phi, 2 * max(expected) + 2, 1e-9)
+    orders, _ = _returns(theta, phi, 2 * max(expected) + 2, 1e-9)
     mismatches = sum(
         order != want or _first_diagonal_power(u, 2 * want + 2) != want
         for order, u, want in zip(orders.tolist(), build_loop_operator(theta, 0.0, phi), expected)

@@ -1,22 +1,16 @@
 """Finite-order return detection for iterated loop operators.
 
-U^n = t_n U - t_{n-1} I, where t_n = sin(nh)/sin h is the Chebyshev sequence
-of y = tr U = 2 cos h; one recurrence yields it for the closed forms, for
-classify and for _scan, the one array scan, which serves phase_diagram and
-verify.  A point is stable of order N when U^N is the first diagonal power,
-where |t_N| sin(theta/2) vanishes.  The stable set organizes into curves of
-constant rational turn angle, sampled, classified and rasterized here.
-
-phase_diagram scans only the cells that can come near a return: the
-continued fraction of h/pi bounds each cell's nearest approach over
-n <= n_max in O(log n_max) steps (_nearest_return), so a grid costs
-O(cells log n_max + candidates n_max).
+Everything reads the half turn h of U (cos h = cos(theta/2) cos phi):
+U^n = t_n U - t_{n-1} I with t_n = sin(nh)/sin h, and U^n's off-diagonal
+magnitude is A |sin(nh)|, A = sin(theta/2)/sin h.  So return orders and
+marginal near misses come from the continued fraction of x = h/pi, which
+_returns walks in O(log n_max + marginals) a cell for classify,
+phase_diagram (after a vectorised prefilter) and verify.  Stable curves
+of constant rational turn angle are sampled and rasterized here too.
 """
 
 from __future__ import annotations
 
-import collections
-import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -25,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .evolution import build_loop_operator
-from .su2 import _BLOCK, HALF_PI, half_turn, require_angles, require_int
+from .su2 import _BLOCK, HALF_PI, _atan2, half_turn, require_angles, require_int
 
 # off-diagonal magnitudes in [tol, MARGINAL_BAND) are flagged but do not
 # count as a detected return
@@ -38,78 +32,59 @@ class EmptyCurveError(ValueError):
     """No point in the canonical parameter ranges satisfies the curve relation."""
 
 
-def _chebyshev(y):
-    """Yield t_1, t_2, ... where t_0 = 0 and t_{n+1} = y t_n - t_{n-1}, for
-    y a float, a complex number or a numpy array (one sequence per entry)."""
-    prev, cur = 0.0, 1.0
-    while True:
-        yield cur
-        nxt = y * cur
-        nxt -= prev  # in place on arrays: one new array per step
-        prev, cur = cur, nxt
+def fibonacci_poly(n: int, x: complex) -> complex:
+    """Fibonacci polynomial F_n(x): F_0 = 0, F_1 = 1, F_{n+2} = x F_{n+1} + F_n,
+    by that recurrence.  F_n(x) = (-i)^(n-1) t_n for the Chebyshev sequence
+    t of y = i x; at x = -i tr U, y = tr U and U^n = t_n U - t_{n-1} I."""
+    if require_int("n", n) < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    prev, cur = 1.0 + 0.0j, 0.0j  # F_{-1}, F_0
+    for _ in range(n):
+        prev, cur = cur, x * cur + prev
+    return cur
 
 
-def _chebyshev_pair(y, n, least: int = 0):
-    # (t_{n-1}, t_n), t_{-1} = -1, for integers n >= least against the y they
-    # broadcast with, from one run up to max(n) on y as given (numpy's
-    # complex arrays round otherwise): one walk through the distinct n in
-    # ascending order that holds two terms; the cells are ordered by n once,
-    # so each step writes only its own group, at y's entries for them
+def _folded(ht):
+    # the half turn folded into [0, pi/2] and the sign of cos h: t_n(pi - h)
+    # = (-1)^(n-1) t_n(h), so n h keeps its relative precision near -I too
+    return _atan2(ht.sin_h, np.abs(ht.c_cos)), np.where(ht.c_cos < 0.0, -1.0, 1.0)
+
+
+def _exponents(n, least: int, drives: tuple[int, ...]) -> np.ndarray:
     ns = np.asarray(n)
     if ns.dtype.kind not in "iu":
         raise ValueError(f"n must be an int64 integer or integer array, got {n!r}")
     if (ns < least).any():
         raise ValueError(f"n must be >= {least}, got {ns[ns < least].flat[0]}")
-    shape = np.broadcast_shapes(np.shape(y), ns.shape)  # before the run
-    want, dtype = np.broadcast_to(ns, shape).ravel(), np.result_type(y, 0.0)
-    t_prev, t_n = np.empty(want.size, dtype), np.empty(want.size, dtype)
-    cells = np.argsort(want, kind="stable")
-    want = want[cells]
-    ys = np.broadcast_to(np.arange(np.size(y)).reshape(np.shape(y)), shape).ravel()[cells]
-    # the first cell of each distinct n, none when there are no cells (not
-    # np.unique: it imports numpy.ma)
-    firsts = [0, *(np.flatnonzero(want[1:] != want[:-1]) + 1).tolist()][: want.size]
-    terms = itertools.chain((-1.0, 0.0), _chebyshev(y))  # term j is t_{j-1}
-    pair, k = collections.deque(itertools.islice(terms, 2), 2), 0  # terms k, k + 1
-    for step, start, stop in zip(want[firsts].tolist(), firsts, [*firsts[1:], want.size]):
-        pair.extend(itertools.islice(terms, step - k))  # at C speed, keeping the last two
-        k, here = step, cells[start:stop]
-        for out, term in zip((t_prev, t_n), pair):  # t_{-1} to t_1 are scalars
-            out[here] = term.ravel()[ys[start:stop]] if type(term) is np.ndarray else term
-    return t_prev.reshape(shape)[()], t_n.reshape(shape)[()]
+    np.broadcast_shapes(drives, ns.shape)  # numpy's "shape mismatch" message
+    return ns
 
 
-def fibonacci_poly(n: int, x: complex) -> complex:
-    """Fibonacci polynomial F_n(x): F_0 = 0, F_1 = 1, F_{n+2} = x F_{n+1} + F_n.
-
-    F_n(x) = (-i)^(n-1) t_n for the Chebyshev sequence t of y = i x; at
-    x = -i tr U, y = tr U and U^n = t_n U - t_{n-1} I.
-    """
-    _, t_n = _chebyshev_pair(1j * x, n)
-    # times (-i)^(n-1); + 0j turns a rotated -0 into the +0 F_n's sums give
-    return (1.0, -1j, -1.0, 1j)[(n - 1) % 4] * t_n + 0j
+def _magnitude(amplitude, h, n):  # A |sin(n h)|, the value _returns judges each n by
+    return amplitude * np.abs(np.sin(n * h))
 
 
 def matrix_power_closed_form(theta, omega, phi, n) -> np.ndarray:
-    """n-th powers U^n = t_n U - t_{n-1} I of loop operators, t the
-    Chebyshev sequence of y = tr U: no matrix products, and equal to
-    repeated multiplication to rounding.  The drives (floats or equal-shape
-    arrays, checked by build_loop_operator) broadcast against an int or int
-    array n, giving that shape + (2, 2) from one run up to max(n), each
-    power as its own call gives it.  ValueError unless each n is an int >= 0."""
+    """n-th powers U^n = t_n U - t_{n-1} I of loop operators, t_n =
+    sin(nh)/sin h (n (+/-1)^(n-1) at U = +/-I): no matrix products, and
+    equal to repeated multiplication to O(n u).  The drives (floats or
+    equal-shape arrays, checked by build_loop_operator) broadcast against
+    an int or int array n >= 0, giving that shape + (2, 2)."""
     u = build_loop_operator(theta, omega, phi)
-    t_prev, t_n = _chebyshev_pair(2.0 * half_turn(theta, phi).c_cos, n)
-    return t_n[..., None, None] * u - t_prev[..., None, None] * np.eye(2)
+    ns = _exponents(n, 0, u.shape[:-2])
+    h, sign = _folded(half_turn(theta, phi))
+    with np.errstate(divide="ignore", invalid="ignore"):  # sin h of h: t_-1, t_0, t_1 exact
+        t = [sign ** (k - 1) * np.where(h, np.sin(k * h) / np.sin(h), k) for k in (ns - 1, ns)]
+    return t[1][..., None, None] * u - t[0][..., None, None] * np.eye(2)
 
 
 def off_diagonal_magnitude(theta, phi, n):
-    """|entry (1, 2)| of the n-th powers, |t_n| sin(theta/2), of the drives
-    (theta, phi) broadcast against an int or int array n, from one run up
-    to max(n).  ValueError for a bad angle or unless each n is an int >= 1."""
+    """|entry (1, 2)| of the n-th powers, A |sin(nh)|, of the drives
+    (theta, phi) broadcast against an int or int array n.  ValueError for
+    a bad angle or unless each n is an int >= 1."""
     require_angles(theta, phi=phi)
     ht = half_turn(theta, phi)
-    _, t_n = _chebyshev_pair(2.0 * ht.c_cos, n, least=1)
-    return np.abs(t_n) * ht.s
+    return _magnitude(ht.amplitude, _folded(ht)[0], _exponents(n, 1, np.shape(ht.c_cos)))
 
 
 @dataclass(frozen=True)
@@ -128,65 +103,94 @@ class StabilityVerdict:
 
 
 def _check_scan(n_max: int, tol: float) -> None:
-    if not 1 <= require_int("n_max", n_max) <= sys.maxsize:  # islice takes no longer scan
+    if not 1 <= require_int("n_max", n_max) <= sys.maxsize:  # orders are int64
         raise ValueError(f"n_max must lie in [1, sys.maxsize], got {n_max}")
     if not 0.0 < tol <= MARGINAL_BAND:
         raise ValueError(f"tol must lie in (0, {MARGINAL_BAND}], got {tol}")
 
 
 def classify(theta: float, phi: float, n_max: int, tol: float = 1e-9) -> StabilityVerdict:
-    """Scan n = 1..n_max for the first power with vanishing off-diagonal of
-    the drive (theta, phi), two floats checked as build_loop_operator
-    checks them.  Never declares a point unstable: a miss only means no
-    return was found within n_max.
+    """The first n <= n_max whose power of the drive (theta, phi), two
+    floats checked as build_loop_operator checks them, has an off-diagonal
+    magnitude below tol, and the marginal n before it: _returns of one cell.
+    A miss only means no return within n_max.  fl(n h) errs by up to n h u,
+    so a verdict at the tol edge is faithful only while pi n_max u << tol.
     """
     _check_scan(n_max, tol)
     require_angles(theta, phi=phi)
-    ht = half_turn(float(theta), float(phi))
-    y, s = 2.0 * float(ht.c_cos), float(ht.s)
-    marginal = []
-    for n, t_n in enumerate(itertools.islice(_chebyshev(y), n_max), 1):
-        magnitude = abs(t_n) * s
-        if magnitude < tol:
-            return StabilityVerdict(True, n_max, n, tuple(marginal))
-        if magnitude < MARGINAL_BAND:
-            marginal.append(n)
-    return StabilityVerdict(False, n_max, None, tuple(marginal))
+    order, marginal = _returns(float(theta), float(phi), n_max, tol)
+    return StabilityVerdict(bool(order), n_max, int(order) or None, marginal.get(0, ()))
 
 
-def _scan(theta, phi, n_max: int, tol: float):
-    """classify of every cell of the angles' broadcast stack at once, its
-    traces advanced as one array: the int64 first return orders, 0 where
-    none was found, and the marginal scan indices of each cell that has
-    any, keyed by its flat index."""
+def _first(num: int, den: int, reach: int, side: int, n_max: int) -> int:
+    """The least g in [1, n_max] with g num - p den in [0, reach] (side 1)
+    or [-reach, 0] (side -1), else n_max + 1: the first convergent or
+    semiconvergent of x = num/den on that side that near, solved for."""
+    q0, r0, q1, r1, ours = 1, num, 0, den, side > 0  # 1 x - 0 >= 0 >= 0 x - 1
+    while r1 and q1 <= n_max:
+        a = r0 // r1
+        if ours:  # q0 + j q1, j <= a, lie on the side, r0 - j r1 from it
+            j = -((reach - r0) // r1)
+            if j <= a:
+                return min(q0 + j * q1, n_max + 1)
+        q0, r0, q1, r1, ours = q1, r1, q0 + a * q1, r0 - a * r1, not ours
+    return q1 if r1 == 0 and q1 <= n_max else n_max + 1  # an exact 0 is on both sides
+
+
+def _near(x: float, width: float, n_max: int):
+    """The n in [1, n_max] with ||n x|| <= width < 1/2, ascending, from the
+    continued fraction of x in integers: O(log n_max) steps and one per n.
+    By Slater's three-gap theorem each next n is a, b or a + b on, the
+    first steps up and down by at most twice the window's reach."""
+    num, den = x.as_integer_ratio()
+    top, bottom = width.as_integer_ratio()
+    reach = top * den // bottom  # ||n x|| <= width: (n num + reach) mod den <= 2 reach
+    a, b = (_first(num, den, 2 * reach, side, n_max) for side in (1, -1))
+    n, gaps = 0, sorted({a, b, a + b})  # n = 0 returns exactly
+    while True:
+        n = next((m for m in (n + g for g in gaps) if (m * num + reach) % den <= 2 * reach), 0)
+        if not 0 < n <= n_max:
+            return
+        yield n
+
+
+# _magnitude at n <= N = n_max is at least (1 - 3u) A |sin(n h)| - u N h A,
+# u = 2**-53 (np.sin within an ulp, fl(n h) within u N h), so one below
+# MARGINAL_BAND has sin(pi ||n h/pi||) < MARGINAL_BAND (1 + 4u)/A + u N h,
+# and x = fl(h/pi) is within 1.4u x of h/pi: _returns' width, each term
+# rounded up, keeps every such n; one of 1/2 or more is every n.
+
+
+def _returns(theta, phi, n_max: int, tol: float):
+    """classify of every cell of the angles' broadcast stack: the int64
+    first return orders, 0 where none was found, and the marginal indices
+    of each cell that has any, keyed by its flat index."""
     ht = half_turn(theta, phi)
-    y = 2.0 * ht.c_cos
-    order, s = np.zeros(y.shape, dtype=np.int64), np.broadcast_to(ht.s, y.shape)
+    h = _folded(ht)[0]
+    orders = np.zeros(np.shape(h), dtype=np.int64)
     marginal: dict[int, list[int]] = {}
-    for n, t_n in enumerate(itertools.islice(_chebyshev(y), n_max), 1):
-        magnitude = np.abs(t_n)
-        magnitude *= s
-        near = magnitude < MARGINAL_BAND
-        if not near.any():
-            continue
-        near &= order == 0
-        hit = near & (magnitude < tol)
-        order[hit] = n
-        for cell in np.flatnonzero(near & ~hit).tolist():
-            marginal.setdefault(cell, []).append(n)
-    return order, {cell: tuple(marks) for cell, marks in marginal.items()}
+    cells = zip(np.broadcast_to(ht.amplitude, orders.shape).ravel().tolist(), np.ravel(h).tolist())
+    for cell, (amp, turn) in enumerate(cells):
+        bound = MARGINAL_BAND / amp * (1 + 8 * _U) + 2 * _U * n_max * turn if amp else 1.0
+        width = math.asin(min(1.0, bound)) / math.pi * (1 + 8 * _U) + 2 * _U * n_max * turn
+        marks = marginal[cell] = []
+        for n in range(1, n_max + 1) if width >= 0.5 else _near(turn / math.pi, width, n_max):
+            magnitude = _magnitude(amp, turn, n)
+            if magnitude < tol:
+                orders.flat[cell] = n
+                break
+            if magnitude < MARGINAL_BAND:
+                marks.append(n)
+    return orders, {cell: tuple(marks) for cell, marks in marginal.items() if marks}
 
 
 def _nearest_return(x, n_max: int):
-    """min over 1 <= n <= n_max of ||n x||, the distance from n x to the
-    nearest integer, for each float x in [0, 1] of an array, from the
-    continued fraction of x: by Lagrange's best-approximation theorem the
-    minimum is |q x - p| at the largest convergent denominator q <= n_max.
-    O(log n_max) steps a cell.  Each error q x - p is recomputed from the
-    integers p and q, so rounding does not compound: for n_max <= 2**25,
-    where a partial quotient comes out at most one too large and a sign
-    check mends it, each value is within n_max * x * 2**-53 of the exact
-    minimum for the float x as given."""
+    """min over 1 <= n <= n_max of ||n x|| for each float x in [0, 1] of an
+    array: |q x - p| at the largest convergent denominator q <= n_max
+    (Lagrange), O(log n_max) numpy steps.  Each error q x - p is recomputed
+    from p and q, and a partial quotient one too large, the most rounding
+    gives for n_max <= 2**25, shows in its sign and is mended, so each value
+    is within n_max x 2**-53 of the exact minimum for the float x."""
     x = np.asarray(x, dtype=float)
     nearest = np.zeros(x.size)  # x = 0 returns at n = 1
     cells = np.flatnonzero(x)
@@ -324,55 +328,28 @@ def _grid_axes(theta_grid: int, phi_grid: int, offset: float) -> tuple[np.ndarra
     )
 
 
-# A cell is dropped when the recurrence _scan runs on it cannot come within
-# MARGINAL_BAND at any n <= N = n_max.  With u = 2**-53, c = c_cos and
-# y = 2c (exact), the exact recurrence gives t_n = sin(n h')/sin h' with
-# cos h' = c: the h' of the float c, not HalfTurn.h, which differs from it
-# near the corner.  Its magnitudes are A' |sin(n h')| = A' sin(pi ||n x'||)
-# with A' = s/sin h' and x' = h'/pi, so their least value over n <= N is
-# the floor A' sin(pi m(x')), m(x) = min over n <= N of ||n x||.
-#
-# Recurrence side (Higham ch. 2-3).  Each step t_{k+1} = fl(fl(y t_k) -
-# t_{k-1}) adds an error of at most 2u|t_k| + u|t_{k+1}|/(1-u) <= 3u Mc/(1-u),
-# Mc the largest computed |t_j| so far, and that error travels through the
-# same linear recurrence: a unit error at step k adds t_{n-k+1} at n.  With
-# M the largest exact |t_j| <= min(n, 1/sin h'), s |dt_n| <= 3u n s M Mc/(1-u),
-# and Mc <= M / (1 - 3u n M/(1-u)).  So every error is below
-#     drift = 4u N s M^2 / (1 - 4u N M),   M = min(N, 1/sin h'),
-# where 4 for 3 covers sin h' computed as sqrt((1-c)(1+c)) (relative 3u) and
-# this line's own roundings.  When s <= sin h', s M^2 <= N, so drift is
-# 4u N^2 at most away from the corner; far from it, M is about 1/sin h'.
-# The scan's fl(|t_n| s) loses one more u.
-#
-# Filter side.  x = atan2(sin h', c)/pi comes within 9u x' of x': 3u from
-# sin h', 2 ulp of np.arctan2 (0.75 measured against mpmath), and pi and
-# the division.  _nearest_return is within 2u N of m(x), and Dirichlet's
-# theorem, m(x) <= 1/(N+1), caps it.  Together with 6u on np.sin (2 ulp),
-# 5u on A and one product, the computed floor F exceeds the exact one by
-# at most 13u F + 36u N A.  A cell is dropped when F >= MARGINAL_BAND +
-# drift + 64u N A, which leaves room for 2u MARGINAL_BAND <= 2u A and the
-# roundings of this sum.
-#
-# Range.  The kernel's partial quotients, from errors each within u q of
-# their own, come out at most one too large while 6u N^2 < 1, so it holds
-# for N <= 2**25.  Past N = 2.1e7 the capped floor, at most A pi/(N+1),
-# stays under 64u N A, so no cell is dropped there whatever the kernel
-# returns.  A NaN or infinite A, at sin h' = 0, keeps its cell as well.
+# Each magnitude at n <= N = n_max is at least (1 - 3u) A sin(pi m(h/pi)) -
+# u N h A (the note above _returns; grid cells have cos h >= 0), m(x) the
+# min over n <= N of ||n x||.  np.hypot and np.arctan2 (2 ulp) put x within
+# 6u x of h/pi and A within 3u; _nearest_return is within u N x of m(x),
+# capped by Dirichlet's m(x) <= 1/(N+1).  So the floor F is at most
+# (1 + 9u) A sin(pi m(h/pi)) + 7.1u N h A, every magnitude is at least
+# F - 12u A - 13u N A, and a cell goes when F >= MARGINAL_BAND + 64u N A.
+# Past N = 2**25 quotients may round off by more than one, but past 2.1e7
+# the capped floor, at most A pi/(N+1), is under 64u N A: no cell goes.
 
 
 def _may_return(theta, phi, n_max: int) -> np.ndarray:
-    """False for each cell of the angles' broadcast stack whose _scan to
-    n_max is bound to find neither a return nor a marginal index."""
+    """False for each cell of the angles' broadcast stack whose _returns
+    to n_max is bound to find neither a return nor a marginal index (a NaN
+    A, at sin h = 0, keeps its cell)."""
     ht = half_turn(theta, phi)
-    c = ht.c_cos  # y / 2 of the recurrence _scan runs
     with np.errstate(divide="ignore", invalid="ignore"):
-        sin_h = np.sqrt((1.0 - c) * (1.0 + c))
+        sin_h = np.hypot(ht.s, ht.c_sin)
         amplitude = ht.s / sin_h
-        nearest = _nearest_return(np.arctan2(sin_h, c) / math.pi, n_max)
+        nearest = _nearest_return(np.arctan2(sin_h, ht.c_cos) / math.pi, n_max)
         floor = amplitude * np.sin(math.pi * np.minimum(nearest, 1.0 / (n_max + 1)))
-        peak = np.minimum(n_max, 1.0 / sin_h)
-        drift = 4.0 * _U * n_max * ht.s * peak**2 / np.maximum(1.0 - 4.0 * _U * n_max * peak, 0.0)
-        return ~(floor >= MARGINAL_BAND + drift + 64.0 * _U * n_max * amplitude)
+        return ~(floor >= MARGINAL_BAND + 64.0 * _U * n_max * amplitude)
 
 
 def phase_diagram(
@@ -387,14 +364,11 @@ def phase_diagram(
     offset = 0.5 (default) samples cell midpoints, staying off the
     boundary stable lines; offset = 0 uses an endpoint-inclusive grid.
 
-    Every cell equals classify(theta, phi, n_max, tol).  A prefilter
-    bounds each cell's nearest approach from the continued fraction of its
-    half turn, O(log n_max) a cell, one block of whole theta rows of about
-    _BLOCK cells at a time, and drops the cells that cannot come within
-    MARGINAL_BAND; the kept candidates go through _scan in blocks of at
-    most _BLOCK, O(n_max) a cell.  So a grid costs
-    O(cells log n_max + candidates n_max), and only the int64 orders, one
-    keep flag a cell and the candidates' indices grow with it.
+    Every cell equals classify(theta, phi, n_max, tol).  _may_return drops
+    the cells that cannot come within MARGINAL_BAND, one block of whole
+    theta rows of about _BLOCK cells at a time, and the rest go through
+    _returns in blocks of at most _BLOCK.  Only the int64 orders, one keep
+    flag a cell and the kept cells' indices grow with the grid.
     """
     _check_scan(n_max, tol)  # before the axes are allocated
     thetas, phis = _grid_axes(theta_grid, phi_grid, offset)
@@ -411,7 +385,7 @@ def phase_diagram(
         cells = candidates[start : start + _BLOCK]
         i, j = np.divmod(cells, len(phis))
         # each cell sees the floats classify reads
-        orders.flat[cells], marks = _scan(thetas[i], phis[j], n_max, tol)
+        orders.flat[cells], marks = _returns(thetas[i], phis[j], n_max, tol)
         marginal.update((int(cells[cell]), m) for cell, m in marks.items())
     orders.flags.writeable = False
     return PhaseDiagram(thetas, phis, n_max, orders, marginal)

@@ -19,12 +19,10 @@ IEEE arithmetic, sqrt, abs, maximum, floor, remainder, sin and cos, and
 the integer and bit operations that read a double's exponent.  hypot on
 arrays is _hypot, a port of math.hypot built from those exact operations
 alone; only atan2 goes through math (_atan2).  np.arctan2 feeds only
-band.winding_number's integer and the keep/drop decision of
-phase_diagram's prefilter, and matrix
-products only verify's oracles (BLAS has its own dispatch).  The prefilter
-cannot tie bytes to the dispatch level either: its margin covers an error of
-2 ulp in np.arctan2, far above any wobble between levels, so no level drops
-a cell that could come near a return, and a kept cell is scanned exactly.
+band.winding_number's integer and, with np.hypot, phase_diagram's keep/drop
+prefilter, whose margin covers 2 ulp in each, far above any wobble between
+dispatch levels: no level drops a cell that could come near a return.
+Matrix products feed only verify's oracles (BLAS has its own dispatch).
 """
 
 from __future__ import annotations

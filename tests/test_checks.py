@@ -153,7 +153,7 @@ def _shifted_profile(dc, k_grid):
     "check,route,broken",
     [
         (checks._check_winding_criterion, "winding_number", lambda chain: 0),
-        (checks._check_rational_orders, "_scan", _no_return),
+        (checks._check_rational_orders, "_returns", _no_return),
         (checks._check_band_profiles, "pump_profile", _shifted_profile),
     ],
     ids=["winding", "rational-orders", "band-profiles"],

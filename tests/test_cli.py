@@ -965,8 +965,8 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "fmt,digest",
         [
-            ("csv", "6ef47e13ef47fecad791c14fae23f044ff214dbf809106300da54ca6618890db"),
-            ("json", "5c3f2aad457ae7796d0883f69248c8137d086b9d9c6f2226b81e9792dec52e11"),
+            ("csv", "5abc1f40be4d4d65501a192fceb46f009736dbff33c53da75f55e742428c97c7"),
+            ("json", "caa6b4a0699a059e200ed87329a48da83dd5797025ab6cf9a83a738d37259fa4"),
         ],
     )
     def test_failing_seed_is_pinned(self, tmp_path, capsys, fmt, digest):
@@ -1090,20 +1090,20 @@ _GOLDEN = [
     ),
     (
         ["verify", "--seed", "1"],
-        "147ead902e777c5cae06761bf2539d6674ca2d39ed757dd711899b08de80c0eb",
-        "13fd79dd815911d707103710b2f003f764939c34614e8bef7fecf46c90ce5aa4",
+        "13e1c8a62444fb53953b56f176306f7324fdde06afd91d239ee94ed6350369d6",
+        "93cd58b38128897617a9ea1c5a0d1ddff505eb35ee4e6cfa0c54836c9a6ccb85",
     ),
     # the default seed
     (
         ["verify", "--seed", "0"],
-        "3f51a8bad041e7e08fbde73f6de9d3c8607988de963cf76c9172c489f0fb75cc",
-        "a84fe707ac6388b7503e15ef73bec151129650d9392f2a3ee82b82a3a4894e36",
+        "02e65dbc00e7cd3389cb063e1e2cf68270f510df7b7aa5b3f3db2827f96c8289",
+        "fda87378cf7d2741ca2ce2204f12f68cfa2c50dba7070f8fbfc59eba6231d8ea",
     ),
     # the benchmark's seed
     (
         ["verify", "--seed", "3"],
-        "7ec64edca80d29bbfd5a3a6de807086441c3887e13336f421f36b63d0d0df740",
-        "9bd96d7dcaf9ed7cacbf67fa496992ac649f18f7e407c67453882fbc1ae22a60",
+        "2b9705b03d26e7fe9662772bf199a093af53d23cd6eec03eea12493cb6d8a00b",
+        "3dd5a7ceef4fbe8525a2b67ef6ce69721d0da120fe1de40e4cac8856b4a27a74",
     ),
 ]
 

@@ -1,4 +1,3 @@
-import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -24,6 +23,7 @@ from geopump import (
     stable_curve,
 )
 from geopump import stability
+from geopump.stability import MARGINAL_BAND
 from geopump.su2 import _BLOCK
 
 RNG = np.random.default_rng(98765)
@@ -197,22 +197,6 @@ class TestArrayExponents:
         column, ns = np.zeros((0, 1)), np.ones((0, 5), dtype=int)
         assert off_diagonal_magnitude(column, column, ns).shape == (0, 5)
         assert matrix_power_closed_form(column, column, column, ns).shape == (0, 5, 2, 2)
-
-    @pytest.mark.parametrize("drives", [3, 5000])
-    def test_pairs_across_reads_are_the_recurrence_terms(self, drives):
-        # exponents unsorted and repeated, each drive with its own: every
-        # pair t_{n-1}, t_n is the run's, whatever order n comes in
-        rng = np.random.default_rng(drives)
-        y = rng.uniform(-2.0, 2.0, drives)
-        top = 5000 if drives == 3 else 12
-        ns = rng.integers(0, top, size=(40, drives))
-        ns[0] = top
-        terms = itertools.chain([-1.0, 0.0], itertools.islice(stability._chebyshev(y), top))
-        run = np.array([np.broadcast_to(t, drives) for t in terms])  # row j is t_{j-1}
-        prev, cur = stability._chebyshev_pair(y, ns)
-        cells = np.arange(drives)
-        assert prev.tobytes() == run[ns, cells].tobytes()
-        assert cur.tobytes() == run[ns + 1, cells].tobytes()
 
     def test_many_exponents_are_the_separate_calls(self):
         # more distinct exponents than drives: each step writes only its own
@@ -637,10 +621,45 @@ class TestNearestReturn:
         assert got.ravel()[:3].tolist() == [0.0, 0.5 if n_max == 1 else 0.0, 0.0]
 
 
+_DYADIC = st.builds(lambda p, k: p / 2**k, st.integers(0, 64), st.integers(0, 12)).filter(
+    lambda x: x <= 1.0
+)
+
+
+class TestWalk:
+    """The continued-fraction walk of _returns against brute force in exact
+    rationals: _first and _near on floats x in [0, 1]."""
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(
+        x=st.one_of(_UNIT_X, _DYADIC),
+        share=st.floats(0.0, 0.5),
+        side=st.sampled_from([1, -1]),
+        n_max=st.integers(1, 1500),
+    )
+    def test_first_is_the_least_one_sided_approach(self, x, share, side, n_max):
+        # an exact 0 counts on both sides
+        num, den = x.as_integer_ratio()
+        reach = int(Fraction(share) * den)
+        want = (g for g in range(1, n_max + 1) if side * g * num % den <= reach)
+        assert stability._first(num, den, reach, side, n_max) == next(want, n_max + 1)
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(
+        x=st.one_of(_UNIT_X, _DYADIC),
+        width=st.one_of(st.floats(0.0, 0.4999), st.sampled_from([0.0, 1e-9, 1 / 4, 0.4999])),
+        n_max=st.integers(1, 1500),
+    )
+    def test_near_is_every_close_n(self, x, width, n_max):
+        exact = Fraction(x)
+        near = [n for n in range(1, n_max + 1) if abs(n * exact - round(n * exact)) <= width]
+        assert list(stability._near(x, width, n_max)) == near
+
+
 def _plain_scan(theta_grid, phi_grid, n_max, offset):
-    # _scan over every cell of phase_diagram's grid as one array, unpruned
+    # _returns over every cell of phase_diagram's grid as one array, unpruned
     thetas, phis = stability._grid_axes(theta_grid, phi_grid, offset)
-    return stability._scan(thetas[:, None], phis[None, :], n_max, 1e-9)
+    return stability._returns(thetas[:, None], phis[None, :], n_max, 1e-9)
 
 
 class TestPrefilter:
@@ -663,18 +682,18 @@ class TestPrefilter:
 
     def test_benchmark_grid_scans_only_its_marginal_cells(self, monkeypatch):
         scanned = []
-        scan = stability._scan
+        returns = stability._returns
 
         def counting(theta, phi, n_max, tol):
             scanned.append(np.size(theta))
-            return scan(theta, phi, n_max, tol)
+            return returns(theta, phi, n_max, tol)
 
-        monkeypatch.setattr(stability, "_scan", counting)
+        monkeypatch.setattr(stability, "_returns", counting)
         diagram = phase_diagram(200, 200, 200)
         assert scanned == [26] and len(diagram.marginal) == 26
 
     def test_cells_at_the_identity_are_kept(self):
-        # theta = 0 has s = 0; theta = 0, phi = 0 has sin h' = 0 and a NaN amplitude
+        # theta = 0 has s = 0; theta = 0, phi = 0 has sin h = 0 and a NaN amplitude
         keep = stability._may_return(np.zeros(3), np.array([0.0, 1e-9, 0.7]), 200)
         assert keep.all()
 
@@ -684,48 +703,27 @@ class TestPrefilter:
         assert stability._may_return(thetas[:, None], phis[None, :], 2**25 + 1).all()
 
 
-# near-identity drives: the recurrence's error grows fastest where sin h' is small
-_NEAR_IDENTITY = [
-    (4e-8, 1e-8), (1e-7, 3e-8), (1e-6, -2e-6), (3e-6, 1e-5), (1e-5, 0.0),
-    (2e-5, -4e-5), (1e-4, 1e-4), (3e-4, -1e-4), (1e-3, 2e-3), (2e-3, -1e-3),
-]
-
-
-def test_recurrence_error_stays_under_the_derived_drift():
-    # s |t_n - exact t_n| of the recurrence _scan runs, the exact one taken
-    # in 50-digit arithmetic from the same float y = 2c, against
-    # 4u n s M^2 / (1 - 4u n M) with M = min(n, 1/sin h'): the drift term of
-    # phase_diagram's prefilter at n_max = n
-    n_max = 10_000
-    n = np.arange(1, n_max + 1)
-    worst = 0.0
-    for theta, phi in _NEAR_IDENTITY:
-        ht = half_turn(theta, phi)
-        c, s = float(ht.c_cos), float(ht.s)
-        assert c < 1.0  # sin h' > 0
-        y = 2.0 * c
-        computed = np.fromiter(itertools.islice(stability._chebyshev(y), n_max), float, n_max)
-        with mpmath.workdps(50):
-            exact, prev, cur, ym = [], mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(y)
-            for t in computed.tolist():
-                exact.append(float(s * abs(mpmath.mpf(t) - cur)))
-                prev, cur = cur, ym * cur - prev
-        error = np.array(exact)
-        peak = np.minimum(n, 1.0 / math.sqrt((1.0 - c) * (1.0 + c)))
-        drift = 4.0 * _U * n * s * peak**2 / (1.0 - 4.0 * _U * n * peak)
-        assert np.all(error <= drift), (theta, phi, np.max(error / drift))
-        worst = max(worst, float(np.max(error / drift)))
-    assert worst > 1e-3  # the bound is not vacuous on these drives
+def _brute_force(theta, phi, n_max, tol=1e-9):
+    # classify's spec: the first n <= n_max whose magnitude, as
+    # off_diagonal_magnitude computes it, is below tol (0 for none), and
+    # the n before it whose magnitude is below MARGINAL_BAND
+    magnitudes = off_diagonal_magnitude(theta, phi, np.arange(1, n_max + 1))
+    hits = np.flatnonzero(magnitudes < tol)
+    order = int(hits[0]) + 1 if hits.size else 0
+    marks = np.flatnonzero(magnitudes[: order - 1 if order else n_max] < MARGINAL_BAND) + 1
+    return order, tuple(marks.tolist())
 
 
 def _scan_cells(theta, phi, n_max, tol=1e-9):
-    # _scan of a stack of drives, and each cell checked against classify
-    order, marginal = stability._scan(theta, phi, n_max, tol)
+    # _returns of a stack of drives, and each cell checked against classify
+    # and against the brute force over every n
+    order, marginal = stability._returns(theta, phi, n_max, tol)
     assert order.shape == np.shape(theta) and order.dtype == np.int64
     assert set(marginal) <= set(range(order.size))
     for cell, (t, p) in enumerate(zip(np.ravel(theta).tolist(), np.ravel(phi).tolist())):
         verdict = classify(t, p, n_max, tol)
-        assert (order.flat[cell], marginal.get(cell, ())) == (verdict.order or 0, verdict.marginal)
+        got = (order.flat[cell], marginal.get(cell, ()))
+        assert got == (verdict.order or 0, verdict.marginal) == _brute_force(t, p, n_max, tol)
     return order, marginal
 
 
@@ -734,7 +732,8 @@ _NEAR_QUARTER = np.array([HALF_PI, HALF_PI + 2e-7, HALF_PI - 3e-7, 1.0])
 
 
 class TestScan:
-    """stability._scan gives every cell of a stack the verdict classify gives it."""
+    """stability._returns gives every cell of a stack the verdict classify
+    and the brute force over every n give it."""
 
     @pytest.mark.parametrize("theta", _NEAR_QUARTER.tolist())
     def test_zero_d(self, theta):
@@ -762,6 +761,69 @@ class TestScan:
         assert len(order) == 88
 
 
+# Drives that trip a careless continued-fraction walk.  phi = +/-pi/2
+# gives x = h/pi = 1/2 exactly, so the errors n x - p are exactly 0 at
+# even n; theta = 0 gives A = 0 and U = +/-I (phi = 0 or pi), every
+# magnitude 0; theta = pi/50, phi = 2.2e-16 gives x = 0.009999999999999998,
+# whose next partial quotient is about 5e13; theta of 1e-7 or less gives
+# an A below MARGINAL_BAND, where every n is marginal until the order.
+_TRAPS = [
+    (1.0, HALF_PI), (0.3, -HALF_PI), (0.0, 0.0), (0.0, math.pi), (0.0, 0.7), (math.pi, 0.0),
+    (math.pi, HALF_PI), (math.pi / 50, 2.2e-16), (math.pi / 50, 0.0), (2e-6, 0.4),
+    (1e-7, -1.0), (3e-9, 0.2), (1e-12, 1e-3), (HALF_PI, 0.0), (2.0, math.pi + 0.3),
+]
+_ANGLE = st.one_of(
+    st.floats(0.0, math.pi),
+    st.sampled_from([0.0, math.pi, HALF_PI, math.pi / 50, 1e-7, 2e-6, 1e-300, 5e-324]),
+)
+_PHASE = st.one_of(
+    st.floats(-HALF_PI, HALF_PI),
+    st.floats(-10.0, 10.0),
+    st.sampled_from([0.0, HALF_PI, -HALF_PI, math.pi, 2.2e-16, -1e-9, 1e-3]),
+)
+
+
+class TestReturnsKernel:
+    """stability._returns against the brute force over every n <= n_max."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(
+        theta=_ANGLE,
+        phi=_PHASE,
+        n_max=st.integers(1, 3000),
+        tol=st.sampled_from([1e-9, 1e-12, 3e-7, 1e-6]),
+    )
+    def test_matches_brute_force(self, theta, phi, n_max, tol):
+        _scan_cells(theta, phi, n_max, tol)
+
+    @pytest.mark.parametrize("theta, phi", _TRAPS)
+    @pytest.mark.parametrize("n_max", [1, 2, 7, 10**5])
+    def test_traps(self, theta, phi, n_max):
+        order, marginal = _scan_cells(np.array([theta]), np.array([phi]), n_max)
+        if theta == 0.0:  # A = 0: U itself is diagonal
+            assert order[0] == 1
+        elif abs(phi) == HALF_PI:  # x = 1/2: U^2 is +/-I to rounding
+            assert order[0] == (2 if n_max >= 2 else 0)
+        elif half_turn(theta, phi).amplitude < MARGINAL_BAND:  # every n up to the order
+            assert marginal.get(0, ()) == tuple(range(1, order[0] or n_max + 1))
+
+    def test_small_amplitudes_are_covered(self):
+        # the traps above hold drives with A below tol, between tol and
+        # MARGINAL_BAND, and one whose walk runs to an order past n = 1
+        small = [float(half_turn(t, p).amplitude) for t, p in _TRAPS if t > 0.0]
+        assert min(small) < 1e-9 and any(1e-9 < a < MARGINAL_BAND for a in small)
+        assert classify(1e-7, -1.0, 10**5).order == 22
+
+    def test_a_list_that_is_not_one_multiple(self):
+        # cell 12 of phase_diagram(100, 100, 10**5): theta = pi/200, phi =
+        # -3 pi/8, gaps 8, 30725 and 30733
+        thetas, phis = stability._grid_axes(100, 100, 0.5)
+        verdict = classify(float(thetas[0]), float(phis[12]), 10**5)
+        assert verdict.marginal == (8, 30733, 30741, 61474, 61482, 92215, 92223)
+        assert not verdict.stable
+        assert phase_diagram(100, 100, 10**5).marginal[12] == verdict.marginal
+
+
 def _fibonacci_pair(n, x):
     # (F_n, F_{n-1}) by the direct recurrence F_{k+1} = x F_k + F_{k-1}, F_{-1} = 1
     prev, cur = 1.0 + 0.0j, 0.0j
@@ -783,8 +845,36 @@ _LOOPS = st.builds(
 )
 
 
+# The h route's error bound against U^n of the float entries of U (Higham,
+# Accuracy and Stability of Numerical Algorithms, ch. 2-3), u = 2**-53.
+# The built U is N V with V special-unitary exactly (U11 = conj U00 and
+# U01 = -conj U10 bit for bit) and |N - 1| <= 2u, so U^n = N^n V^n, and
+# V^n = tau_n V - tau_{n-1} I with tau_k = sin(k g)/sin g, g V's half
+# turn.  The closed form's folded h (math.hypot, math.atan2, each within an
+# ulp, on parts within 1.1u of V's) lies within 5u h of g, which moves
+# tau_k by |d tau_k/dh| 5u h <= 10u k h/sin h, as |d tau_k/dh| <= 2k/sin h;
+# fl(k h) errs by u k h, which moves sin(k h)/sin h by u k h/sin h; and
+# the sines and the division add 6u |t_k| <= 6u k.  After the fold
+# h <= pi/2, so h/sin h <= pi/2 and |t_k - tau_k| <= 24u k.  The two terms,
+# the last product and sum (2u n) and the norm (|N^n - 1| + n |N - 1| <=
+# 5u n) keep every entry within 55u n; the off-diagonal A |sin(n h)| is
+# within 16u n by the same steps.
+def _h_route_bound(n):
+    return 64.0 * _U * (n + 1)
+
+
+def _exact_power(u, n):
+    # U^n of the float entries at 50 digits, by mpmath's repeated squaring
+    with mpmath.workdps(50):
+        return (mpmath.matrix([[mpmath.mpc(complex(z)) for z in row] for row in u]) ** n).tolist()
+
+
+def _worst_gap(exact, got):
+    return max(float(abs(e - mpmath.mpc(complex(g)))) for e, g in zip(exact, np.ravel(got)))
+
+
 class TestChebyshevMatchesFibonacciForms:
-    """The Chebyshev forms against the Fibonacci-polynomial formulas, bit for bit."""
+    """The Chebyshev forms against the Fibonacci-polynomial formulas."""
 
     @settings(derandomize=True, database=None, max_examples=400, deadline=None)
     @given(x=st.builds(complex, _PART, _PART), n=st.integers(0, 400))
@@ -798,18 +888,46 @@ class TestChebyshevMatchesFibonacciForms:
     @settings(derandomize=True, database=None, max_examples=400, deadline=None)
     @given(lp=_LOOPS, n=st.integers(0, 400))
     def test_matrix_power_and_off_diagonal(self, lp, n):
-        f_n, f_prev = _fibonacci_pair(n, -1j * _trace(lp))
+        # U^n = N^n i^n (F_n(x) (-i V) + F_{n-1}(x) I), x = -i tr V, with
+        # V = U/N and F the Fibonacci polynomials, at 50 digits
         u = build_loop_operator(lp.theta, lp.omega, lp.phi)
-        phase = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)[n % 4]  # i**n
-        want = phase * (f_n * (-1j * u) + f_prev * np.eye(2))
+        with mpmath.workdps(50):
+            m = mpmath.matrix([[mpmath.mpc(complex(z)) for z in row] for row in u])
+            norm = mpmath.sqrt(abs(m[0, 0]) ** 2 + abs(m[1, 0]) ** 2)
+            x, prev, cur = -1j * (m[0, 0] + m[1, 1]) / norm, mpmath.mpc(1), mpmath.mpc(0)
+            for _ in range(n):
+                prev, cur = cur, x * cur + prev
+            v = m / norm
+            want = (norm**n * 1j**n * (cur * (-1j * v) + prev * mpmath.eye(2))).tolist()
         got = matrix_power_closed_form(lp.theta, lp.omega, lp.phi, n)
-        # == on both parts of every entry, which fixes the sign of each nonzero
-        # part; an exactly zero part (e.g. off the diagonal at n = 0) may be
-        # +0 on one side and -0 on the other
-        assert np.array_equal(got, want)
+        assert _worst_gap(sum(want, []), got) <= _h_route_bound(n)
         if n >= 1:
-            want = abs(f_n) * math.sin(0.5 * lp.theta)
-            assert off_diagonal_magnitude(lp.theta, lp.phi, n) == want
+            gap = abs(abs(want[0][1]) - off_diagonal_magnitude(lp.theta, lp.phi, n))
+            assert gap <= _h_route_bound(n)
+
+
+# +I, -I (theta = 0, phi = pi), near-corner drives, drives with cos h < 0
+# and generic ones, as (theta, omega, phi)
+_ORACLE_DRIVES = [
+    (0.0, 0.0, 0.0), (0.0, 0.3, math.pi), (1e-8, 0.0, 1e-8), (1e-6, 2.0, -3e-7),
+    (1e-4, 0.0, 1e-2), (1e-2, 1.0, 1e-8), (3e-3, 0.0, -2e-3), (1e-8, 0.0, HALF_PI),
+    (0.3, 0.0, math.pi - 1e-7), (1.0, 0.5, 0.25), (2.5, 1.0, -1.2), (math.pi, 0.0, 0.0),
+]
+
+
+@pytest.mark.parametrize("theta, omega, phi", _ORACLE_DRIVES)
+def test_closed_forms_against_mpmath_powers(theta, omega, phi):
+    ns = np.array([0, 1, 2, 3, 17, 1000, 65_537, 10**6])
+    got = matrix_power_closed_form(theta, omega, phi, ns)
+    off = off_diagonal_magnitude(theta, phi, np.maximum(ns, 1))
+    u = build_loop_operator(theta, omega, phi)
+    for n, power_n, magnitude in zip(ns.tolist(), got, off.tolist()):
+        exact = _exact_power(u, n)
+        assert _worst_gap(sum(exact, []), power_n) <= _h_route_bound(n), n
+        exact = _exact_power(u, max(n, 1))[0][1]
+        assert float(abs(abs(exact) - magnitude)) <= _h_route_bound(n), n
+    if theta == phi == 0.0:  # U = I: t_n = n, and U^n = I exactly
+        assert np.array_equal(got, np.broadcast_to(np.eye(2), got.shape))
 
 
 def test_phase_diagram_orders_match_iterated_products():
