@@ -372,14 +372,9 @@ def _metadata(cfg: RunConfig) -> dict:
 
 def _run_simulate(cfg: RunConfig) -> ResultTable:
     p = cfg.params
-    lp = LoopParams(p["theta"], p["omega"], p["phi"])
-
-    def source():  # streamed: each block is computed as it is written
-        start = 1
-        for q, mean in pump_trace_blocks(lp, p["cycles"]):
-            yield np.arange(start, start + len(q)), q, mean
-            start += len(q)
-
+    lp = LoopParams(p["theta"], p["omega"], p["phi"])  # omega is checked, then only echoed
+    # streamed: each block is computed as it is written
+    source = functools.partial(pump_trace_blocks, lp.theta, lp.phi, p["cycles"])
     return ResultTable(("cycle", "q", "p"), metadata=_metadata(cfg), source=source)
 
 

@@ -40,13 +40,16 @@ class PumpTrace:
     p: np.ndarray
 
 
-def pump_trace_blocks(lp: LoopParams, cycles: int):
-    """Excited-state weights q_j from the ground state and their running
-    means, block by block.
+def pump_trace_blocks(theta, phi, cycles: int):
+    """Excited-state weights q_j of the drives (theta, phi) from the ground
+    state and their running means, block by block.
 
-    Returns an iterator of (q, p) array pairs, at most _BLOCK cycles each,
-    that together cover cycles 1..`cycles`; pump_trace joins them.  The
-    arguments are checked on the call, before the first block.
+    theta and phi are floats or equal-shape arrays, checked as LoopParams
+    checks them, and cycles too, on the call, before the first block.
+    Returns an iterator of (cycle, q, p) triples, at most _BLOCK cycles
+    each, that together cover cycles 1..`cycles`: cycle holds the block's
+    int64 cycle numbers, and q and p have the drives' shape + (len(cycle),),
+    each drive's rows its one-drive blocks bit for bit.  pump_trace joins them.
 
     Closed form, with no matrix products.  With the half turn angle h of
     the loop operator U (cos h = cos(theta/2) cos(phi)),
@@ -56,19 +59,20 @@ def pump_trace_blocks(lp: LoopParams, cycles: int):
     +/-I, A = 0 and q = 0.  The rounding of n*h grows like n * eps: about
     1e-10 in q at 1e6 cycles.
 
-    The prefix sum enters each block by being added to its first weight
-    before the block's cumsum, which adds left to right, so p is bit for
-    bit np.cumsum(q) / n of the whole trace, however it is blocked.
+    Each drive's prefix sum enters each block by being added to its first
+    weight before the block's cumsum, which adds left to right, so p is bit
+    for bit np.cumsum(q) / n of the whole trace, however it is blocked.
     """
     if require_int("cycles", cycles) < 1:
         raise ValueError(f"cycles must be >= 1, got {cycles}")
-    ht = half_turn(lp.theta, lp.phi)
-    amplitude, h = ht.amplitude, ht.h
+    require_angles(theta, phi=phi)
+    ht = half_turn(theta, phi)
+    amplitude, h = np.asarray(ht.amplitude)[..., None], np.asarray(ht.h)[..., None]
 
     def blocks():
         total = 0.0
         for start in range(0, cycles, _BLOCK):
-            n = np.arange(start + 1, min(start + _BLOCK, cycles) + 1, dtype=float)
+            n = np.arange(start + 1, min(start + _BLOCK, cycles) + 1, dtype=np.int64)
             # no clip: sin_h is math.hypot of the legs (su2._hypot on arrays
             # is the same bits), faithful on Python >= 3.10, so sin_h >= s,
             # A <= 1 after a correctly rounded division, and q <= 1
@@ -76,11 +80,11 @@ def pump_trace_blocks(lp: LoopParams, cycles: int):
             q *= amplitude
             np.square(q, out=q)
             p = q.copy()
-            p[0] += total
-            np.cumsum(p, out=p)
-            total = p[-1]
+            p[..., 0] += total
+            np.cumsum(p, axis=-1, out=p)
+            total = p[..., -1].copy()  # a view would be divided by n below
             p /= n
-            yield q, p
+            yield n, q, p
 
     return blocks()
 
@@ -88,7 +92,7 @@ def pump_trace_blocks(lp: LoopParams, cycles: int):
 def pump_trace(lp: LoopParams, cycles: int) -> PumpTrace:
     """Excited-state weights q_j and their running means over `cycles`
     cycles: the blocks of pump_trace_blocks joined."""
-    q, p = map(np.concatenate, zip(*pump_trace_blocks(lp, cycles)))
+    _, q, p = map(np.concatenate, zip(*pump_trace_blocks(lp.theta, lp.phi, cycles)))
     return PumpTrace(q=q, p=p)
 
 

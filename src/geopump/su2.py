@@ -88,9 +88,9 @@ class LoopParams:
     theta is the opening angle of the loop as seen from the degeneracy
     point and must lie in [0, pi].  omega is the azimuth of the loop
     plane (canonical range [0, 2*pi)) and phi the dynamic phase picked up
-    per cycle (canonical range [-pi/2, pi/2]).  omega and phi are accepted
-    outside their canonical windows because several symmetry checks need
-    e.g. phi + pi, which flips the loop operator by a global sign.
+    per cycle (canonical range [-pi/2, pi/2]).  Any finite omega and phi
+    is accepted, as the loop operator is 2 pi periodic in both and phi + pi
+    only flips its global sign: every finite pair names a loop.
     Each field is stored as float() of the value given, which require_angles
     then checks.
     """

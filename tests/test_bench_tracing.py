@@ -31,18 +31,19 @@ def test_traced_asymptote_counts_its_rate_kernels(tmp_path, load_bench):
 
 
 def test_traced_verify_counts_its_probe_and_phase_average(tmp_path, load_bench):
-    # five drives of 100 000 raw cycles for the norm probe, 36 000 cycles
-    # of pump_trace, and one phase average over a 25-point theta grid; the
-    # loop operators come one stack per draw set (nine calls, the stable-
-    # curve points among them), one per matrix-power closed form (1) and
-    # one per norm probe (5)
+    # five drives of 100 000 raw cycles for the norm probe, and one phase
+    # average over a 25-point theta grid; the trace checks read stacked
+    # pump_trace_blocks, which the tracer does not count, so pump_trace adds
+    # no cycles; the loop operators come one stack per draw set (nine calls,
+    # the stable-curve points among them), one per matrix-power closed form
+    # (1) and one per norm probe (5)
     tracing = load_bench("tracing")
     tracer = tracing.Tracer()
     with tracer.traced_run():
         assert main(["verify", "--seed", "1", "--out", str(tmp_path / "v.csv")]) == 0
     (counts,) = tracer.counts
     assert counts["evolution.propagate_state.calls"] == 5
-    assert counts["evolution.cycles"] == 536_000
+    assert counts["evolution.cycles"] == 500_000
     assert counts["asymptotics.phi_average.calls"] == 1
     assert counts["evolution.build_loop_operator.calls"] == 15
 

@@ -275,6 +275,14 @@ def _per_draw_trace_projection(rng):
     return worst, 1e-10
 
 
+def _per_draw_phase_shift_symmetry(rng):
+    worst = 0.0
+    for lp in map(LoopParams, *sample_loop_params(rng, 50)):
+        dq = pump_trace(lp, 300).q - pump_trace(replace(lp, phi=lp.phi + math.pi), 300).q
+        worst = max(worst, float(np.max(np.abs(dq))))
+    return worst, 1e-12
+
+
 def _per_point_rational_orders(rng):
     # classify and the product oracle on each stable-curve point, each to
     # its own bound 2 * order + 2
@@ -308,6 +316,7 @@ _PER_DRAW = [
     (checks._check_closed_form_powers, _per_draw_closed_form_powers),
     (checks._check_off_diagonal_closed_form, _per_draw_off_diagonal_closed_form),
     (checks._check_trace_projection, _per_draw_trace_projection),
+    (checks._check_phase_shift_symmetry, _per_draw_phase_shift_symmetry),
     (checks._check_rational_orders, _per_point_rational_orders),
     (checks._check_equidistribution, _per_drive_equidistribution),
 ]
@@ -324,6 +333,21 @@ def _hexes(check, seed):
 def test_stacked_checks_are_the_per_draw_values_bit_for_bit(stacked, per_draw):
     for seed in range(50):
         assert _hexes(stacked, seed) == _hexes(per_draw, seed), seed
+
+
+def test_verify_builds_loop_records_only_for_the_norm_probe(monkeypatch):
+    # the trace checks read stacked angles; only the norm probe's five drives
+    # go through LoopParams, on their way to propagate_state
+    built = []
+    post_init = LoopParams.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(LoopParams, "__post_init__", counted)
+    checks.run_checks(3)
+    assert len(built) == 5
 
 
 def test_phase_average_check_is_the_per_theta_value_bit_for_bit():

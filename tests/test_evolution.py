@@ -166,18 +166,20 @@ def _hex(values):
     return [float.hex(x) for x in values.tolist()]
 
 
+# at phi = 0, A = 1, and the half turn drive pumps the ground state fully
+# into the excited state on every odd cycle; theta = 0 with phi = 0 or pi is
+# the identity corner, sin h = 0 or nearly, where A = 0
+_TRACE_DRIVES = {
+    "ground": LoopParams(1.1, 0.3, 0.4),
+    "excited": LoopParams(math.pi, 1.0, 0.0),
+    "sin-h-zero": LoopParams(0.0, 0.0, 0.0),
+    "corner-phi-pi": LoopParams(0.0, 0.0, math.pi),
+}
+
+
 class TestPumpTraceBlocks:
-    # at phi = 0, A = 1, and the half turn drive pumps the ground state
-    # fully into the excited state on every odd cycle; theta = 0 with
-    # phi = 0 or pi is the identity corner, sin h = 0 or nearly, where A = 0
     @pytest.mark.parametrize(
-        "lp",
-        [
-            pytest.param(LoopParams(1.1, 0.3, 0.4), id="ground"),
-            pytest.param(LoopParams(math.pi, 1.0, 0.0), id="excited"),
-            pytest.param(LoopParams(0.0, 0.0, 0.0), id="sin-h-zero"),
-            pytest.param(LoopParams(0.0, 0.0, math.pi), id="corner-phi-pi"),
-        ],
+        "lp", [pytest.param(lp, id=name) for name, lp in _TRACE_DRIVES.items()]
     )
     @pytest.mark.parametrize(
         "cycles,block",
@@ -185,21 +187,58 @@ class TestPumpTraceBlocks:
     )
     def test_blocks_concatenate_to_the_whole_trace(self, small_blocks, lp, cycles, block):
         small_blocks(cycles)
-        ((whole_q, whole_p),) = pump_trace_blocks(lp, cycles)
+        ((whole_n, whole_q, whole_p),) = pump_trace_blocks(lp.theta, lp.phi, cycles)
         small_blocks(block)
-        blocks = list(pump_trace_blocks(lp, cycles))
+        blocks = list(pump_trace_blocks(lp.theta, lp.phi, cycles))
         sizes = [min(block, cycles - start) for start in range(0, cycles, block)]
-        assert [(len(q), len(p)) for q, p in blocks] == [(k, k) for k in sizes]
+        assert [tuple(map(len, b)) for b in blocks] == [(k, k, k) for k in sizes]
+        n = np.concatenate([n for n, _, _ in blocks])
+        assert n.dtype == whole_n.dtype == np.int64
+        assert n.tolist() == whole_n.tolist() == list(range(1, cycles + 1))
         trace = pump_trace(lp, cycles)
-        for q in (np.concatenate([q for q, _ in blocks]), trace.q):
+        for q in (np.concatenate([q for _, q, _ in blocks]), trace.q):
             assert _hex(q) == _hex(whole_q)
-        for p in (np.concatenate([p for _, p in blocks]), trace.p):
+        for p in (np.concatenate([p for _, _, p in blocks]), trace.p):
             assert _hex(p) == _hex(whole_p)
+
+    @pytest.mark.parametrize("cycles,block", [(1, 1), (7, 3), (1025, 1024), (10_001, 4096)])
+    def test_stacked_drives_are_each_drives_blocks_bit_for_bit(self, small_blocks, cycles, block):
+        # the four drives as one (2, 2) stack: each drive's rows carry its own
+        # prefix sum across the block edges
+        small_blocks(block)
+        drives = list(_TRACE_DRIVES.values())
+        theta = np.reshape([lp.theta for lp in drives], (2, 2))
+        phi = np.reshape([lp.phi for lp in drives], (2, 2))
+        stacked = list(pump_trace_blocks(theta, phi, cycles))
+        for n, q, p in stacked:
+            assert n.dtype == np.int64 and q.shape == p.shape == (2, 2, len(n))
+        cycle = np.concatenate([n for n, _, _ in stacked])
+        np.testing.assert_array_equal(cycle, np.arange(1, cycles + 1))
+        for i, lp in enumerate(drives):
+            alone = list(pump_trace_blocks(lp.theta, lp.phi, cycles))
+            assert len(alone) == len(stacked)
+            for (n, q, p), (n1, q1, p1) in zip(stacked, alone):
+                assert n.tolist() == n1.tolist()
+                assert _hex(q.reshape(4, -1)[i]) == _hex(q1)
+                assert _hex(p.reshape(4, -1)[i]) == _hex(p1)
 
     @pytest.mark.parametrize("cycles", [0, -3, 2.5])
     def test_rejects_bad_sizes_on_the_call(self, cycles):
         with pytest.raises(ValueError):
-            pump_trace_blocks(LoopParams(1.0), cycles)
+            pump_trace_blocks(1.0, 0.0, cycles)
+
+    @pytest.mark.parametrize(
+        "theta,phi,message",
+        [
+            (np.array([1.0, 2.0]), np.array([0.0, math.nan]), "phi must be a finite angle, got nan"),
+            (4.0, 0.0, "theta must lie in [0, pi], got 4.0"),
+        ],
+    )
+    def test_rejects_bad_angles_on_the_call(self, theta, phi, message):
+        # the checks and messages of LoopParams, before the first block
+        with pytest.raises(ValueError) as info:
+            pump_trace_blocks(theta, phi, 10)
+        assert str(info.value) == message
 
 
 class TestPropagateState:

@@ -563,8 +563,9 @@ class TestPhaseDiagramBlocks:
         assert min(30698, 30701) >= _BLOCK // 200 * 200
 
     def test_memory_is_the_orders_and_one_block(self):
-        # the int64 orders take 8 bytes a cell; the recurrence's arrays are
-        # one block's, where a whole-grid scan took about 66 bytes a cell
+        # the int64 orders take 8 bytes a cell, the keep flags 1 and the kept
+        # cells' indices next to nothing; the prefilter and _returns hold one
+        # block's arrays at a time
         phase_diagram(20, 20, 10)  # allocations made once per process are not per cell
         tracemalloc.start()
         try:
