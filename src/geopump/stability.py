@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .evolution import build_loop_operator
-from .su2 import _BLOCK, HALF_PI, _atan2, half_turn, require_angles, require_int
+from .su2 import _BLOCK, HALF_PI, _libm, half_turn, require_angles, require_int
 
 # off-diagonal magnitudes in [tol, MARGINAL_BAND) are flagged but do not
 # count as a detected return
@@ -47,7 +47,7 @@ def fibonacci_poly(n: int, x: complex) -> complex:
 def _folded(ht):
     # the half turn folded into [0, pi/2] and the sign of cos h: t_n(pi - h)
     # = (-1)^(n-1) t_n(h), so n h keeps its relative precision near -I too
-    return _atan2(ht.sin_h, np.abs(ht.c_cos)), np.where(ht.c_cos < 0.0, -1.0, 1.0)
+    return _libm(math.atan2, ht.sin_h, np.abs(ht.c_cos)), np.where(ht.c_cos < 0.0, -1.0, 1.0)
 
 
 def _exponents(n, least: int, drives: tuple[int, ...]) -> np.ndarray:
@@ -365,10 +365,11 @@ def phase_diagram(
     boundary stable lines; offset = 0 uses an endpoint-inclusive grid.
 
     Every cell equals classify(theta, phi, n_max, tol).  _may_return drops
-    the cells that cannot come within MARGINAL_BAND, one block of whole
-    theta rows of about _BLOCK cells at a time, and the rest go through
-    _returns in blocks of at most _BLOCK.  Only the int64 orders, one keep
-    flag a cell and the kept cells' indices grow with the grid.
+    the cells that cannot come within MARGINAL_BAND, one block of about
+    _BLOCK cells at a time (whole theta rows, or pieces of a long one),
+    and the rest go through _returns in blocks of at most _BLOCK.  Only
+    the int64 orders, one keep flag a cell and the kept cells' indices
+    grow with the grid.
     """
     _check_scan(n_max, tol)  # before the axes are allocated
     thetas, phis = _grid_axes(theta_grid, phi_grid, offset)
@@ -376,8 +377,9 @@ def phase_diagram(
     kept = np.empty(orders.shape, dtype=bool)
     per_block = max(1, _BLOCK // len(phis))
     for start in range(0, len(thetas), per_block):
-        rows = thetas[start : start + per_block, None]
-        kept[start : start + per_block] = _may_return(rows, phis[None, :], n_max)
+        for lo in range(0, len(phis), _BLOCK):
+            rows, cols = slice(start, start + per_block), slice(lo, lo + _BLOCK)
+            kept[rows, cols] = _may_return(thetas[rows, None], phis[None, cols], n_max)
     candidates = np.flatnonzero(kept)
     del kept
     marginal: dict[int, tuple[int, ...]] = {}

@@ -16,12 +16,11 @@ angles (matrices then stack as (..., 2, 2)); require_angles, which
 LoopParams calls too, checks their domain once per array.  Output bytes
 rest only on numpy ufuncs that round alike at every SIMD dispatch level:
 IEEE arithmetic, sqrt, abs, maximum, floor, remainder, sin and cos, and
-the integer and bit operations that read a double's exponent.  hypot on
-arrays is _hypot, a port of math.hypot built from those exact operations
-alone; only atan2 goes through math (_atan2).  np.arctan2 feeds only
-band.winding_number's integer and, with np.hypot, phase_diagram's keep/drop
-prefilter, whose margin covers 2 ulp in each, far above any wobble between
-dispatch levels: no level drops a cell that could come near a return.
+the integer and bit operations that read a double's exponent.  hypot and
+atan2 go through math, one call per element (_libm): np.hypot differs
+from math.hypot on 0.67% of sin_h inputs, np.arctan2 with the SIMD level.
+np.arctan2 feeds only band.winding_number's integer and, with np.hypot,
+phase_diagram's keep/drop prefilter, whose 2 ulp margin dwarfs any wobble.
 Matrix products feed only verify's oracles (BLAS has its own dispatch).
 """
 
@@ -43,8 +42,6 @@ IDENTITY_SIN_TOL = 4.0 * sys.float_info.epsilon
 
 _SPLIT = float(2**27 + 1)  # Veltkamp's splitter for 53-bit significands
 _EXP = 0x7FF << 52  # a double's exponent bits
-# _hypot's own range of the larger leg, [DBL_MIN, 2^1023), as int64 bits
-_HYPOT_MIN, _HYPOT_SPAN = 1 << 52, (0x7FE << 52) - (1 << 52)
 
 # the one block size, so memory does not grow with a run's length: rows of
 # a table block (cli._column_blocks, cli._grid_blocks), cycles of
@@ -126,20 +123,20 @@ def su2_defect(u: np.ndarray):
 
 # --- chart conversions ----------------------------------------------------
 
-def _atan2(y, x):
-    """math.atan2(y, x) elementwise, one Python call per element.
+def _libm(fn, y, x):
+    """fn(y, x) elementwise for math.atan2 or math.hypot, one Python call
+    per element: a float for floats, else an array of the broadcast shape.
 
-    On purpose: the written tables follow libm's atan2, which no sequence
-    of IEEE operations rebuilds.  Over 1e6 draws of sample_loop_params
-    (seed 1, numpy 2.4.6), np.arctan2 differs from math.atan2 on 5.4% of
-    the h inputs and 7.0% of the alpha inputs under AVX512 (X86_V4)
-    dispatch and on none with it disabled, so vectorising would tie output
-    bytes to the host's SIMD level.
+    On purpose: the written tables follow libm.  Over 1e6 draws of
+    sample_loop_params (seed 1, numpy 2.4.6), np.arctan2 differs from
+    math.atan2 on 5.4% of the h inputs and 7.0% of the alpha inputs under
+    AVX512 (X86_V4) dispatch and on none with it disabled, and np.hypot
+    from math.hypot on 0.67% of the sin_h inputs at every level.
     """
     if np.ndim(y) == np.ndim(x) == 0:
-        return math.atan2(y, x)
+        return fn(y, x)
     y, x = np.broadcast_arrays(y, x)
-    out = np.fromiter(map(math.atan2, y.ravel().tolist(), x.ravel().tolist()), float, y.size)
+    out = np.fromiter(map(fn, y.ravel().tolist(), x.ravel().tolist()), float, y.size)
     return out.reshape(y.shape)[()]
 
 
@@ -150,78 +147,6 @@ def _split(a):
     lo = hi - a
     hi -= lo
     return hi, a - hi
-
-
-def _square(v):
-    # v * v as z + zz exactly: CPython's dl_mul(v, v), Dekker's mul12 on
-    # Veltkamp halves, step for step (numpy fuses no multiply and add)
-    hi, lo = _split(v)
-    q = hi * lo
-    q += q  # hi lo + lo hi
-    hi *= hi
-    z = hi + q
-    hi -= z
-    hi += q
-    lo *= lo
-    hi += lo
-    return z, hi
-
-
-def _hypot(x, y):
-    """math.hypot(x, y) elementwise on arrays, bit for bit.
-
-    The two-leg path of CPython's vector_norm (Modules/mathmodule.c,
-    Python >= 3.10), each step an IEEE operation in the same order: both
-    legs scaled by the power of two that takes the larger into [0.5, 1),
-    their squares split exactly (_square), a running sum from 1.0 kept
-    lossless by fast two-sums with the low parts added apart, sqrt, and
-    one differential correction from the residual of h^2.  Cells whose
-    larger leg is 0, subnormal, 2^1023 or more (the result could
-    overflow), inf or NaN go to math.hypot itself.  np.hypot is no
-    substitute: it differs from math.hypot on 0.67% of the sin_h inputs of
-    1e6 seed-1 draws, at every dispatch level.
-    """
-    x, y = np.asarray(x, float), np.asarray(y, float)
-    if x.shape != y.shape:
-        x, y = np.broadcast_arrays(x, y)
-    shape, x, y = x.shape, np.abs(x).ravel(), np.abs(y).ravel()
-    bits = np.maximum(x, y).view(np.int64)
-    slow = np.flatnonzero((bits - _HYPOT_MIN).view(np.uint64) >= _HYPOT_SPAN)
-    legs = list(zip(x[slow].tolist(), y[slow].tolist()))
-    x[slow], y[slow], bits[slow] = 1.0, 1.0, 0x3FF << 52  # the bits of 1.0
-    top = (bits & _EXP).view(np.float64)
-    top += top  # 2^e, the larger leg in [2^(e - 1), 2^e)
-    scale = 1.0 / top  # exact: at 2^-1023 a subnormal power of two
-    x *= scale
-    y *= scale
-    # vector_norm's names: csum from 1.0 by fast two-sums, frac1 and frac2
-    # their low parts; each frac starts at its first term, not 0.0 + it,
-    # which only turns -0.0 into 0.0, and no zero's sign reaches h: csum - 1
-    # is at least 0.25 under sqrt, and a zero correction adds nothing
-    z, frac1 = _square(x)
-    total = z + 1.0
-    frac2 = 1.0 - total
-    frac2 += z
-    z, lo = _square(y)
-    frac1 += lo
-    csum = total + z
-    z -= csum - total
-    frac2 += z
-    h = csum - 1.0
-    h += frac1 + frac2
-    np.sqrt(h, out=h)
-    z, lo = _square(h)  # -h h squares to -(z + lo), bit for bit
-    frac1 -= lo
-    total = csum - z
-    z += total - csum
-    frac2 -= z
-    x = total - 1.0  # the residual of h^2
-    x += frac1 + frac2
-    x /= 2.0 * h
-    h += x
-    h *= top  # h / scale, exactly
-    h[slow] = [math.hypot(a, b) for a, b in legs]
-    return h.reshape(shape)
 
 
 def _cis(x, sign=1):
@@ -254,9 +179,9 @@ class HalfTurn:
     c_cos) and the amplitude A = s / sin_h are computed on first read:
     sin_h uses the exact identity 1 - cos^2 h = s^2 + c_sin^2, so it keeps
     full relative precision near the identity, where sqrt(1 - cos^2 h)
-    cancels.  hypot is math.hypot on floats and its bit-exact port _hypot
-    on arrays; it is faithful on Python >= 3.10, so sin_h >= s and the
-    correctly rounded A lies in [0, 1].  atan2 is math.atan2 per element.
+    cancels.  hypot and atan2 are math's, one call per element (_libm);
+    math.hypot is faithful on Python >= 3.10, so sin_h >= max(|s|, |c_sin|)
+    and the correctly rounded A lies in [0, 1].
     Fields are floats or arrays, as the angles were.
     """
 
@@ -266,13 +191,11 @@ class HalfTurn:
 
     @cached_property
     def sin_h(self):
-        if np.ndim(self.s) == np.ndim(self.c_sin) == 0:
-            return math.hypot(self.s, self.c_sin)
-        return _hypot(self.s, self.c_sin)
+        return _libm(math.hypot, self.s, self.c_sin)
 
     @cached_property
     def h(self):
-        return _atan2(self.sin_h, self.c_cos)
+        return _libm(math.atan2, self.sin_h, self.c_cos)
 
     @cached_property
     def amplitude(self):
@@ -337,13 +260,17 @@ def _axis_alpha(phi, theta, psi):
     angle of axis_angle_from_euler, without the turn angle and the azimuth."""
     require_angles(theta, phi=phi, psi=psi)
     ht = _require_axis(half_turn(theta, 0.5 * (phi + psi)))
-    return ht, _atan2(ht.s, ht.c_sin)
+    return ht, _libm(math.atan2, ht.s, ht.c_sin)
 
 
 def _require_axis(ht: HalfTurn) -> HalfTurn:
     """ht itself, or IdentityRotationError when any of its rotations is
-    +/-identity to rounding and has no axis."""
-    if np.any(ht.sin_h < IDENTITY_SIN_TOL):
+    +/-identity to rounding (sin_h < IDENTITY_SIN_TOL) and has no axis;
+    a faithful hypot is at least each leg, so only cells with both legs
+    below the tolerance are measured, and ht.sin_h is left unread."""
+    s, c_sin = np.broadcast_arrays(np.abs(ht.s), np.abs(ht.c_sin))
+    near = (s < IDENTITY_SIN_TOL) & (c_sin < IDENTITY_SIN_TOL)
+    if np.any(_libm(math.hypot, s[near], c_sin[near]) < IDENTITY_SIN_TOL):
         raise IdentityRotationError("rotation equals +/-identity; it has no axis")
     return ht
 

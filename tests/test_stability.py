@@ -545,6 +545,18 @@ class TestPhaseDiagramBlocks:
         assert np.count_nonzero(blocked.orders) == 178
         assert blocked.marginal == whole.marginal and sorted(blocked.marginal) == [55, 85]
 
+    def test_a_wide_grid_holds_one_filter_block(self):
+        # the keep/drop filter once took a whole theta row per block: about
+        # 106 bytes a cell on 2 x 100 000; the orders and keep flags are 9
+        phase_diagram(2, 8, 200)  # allocations made once per process
+        tracemalloc.start()
+        try:
+            phase_diagram(2, 100_000, 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2 * 100_000, f"{peak / 2e5:.1f} bytes a cell"
+
     def test_benchmark_grid_marginal_is_pinned(self):
         # 26 cells with 52 hits; 200 phi columns make 20-row filter blocks,
         # so the last two cells, 30698 and 30701, lie past the first block

@@ -1,6 +1,5 @@
 import cmath
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from geopump import (
     sample_loop_params,
     su2_defect,
 )
-from geopump.su2 import _hypot, require_angles
+from geopump.su2 import IDENTITY_SIN_TOL, HalfTurn, _require_axis, require_angles
 
 RNG = np.random.default_rng(20260819)
 
@@ -249,67 +248,42 @@ def test_half_turn_reads_sin_h_and_h_once_through_math():
         assert sin_h == math.hypot(s, c_sin) and h == math.atan2(sin_h, c_cos)
 
 
-def _hypot_bits_match(x, y):
-    # the port against math.hypot of the running interpreter, in blocks,
-    # so that a change in CPython's hypot fails here, not as byte drift
-    x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
-    x, y = x.ravel(), y.ravel()
-    for lo in range(0, x.size, 100_000):
-        a, b = x[lo : lo + 100_000], y[lo : lo + 100_000]
-        want = np.fromiter(map(math.hypot, a.tolist(), b.tolist()), float, a.size)
-        got = _hypot(a, b)
-        bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
-        assert not bad.size, f"{bad.size} mismatches, first hypot({a[bad[0]]!r}, {b[bad[0]]!r})"
+def test_sin_h_is_math_hypot_per_element():
+    theta, phase = np.linspace(0.1, 3.0, 3)[:, None], np.linspace(-1.5, 1.5, 4)
+    ht = half_turn(theta, phase)  # s is (3, 1), c_sin (3, 4)
+    assert ht.sin_h.shape == (3, 4)
+    s, c_sin = (a.tolist() for a in np.broadcast_arrays(ht.s, ht.c_sin))
+    assert ht.sin_h.tolist() == [list(map(math.hypot, *row)) for row in zip(s, c_sin)]
+    assert half_turn(np.zeros(0), 0.3).sin_h.shape == (0,)
+    sin_h, c = half_turn(0.5, 0.3).sin_h, math.cos(0.25)
+    assert type(sin_h) is float and sin_h == math.hypot(math.sin(0.25), c * math.sin(0.3))
 
 
-class TestHypotPort:
-    """su2._hypot is math.hypot bit for bit: sin_h, and with it every
-    amplitude and rate, does not depend on which of the two computes it."""
+def test_axis_guard_raises_on_exactly_the_hypots_below_the_tolerance():
+    # records built directly, legs on both sides of the tolerance and of its
+    # diagonal tol/sqrt(2), both signs; the guard never reads ht.sin_h
+    tol = IDENTITY_SIN_TOL
+    edges = [tol / math.sqrt(2.0), 0.5 * tol, tol]
+    legs = [0.0, *edges, *np.nextafter(edges, 0.0), np.nextafter(tol, 1.0), 1.0]
+    legs = np.array(legs + [-v for v in legs])
+    s, c_sin = (a.ravel() for a in np.meshgrid(legs, legs))
+    below = np.fromiter(map(math.hypot, s.tolist(), c_sin.tolist()), float, s.size) < tol
+    assert below.any() and not below.all()
 
-    def test_seeded_draws(self):
-        theta, _, phi = sample_loop_params(make_rng(1), 10**6)
-        ht = half_turn(theta, phi)
-        _hypot_bits_match(ht.s, ht.c_sin)
+    def guarded(ht, raises):
+        if raises:
+            with pytest.raises(IdentityRotationError):
+                _require_axis(ht)
+        else:
+            assert _require_axis(ht) is ht and "sin_h" not in vars(ht)
 
-    def test_signed_pairs_across_the_exponent_range(self):
-        rng = np.random.default_rng(34)
-        size = 10**6
-        legs = [
-            np.ldexp(rng.uniform(-1.0, 1.0, size), rng.integers(-1000, 1001, size))
-            for _ in range(2)
-        ]
-        _hypot_bits_match(*legs)
-        _hypot_bits_match(legs[0], legs[0] * (1.0 + 1e-9 * rng.standard_normal(size)))
-        _hypot_bits_match(*(rng.uniform(-1.0, 1.0, size) for _ in range(2)))
-
-    def test_edges(self):
-        tiny, dbl_min, big = 5e-324, sys.float_info.min, sys.float_info.max
-        edges = [
-            0.0, 1.0, 3.0, tiny, 3 * tiny, dbl_min - tiny, dbl_min, dbl_min + tiny,
-            4 * dbl_min, 1e-300, 1e-160, 1e150, 1e154, 1e300,
-            1e308, 2.0**1022, np.nextafter(2.0**1023, 0.0), 2.0**1023, big,
-            math.inf, math.nan,
-        ]
-        edges = np.array(edges + [-v for v in edges])
-        x, y = np.meshgrid(edges, edges)
-        _hypot_bits_match(x, y)
-        # one leg 0, equal legs, and 1e308-scale pairs that overflow or not
-        rng = np.random.default_rng(35)
-        v = np.ldexp(rng.uniform(0.5, 1.0, 2000), rng.integers(-1074, 1025, 2000))
-        _hypot_bits_match(v, 0.0)
-        _hypot_bits_match(-0.0, v)
-        _hypot_bits_match(v, v)
-        _hypot_bits_match(v, -v)
-        top = rng.uniform(0.1, 1.79, 2000) * 1e308
-        _hypot_bits_match(top, top[::-1])
-
-    def test_shapes_and_the_scalar_route(self):
-        y = np.arange(12.0).reshape(3, 4) - 5.5
-        assert _hypot(0.25, y).shape == (3, 4)
-        assert _hypot(0.25, y).tolist() == [[math.hypot(0.25, v) for v in row] for row in y.tolist()]
-        assert _hypot(np.zeros(0), 1.0).shape == (0,)
-        sin_h = half_turn(0.5, 0.3).sin_h
-        assert type(sin_h) is float and sin_h == math.hypot(math.sin(0.25), math.cos(0.25) * math.sin(0.3))
+    for a, b, low in zip(s.tolist(), c_sin.tolist(), below.tolist()):
+        guarded(HalfTurn(a, b, 1.0), low)
+    guarded(HalfTurn(s, c_sin, np.ones(s.size)), True)
+    guarded(HalfTurn(s[~below], c_sin[~below], np.ones(int((~below).sum()))), False)
+    for a in legs.tolist():  # a float s against an array c_sin
+        low = any(math.hypot(a, b) < tol for b in legs.tolist())
+        guarded(HalfTurn(a, legs, np.ones(legs.size)), low)
 
 
 class TestAmplitude:

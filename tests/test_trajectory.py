@@ -34,6 +34,8 @@ def _canned_record(tmp_path, monkeypatch, diff):
         elif argv[:2] == ["git", "diff"]:
             assert argv[2:] == ["HEAD", "--binary"] and text is False
             out = diff
+        elif argv[1:] == ["-m", "compileall", "-q", "src"]:
+            out = ""
         elif argv[1] == "bench/run.py":
             result = {"correct": True, "attempted": 3, "failed": 0, "metrics": {"run_s": 0.1}}
             out = f"# machine: nproc=2, python=3.11\nrun_s 0.1 s\n{json.dumps(result)}\n"
@@ -54,7 +56,7 @@ def test_record_keeps_each_runs_last_line_and_the_tier1_counts(tmp_path, monkeyp
     record, calls = _canned_record(tmp_path, monkeypatch, _DIFF)
     assert record["commit"] == "abc123" and record["dirty"] is True
     assert record["diff_sha256"] == hashlib.sha256(_DIFF).hexdigest()
-    assert record["seed"] == 3 and record["seconds"] == 15
+    assert record["seed"] == 3 and record["seconds"] == 15 and record["pyc_warmed"] is True
     assert sorted(record["workloads"]) == ["pump-trace", "verify"]
     assert record["workloads"]["verify"]["machine"] == "nproc=2, python=3.11"
     assert record["workloads"]["verify"]["result"]["metrics"] == {"run_s": 0.1}
@@ -63,6 +65,9 @@ def test_record_keeps_each_runs_last_line_and_the_tier1_counts(tmp_path, monkeyp
     assert bench_argv[0] == [
         "bench/run.py", "--workload", "pump-trace", "--seed", "3", "--seconds", "15"
     ]
+    # the caches are written before the first bench run, so its children read them
+    warm = calls.index([sys.executable, "-m", "compileall", "-q", "src"])
+    assert warm < min(i for i, argv in enumerate(calls) if argv[1] == "bench/run.py")
 
 
 def test_a_clean_tree_records_the_hash_of_no_bytes(tmp_path, monkeypatch):

@@ -8,14 +8,17 @@ For each workload in BENCHMARK.json this runs
 
 as a subprocess, S being BENCHMARK.json's run_seconds, and keeps the run's
 `# machine:` line and its last stdout line, one JSON object with correct,
-attempted, failed and metrics.  It then times one tier-1 run (the pytest
-command in ROADMAP.md) and counts its passes and failures.  The file goes
-to the root of the checkout, with the commit from `git rev-parse HEAD`,
-whether the working tree differed from it, and diff_sha256, the SHA-256 of
-`git diff HEAD --binary` (untracked files aside), so that a point measured
-before its commit names the tree it measured; a clean tree gives the hash
-of no bytes.  A change that claims a gain quotes the numbers of two such
-files, before and after.
+attempted, failed and metrics.  Before the first run it writes the
+bytecode caches of src with `python -m compileall -q src`, which writes
+them whatever PYTHONDONTWRITEBYTECODE says, so every run's set-up reads
+warm caches (pyc_warmed in the file).  It then times one tier-1 run (the
+pytest command in ROADMAP.md) and counts its passes and failures.  The
+file goes to the root of the checkout, with the commit from `git rev-parse
+HEAD`, whether the working tree differed from it, and diff_sha256, the
+SHA-256 of `git diff HEAD --binary` (untracked files aside), so that a
+point measured before its commit names the tree it measured; a clean tree
+gives the hash of no bytes.  A change that claims a gain quotes the
+numbers of two such files, before and after.
 """
 
 from __future__ import annotations
@@ -71,6 +74,7 @@ def main(argv=None) -> int:
     n = parser.parse_args(argv).n
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = declared["run_seconds"]
+    _run([sys.executable, "-m", "compileall", "-q", "src"], check=True)
     record = {
         "n": n,
         "commit": _run(["git", "rev-parse", "HEAD"], check=True).stdout.strip(),
@@ -80,6 +84,7 @@ def main(argv=None) -> int:
         ).hexdigest(),
         "seed": SEED,
         "seconds": seconds,
+        "pyc_warmed": True,
         "workloads": {wl["name"]: bench(wl["name"], seconds) for wl in declared["workloads"]},
         "tier1": tier1(),
     }
