@@ -48,7 +48,7 @@ from .asymptotics import p_geometric, p_infinity, p_infinity_axis_route
 from .band import DriveCycle, GapClosedError, pump_profile_blocks
 from .evolution import pump_trace_blocks
 from .sampling import make_rng, sample_loop_params
-from .stability import _check_grid, _grid_axes, phase_diagram
+from .stability import _check_grid, _grid_axes, _grid_cut, phase_diagram
 from .su2 import _BLOCK, IdentityRotationError, LoopParams
 
 
@@ -379,17 +379,12 @@ def _run_simulate(cfg: RunConfig) -> ResultTable:
 
 
 def _grid_blocks(thetas: np.ndarray, phis: np.ndarray, *grids: np.ndarray):
-    """Yield column blocks of the product grid, rows along theta: theta,
-    phi and each (n_theta, n_phi) array in grids flattened.  Each block
-    holds whole theta rows, max(1, _BLOCK // n_phi) of them, and a
-    theta row longer than _BLOCK comes in pieces."""
-    per_block = max(1, _BLOCK // len(phis))
-    for start in range(0, len(thetas), per_block):
-        rows = slice(start, start + per_block)
-        for lo in range(0, len(phis), _BLOCK):
-            cols, n_rows = slice(lo, lo + _BLOCK), len(thetas[rows])
-            theta, phi = np.repeat(thetas[rows], len(phis[cols])), np.tile(phis[cols], n_rows)
-            yield (theta, phi, *(grid[rows, cols].ravel() for grid in grids))
+    """Column blocks of the product grid, rows along theta (theta, phi and
+    each (n_theta, n_phi) array in grids flattened), cut by _grid_cut."""
+    for rows, cols in _grid_cut(len(thetas), len(phis)):
+        theta, phi = thetas[rows], phis[cols]
+        theta, phi = np.repeat(theta, len(phi)), np.tile(phi, len(theta))
+        yield (theta, phi, *(grid[rows, cols].ravel() for grid in grids))
 
 
 def _run_asymptote(cfg: RunConfig) -> ResultTable:
@@ -412,9 +407,10 @@ def _run_asymptote(cfg: RunConfig) -> ResultTable:
 
 def _run_phase_diagram(cfg: RunConfig) -> ResultTable:
     diagram = phase_diagram(**cfg.params)  # the params are phase_diagram's arguments
-    grid = (diagram.theta_values, diagram.phi_values, diagram.orders > 0, diagram.orders)
+    grid = (diagram.theta_values, diagram.phi_values, diagram.orders)
+    source = lambda: ((theta, phi, order > 0, order) for theta, phi, order in _grid_blocks(*grid))
     columns = ("theta", "phi", "stable", "order")
-    return ResultTable(columns, metadata=_metadata(cfg), source=lambda: _grid_blocks(*grid))
+    return ResultTable(columns, metadata=_metadata(cfg), source=source)
 
 
 def _run_band_scan(cfg: RunConfig) -> ResultTable:

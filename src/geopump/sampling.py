@@ -30,7 +30,8 @@ def sample_loop_params(
 
     The angles are checked once per array, as LoopParams checks one loop.
     """
-    count = require_int("count", count)
+    if (count := require_int("count", count)) < 0:  # numpy's message names no field
+        raise ValueError(f"count must be >= 0, got {count}")
     thetas = rng.uniform(*theta_range, size=count)
     omegas = rng.uniform(0.0, 2.0 * math.pi, size=count)
     phis = rng.uniform(*phi_range, size=count)

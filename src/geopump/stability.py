@@ -328,6 +328,16 @@ def _grid_axes(theta_grid: int, phi_grid: int, offset: float) -> tuple[np.ndarra
     )
 
 
+def _grid_cut(n_theta: int, n_phi: int):
+    """(rows, cols) slices that cut an (n_theta, n_phi) grid into blocks of
+    at most _BLOCK cells, row-major: max(1, _BLOCK // n_phi) whole theta
+    rows, or pieces of a longer row, so each is a run of flat cells."""
+    per_block = max(1, _BLOCK // n_phi)
+    for start in range(0, n_theta, per_block):
+        for lo in range(0, n_phi, _BLOCK):
+            yield slice(start, start + per_block), slice(lo, lo + _BLOCK)
+
+
 # Each magnitude at n <= N = n_max is at least (1 - 3u) A sin(pi m(h/pi)) -
 # u N h A (the note above _returns; grid cells have cos h >= 0), m(x) the
 # min over n <= N of ||n x||.  np.hypot and np.arctan2 (2 ulp) put x within
@@ -364,30 +374,22 @@ def phase_diagram(
     offset = 0.5 (default) samples cell midpoints, staying off the
     boundary stable lines; offset = 0 uses an endpoint-inclusive grid.
 
-    Every cell equals classify(theta, phi, n_max, tol).  _may_return drops
-    the cells that cannot come within MARGINAL_BAND, one block of about
-    _BLOCK cells at a time (whole theta rows, or pieces of a long one),
-    and the rest go through _returns in blocks of at most _BLOCK.  Only
-    the int64 orders, one keep flag a cell and the kept cells' indices
-    grow with the grid.
+    Every cell equals classify(theta, phi, n_max, tol), so a verdict at
+    the tol edge is faithful only while pi n_max u << tol.  One walk over
+    the _grid_cut blocks: _may_return drops the cells that cannot come
+    within MARGINAL_BAND, and _returns scans the rest of the block.  Only
+    the int64 orders grow with the grid.
     """
     _check_scan(n_max, tol)  # before the axes are allocated
     thetas, phis = _grid_axes(theta_grid, phi_grid, offset)
     orders = np.zeros((len(thetas), len(phis)), dtype=np.int64)
-    kept = np.empty(orders.shape, dtype=bool)
-    per_block = max(1, _BLOCK // len(phis))
-    for start in range(0, len(thetas), per_block):
-        for lo in range(0, len(phis), _BLOCK):
-            rows, cols = slice(start, start + per_block), slice(lo, lo + _BLOCK)
-            kept[rows, cols] = _may_return(thetas[rows, None], phis[None, cols], n_max)
-    candidates = np.flatnonzero(kept)
-    del kept
     marginal: dict[int, tuple[int, ...]] = {}
-    for start in range(0, candidates.size, _BLOCK):
-        cells = candidates[start : start + _BLOCK]
-        i, j = np.divmod(cells, len(phis))
-        # each cell sees the floats classify reads
-        orders.flat[cells], marks = _returns(thetas[i], phis[j], n_max, tol)
-        marginal.update((int(cells[cell]), m) for cell, m in marks.items())
+    for rows, cols in _grid_cut(len(thetas), len(phis)):
+        kept = np.flatnonzero(_may_return(thetas[rows, None], phis[None, cols], n_max))
+        if kept.size:
+            cells = rows.start * len(phis) + cols.start + kept
+            i, j = np.divmod(cells, len(phis))  # each cell sees the floats classify reads
+            orders.flat[cells], marks = _returns(thetas[i], phis[j], n_max, tol)
+            marginal.update((int(cells[cell]), m) for cell, m in marks.items())
     orders.flags.writeable = False
     return PhaseDiagram(thetas, phis, n_max, orders, marginal)

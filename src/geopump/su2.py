@@ -46,8 +46,8 @@ _EXP = 0x7FF << 52  # a double's exponent bits
 # the one block size, so memory does not grow with a run's length: rows of
 # a table block (cli._column_blocks, cli._grid_blocks), cycles of
 # pump_trace_blocks and propagate_state (and its table of powers), momenta
-# of pump_profile_blocks, phases of phi_average, cells of phase_diagram's
-# filter and candidate scan
+# of pump_profile_blocks, phases of phi_average, cells of a grid block
+# (stability._grid_cut), which phase_diagram scans and cli writes
 _BLOCK = 4096
 
 
@@ -71,9 +71,9 @@ def require_angles(theta, **angles) -> None:
 
 
 def require_int(name: str, value) -> int:
-    """operator.index(value), so 2.5 or 2.0 is no size; ValueError naming it."""
-    try:
-        return operator.index(value)
+    """operator.index(value), so 2.5, 2.0 or True is no size; ValueError naming it."""
+    try:  # operator.index(None) raises the TypeError
+        return operator.index(None if isinstance(value, bool) else value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 

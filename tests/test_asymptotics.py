@@ -355,6 +355,14 @@ def test_sample_loop_params_rejects_a_non_integer_count(count):
     assert len(sample_loop_params(make_rng(0), np.int64(3))[0]) == 3
 
 
+def test_sample_loop_params_rejects_a_negative_count():
+    # numpy's "negative dimensions are not allowed" would name no argument
+    with pytest.raises(ValueError) as info:
+        sample_loop_params(make_rng(0), -1)
+    assert str(info.value) == "count must be >= 0, got -1"
+    assert all(draw.shape == (0,) for draw in sample_loop_params(make_rng(0), 0))
+
+
 def test_array_kernels_reject_bad_input():
     theta = np.array([0.4, 1.0, 2.5])
     omega = np.array([0.1, 3.0, 5.0])

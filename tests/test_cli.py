@@ -27,6 +27,7 @@ from geopump import (
 )
 from geopump.checks import CheckResult
 import geopump.cli as cli
+from geopump.stability import _grid_cut
 from geopump.su2 import _BLOCK
 from geopump.cli import (
     ConfigError,
@@ -472,16 +473,30 @@ class TestBlockBoundaries:
         assert to_csv(table) == _reference_csv(table)
 
     @pytest.mark.parametrize("n_theta,n_phi", [(5, 3), (2, 4), (4, 7), (3, 10), (1, 15)])
+    def test_grid_cut_is_runs_of_flat_cells(self, small_blocks, n_theta, n_phi):
+        # the one cut of phase_diagram's scan and of both grid tables
+        small_blocks(7)
+        cells = np.arange(n_theta * n_phi).reshape(n_theta, n_phi)
+        blocks = [cells[rows, cols].ravel() for rows, cols in _grid_cut(n_theta, n_phi)]
+        assert np.concatenate(blocks).tolist() == list(range(n_theta * n_phi))
+        for block in blocks:
+            assert 0 < block.size <= 7
+            assert block.tolist() == list(range(block[0], block[0] + block.size))
+        if n_phi <= 7:  # whole theta rows
+            assert all(block.size % n_phi == 0 for block in blocks)
+
+    @pytest.mark.parametrize("n_theta,n_phi", [(5, 3), (2, 4), (4, 7), (3, 10), (1, 15)])
     def test_grid_blocks_hold_whole_theta_rows(self, small_blocks, n_theta, n_phi):
+        # the grid tables' column blocks, one for each block of the cut
         small_blocks(7)
         thetas, phis = np.arange(n_theta) + 0.5, np.arange(n_phi) / 8.0
-        blocks = list(cli._grid_blocks(thetas, phis))
-        assert all(0 < len(theta) == len(phi) <= 7 for theta, phi in blocks)
-        theta, phi = map(np.concatenate, zip(*blocks))
+        cells = np.arange(n_theta * n_phi).reshape(n_theta, n_phi)
+        blocks = list(cli._grid_blocks(thetas, phis, cells))
+        cut = [cells[rows, cols].ravel().tolist() for rows, cols in _grid_cut(n_theta, n_phi)]
+        assert [cell.tolist() for *_, cell in blocks] == cut
+        theta, phi, _ = map(np.concatenate, zip(*blocks))
         assert theta.tolist() == np.repeat(thetas, n_phi).tolist()
         assert phi.tolist() == np.tile(phis, n_theta).tolist()
-        if n_phi <= 7:  # whole theta rows: every block starts at phi[0]
-            assert all(len(b[1]) % n_phi == 0 and b[1][0] == phis[0] for b in blocks)
 
     @pytest.mark.parametrize(
         "command,params",

@@ -547,7 +547,7 @@ class TestPhaseDiagramBlocks:
 
     def test_a_wide_grid_holds_one_filter_block(self):
         # the keep/drop filter once took a whole theta row per block: about
-        # 106 bytes a cell on 2 x 100 000; the orders and keep flags are 9
+        # 106 bytes a cell on 2 x 100 000; the int64 orders are 8
         phase_diagram(2, 8, 200)  # allocations made once per process
         tracemalloc.start()
         try:
@@ -558,7 +558,7 @@ class TestPhaseDiagramBlocks:
         assert peak < 20 * 2 * 100_000, f"{peak / 2e5:.1f} bytes a cell"
 
     def test_benchmark_grid_marginal_is_pinned(self):
-        # 26 cells with 52 hits; 200 phi columns make 20-row filter blocks,
+        # 26 cells with 52 hits; 200 phi columns make 20-row scan blocks,
         # so the last two cells, 30698 and 30701, lie past the first block
         marginal = phase_diagram(200, 200, 200).marginal
         assert marginal == {
@@ -575,9 +575,8 @@ class TestPhaseDiagramBlocks:
         assert min(30698, 30701) >= _BLOCK // 200 * 200
 
     def test_memory_is_the_orders_and_one_block(self):
-        # the int64 orders take 8 bytes a cell, the keep flags 1 and the kept
-        # cells' indices next to nothing; the prefilter and _returns hold one
-        # block's arrays at a time
+        # the int64 orders take 8 bytes a cell; the prefilter and _returns
+        # hold one block's arrays at a time
         phase_diagram(20, 20, 10)  # allocations made once per process are not per cell
         tracemalloc.start()
         try:
@@ -586,6 +585,18 @@ class TestPhaseDiagramBlocks:
         finally:
             tracemalloc.stop()
         assert peak / 500**2 < 20, f"{peak / 500**2:.1f} bytes per cell"
+
+    def test_nothing_but_the_orders_and_axes_grows_with_the_grid(self):
+        # a whole-grid keep flag, 1 byte a cell, would add 0.95 MiB here
+        phase_diagram(20, 20, 10)  # allocations made once per process are not per cell
+        tracemalloc.start()
+        try:
+            phase_diagram(1000, 1000, 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rest = peak - 8 * 1000**2 - 8 * 2 * 1000  # the int64 orders and the two axes
+        assert rest < 2**20, f"{rest / 2**20:.2f} MiB beside the orders"
 
 
 _U = 2.0**-53
@@ -703,7 +714,8 @@ class TestPrefilter:
 
         monkeypatch.setattr(stability, "_returns", counting)
         diagram = phase_diagram(200, 200, 200)
-        assert scanned == [26] and len(diagram.marginal) == 26
+        # one call per 20-row block that keeps a cell, the 26 marginal ones
+        assert scanned == [18, 4, 2, 2] and len(diagram.marginal) == 26
 
     def test_cells_at_the_identity_are_kept(self):
         # theta = 0 has s = 0; theta = 0, phi = 0 has sin h = 0 and a NaN amplitude

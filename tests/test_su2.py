@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import geopump as gp
 from geopump import (
     IdentityRotationError,
     LoopParams,
@@ -556,3 +557,41 @@ def test_require_angles_message_does_not_depend_on_input_shape(theta, phi, messa
             with pytest.raises(ValueError) as info:
                 call()
             assert type(info.value) is ValueError and str(info.value) == message
+
+
+_LOOP = LoopParams(1.0, 0.0, 0.3)
+
+# one call per public size argument, every other argument valid
+_SIZES = {
+    "n_max": [lambda v: gp.classify(1.0, 0.3, v), lambda v: gp.phase_diagram(4, 4, v)],
+    "cycles": [
+        lambda v: next(gp.pump_trace_blocks(1.0, 0.3, v)),
+        lambda v: gp.pump_trace(_LOOP, v),
+        lambda v: gp.propagate_state(_LOOP, v),
+    ],
+    "k_grid": [
+        lambda v: next(gp.pump_profile_blocks(gp.DriveCycle(1.0), v)),
+        lambda v: gp.pump_profile(gp.DriveCycle(1.0), v),
+    ],
+    "resolution": [lambda v: gp.stable_curve(1, 3, v)],
+    "quadrature_points": [lambda v: gp.phi_average(1.0, v)],
+    "count": [lambda v: sample_loop_params(make_rng(0), v)],
+    "theta_grid": [lambda v: gp.phase_diagram(v, 4, 10)],
+    "phi_grid": [lambda v: gp.phase_diagram(4, v, 10)],
+    "p": [lambda v: gp.curve_order(v, 3), lambda v: gp.stable_curve(v, 3, 10)],
+    "q": [lambda v: gp.curve_order(1, v), lambda v: gp.stable_curve(1, v, 10)],
+    "n": [lambda v: gp.trajectory_angles(1.0, 0.3, v), lambda v: gp.fibonacci_poly(v, 1j)],
+}
+
+
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize(
+    "name,call",
+    [pytest.param(name, call, id=f"{name}{i}") for name, calls in _SIZES.items()
+     for i, call in enumerate(calls)],
+)
+def test_a_bool_is_no_size(name, call, flag):
+    # operator.index(True) is 1, so only an explicit check keeps a flag out
+    with pytest.raises(ValueError) as info:
+        call(flag)
+    assert str(info.value) == f"{name} must be an integer, got {flag!r}"

@@ -45,6 +45,12 @@ def _canned_record(tmp_path, monkeypatch, diff):
 
     monkeypatch.setattr(trajectory, "_run", canned)
     monkeypatch.setattr(trajectory, "ROOT", tmp_path)
+    package = tmp_path / "src" / "geopump"
+    (package / "__pycache__").mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n")
+    (package / "b.py").write_text("z = 3")  # wc -l counts no line without its newline
+    (package / "notes.txt").write_text("\n" * 5)
+    (package / "__pycache__" / "c.py").write_text("\n" * 7)
     (tmp_path / "BENCHMARK.json").write_text(
         json.dumps({"run_seconds": 15, "workloads": [{"name": "pump-trace"}, {"name": "verify"}]})
     )
@@ -61,6 +67,7 @@ def test_record_keeps_each_runs_last_line_and_the_tier1_counts(tmp_path, monkeyp
     assert record["workloads"]["verify"]["machine"] == "nproc=2, python=3.11"
     assert record["workloads"]["verify"]["result"]["metrics"] == {"run_s": 0.1}
     assert (record["tier1"]["passed"], record["tier1"]["failed"]) == (4, 1)
+    assert record["src_lines"] == 2  # wc -l src/geopump/*.py
     bench_argv = [argv[1:] for argv in calls if argv[1] == "bench/run.py"]
     assert bench_argv[0] == [
         "bench/run.py", "--workload", "pump-trace", "--seed", "3", "--seconds", "15"

@@ -12,7 +12,8 @@ attempted, failed and metrics.  Before the first run it writes the
 bytecode caches of src with `python -m compileall -q src`, which writes
 them whatever PYTHONDONTWRITEBYTECODE says, so every run's set-up reads
 warm caches (pyc_warmed in the file).  It then times one tier-1 run (the
-pytest command in ROADMAP.md) and counts its passes and failures.  The
+pytest command in ROADMAP.md) and counts its passes and failures, and
+records src_lines, the total `wc -l src/geopump/*.py` prints.  The
 file goes to the root of the checkout, with the commit from `git rev-parse
 HEAD`, whether the working tree differed from it, and diff_sha256, the
 SHA-256 of `git diff HEAD --binary` (untracked files aside), so that a
@@ -68,6 +69,11 @@ def tier1() -> dict:
     }
 
 
+def src_lines() -> int:
+    # newlines, as wc -l counts them, in the package's modules
+    return sum(path.read_bytes().count(b"\n") for path in (ROOT / "src" / "geopump").glob("*.py"))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("n", type=int, help="number of the change; the file is BENCH_<n>.json")
@@ -87,6 +93,7 @@ def main(argv=None) -> int:
         "pyc_warmed": True,
         "workloads": {wl["name"]: bench(wl["name"], seconds) for wl in declared["workloads"]},
         "tier1": tier1(),
+        "src_lines": src_lines(),
     }
     out = ROOT / f"BENCH_{n}.json"
     out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
