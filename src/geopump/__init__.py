@@ -48,7 +48,6 @@ from .stability import (
     StableCurve,
     classify,
     curve_order,
-    fibonacci_poly,
     matrix_power_closed_form,
     off_diagonal_magnitude,
     phase_diagram,
@@ -91,7 +90,6 @@ __all__ = [
     "curve_order",
     "euler_from_loop",
     "euler_matrices",
-    "fibonacci_poly",
     "half_turn",
     "make_rng",
     "matrix_power_closed_form",

@@ -15,7 +15,8 @@ wide, so it holds at most one multiple of 100, which is then repr's digits
 with trailing zeros: only m = 1 and m = 2 are tried (U. Adams, PLDI 2018,
 decides the same rule without bignums).  Each 17-digit integer is held as
 two doubles, so every digit comes from exact double arithmetic and few
-numpy loops beyond the pump kernels' are touched.  Python's % or repr
+numpy loops beyond the pump kernels' are touched, besides the integer and
+bit operations that read a double's exponent.  Python's % or repr
 (json.dumps for NaN and +/-inf) spells what the kernel cannot decide: an X
 within 1e-6 of the tie that picks its digits (exact ties among them), a
 distance within 1e-6 of an interval edge, zeros, NaN, +/-inf, |x| outside
@@ -31,15 +32,23 @@ from functools import cache
 
 import numpy as np
 
-from .su2 import _EXP, _split
-
 _K = range(-256, 289)  # 16 - E for every E the fast path meets
 _TINY, _HUGE = np.array([1e-270, 1e270]).view(np.int64).tolist()
 _SIGN = -(2**63)  # the bits of -x are those of x plus this
 _LOG10_2 = math.log10(2.0)
 _MINUS, _PLUS, _POINT, _E = map(np.uint8, b"-+.e")
 _FRAC = 2**52 - 1  # a double's significand bits
+_EXP = 0x7FF << 52  # a double's exponent bits
+_SPLIT = float(2**27 + 1)  # Veltkamp's splitter for 53-bit significands
 _EDGE = 1e-6  # a decision this near a tie or an interval edge goes to Python
+
+
+def _split(a):
+    # Veltkamp's halves of a double: a = hi + lo exactly, each half short
+    # enough that a product of two is exact (Dekker, Numer. Math. 18, 1971)
+    hi = a * _SPLIT
+    hi -= hi - a
+    return hi, a - hi
 
 
 @cache

@@ -151,18 +151,18 @@ class PumpEvent1D:
 
 
 def cosine_cycle_zeros(offset: float) -> tuple[PumpEvent1D, ...]:
-    """Zeros of offset + cos(2*pi*x) for x in [0, 1).
+    """Zeros of offset + cos(2*pi*x) for x in [0, 1); ValueError unless offset is finite.
 
     Two transversal crossings for |offset| < 1, a single tangential touch
     at |offset| = 1, nothing otherwise.  Fractions come back ascending.
     """
+    if not math.isfinite(offset):
+        raise ValueError(f"offset must be finite, got {offset!r}")
     if abs(offset) > 1.0:
         return ()
-    if offset == 1.0:
-        return (PumpEvent1D(0.5, transversal=False),)
-    if offset == -1.0:
-        return (PumpEvent1D(0.0, transversal=False),)
-    x = math.acos(-offset) / TWO_PI
+    x = math.acos(-offset) / TWO_PI  # 0.5 exactly at offset 1, 0.0 at -1
+    if abs(offset) == 1.0:
+        return (PumpEvent1D(x, transversal=False),)
     return (
         PumpEvent1D(x, transversal=True),
         PumpEvent1D(1.0 - x, transversal=True),

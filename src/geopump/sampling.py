@@ -15,7 +15,9 @@ from .su2 import require_angles, require_int
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Counter-based generator for one run."""
+    """Counter-based generator for one run, keyed by an integer seed >= 0."""
+    if (seed := require_int("seed", seed)) < 0:  # numpy's message names no argument
+        raise ValueError(f"seed must be >= 0, got {seed}")
     return np.random.Generator(np.random.Philox(seed))
 
 

@@ -32,18 +32,6 @@ class EmptyCurveError(ValueError):
     """No point in the canonical parameter ranges satisfies the curve relation."""
 
 
-def fibonacci_poly(n: int, x: complex) -> complex:
-    """Fibonacci polynomial F_n(x): F_0 = 0, F_1 = 1, F_{n+2} = x F_{n+1} + F_n,
-    by that recurrence.  F_n(x) = (-i)^(n-1) t_n for the Chebyshev sequence
-    t of y = i x; at x = -i tr U, y = tr U and U^n = t_n U - t_{n-1} I."""
-    if require_int("n", n) < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    prev, cur = 1.0 + 0.0j, 0.0j  # F_{-1}, F_0
-    for _ in range(n):
-        prev, cur = cur, x * cur + prev
-    return cur
-
-
 def _folded(ht):
     # the half turn folded into [0, pi/2] and the sign of cos h: t_n(pi - h)
     # = (-1)^(n-1) t_n(h), so n h keeps its relative precision near -I too

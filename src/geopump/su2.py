@@ -15,9 +15,8 @@ the matrix builders work elementwise on floats or equal-shape arrays of
 angles (matrices then stack as (..., 2, 2)); require_angles, which
 LoopParams calls too, checks their domain once per array.  Output bytes
 rest only on numpy ufuncs that round alike at every SIMD dispatch level:
-IEEE arithmetic, sqrt, abs, maximum, floor, remainder, sin and cos, and
-the integer and bit operations that read a double's exponent.  hypot and
-atan2 go through math, one call per element (_libm): np.hypot differs
+IEEE arithmetic, sqrt, abs, maximum, floor, remainder, sin and cos.  hypot
+and atan2 go through math, one call per element (_libm): np.hypot differs
 from math.hypot on 0.67% of sin_h inputs, np.arctan2 with the SIMD level.
 np.arctan2 feeds only band.winding_number's integer and, with np.hypot,
 phase_diagram's keep/drop prefilter, whose 2 ulp margin dwarfs any wobble.
@@ -39,9 +38,6 @@ HALF_PI = 0.5 * math.pi
 
 # half turn sines below this are +/-identity to rounding: no axis is defined
 IDENTITY_SIN_TOL = 4.0 * sys.float_info.epsilon
-
-_SPLIT = float(2**27 + 1)  # Veltkamp's splitter for 53-bit significands
-_EXP = 0x7FF << 52  # a double's exponent bits
 
 # the one block size, so memory does not grow with a run's length: rows of
 # a table block (cli._column_blocks, cli._grid_blocks), cycles of
@@ -105,10 +101,10 @@ class LoopParams:
 # --- group operations -----------------------------------------------------
 
 def power(u: np.ndarray, n: int) -> np.ndarray:
-    """n-th matrix power for natural n, by binary exponentiation."""
-    if n < 0 or n != int(n):
-        raise ValueError(f"exponent must be a natural number, got {n!r}")
-    return np.linalg.matrix_power(u, int(n))
+    """n-th matrix power for an integer n >= 0, by binary exponentiation."""
+    if (n := require_int("n", n)) < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    return np.linalg.matrix_power(u, n)
 
 
 def su2_defect(u: np.ndarray):
@@ -138,15 +134,6 @@ def _libm(fn, y, x):
     y, x = np.broadcast_arrays(y, x)
     out = np.fromiter(map(fn, y.ravel().tolist(), x.ravel().tolist()), float, y.size)
     return out.reshape(y.shape)[()]
-
-
-def _split(a):
-    # Veltkamp's halves of a double: a = hi + lo exactly, each half short
-    # enough that a product of two is exact (Dekker, Numer. Math. 18, 1971)
-    hi = a * _SPLIT
-    lo = hi - a
-    hi -= lo
-    return hi, a - hi
 
 
 def _cis(x, sign=1):

@@ -400,6 +400,13 @@ class TestCosineCycle:
     def test_gapped_cycle_is_quiet(self, offset):
         assert cosine_cycle_zeros(offset) == ()
 
+    @pytest.mark.parametrize("offset", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_offset_is_rejected(self, offset):
+        # nan once gave two crossings at time_fraction nan, +/-inf no event
+        with pytest.raises(ValueError) as info:
+            cosine_cycle_zeros(offset)
+        assert str(info.value) == f"offset must be finite, got {offset!r}"
+
     def test_zero_locations_solve_the_cosine(self):
         for offset in RNG.uniform(-0.999, 0.999, size=20):
             for event in cosine_cycle_zeros(float(offset)):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geopump import (
@@ -14,7 +14,6 @@ from geopump import (
     build_loop_operator,
     classify,
     curve_order,
-    fibonacci_poly,
     half_turn,
     matrix_power_closed_form,
     off_diagonal_magnitude,
@@ -77,36 +76,6 @@ class TestTraceParameter:
             want = [(2.0 * (math.cos(0.5 * t) * math.cos(p)), math.sin(0.5 * t)) for t, p in pairs]
             assert (2.0 * ht.c_cos).tolist() == [y for y, _ in want]
             assert ht.s.tolist() == [s for _, s in want]
-
-
-class TestFibonacciPoly:
-    def test_base_cases(self):
-        assert fibonacci_poly(0, 0.7j) == 0.0
-        assert fibonacci_poly(1, 0.7j) == 1.0
-
-    def test_low_orders(self):
-        x = -1.3j
-        assert fibonacci_poly(2, x) == pytest.approx(x)
-        assert fibonacci_poly(3, x) == pytest.approx(x * x + 1.0)
-        assert fibonacci_poly(4, x) == pytest.approx(x**3 + 2.0 * x)
-
-    def test_recurrence(self):
-        x = complex(RNG.uniform(-1, 1), RNG.uniform(-1, 1))
-        for n in range(30):
-            lhs = fibonacci_poly(n + 2, x)
-            rhs = x * fibonacci_poly(n + 1, x) + fibonacci_poly(n, x)
-            assert lhs == pytest.approx(rhs, abs=1e-12)
-
-    def test_negative_order_rejected(self):
-        with pytest.raises(ValueError):
-            fibonacci_poly(-1, 0.0)
-
-    def test_roots_on_imaginary_axis(self):
-        # zeros at 2i*cos(k*pi/n) make the n-th power diagonal
-        for n in (5, 8, 13):
-            for k in range(1, n):
-                root = 2j * math.cos(k * math.pi / n)
-                assert abs(fibonacci_poly(n, root)) < 1e-12
 
 
 class TestClosedFormPowers:
@@ -849,19 +818,6 @@ class TestReturnsKernel:
         assert phase_diagram(100, 100, 10**5).marginal[12] == verdict.marginal
 
 
-def _fibonacci_pair(n, x):
-    # (F_n, F_{n-1}) by the direct recurrence F_{k+1} = x F_k + F_{k-1}, F_{-1} = 1
-    prev, cur = 1.0 + 0.0j, 0.0j
-    for _ in range(n):
-        prev, cur = cur, x * cur + prev
-    return cur, prev
-
-
-def _signs(z):
-    return math.copysign(1.0, z.real), math.copysign(1.0, z.imag)
-
-
-_PART = st.floats(-3.0, 3.0)
 _LOOPS = st.builds(
     LoopParams,
     st.floats(0.0, math.pi),
@@ -900,15 +856,6 @@ def _worst_gap(exact, got):
 
 class TestChebyshevMatchesFibonacciForms:
     """The Chebyshev forms against the Fibonacci-polynomial formulas."""
-
-    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
-    @given(x=st.builds(complex, _PART, _PART), n=st.integers(0, 400))
-    def test_fibonacci_poly(self, x, n):
-        want, _ = _fibonacci_pair(n, x)
-        assume(math.isfinite(want.real) and math.isfinite(want.imag))
-        got = fibonacci_poly(n, x)
-        assert got == want
-        assert _signs(got) == _signs(want)
 
     @settings(derandomize=True, database=None, max_examples=400, deadline=None)
     @given(lp=_LOOPS, n=st.integers(0, 400))

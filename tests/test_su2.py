@@ -98,8 +98,10 @@ class TestPower:
     @pytest.mark.parametrize("n", [-1, 1.5])
     def test_rejects_bad_exponent(self, n):
         u = build_loop_operator(1.0, 0.0, 0.0)
-        with pytest.raises((ValueError, TypeError)):
+        with pytest.raises(ValueError) as info:
             power(u, n)
+        rule = "be >= 0" if n == -1 else "be an integer"
+        assert str(info.value) == f"n must {rule}, got {n!r}"
 
     def test_agrees_with_repeated_multiplication(self):
         lp = _random_loop(RNG)
@@ -580,18 +582,28 @@ _SIZES = {
     "phi_grid": [lambda v: gp.phase_diagram(4, v, 10)],
     "p": [lambda v: gp.curve_order(v, 3), lambda v: gp.stable_curve(v, 3, 10)],
     "q": [lambda v: gp.curve_order(1, v), lambda v: gp.stable_curve(1, v, 10)],
-    "n": [lambda v: gp.trajectory_angles(1.0, 0.3, v), lambda v: gp.fibonacci_poly(v, 1j)],
+    "n": [lambda v: gp.trajectory_angles(1.0, 0.3, v), lambda v: power(np.eye(2), v)],
+    "seed": [make_rng],
 }
 
 
-@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("flag", [True, False, 2.0])
 @pytest.mark.parametrize(
     "name,call",
     [pytest.param(name, call, id=f"{name}{i}") for name, calls in _SIZES.items()
      for i, call in enumerate(calls)],
 )
 def test_a_bool_is_no_size(name, call, flag):
-    # operator.index(True) is 1, so only an explicit check keeps a flag out
+    # operator.index(True) is 1, so only an explicit check keeps a flag out;
+    # operator.index(2.0) raises, so a whole float is no size either
     with pytest.raises(ValueError) as info:
         call(flag)
     assert str(info.value) == f"{name} must be an integer, got {flag!r}"
+
+
+def test_a_negative_seed_is_named():
+    # numpy's SeedSequence message would name no argument
+    with pytest.raises(ValueError) as info:
+        make_rng(-1)
+    assert str(info.value) == "seed must be >= 0, got -1"
+    assert make_rng(np.int64(3)).random() == make_rng(3).random()

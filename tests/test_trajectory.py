@@ -20,6 +20,14 @@ def _load():
 _DIFF = b"diff --git a/src/geopump/cli.py b/src/geopump/cli.py\n-old\n+new\n"
 
 
+def _sweep_line(seed):
+    # a canned child's line for one seed: "tight" fails at seeds 7 and 250,
+    # whose value 0.75 is its worst (first at seed 7); "flat" reads 0.5 at every seed
+    tight = 0.75 if seed in (7, 250) else seed / 1000
+    rows = [["tight", tight <= 0.5, tight, 0.5], ["flat", True, 0.5, 0.5 + 1e-12]]
+    return json.dumps(rows)
+
+
 def _canned_record(tmp_path, monkeypatch, diff):
     # every subprocess is canned: the record is assembled from their output
     trajectory = _load()
@@ -36,6 +44,9 @@ def _canned_record(tmp_path, monkeypatch, diff):
             out = diff
         elif argv[1:] == ["-m", "compileall", "-q", "src"]:
             out = ""
+        elif argv[1] == "-c":  # the verify sweep's child
+            assert argv[2] == trajectory._SWEEP and "src" in kwargs["env"]["PYTHONPATH"]
+            out = "".join(_sweep_line(seed) + "\n" for seed in range(int(argv[3])))
         elif argv[1] == "bench/run.py":
             result = {"correct": True, "attempted": 3, "failed": 0, "metrics": {"run_s": 0.1}}
             out = f"# machine: nproc=2, python=3.11\nrun_s 0.1 s\n{json.dumps(result)}\n"
@@ -75,6 +86,28 @@ def test_record_keeps_each_runs_last_line_and_the_tier1_counts(tmp_path, monkeyp
     # the caches are written before the first bench run, so its children read them
     warm = calls.index([sys.executable, "-m", "compileall", "-q", "src"])
     assert warm < min(i for i, argv in enumerate(calls) if argv[1] == "bench/run.py")
+
+
+def test_the_verify_sweep_keeps_each_checks_worst_seed_bound_and_failures(tmp_path, monkeypatch):
+    record, calls = _canned_record(tmp_path, monkeypatch, _DIFF)
+    sweep = record["verify_sweep"]
+    assert sweep["seeds"] == 300
+    assert [argv[3] for argv in calls if argv[1] == "-c"] == ["300"]  # one child for all seeds
+    assert sweep["checks"] == {
+        "tight": {"worst": 0.75, "worst_seed": 7, "bound": 0.5, "failing_seeds": [7, 250]},
+        "flat": {"worst": 0.5, "worst_seed": 0, "bound": 0.5 + 1e-12, "failing_seeds": []},
+    }
+
+
+def test_the_sweep_child_prints_one_line_per_seed_in_check_order():
+    # the child's own code, at two seeds, against run_checks in this process
+    from geopump.checks import run_checks
+
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", _load()._SWEEP, "2"], cwd=ROOT,
+                          capture_output=True, text=True, env=env, check=True)
+    want = [[[r.name, r.passed, r.value, r.bound] for r in run_checks(seed)] for seed in (0, 1)]
+    assert [json.loads(line) for line in done.stdout.splitlines()] == want
 
 
 def test_a_clean_tree_records_the_hash_of_no_bytes(tmp_path, monkeypatch):

@@ -12,8 +12,11 @@ attempted, failed and metrics.  Before the first run it writes the
 bytecode caches of src with `python -m compileall -q src`, which writes
 them whatever PYTHONDONTWRITEBYTECODE says, so every run's set-up reads
 warm caches (pyc_warmed in the file).  It then times one tier-1 run (the
-pytest command in ROADMAP.md) and counts its passes and failures, and
-records src_lines, the total `wc -l src/geopump/*.py` prints.  The
+pytest command in ROADMAP.md) and counts its passes and failures, runs
+verify's battery (geopump.checks.run_checks) at seeds 0-299 in one child
+and keeps, for each check, its worst value, that value's seed, its bound
+and its failing seeds (verify_sweep), and records src_lines, the total
+`wc -l src/geopump/*.py` prints.  The
 file goes to the root of the checkout, with the commit from `git rev-parse
 HEAD`, whether the working tree differed from it, and diff_sha256, the
 SHA-256 of `git diff HEAD --binary` (untracked files aside), so that a
@@ -37,6 +40,14 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 3
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+SWEEP_SEEDS = 300
+# the child of verify_sweep: one line per seed, [name, passed, value, bound] per check
+_SWEEP = """
+import json, sys
+from geopump.checks import run_checks
+for seed in range(int(sys.argv[1])):
+    print(json.dumps([[r.name, bool(r.passed), r.value, r.bound] for r in run_checks(seed)]))
+"""
 
 
 def _run(argv, text=True, **kwargs) -> subprocess.CompletedProcess:
@@ -52,11 +63,14 @@ def bench(workload: str, seconds: float) -> dict:
     return {"machine": machine.removeprefix("# machine: "), "result": json.loads(lines[-1])}
 
 
-def tier1() -> dict:
+def _src_env() -> dict:
     path = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def tier1() -> dict:
     start = perf_counter()
-    done = _run(TIER1, env=env)
+    done = _run(TIER1, env=_src_env())
     wall_s = perf_counter() - start
     summary = done.stdout.strip().splitlines()[-1] if done.stdout.strip() else ""
     counts = {word: int(n) for n, word in re.findall(r"(\d+) (passed|failed|error)", summary)}
@@ -67,6 +81,21 @@ def tier1() -> dict:
         "exit_code": done.returncode,
         "summary": summary,
     }
+
+
+def verify_sweep() -> dict:
+    done = _run([sys.executable, "-c", _SWEEP, str(SWEEP_SEEDS)], env=_src_env(), check=True)
+    checks = {}
+    for seed, line in enumerate(done.stdout.splitlines()):
+        for name, passed, value, bound in json.loads(line):
+            row = checks.setdefault(
+                name, {"worst": value, "worst_seed": seed, "bound": bound, "failing_seeds": []}
+            )
+            if value > row["worst"]:  # a check passes when value <= bound
+                row["worst"], row["worst_seed"] = value, seed
+            if not passed:
+                row["failing_seeds"].append(seed)
+    return {"seeds": SWEEP_SEEDS, "checks": checks}
 
 
 def src_lines() -> int:
@@ -93,6 +122,7 @@ def main(argv=None) -> int:
         "pyc_warmed": True,
         "workloads": {wl["name"]: bench(wl["name"], seconds) for wl in declared["workloads"]},
         "tier1": tier1(),
+        "verify_sweep": verify_sweep(),
         "src_lines": src_lines(),
     }
     out = ROOT / f"BENCH_{n}.json"
