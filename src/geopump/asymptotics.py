@@ -102,8 +102,7 @@ def phi_average(theta, quadrature_points: int = 10_000):
     counts stay at or below it.
     """
     require_angles(theta)
-    if require_int("quadrature_points", quadrature_points) < 16:
-        raise ValueError(f"need at least 16 quadrature points, got {quadrature_points}")
+    require_int("quadrature_points", quadrature_points, 16)
     h = math.pi / quadrature_points
     halves = (0.5 * np.asarray(theta, dtype=float)).ravel().tolist()
     rows = [(math.cos(x), math.sin(x) * math.sin(x)) for x in halves]  # c, s^2

@@ -180,8 +180,7 @@ def pump_profile_blocks(dc: DriveCycle, k_grid: int):
     """An iterator of (k, theta, p_g) blocks of at most _BLOCK momenta
     that cover [-pi/l, pi/l) in `k_grid` uniform steps, each momentum bit for
     bit as on the whole grid; the arguments are checked on the call."""
-    if require_int("k_grid", k_grid) < 16:
-        raise ValueError(f"k_grid must be >= 16, got {k_grid}")
+    require_int("k_grid", k_grid, 16)
 
     def blocks():
         for start in range(0, k_grid, _BLOCK):

@@ -283,5 +283,5 @@ def run_checks(seed: int = 0) -> tuple[CheckResult, ...]:
     results = []
     for name, fn in _CHECKS:
         value, bound = fn(rng)
-        results.append(CheckResult(name, value <= bound, float(value), float(bound)))
+        results.append(CheckResult(name, bool(value <= bound), float(value), float(bound)))
     return tuple(results)

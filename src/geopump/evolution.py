@@ -63,8 +63,7 @@ def pump_trace_blocks(theta, phi, cycles: int):
     weight before the block's cumsum, which adds left to right, so p is bit
     for bit np.cumsum(q) / n of the whole trace, however it is blocked.
     """
-    if require_int("cycles", cycles) < 1:
-        raise ValueError(f"cycles must be >= 1, got {cycles}")
+    require_int("cycles", cycles, 1)
     require_angles(theta, phi=phi)
     ht = half_turn(theta, phi)
     amplitude, h = np.asarray(ht.amplitude)[..., None], np.asarray(ht.h)[..., None]
@@ -121,8 +120,7 @@ def propagate_state(lp: LoopParams, cycles: int):
     by at most 2 gamma_3 (3 eps), so U^n e_0 and the drift stay within
     about 3 n eps, as one cycle at a time; a relative fault f in U drifts n f.
     """
-    if require_int("cycles", cycles) < 1:
-        raise ValueError(f"cycles must be >= 1, got {cycles}")
+    require_int("cycles", cycles, 1)
     u = build_loop_operator(lp.theta, lp.omega, lp.phi)
     size = min(cycles, _BLOCK)
     powers = np.empty((4, size))  # U^(j+1) e_0 as real parts, in column j
@@ -177,8 +175,7 @@ def trajectory_angles(theta, phi, n: int) -> np.ndarray:
     fixed axis, read from its half turn.  Raises IdentityRotationError when
     an operator is +/-identity and has no axis.
     """
-    if require_int("n", n) < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    require_int("n", n, 1)
     require_angles(theta, phi=phi)
     ht = _require_axis(half_turn(theta, phi))
     angles = np.multiply.outer(2.0 * ht.h, np.arange(1, n + 1))

@@ -16,8 +16,7 @@ from .su2 import require_angles, require_int
 
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based generator for one run, keyed by an integer seed >= 0."""
-    if (seed := require_int("seed", seed)) < 0:  # numpy's message names no argument
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    seed = require_int("seed", seed, 0)  # numpy's message would name no argument
     return np.random.Generator(np.random.Philox(seed))
 
 
@@ -32,8 +31,7 @@ def sample_loop_params(
 
     The angles are checked once per array, as LoopParams checks one loop.
     """
-    if (count := require_int("count", count)) < 0:  # numpy's message names no field
-        raise ValueError(f"count must be >= 0, got {count}")
+    count = require_int("count", count, 0)  # numpy's message would name no field
     thetas = rng.uniform(*theta_range, size=count)
     omegas = rng.uniform(0.0, 2.0 * math.pi, size=count)
     phis = rng.uniform(*phi_range, size=count)

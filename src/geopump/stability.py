@@ -91,8 +91,8 @@ class StabilityVerdict:
 
 
 def _check_scan(n_max: int, tol: float) -> None:
-    if not 1 <= require_int("n_max", n_max) <= sys.maxsize:  # orders are int64
-        raise ValueError(f"n_max must lie in [1, sys.maxsize], got {n_max}")
+    if require_int("n_max", n_max, 1) > sys.maxsize:  # orders are int64
+        raise ValueError(f"n_max must be <= sys.maxsize, got {n_max}")
     if not 0.0 < tol <= MARGINAL_BAND:
         raise ValueError(f"tol must lie in (0, {MARGINAL_BAND}], got {tol}")
 
@@ -217,8 +217,7 @@ def _nearest_return(x, n_max: int):
 def curve_order(p: int, q: int) -> int:
     """Smallest N with N * p divisible by 2 * q: the return order shared by
     every interior point of the (p, q) curve."""
-    if require_int("p", p) < 1 or require_int("q", q) < 1:
-        raise ValueError("p and q must be positive integers")
+    p, q = require_int("p", p, 1), require_int("q", q, 1)
     return 2 * q // math.gcd(p, 2 * q)
 
 
@@ -251,8 +250,7 @@ def stable_curve(p: int, q: int, resolution: int) -> StableCurve:
         raise ValueError(f"p/q must be in lowest terms, got {p}/{q}")
     if not p < 2 * q:
         raise ValueError(f"p/q must lie in (0, 2), got {p}/{q}")
-    if require_int("resolution", resolution) < 2:
-        raise ValueError(f"resolution must be >= 2, got {resolution}")
+    require_int("resolution", resolution, 2)
     delta = p * math.pi / q
     target = math.cos(delta / 2.0)  # cos h of the curve's half turn
     if target < 0.0:
@@ -294,9 +292,8 @@ class PhaseDiagram:
 
 
 def _check_grid(theta_grid: int, phi_grid: int) -> None:  # _grid_axes' sizes, without the axes
-    theta_grid, phi_grid = require_int("theta_grid", theta_grid), require_int("phi_grid", phi_grid)
-    if theta_grid < 2 or phi_grid < 2:
-        raise ValueError("grids need at least 2 points per axis")
+    theta_grid = require_int("theta_grid", theta_grid, 2)
+    phi_grid = require_int("phi_grid", phi_grid, 2)
     if 8 * theta_grid * phi_grid > sys.maxsize:  # numpy's message names no field
         raise ValueError(
             f"theta_grid * phi_grid must be at most sys.maxsize // 8 cells, "

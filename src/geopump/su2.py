@@ -66,12 +66,16 @@ def require_angles(theta, **angles) -> None:
     _reject("theta", theta, (theta >= 0.0) & (theta <= math.pi), "lie in [0, pi]")
 
 
-def require_int(name: str, value) -> int:
-    """operator.index(value), so 2.5, 2.0 or True is no size; ValueError naming it."""
+def require_int(name: str, value, least: int) -> int:
+    """operator.index(value) if it is at least `least`, else a ValueError
+    naming `name`; 2.5, 2.0 or True is no size."""
     try:  # operator.index(None) raises the TypeError
-        return operator.index(None if isinstance(value, bool) else value)
+        value = operator.index(None if isinstance(value, bool) else value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -102,9 +106,7 @@ class LoopParams:
 
 def power(u: np.ndarray, n: int) -> np.ndarray:
     """n-th matrix power for an integer n >= 0, by binary exponentiation."""
-    if (n := require_int("n", n)) < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return np.linalg.matrix_power(u, n)
+    return np.linalg.matrix_power(u, require_int("n", n, 0))
 
 
 def su2_defect(u: np.ndarray):

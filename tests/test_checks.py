@@ -1,8 +1,9 @@
+import json
 import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -174,6 +175,13 @@ def test_norm_probe_fails_on_a_scaled_operator(monkeypatch):
     (row,) = [r for r in checks.run_checks(0) if r.name == "norm-preservation"]
     assert not row.passed
     assert row.value == pytest.approx(1e-8, rel=0.05)
+
+
+def test_each_result_holds_a_bool_and_reads_as_json():
+    # value <= bound of numpy floats is a numpy bool, which json.dumps refuses
+    results = checks.run_checks(3)
+    assert all(type(r.passed) is bool for r in results)
+    assert json.loads(json.dumps([asdict(r) for r in results]))[0]["name"] == results[0].name
 
 
 def test_one_d_consistency_compares_two_routes(monkeypatch):

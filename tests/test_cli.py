@@ -726,7 +726,7 @@ class TestMain:
     @pytest.mark.parametrize(
         "grid,message",
         [
-            (["--theta-grid", "-3", "--phi-grid", "0"], "grids need at least 2 points per axis"),
+            (["--theta-grid", "-3", "--phi-grid", "0"], "theta_grid must be >= 2, got -3"),
             (["--theta-grid", str(2**61), "--phi-grid", "2"], "theta_grid * phi_grid must be"),
         ],
     )
@@ -769,7 +769,7 @@ class TestMain:
     @pytest.mark.parametrize(
         "argv,message",
         [
-            (["phase-diagram", "--theta-grid", "1", "--n-max", "0"], "n_max must lie in"),
+            (["phase-diagram", "--theta-grid", "1", "--n-max", "0"], "n_max must be >= 1, got 0"),
             (["simulate", "--theta", "1", "--threads", "0", "--out", ""], "threads must be"),
         ],
     )

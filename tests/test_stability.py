@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -339,7 +340,7 @@ class TestCurveOrder:
                     assert (n * p) % (2 * q) != 0
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="p and q must be positive"):
+        with pytest.raises(ValueError, match="p must be >= 1, got 0"):
             curve_order(0, 2)
         with pytest.raises(ValueError, match="p must be an integer, got 1.5"):
             curve_order(1.5, 2)
@@ -382,7 +383,7 @@ class TestStableCurve:
             stable_curve(1, 2, 1)
         with pytest.raises(ValueError, match="resolution must be an integer, got 2.5"):
             stable_curve(1, 2, 2.5)  # would sample theta = 1.885, past delta = pi/2
-        with pytest.raises(ValueError, match="p and q must be positive"):
+        with pytest.raises(ValueError, match="q must be >= 1, got 0"):
             stable_curve(1, 0, 8)
         with pytest.raises(ValueError, match="p must be an integer, got 1.5"):
             stable_curve(1.5, 2, 4)
@@ -435,12 +436,18 @@ class TestPhaseDiagram:
                 phase_diagram(4.5, 4, 10, offset=offset)
         with pytest.raises(ValueError, match="phi_grid must be an integer, got 4.0"):
             phase_diagram(4, 4.0, 10)
+        # each axis is checked whole, type then floor, before the next
+        with pytest.raises(ValueError, match="theta_grid must be >= 2, got 1"):
+            phase_diagram(1, 2.5, 10)
+        # orders are int64, so n_max has a ceiling as well as its floor
+        with pytest.raises(ValueError, match=r"n_max must be <= sys\.maxsize, got "):
+            phase_diagram(2, 2, sys.maxsize + 1)
 
     def test_scan_arguments_are_checked_before_the_axes(self):
         # the theta axis alone would take 15 MiB before n_max = 0 is read
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=r"n_max must lie in \[1, sys.maxsize\], got 0"):
+            with pytest.raises(ValueError, match="n_max must be >= 1, got 0"):
                 phase_diagram(2_000_000, 2, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -563,37 +563,38 @@ def test_require_angles_message_does_not_depend_on_input_shape(theta, phi, messa
 
 _LOOP = LoopParams(1.0, 0.0, 0.3)
 
-# one call per public size argument, every other argument valid
+# one call per public size argument, every other argument valid, each with
+# the least value it takes
 _SIZES = {
-    "n_max": [lambda v: gp.classify(1.0, 0.3, v), lambda v: gp.phase_diagram(4, 4, v)],
+    "n_max": [(1, lambda v: gp.classify(1.0, 0.3, v)), (1, lambda v: gp.phase_diagram(4, 4, v))],
     "cycles": [
-        lambda v: next(gp.pump_trace_blocks(1.0, 0.3, v)),
-        lambda v: gp.pump_trace(_LOOP, v),
-        lambda v: gp.propagate_state(_LOOP, v),
+        (1, lambda v: next(gp.pump_trace_blocks(1.0, 0.3, v))),
+        (1, lambda v: gp.pump_trace(_LOOP, v)),
+        (1, lambda v: gp.propagate_state(_LOOP, v)),
     ],
     "k_grid": [
-        lambda v: next(gp.pump_profile_blocks(gp.DriveCycle(1.0), v)),
-        lambda v: gp.pump_profile(gp.DriveCycle(1.0), v),
+        (16, lambda v: next(gp.pump_profile_blocks(gp.DriveCycle(1.0), v))),
+        (16, lambda v: gp.pump_profile(gp.DriveCycle(1.0), v)),
     ],
-    "resolution": [lambda v: gp.stable_curve(1, 3, v)],
-    "quadrature_points": [lambda v: gp.phi_average(1.0, v)],
-    "count": [lambda v: sample_loop_params(make_rng(0), v)],
-    "theta_grid": [lambda v: gp.phase_diagram(v, 4, 10)],
-    "phi_grid": [lambda v: gp.phase_diagram(4, v, 10)],
-    "p": [lambda v: gp.curve_order(v, 3), lambda v: gp.stable_curve(v, 3, 10)],
-    "q": [lambda v: gp.curve_order(1, v), lambda v: gp.stable_curve(1, v, 10)],
-    "n": [lambda v: gp.trajectory_angles(1.0, 0.3, v), lambda v: power(np.eye(2), v)],
-    "seed": [make_rng],
+    "resolution": [(2, lambda v: gp.stable_curve(1, 3, v))],
+    "quadrature_points": [(16, lambda v: gp.phi_average(1.0, v))],
+    "count": [(0, lambda v: sample_loop_params(make_rng(0), v))],
+    "theta_grid": [(2, lambda v: gp.phase_diagram(v, 4, 10))],
+    "phi_grid": [(2, lambda v: gp.phase_diagram(4, v, 10))],
+    "p": [(1, lambda v: gp.curve_order(v, 3)), (1, lambda v: gp.stable_curve(v, 3, 10))],
+    "q": [(1, lambda v: gp.curve_order(1, v)), (1, lambda v: gp.stable_curve(1, v, 10))],
+    "n": [(1, lambda v: gp.trajectory_angles(1.0, 0.3, v)), (0, lambda v: power(np.eye(2), v))],
+    "seed": [(0, make_rng)],
 }
+_SIZE_CALLS = [
+    pytest.param(name, floor, call, id=f"{name}{i}")
+    for name, calls in _SIZES.items() for i, (floor, call) in enumerate(calls)
+]
 
 
 @pytest.mark.parametrize("flag", [True, False, 2.0])
-@pytest.mark.parametrize(
-    "name,call",
-    [pytest.param(name, call, id=f"{name}{i}") for name, calls in _SIZES.items()
-     for i, call in enumerate(calls)],
-)
-def test_a_bool_is_no_size(name, call, flag):
+@pytest.mark.parametrize("name,floor,call", _SIZE_CALLS)
+def test_a_bool_is_no_size(name, floor, call, flag):
     # operator.index(True) is 1, so only an explicit check keeps a flag out;
     # operator.index(2.0) raises, so a whole float is no size either
     with pytest.raises(ValueError) as info:
@@ -601,9 +602,13 @@ def test_a_bool_is_no_size(name, call, flag):
     assert str(info.value) == f"{name} must be an integer, got {flag!r}"
 
 
-def test_a_negative_seed_is_named():
-    # numpy's SeedSequence message would name no argument
+@pytest.mark.parametrize("name,floor,call", _SIZE_CALLS)
+def test_a_size_below_its_floor_is_named(name, floor, call):
+    # one message form for every floor; numpy's own would name no argument
     with pytest.raises(ValueError) as info:
-        make_rng(-1)
-    assert str(info.value) == "seed must be >= 0, got -1"
+        call(floor - 1)
+    assert str(info.value) == f"{name} must be >= {floor}, got {floor - 1}"
+
+
+def test_a_numpy_integer_seed_draws_as_the_int():
     assert make_rng(np.int64(3)).random() == make_rng(3).random()

@@ -1,9 +1,11 @@
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
 import sys
+import tarfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -28,25 +30,64 @@ def _sweep_line(seed):
     return json.dumps(rows)
 
 
-def _canned_record(tmp_path, monkeypatch, diff):
+def _archive(files):
+    buffer = io.BytesIO()
+    with tarfile.open(fileobj=buffer, mode="w") as tar:
+        for name, text in files.items():
+            data = text.encode()
+            info = tarfile.TarInfo(name)
+            info.size = len(data)
+            tar.addfile(info, io.BytesIO(data))
+    return buffer.getvalue()
+
+
+# a canned pair's metrics by side: the change wins pairs 0 and 3 of each
+# metric, loses pair 2 and ties pair 1
+_PAIRED = {
+    "parent": [{"run_s": 1.0, "rows_per_s": 100.0}] * 4,
+    "change": [
+        {"run_s": 0.9, "rows_per_s": 110.0},
+        {"run_s": 1.0, "rows_per_s": 100.0},
+        {"run_s": 1.1, "rows_per_s": 90.0},
+        {"run_s": 0.8, "rows_per_s": 120.0},
+    ],
+}
+
+
+def _canned_record(tmp_path, monkeypatch, diff, args=()):
     # every subprocess is canned: the record is assembled from their output
     trajectory = _load()
-    calls = []
+    calls, paired = [], []
 
-    def canned(argv, text=True, **kwargs):
+    def canned(argv, text=True, cwd=None, **kwargs):
         calls.append(argv)
         if argv[:2] == ["git", "rev-parse"]:
-            out = "abc123\n"
+            out = "abc123\n" if argv[2] == "HEAD" else "def456\n"
+        elif argv[:2] == ["git", "archive"]:
+            assert argv[2:] == ["--format=tar", "be961e8"] and text is False
+            out = _archive({"src/geopump/a.py": "old = 1\n", "bench/run.py": ""})
+        elif argv[:2] == ["git", "ls-files"]:
+            out = "src/geopump/a.py\0src/geopump/b.py\0deleted.py\0"
         elif argv[:2] == ["git", "status"]:
             out = " M src/geopump/cli.py\n" if diff else ""
         elif argv[:2] == ["git", "diff"]:
             assert argv[2:] == ["HEAD", "--binary"] and text is False
             out = diff
         elif argv[1:] == ["-m", "compileall", "-q", "src"]:
+            if cwd is not None:
+                paired.append(("warm", Path(cwd)))
             out = ""
         elif argv[1] == "-c":  # the verify sweep's child
             assert argv[2] == trajectory._SWEEP and "src" in kwargs["env"]["PYTHONPATH"]
             out = "".join(_sweep_line(seed) + "\n" for seed in range(int(argv[3])))
+        elif argv[1] == "bench/run.py" and cwd is not None:
+            side = Path(cwd).name
+            files = sorted(str(f.relative_to(cwd)) for f in Path(cwd).rglob("*.py"))
+            paired.append((side, argv[3], files, (Path(cwd) / "src/geopump/a.py").read_text()))
+            done = sum(1 for run in paired if run[:2] == (side, argv[3])) - 1
+            metrics = {k: {"value": v, "unit": "-"} for k, v in _PAIRED[side][done].items()}
+            result = {"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}
+            out = f"# machine: nproc=2\n{json.dumps(result)}\n"
         elif argv[1] == "bench/run.py":
             result = {"correct": True, "attempted": 3, "failed": 0, "metrics": {"run_s": 0.1}}
             out = f"# machine: nproc=2, python=3.11\nrun_s 0.1 s\n{json.dumps(result)}\n"
@@ -56,21 +97,25 @@ def _canned_record(tmp_path, monkeypatch, diff):
 
     monkeypatch.setattr(trajectory, "_run", canned)
     monkeypatch.setattr(trajectory, "ROOT", tmp_path)
+    monkeypatch.setattr(trajectory, "PAIRS", 4)
     package = tmp_path / "src" / "geopump"
     (package / "__pycache__").mkdir(parents=True)
     (package / "a.py").write_text("x = 1\ny = 2\n")
     (package / "b.py").write_text("z = 3")  # wc -l counts no line without its newline
     (package / "notes.txt").write_text("\n" * 5)
     (package / "__pycache__" / "c.py").write_text("\n" * 7)
-    (tmp_path / "BENCHMARK.json").write_text(
-        json.dumps({"run_seconds": 15, "workloads": [{"name": "pump-trace"}, {"name": "verify"}]})
-    )
-    assert trajectory.main(["29"]) == 0
-    return json.loads((tmp_path / "BENCH_29.json").read_text()), calls
+    end_to_end = [{"name": "run_s", "better": "lower"}, {"name": "rows_per_s", "better": "higher"}]
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 15, "workloads": [{"name": "pump-trace"}, {"name": "verify"}],
+        "end_to_end": end_to_end,
+    }))
+    assert trajectory.main(["29", *args]) == 0
+    record = json.loads((tmp_path / "BENCH_29.json").read_text())
+    return record, calls, paired
 
 
 def test_record_keeps_each_runs_last_line_and_the_tier1_counts(tmp_path, monkeypatch):
-    record, calls = _canned_record(tmp_path, monkeypatch, _DIFF)
+    record, calls, _ = _canned_record(tmp_path, monkeypatch, _DIFF)
     assert record["commit"] == "abc123" and record["dirty"] is True
     assert record["diff_sha256"] == hashlib.sha256(_DIFF).hexdigest()
     assert record["seed"] == 3 and record["seconds"] == 15 and record["pyc_warmed"] is True
@@ -86,10 +131,52 @@ def test_record_keeps_each_runs_last_line_and_the_tier1_counts(tmp_path, monkeyp
     # the caches are written before the first bench run, so its children read them
     warm = calls.index([sys.executable, "-m", "compileall", "-q", "src"])
     assert warm < min(i for i, argv in enumerate(calls) if argv[1] == "bench/run.py")
+    assert "pairs" not in record  # only --against runs them
+
+
+_AGAINST = ("--against", "be961e8")
+
+
+def test_pairs_run_in_sibling_checkouts_of_equal_path_length(tmp_path, monkeypatch):
+    _, _, paired = _canned_record(tmp_path, monkeypatch, _DIFF, _AGAINST)
+    warmed = [path for step, path, *_ in paired if step == "warm"]
+    assert [path.name for path in warmed] == ["parent", "change"]
+    assert warmed[0].parent == warmed[1].parent != tmp_path
+    assert len(str(warmed[0])) == len(str(warmed[1]))
+    assert paired.index(("warm", warmed[1])) < min(
+        i for i, run in enumerate(paired) if run[0] != "warm"
+    )
+    runs = {side: (files, text) for side, _, files, text in paired[2:]}
+    # the parent is REV's archive; the change, the tree's listed files that exist
+    assert runs["parent"] == (["bench/run.py", "src/geopump/a.py"], "old = 1\n")
+    assert runs["change"] == (["src/geopump/a.py", "src/geopump/b.py"], "x = 1\ny = 2\n")
+    assert not warmed[0].parent.exists()  # the checkouts go with the run
+
+
+def test_pairs_alternate_which_side_runs_first(tmp_path, monkeypatch):
+    _, _, paired = _canned_record(tmp_path, monkeypatch, _DIFF, _AGAINST)
+    order = [(side, workload) for side, workload, *_ in paired if side != "warm"]
+    sides = ["parent", "change", "change", "parent"] * 2
+    assert order == [(side, "pump-trace") for side in sides] + [(side, "verify") for side in sides]
+
+
+def test_pairs_count_wins_by_each_metrics_better_and_ties_for_neither(tmp_path, monkeypatch):
+    record, _, _ = _canned_record(tmp_path, monkeypatch, _DIFF, _AGAINST)
+    pairs = record["pairs"]
+    assert (pairs["against"], pairs["k"]) == ("def456", 4)
+    assert sorted(pairs["workloads"]) == ["pump-trace", "verify"]
+    run_s = pairs["workloads"]["verify"]["run_s"]
+    assert run_s["parent"] == {"values": [1.0] * 4, "median": 1.0, "quartiles": [1.0, 1.0]}
+    assert run_s["change"]["values"] == [0.9, 1.0, 1.1, 0.8]
+    assert run_s["change"]["median"] == 0.95
+    assert run_s["change"]["quartiles"] == [0.875, 1.025]
+    for metric in ("run_s", "rows_per_s"):  # lower and higher are better
+        for workload in pairs["workloads"].values():
+            assert (workload[metric]["change_wins"], workload[metric]["parent_wins"]) == (2, 1)
 
 
 def test_the_verify_sweep_keeps_each_checks_worst_seed_bound_and_failures(tmp_path, monkeypatch):
-    record, calls = _canned_record(tmp_path, monkeypatch, _DIFF)
+    record, calls, _ = _canned_record(tmp_path, monkeypatch, _DIFF)
     sweep = record["verify_sweep"]
     assert sweep["seeds"] == 300
     assert [argv[3] for argv in calls if argv[1] == "-c"] == ["300"]  # one child for all seeds
@@ -111,7 +198,7 @@ def test_the_sweep_child_prints_one_line_per_seed_in_check_order():
 
 
 def test_a_clean_tree_records_the_hash_of_no_bytes(tmp_path, monkeypatch):
-    record, _ = _canned_record(tmp_path, monkeypatch, b"")
+    record, _, _ = _canned_record(tmp_path, monkeypatch, b"")
     assert record["dirty"] is False
     assert record["diff_sha256"] == (
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"

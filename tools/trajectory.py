@@ -1,6 +1,6 @@
 """Write BENCH_<n>.json: one point of the performance trajectory.
 
-    python3 tools/trajectory.py N
+    python3 tools/trajectory.py N [--against REV]
 
 For each workload in BENCHMARK.json this runs
 
@@ -21,19 +21,33 @@ file goes to the root of the checkout, with the commit from `git rev-parse
 HEAD`, whether the working tree differed from it, and diff_sha256, the
 SHA-256 of `git diff HEAD --binary` (untracked files aside), so that a
 point measured before its commit names the tree it measured; a clean tree
-gives the hash of no bytes.  A change that claims a gain quotes the
-numbers of two such files, before and after.
+gives the hash of no bytes.
+
+With --against REV it also measures the working tree against REV in
+PAIRS (10) pairs of runs.  REV is exported with `git archive` to
+<tmp>/parent and the working tree's tracked and unignored files are
+copied to <tmp>/change, sibling paths of equal length, since peak RSS moves with the checkout path's length; both get the
+same compileall warming.  Each workload then runs PAIRS times per side,
+alternating which side goes first.  For each workload and end-to-end
+metric of BENCHMARK.json the record holds both sides' values, medians and
+quartiles, and the pairs each side won by that metric's `better` (a tie
+counts for neither).  A change that claims a gain quotes these pairs.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import re
+import shutil
+import statistics
 import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
 from time import perf_counter
 
@@ -41,23 +55,26 @@ ROOT = Path(__file__).resolve().parent.parent
 SEED = 3
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 SWEEP_SEEDS = 300
+PAIRS = 10
+SIDES = ("parent", "change")  # names of equal length, so are the checkouts' paths
+WARM = [sys.executable, "-m", "compileall", "-q", "src"]
 # the child of verify_sweep: one line per seed, [name, passed, value, bound] per check
 _SWEEP = """
 import json, sys
 from geopump.checks import run_checks
 for seed in range(int(sys.argv[1])):
-    print(json.dumps([[r.name, bool(r.passed), r.value, r.bound] for r in run_checks(seed)]))
+    print(json.dumps([[r.name, r.passed, r.value, r.bound] for r in run_checks(seed)]))
 """
 
 
-def _run(argv, text=True, **kwargs) -> subprocess.CompletedProcess:
-    return subprocess.run(argv, cwd=ROOT, capture_output=True, text=text, **kwargs)
+def _run(argv, text=True, cwd=None, **kwargs) -> subprocess.CompletedProcess:
+    return subprocess.run(argv, cwd=cwd or ROOT, capture_output=True, text=text, **kwargs)
 
 
-def bench(workload: str, seconds: float) -> dict:
+def bench(workload: str, seconds: float, cwd=None) -> dict:
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(SEED),
             "--seconds", str(seconds)]
-    done = _run(argv, check=True)
+    done = _run(argv, cwd=cwd, check=True)
     lines = done.stdout.splitlines()
     machine = next(line for line in lines if line.startswith("# machine: "))
     return {"machine": machine.removeprefix("# machine: "), "result": json.loads(lines[-1])}
@@ -103,13 +120,76 @@ def src_lines() -> int:
     return sum(path.read_bytes().count(b"\n") for path in (ROOT / "src" / "geopump").glob("*.py"))
 
 
+def checkouts(rev: str, tmp: Path) -> dict:
+    """{"parent": <tmp>/parent holding `git archive REV`, "change": <tmp>/change
+    holding the working tree's tracked and unignored files}, both warmed."""
+    paths = {side: tmp / side for side in SIDES}
+    archive = _run(["git", "archive", "--format=tar", rev], text=False, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        # extractall takes a filter from Python 3.10.12, 3.11.4 and 3.12 on
+        safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+        tar.extractall(paths["parent"], **safe)
+    listed = _run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                  check=True).stdout
+    for name in filter(None, listed.split("\0")):
+        if (ROOT / name).is_file():  # a tracked file deleted from the tree is listed too
+            (paths["change"] / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, paths["change"] / name)
+    for path in paths.values():
+        _run(WARM, cwd=path, check=True)
+    return paths
+
+
+def _side(values: list) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"values": values, "median": median, "quartiles": [q1, q3]}
+
+
+def _paired(parent: list, change: list, better: str) -> dict:
+    sign = 1 if better == "higher" else -1
+    gains = [sign * (c - p) for p, c in zip(parent, change)]
+    return {
+        "parent": _side(parent),
+        "change": _side(change),
+        "change_wins": sum(g > 0 for g in gains),
+        "parent_wins": sum(g < 0 for g in gains),
+    }
+
+
+def pairs(rev: str, declared: dict) -> dict:
+    values = {wl["name"]: {side: [] for side in SIDES} for wl in declared["workloads"]}
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = checkouts(rev, Path(tmp))
+        for workload, runs in values.items():
+            for i in range(PAIRS):
+                for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                    result = bench(workload, declared["run_seconds"], cwd=paths[side])["result"]
+                    runs[side].append(result["metrics"])
+    return {
+        "against": _run(["git", "rev-parse", rev], check=True).stdout.strip(),
+        "k": PAIRS,
+        "workloads": {
+            workload: {
+                metric["name"]: _paired(
+                    *([m[metric["name"]]["value"] for m in runs[side]] for side in SIDES),
+                    metric["better"],
+                )
+                for metric in declared["end_to_end"]
+            }
+            for workload, runs in values.items()
+        },
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("n", type=int, help="number of the change; the file is BENCH_<n>.json")
-    n = parser.parse_args(argv).n
+    parser.add_argument("--against", metavar="REV", help="also run pairs against this revision")
+    args = parser.parse_args(argv)
+    n = args.n
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = declared["run_seconds"]
-    _run([sys.executable, "-m", "compileall", "-q", "src"], check=True)
+    _run(WARM, check=True)
     record = {
         "n": n,
         "commit": _run(["git", "rev-parse", "HEAD"], check=True).stdout.strip(),
@@ -125,6 +205,8 @@ def main(argv=None) -> int:
         "verify_sweep": verify_sweep(),
         "src_lines": src_lines(),
     }
+    if args.against is not None:
+        record["pairs"] = pairs(args.against, declared)
     out = ROOT / f"BENCH_{n}.json"
     out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(out)
