@@ -89,8 +89,8 @@ def phi_average(theta, quadrature_points: int = 10_000):
     keep the sampling away from the interval endpoints.  The terms
     s^2 / (2 (s^2 + (c sin phi)^2)) are p_infinity without the 1 - (c cos
     phi)^2 cancellation.  Summation runs left to right so results are
-    bit-reproducible: each block's sines come from math.sin once for all
-    theta, and each theta's row of terms takes its running total into its
+    bit-reproducible: each block's sines are taken once for all theta,
+    and each theta's row of terms takes its running total into its
     first term and is summed by np.add.accumulate, which is sequential.
 
     An even count M gives p_geometric tanh(M asinh(tan(theta/2))) to about
@@ -104,12 +104,12 @@ def phi_average(theta, quadrature_points: int = 10_000):
     require_angles(theta)
     require_int("quadrature_points", quadrature_points, 16)
     h = math.pi / quadrature_points
-    halves = (0.5 * np.asarray(theta, dtype=float)).ravel().tolist()
-    rows = [(math.cos(x), math.sin(x) * math.sin(x)) for x in halves]  # c, s^2
+    halves = 0.5 * np.ravel(np.asarray(theta, dtype=float))
+    rows = list(zip(np.cos(halves), np.sin(halves) ** 2))  # c, s^2
     totals = [0.0] * len(rows)
     for start in range(0, quadrature_points, _BLOCK):
         phi = -HALF_PI + (np.arange(start, min(start + _BLOCK, quadrature_points)) + 0.5) * h
-        sines = np.fromiter(map(math.sin, phi.tolist()), float, phi.size)
+        sines = np.sin(phi)
         for i, (c, s2) in enumerate(rows):
             core = c * sines
             denom = s2 + core * core

@@ -128,7 +128,7 @@ def _coerce(prm: _Param, value):
     except OverflowError:  # an int too large for a float
         raise ConfigError(f"field {name!r} is too large for a float") from None
     if prm.least is not None and value < prm.least:
-        raise ConfigError(f"{name} must be >= {prm.least}")
+        raise ConfigError(f"{name} must be >= {prm.least}, got {value}")
     if prm.rows and 8 * value > sys.maxsize:  # numpy's message names no field
         raise ConfigError(f"{name} must be at most sys.maxsize // 8 rows, got {value}")
     return value

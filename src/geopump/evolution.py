@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .su2 import _BLOCK, TWO_PI, LoopParams, _cis, _require_axis, _stack, half_turn
+from .su2 import _BLOCK, TWO_PI, LoopParams, _require_axis, _stack, half_turn
 from .su2 import require_angles, require_int
 
 
@@ -27,7 +27,9 @@ def build_loop_operator(theta, omega, phi) -> np.ndarray:
     math and cmath compute them."""
     require_angles(theta, omega=omega, phi=phi)
     c, s, d = np.cos(0.5 * theta), np.sin(0.5 * theta), omega - phi
-    return _stack(c * _cis(phi, -1), -s * _cis(d, -1), s * _cis(d), c * _cis(phi))
+    return _stack(
+        c * np.exp(-1j * phi), -s * np.exp(-1j * d), s * np.exp(1j * d), c * np.exp(1j * phi)
+    )
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,16 @@ charts take arrays: half_turn, euler_from_loop, axis_angle_from_euler and
 the matrix builders work elementwise on floats or equal-shape arrays of
 angles (matrices then stack as (..., 2, 2)); require_angles, which
 LoopParams calls too, checks their domain once per array.  Output bytes
-rest only on numpy ufuncs that round alike at every SIMD dispatch level:
-IEEE arithmetic, sqrt, abs, maximum, floor, remainder, sin and cos.  hypot
-and atan2 go through math, one call per element (_libm): np.hypot differs
-from math.hypot on 0.67% of sin_h inputs, np.arctan2 with the SIMD level.
+rest only on numpy ufuncs that round as math and cmath do at every SIMD
+dispatch level: IEEE arithmetic, sqrt, abs, maximum, floor, remainder,
+sin, cos and complex exp.  Python takes one element at a time where numpy
+2.4.6 was measured to round otherwise: math.hypot and math.atan2 (_libm;
+over 1e6 sample_loop_params draws, seed 1, np.hypot differs on 0.67% of
+sin_h inputs at every level, np.arctan2 on 5.4% of h and 7.0% of alpha
+inputs under X86_V4), stable_curve's math.acos (np.arccos: 9% of ratios
+under X86_V4), products in Python complex (su2_defect) or real arithmetic
+(evolution._rotate), as numpy's complex multiply differs on 44% of normal
+draws from X86_V3 up, and verify's complex abs (np.abs: 35% at any level).
 np.arctan2 feeds only band.winding_number's integer and, with np.hypot,
 phase_diagram's keep/drop prefilter, whose 2 ulp margin dwarfs any wobble.
 Matrix products feed only verify's oracles (BLAS has its own dispatch).
@@ -123,14 +129,8 @@ def su2_defect(u: np.ndarray):
 
 def _libm(fn, y, x):
     """fn(y, x) elementwise for math.atan2 or math.hypot, one Python call
-    per element: a float for floats, else an array of the broadcast shape.
-
-    On purpose: the written tables follow libm.  Over 1e6 draws of
-    sample_loop_params (seed 1, numpy 2.4.6), np.arctan2 differs from
-    math.atan2 on 5.4% of the h inputs and 7.0% of the alpha inputs under
-    AVX512 (X86_V4) dispatch and on none with it disabled, and np.hypot
-    from math.hypot on 0.67% of the sin_h inputs at every level.
-    """
+    per element: a float for floats, else an array of the broadcast shape;
+    the module docstring says why numpy's own ufuncs are not used."""
     if np.ndim(y) == np.ndim(x) == 0:
         return fn(y, x)
     y, x = np.broadcast_arrays(y, x)
@@ -138,24 +138,10 @@ def _libm(fn, y, x):
     return out.reshape(y.shape)[()]
 
 
-def _cis(x, sign=1):
-    # exp(sign * ix) bit for bit as cmath.exp(sign * 1j * x) gives it, signed
-    # zeros too: cos and sin of that argument's imaginary part t, which is
-    # x + 0.0 for sign 1 (-0.0 turns into 0.0) and -x for sign -1
-    t = (sign * 1j * np.asarray(x)).imag
-    out = np.empty(t.shape, dtype=complex)
-    out.real, out.imag = np.cos(t), np.sin(t)
-    return out
-
-
 def _stack(u00, u01, u10, u11) -> np.ndarray:
     # entries of shape S -> matrices of shape S + (2, 2)
-    out = np.empty(np.broadcast(u00, u01, u10, u11).shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = u00
-    out[..., 0, 1] = u01
-    out[..., 1, 0] = u10
-    out[..., 1, 1] = u11
-    return out
+    entries = np.broadcast_arrays(u00, u01, u10, u11)
+    return np.stack(entries, axis=-1).reshape(entries[0].shape + (2, 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,7 +191,9 @@ def axis_angle_matrices(alpha, beta, delta) -> np.ndarray:
     ca = np.cos(alpha)
     sa = np.sin(alpha)
     off = -1j * sh * sa
-    return _stack(ch - 1j * sh * ca, off * _cis(beta, -1), off * _cis(beta), ch + 1j * sh * ca)
+    return _stack(
+        ch - 1j * sh * ca, off * np.exp(-1j * beta), off * np.exp(1j * beta), ch + 1j * sh * ca
+    )
 
 
 def euler_matrices(phi, theta, psi) -> np.ndarray:
@@ -215,10 +203,10 @@ def euler_matrices(phi, theta, psi) -> np.ndarray:
     half_sum = 0.5 * (phi + psi)
     half_diff = 0.5 * (phi - psi)
     return _stack(
-        ch * _cis(half_sum, -1),
-        -1j * sh * _cis(half_diff, -1),
-        -1j * sh * _cis(half_diff),
-        ch * _cis(half_sum),
+        ch * np.exp(-1j * half_sum),
+        -1j * sh * np.exp(-1j * half_diff),
+        -1j * sh * np.exp(1j * half_diff),
+        ch * np.exp(1j * half_sum),
     )
 
 

@@ -256,22 +256,44 @@ class TestRun:
     @pytest.mark.parametrize(
         "field,value,message",
         [
-            ("command", "explode", "unknown command: 'explode'"),
-            ("format", "yaml", "format must be csv or json, got 'yaml'"),
-            ("seed", -1, "seed must be >= 0"),
-            ("output_path", "", "field 'out' must be a non-empty string path"),
-            ("output_path", 7, "field 'out' must be a non-empty string path"),
-            ("params", {}, "missing required flag --theta"),
-            ("params", {"theta": 1.0, "cycles": 2.5}, "field 'cycles' must be an integer"),
-            ("params", {"theta": 1.0, "bogus": 1}, "unknown config keys: bogus"),
-            ("params", {"theta": 1.0, "cycles": 0}, "cycles must be >= 1"),
-            ("seed", 1.5, "field 'seed' must be an integer"),
-            ("seed", True, "field 'seed' must be a number"),
+            pytest.param("command", "explode", "unknown command: 'explode'", id="unknown-command"),
+            pytest.param(
+                "format", "yaml", "format must be csv or json, got 'yaml'", id="unknown-format"
+            ),
+            pytest.param("seed", -1, "seed must be >= 0, got -1", id="negative-seed"),
+            pytest.param(
+                "output_path", "", "field 'out' must be a non-empty string path", id="empty-out"
+            ),
+            pytest.param(
+                "output_path", 7, "field 'out' must be a non-empty string path", id="int-out"
+            ),
+            pytest.param("params", {}, "missing required flag --theta", id="missing-theta"),
+            pytest.param(
+                "params",
+                {"theta": 1.0, "cycles": 2.5},
+                "field 'cycles' must be an integer",
+                id="fractional-cycles",
+            ),
+            pytest.param(
+                "params",
+                {"theta": 1.0, "bogus": 1},
+                "unknown config keys: bogus",
+                id="unknown-key",
+            ),
+            pytest.param(
+                "params",
+                {"theta": 1.0, "cycles": 0},
+                "cycles must be >= 1, got 0",
+                id="zero-cycles",
+            ),
+            pytest.param("seed", 1.5, "field 'seed' must be an integer", id="fractional-seed"),
+            pytest.param("seed", True, "field 'seed' must be a number", id="bool-seed"),
             # field None: value holds several settings
-            (
+            pytest.param(
                 None,
                 {"command": "band-scan", "params": {"a": 1.0, "k_grid": 32.5}},
                 "field 'k_grid' must be an integer",
+                id="fractional-k-grid",
             ),
         ],
     )
@@ -726,8 +748,16 @@ class TestMain:
     @pytest.mark.parametrize(
         "grid,message",
         [
-            (["--theta-grid", "-3", "--phi-grid", "0"], "theta_grid must be >= 2, got -3"),
-            (["--theta-grid", str(2**61), "--phi-grid", "2"], "theta_grid * phi_grid must be"),
+            pytest.param(
+                ["--theta-grid", "-3", "--phi-grid", "0"],
+                "theta_grid must be >= 2, got -3",
+                id="negative-theta-grid",
+            ),
+            pytest.param(
+                ["--theta-grid", str(2**61), "--phi-grid", "2"],
+                "theta_grid * phi_grid must be",
+                id="oversized-grid",
+            ),
         ],
     )
     def test_draws_check_the_grid_flags(self, capsys, grid, message):
@@ -763,14 +793,22 @@ class TestMain:
     def test_zero_threads_rejected(self, capsys):
         assert main(["simulate", "--theta", "1", "--cycles", "2", "--threads", "0"]) == 1
         captured = capsys.readouterr()
-        assert captured.err == "config error: threads must be >= 1\n"
+        assert captured.err == "config error: threads must be >= 1, got 0\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize(
         "argv,message",
         [
-            (["phase-diagram", "--theta-grid", "1", "--n-max", "0"], "n_max must be >= 1, got 0"),
-            (["simulate", "--theta", "1", "--threads", "0", "--out", ""], "threads must be"),
+            pytest.param(
+                ["phase-diagram", "--theta-grid", "1", "--n-max", "0"],
+                "n_max must be >= 1, got 0",
+                id="n-max-before-grid",
+            ),
+            pytest.param(
+                ["simulate", "--theta", "1", "--threads", "0", "--out", ""],
+                "threads must be",
+                id="threads-before-config",
+            ),
         ],
     )
     def test_first_reported_error(self, capsys, argv, message):
@@ -882,9 +920,9 @@ class TestConfigFile:
     @pytest.mark.parametrize(
         "value,message",
         [
-            ("0", "threads must be >= 1"),
-            ("1.5", "field 'threads' must be an integer"),
-            ("true", "field 'threads' must be a number"),
+            pytest.param("0", "threads must be >= 1, got 0", id="zero-threads"),
+            pytest.param("1.5", "field 'threads' must be an integer", id="fractional-threads"),
+            pytest.param("true", "field 'threads' must be a number", id="bool-threads"),
         ],
     )
     def test_bad_threads_in_file_rejected(self, tmp_path, capsys, value, message):

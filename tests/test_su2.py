@@ -429,8 +429,8 @@ class TestArrayCharts:
 # a relative error of at most 2u: two such factors.  Products with -i, 1j
 # or an exact zero part of a complex number round nothing.
 #
-# Euler side.  Each part of each entry is c or s (2) times a part of _cis
-# (2), rounded once (1): |E - M| <= gamma_5 |M| <= gamma_5.
+# Euler side.  Each part of each entry is c or s (2) times a part of the
+# complex exp (2), rounded once (1): |E - M| <= gamma_5 |M| <= gamma_5.
 #
 # Chart angles.  s-hat = s (1 + t_2), c_sin-hat = c sin(sigma) (1 + t_5)
 # and c_cos-hat = c cos(sigma) (1 + t_5); hypot scales by at most its legs'

@@ -77,6 +77,16 @@ def _canned_record(tmp_path, monkeypatch, diff, args=()):
             if cwd is not None:
                 paired.append(("warm", Path(cwd)))
             out = ""
+        elif argv[1] == "-c" and argv[2] == trajectory._RECIPE:
+            # a recipe's child writes its argv, and verify's exits 3; the
+            # parent checkout's verify writes other bytes
+            assert "src" in kwargs["env"]["PYTHONPATH"]
+            recipe, text = argv[4:], " ".join(argv[4:])
+            if recipe[0] == "verify" and cwd is not None and Path(cwd).name == "parent":
+                text += "!"
+            Path(argv[3]).write_text(text)
+            code = 3 if recipe[0] == "verify" else 0
+            out = f"check_id passed value\n{json.dumps([0.5, code, 30.5, 1000])}\n"
         elif argv[1] == "-c":  # the verify sweep's child
             assert argv[2] == trajectory._SWEEP and "src" in kwargs["env"]["PYTHONPATH"]
             out = "".join(_sweep_line(seed) + "\n" for seed in range(int(argv[3])))
@@ -179,7 +189,8 @@ def test_the_verify_sweep_keeps_each_checks_worst_seed_bound_and_failures(tmp_pa
     record, calls, _ = _canned_record(tmp_path, monkeypatch, _DIFF)
     sweep = record["verify_sweep"]
     assert sweep["seeds"] == 300
-    assert [argv[3] for argv in calls if argv[1] == "-c"] == ["300"]  # one child for all seeds
+    sweeps = [argv[3] for argv in calls if argv[1] == "-c" and argv[2] != _load()._RECIPE]
+    assert sweeps == ["300"]  # one child for all seeds
     assert sweep["checks"] == {
         "tight": {"worst": 0.75, "worst_seed": 7, "bound": 0.5, "failing_seeds": [7, 250]},
         "flat": {"worst": 0.5, "worst_seed": 0, "bound": 0.5 + 1e-12, "failing_seeds": []},
@@ -195,6 +206,40 @@ def test_the_sweep_child_prints_one_line_per_seed_in_check_order():
                           capture_output=True, text=True, env=env, check=True)
     want = [[[r.name, r.passed, r.value, r.bound] for r in run_checks(seed)] for seed in (0, 1)]
     assert [json.loads(line) for line in done.stdout.splitlines()] == want
+
+
+def test_each_recipe_records_its_runs_usage_and_output_digest(tmp_path, monkeypatch):
+    record, calls, _ = _canned_record(tmp_path, monkeypatch, _DIFF)
+    recipes = _load().RECIPES
+    assert sorted(record["recipes"]) == sorted(recipes)
+    for name, row in record["recipes"].items():
+        argv = recipes[name]
+        assert row["argv"] == argv and row["wall_s"] >= 0 and row["main_s"] == 0.5
+        assert (row["ru_maxrss_mib"], row["ru_minflt"]) == (30.5, 1000)
+        assert row["exit_code"] == (3 if argv[0] == "verify" else 0)
+        assert row["sha256"] == hashlib.sha256(" ".join(argv).encode()).hexdigest()
+        assert "bytes_equal" not in row  # only --against runs the parent's
+    assert sum(1 for argv in calls if argv[1:3] == ["-c", _load()._RECIPE]) == len(recipes)
+
+
+def test_against_runs_each_recipe_once_in_the_parent_and_compares_bytes(tmp_path, monkeypatch):
+    record, calls, _ = _canned_record(tmp_path, monkeypatch, _DIFF, _AGAINST)
+    # the canned parent's verify writes other bytes; every other recipe, the same
+    equal = {name: row["bytes_equal"] for name, row in record["recipes"].items()}
+    assert equal == {name: name != "verify" for name in _load().RECIPES}
+    assert sum(1 for argv in calls if argv[1:3] == ["-c", _load()._RECIPE]) == 2 * len(equal)
+
+
+def test_the_recipe_child_writes_the_bytes_main_writes(tmp_path):
+    # the child's own code on a 10-cycle simulate, against main in this process
+    from geopump.cli import main
+
+    argv = ["simulate", "--theta", "1", "--phi", "0.3", "--cycles", "10"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    row = _load().recipe(argv)
+    assert row["exit_code"] == 0 and row["ru_maxrss_mib"] > 0 and row["ru_minflt"] > 0
+    assert row["wall_s"] >= row["main_s"] > 0
+    assert row["sha256"] == hashlib.sha256((tmp_path / "out").read_bytes()).hexdigest()
 
 
 def test_a_clean_tree_records_the_hash_of_no_bytes(tmp_path, monkeypatch):

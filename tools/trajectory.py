@@ -16,22 +16,29 @@ pytest command in ROADMAP.md) and counts its passes and failures, runs
 verify's battery (geopump.checks.run_checks) at seeds 0-299 in one child
 and keeps, for each check, its worst value, that value's seed, its bound
 and its failing seeds (verify_sweep), and records src_lines, the total
-`wc -l src/geopump/*.py` prints.  The
-file goes to the root of the checkout, with the commit from `git rev-parse
-HEAD`, whether the working tree differed from it, and diff_sha256, the
-SHA-256 of `git diff HEAD --binary` (untracked files aside), so that a
-point measured before its commit names the tree it measured; a clean tree
-gives the hash of no bytes.
+`wc -l src/geopump/*.py` prints.  It runs each recipe of RECIPES, the
+north star's CLI runs at scale, once as a fresh child that calls
+geopump.cli.main(argv + ["--out", <tmp file>]), and keeps its wall time,
+the time in main, the child's ru_maxrss in MiB and ru_minflt, main's exit
+code and the SHA-256 of the output (recipes).  The file goes to the root
+of the checkout, with the commit from `git rev-parse HEAD`, whether the
+working tree differed from it, and diff_sha256, the SHA-256 of `git diff
+HEAD --binary` (untracked files aside), so that a point measured before
+its commit names the tree it measured; a clean tree gives the hash of no
+bytes.
 
 With --against REV it also measures the working tree against REV in
 PAIRS (10) pairs of runs.  REV is exported with `git archive` to
 <tmp>/parent and the working tree's tracked and unignored files are
-copied to <tmp>/change, sibling paths of equal length, since peak RSS moves with the checkout path's length; both get the
-same compileall warming.  Each workload then runs PAIRS times per side,
-alternating which side goes first.  For each workload and end-to-end
-metric of BENCHMARK.json the record holds both sides' values, medians and
+copied to <tmp>/change, sibling paths of equal length, since peak RSS
+moves with the checkout path's length; both get the same compileall
+warming.  Each workload then runs PAIRS times per side, alternating
+which side goes first.  For each workload and end-to-end metric of
+BENCHMARK.json the record holds both sides' values, medians and
 quartiles, and the pairs each side won by that metric's `better` (a tie
 counts for neither).  A change that claims a gain quotes these pairs.
+Each recipe also runs once in <tmp>/parent, and its record says whether
+the parent wrote the same bytes (bytes_equal).
 """
 
 from __future__ import annotations
@@ -64,6 +71,30 @@ import json, sys
 from geopump.checks import run_checks
 for seed in range(int(sys.argv[1])):
     print(json.dumps([[r.name, r.passed, r.value, r.bound] for r in run_checks(seed)]))
+"""
+# the north star's CLI runs at scale, by name
+RECIPES = {
+    "simulate-csv": ["simulate", "--theta", "1", "--phi", "0.3", "--cycles", "1000000"],
+    "simulate-json": ["simulate", "--theta", "1", "--phi", "0.3", "--cycles", "1000000",
+                      "--format", "json"],
+    "phase-diagram-1000x1000": ["phase-diagram", "--theta-grid", "1000", "--phi-grid", "1000",
+                                "--n-max", "200"],
+    "phase-diagram-n100000": ["phase-diagram", "--theta-grid", "100", "--phi-grid", "100",
+                              "--n-max", "100000"],
+    "asymptote": ["asymptote", "--samples", "1000000", "--seed", "3"],
+    "band-scan": ["band-scan", "--a", "1", "--k-grid", "1000000"],
+    "verify": ["verify", "--seed", "3"],
+}
+# the child of a recipe: argv is [out, *recipe]; its last line holds main_s,
+# main's exit code and the child's own ru_maxrss (KiB on Linux) and ru_minflt
+_RECIPE = """
+import json, resource, sys, time
+from geopump.cli import main
+start = time.perf_counter()
+code = main(sys.argv[2:] + ["--out", sys.argv[1]])
+main_s = time.perf_counter() - start
+usage = resource.getrusage(resource.RUSAGE_SELF)
+print(json.dumps([main_s, code, usage.ru_maxrss / 1024, usage.ru_minflt]))
 """
 
 
@@ -115,6 +146,29 @@ def verify_sweep() -> dict:
     return {"seeds": SWEEP_SEEDS, "checks": checks}
 
 
+def _sha256(path: Path) -> str:
+    # in pieces: a child's ru_maxrss counts this process's peak RSS when it
+    # was spawned, so the outputs, up to about 100 MiB, are never held whole
+    digest = hashlib.sha256()
+    with path.open("rb") as f:
+        for piece in iter(lambda: f.read(1 << 20), b""):
+            digest.update(piece)
+    return digest.hexdigest()
+
+
+def recipe(argv: list, cwd=None) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        start = perf_counter()
+        done = _run([sys.executable, "-c", _RECIPE, str(out), *argv], cwd=cwd, env=_src_env(),
+                    check=True)
+        wall_s = perf_counter() - start
+        main_s, code, maxrss_mib, minflt = json.loads(done.stdout.splitlines()[-1])
+        digest = _sha256(out) if out.exists() else None
+    return {"argv": argv, "wall_s": wall_s, "main_s": main_s, "ru_maxrss_mib": maxrss_mib,
+            "ru_minflt": minflt, "exit_code": code, "sha256": digest}
+
+
 def src_lines() -> int:
     # newlines, as wc -l counts them, in the package's modules
     return sum(path.read_bytes().count(b"\n") for path in (ROOT / "src" / "geopump").glob("*.py"))
@@ -156,7 +210,9 @@ def _paired(parent: list, change: list, better: str) -> dict:
     }
 
 
-def pairs(rev: str, declared: dict) -> dict:
+def pairs(rev: str, declared: dict, recipes: dict) -> dict:
+    """The paired workload runs against REV; each of `recipes` (name:
+    record) gains bytes_equal from one run of it in REV's checkout."""
     values = {wl["name"]: {side: [] for side in SIDES} for wl in declared["workloads"]}
     with tempfile.TemporaryDirectory() as tmp:
         paths = checkouts(rev, Path(tmp))
@@ -165,6 +221,9 @@ def pairs(rev: str, declared: dict) -> dict:
                 for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                     result = bench(workload, declared["run_seconds"], cwd=paths[side])["result"]
                     runs[side].append(result["metrics"])
+        for row in recipes.values():
+            parent = recipe(row["argv"], cwd=paths["parent"])
+            row["bytes_equal"] = parent["sha256"] == row["sha256"]
     return {
         "against": _run(["git", "rev-parse", rev], check=True).stdout.strip(),
         "k": PAIRS,
@@ -201,12 +260,13 @@ def main(argv=None) -> int:
         "seconds": seconds,
         "pyc_warmed": True,
         "workloads": {wl["name"]: bench(wl["name"], seconds) for wl in declared["workloads"]},
+        "recipes": {name: recipe(argv) for name, argv in RECIPES.items()},
         "tier1": tier1(),
         "verify_sweep": verify_sweep(),
         "src_lines": src_lines(),
     }
     if args.against is not None:
-        record["pairs"] = pairs(args.against, declared)
+        record["pairs"] = pairs(args.against, declared, record["recipes"])
     out = ROOT / f"BENCH_{n}.json"
     out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(out)
