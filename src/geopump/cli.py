@@ -8,18 +8,19 @@ metadata keys have a fixed order, and line endings are LF.  Every table is
 read and written in blocks of at most su2._BLOCK rows, the package's one
 block size: _column_blocks, _grid_blocks, pump_trace_blocks and
 pump_profile_blocks cut them, so memory while writing does not grow with
-the size of the output.  Both formats go
-through one writer: each column block is spelled as character planes in
-numpy (see _cells), '%.17g' % x or repr(x) for a float and '%d' % n for an
-int, and the planes are framed by the format's separators and read out as
-rows.  Python spells only the cells the kernel cannot decide, such as
-near-ties and non-finite values.  A column block that repeats the previous
-block's bits, or runs of equal bits, is spelled once per distinct value,
-with the same bytes.  Grid commands put whole theta rows in each block.
-simulate, asymptote and band-scan compute each block as it is written, so
-memory grows with none of --cycles, --k-grid and, past the draws held,
---samples.  A RunConfig resolves its params against _COMMANDS when it is
-built, so a library caller's bad config fails there, not in run.
+the size of the output.  Both formats go through one writer: each column
+block is spelled as character planes in numpy (see _cells), '%.17g' % x or
+repr(x) for a float and '%d' % n for an int, and the planes are copied,
+transposed, into one reused row buffer that holds the format's separators,
+and read out as rows.  Python spells only the cells the kernel cannot
+decide, such as near-ties and non-finite values.  A column block that
+repeats the previous block's bits, or runs of equal bits, is spelled once
+per distinct value, with the same bytes.  Grid commands put whole theta
+rows in each block.  simulate, asymptote and band-scan compute each block
+as it is written, so memory grows with none of --cycles, --k-grid and, past
+the draws held, --samples.  A RunConfig resolves its params against
+_COMMANDS when it is built, so a library caller's bad config fails there,
+not in run.
 
 Exit codes: 0 success, 1 bad configuration, 2 runtime or I/O failure,
 also one raised while writing (see emit), 3 verification failure.
@@ -262,7 +263,7 @@ def _reused(col: np.ndarray, last, spell):
     return bits, np.repeat(spell(col[starts]), np.diff(starts, append=len(bits)), axis=1)
 
 
-# rows read out of the character planes at a time: the transposed copy and
+# rows read out of the character planes at a time: the one row buffer and
 # its bytes stay small next to a block's planes, and so does the peak RSS
 _TEXT_ROWS = 1024
 
@@ -271,29 +272,50 @@ _CSV_FRAME = ("", ",", "\n", "")
 _JSON_FRAME = ("    [\n      ", ",\n      ", "\n    ]", ",\n")
 
 
+def _framed(widths, lead, sep, end):
+    """(buffer, spans) for columns of widths planes: a row-major
+    (_TEXT_ROWS, W) uint8 buffer each row of which is lead, each column's
+    empty slots with sep between them, and end; and the (first, stop)
+    range of each column's slots."""
+    spans, at = [], len(lead)
+    for width in widths:
+        spans.append((at, at + width))
+        at += width + len(sep)
+    row = lead + sep.join(bytes(width) for width in widths) + end
+    return np.frombuffer(bytearray(row) * _TEXT_ROWS, np.uint8).reshape(_TEXT_ROWS, -1), spans
+
+
 def _rows(blocks, spell_float, frame):
     """Yield the rows of each column block as text, _TEXT_ROWS rows at a
     time.  Each column block is spelled as character planes (see _cells),
     by spell_float for floats and int_planes for ints, once per distinct
-    value where that gains (see _reused).  The planes are stacked with the
-    frame's, transposed and read out with the empty slots deleted: every
-    row is led by the frame's join and start, and the first row's join is
-    cut off its text."""
+    value where that gains (see _reused).  Each chunk's planes are copied,
+    transposed, into one reused row buffer that holds the frame's bytes
+    (see _framed) and read out with the empty slots deleted; the buffer is
+    rebuilt only when a block's plane counts change.  Every row is led by
+    the frame's join and start, and the first row's join is cut off its
+    text."""
     from ._cells import int_planes  # on the first write, not at import
 
-    start, sep, end, join = (np.frombuffer(s.encode(), np.uint8)[:, None] for s in frame)
-    lead, skip, last = np.concatenate([join, start]), len(join), {}
+    start, sep, end, join = (s.encode() for s in frame)
+    lead, skip, last = join + start, len(join), {}
+    widths = buffer = None
     for block in blocks:
-        n = len(block[0])
-        planes = [np.broadcast_to(lead, (len(lead), n))]
+        planes = []  # the last block's planes go before this block's are spelled
         for j, col in enumerate(block):
             spell = spell_float if col.dtype.kind == "f" else int_planes
             last[j] = _reused(col, last.pop(j, None), spell)
-            planes += [last[j][1], np.broadcast_to(sep, (len(sep), n))]
-        planes[-1] = np.broadcast_to(end, (len(end), n))
+            planes.append(last[j][1])
+        layout = [len(p) for p in planes]  # _finish may have widened a column
+        if layout != widths:
+            widths, buffer = layout, None  # the old buffer goes before the new one
+            buffer, spans = _framed(widths, lead, sep, end)
+        n = len(block[0])
         for lo in range(0, n, _TEXT_ROWS):
-            part = np.concatenate([p[:, lo : lo + _TEXT_ROWS] for p in planes])
-            yield part.T.tobytes().translate(None, b"\0").decode("ascii")[skip:]
+            rows = buffer[: n - lo]
+            for p, (first, stop) in zip(planes, spans):
+                rows[:, first:stop] = p[:, lo : lo + _TEXT_ROWS].T
+            yield rows.tobytes().translate(None, b"\0").decode("ascii")[skip:]
             skip = 0
 
 

@@ -650,6 +650,30 @@ def test_emit_memory_stays_below_output_size(tmp_path, fmt):
     assert peak < written / 2, f"peak {peak} bytes while writing {written}"
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writer_keeps_no_earlier_block_of_planes(fmt):
+    # while a block is spelled the writer holds the row buffer and the last
+    # block's planes of the columns not yet spelled again; the last block's
+    # planes held whole would add one block's planes
+    from geopump import _cells
+
+    x = np.random.default_rng(5).random((5, 8 * _BLOCK))
+    blocks, spell = {
+        "csv": (cli._csv_blocks, _cells.float_planes),
+        "json": (cli._json_blocks, _cells.repr_planes),
+    }[fmt]
+
+    def write(rows):
+        for _ in blocks(ResultTable("abcde", x[:, :rows])):
+            pass
+
+    write(_BLOCK)  # allocations made once per process are not per block
+    one = _traced_peak(lambda: write(_BLOCK))
+    eight = _traced_peak(lambda: write(8 * _BLOCK))
+    planes = sum(spell(column[:_BLOCK]).nbytes for column in x)
+    assert eight - one < planes, f"peak {one} -> {eight} bytes, a block's planes {planes}"
+
+
 @pytest.fixture
 def failing_csv_writer(monkeypatch):
     """Make CSV output raise ENOSPC after its header and first row block."""
@@ -1340,6 +1364,53 @@ def test_json_cells_are_spelled_as_repr_does(cells):
 def test_json_spelling_at_edges(values):
     x = np.asarray(values, dtype=np.float64)
     assert _json_text((x, -x)) == _dumps_text((x, -x))
+
+
+# --- Row read-out -----------------------------------------------------------
+
+_PLAIN_X = [0.5, 1.25, 2.0, 3.5, 4.0, 5.75, 6.5]
+_PLAIN_N = [1, 22, 333, 9999, 5, 66, 7]
+# cells that widen a column's planes or add a slot: a sign, the "0.000"
+# lead, 2- and 3-digit exponents, JSON's NaN and +/-inf (which _finish
+# widens), a fifth int digit and ints past 2**53 (also _finish's)
+_WIDER = [
+    (0, -2.5), (0, 1.5e-4), (0, 1e-50), (0, 1e-150), (0, -1e200),
+    (0, math.nan), (0, math.inf), (0, -math.inf),
+    (1, -3), (1, 10_000), (1, 2**53), (1, -(2**63)),
+]
+
+
+def _widening_columns():
+    """Blocks of seven rows: one with a cell of _WIDER at row 0, 3 or 6, so
+    in the first, second or last chunk of 3, 3 and 1 rows, then a plain one."""
+    x, n = [], []
+    for i, (column, value) in enumerate(_WIDER):
+        wide = (list(_PLAIN_X), list(_PLAIN_N))
+        wide[column][3 * (i % 3)] = value
+        x += wide[0] + _PLAIN_X
+        n += wide[1] + _PLAIN_N
+    return np.array(x), np.array(n, np.int64)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("shape", ["two-columns", "float-column", "int-column", "one-row"])
+def test_row_buffer_follows_every_width_change(small_blocks, monkeypatch, fmt, shape):
+    # each block's layout comes and goes with its widest cell, so a row
+    # buffer kept past a width change shows in the bytes
+    small_blocks(7)
+    monkeypatch.setattr(cli, "_TEXT_ROWS", 3)
+    x, n = _widening_columns()
+    tables = {
+        "two-columns": [(x, n)],
+        "float-column": [(x,)],
+        "int-column": [(n,)],
+        "one-row": [(x[i : i + 1], n[i : i + 1]) for i in range(len(x))],
+    }[shape]
+    for columns in tables:
+        if fmt == "csv":
+            assert _csv_rows(columns) == _percent_rows(columns)
+        else:
+            assert _json_text(columns) == _dumps_text(columns)
 
 
 def test_rate_draws_are_spelled_by_the_kernel(monkeypatch):

@@ -82,6 +82,7 @@ RECIPES = {
     "phase-diagram-n100000": ["phase-diagram", "--theta-grid", "100", "--phi-grid", "100",
                               "--n-max", "100000"],
     "asymptote": ["asymptote", "--samples", "1000000", "--seed", "3"],
+    "asymptote-json": ["asymptote", "--samples", "1000000", "--seed", "3", "--format", "json"],
     "band-scan": ["band-scan", "--a", "1", "--k-grid", "1000000"],
     "verify": ["verify", "--seed", "3"],
 }
