@@ -18,7 +18,6 @@ from .asymptotics import (
     phi_average,
 )
 from .band import (
-    ChainParams,
     DriveCycle,
     GapClosedError,
     PumpProfile,
@@ -45,7 +44,6 @@ from .stability import (
     EmptyCurveError,
     PhaseDiagram,
     StabilityVerdict,
-    StableCurve,
     classify,
     curve_order,
     matrix_power_closed_form,
@@ -67,7 +65,6 @@ from .su2 import (
 )
 
 __all__ = [
-    "ChainParams",
     "DriveCycle",
     "EmptyCurveError",
     "GapClosedError",
@@ -80,7 +77,6 @@ __all__ = [
     "PumpTrace",
     "RemovableSingularityWarning",
     "StabilityVerdict",
-    "StableCurve",
     "TptEvent",
     "axis_angle_from_euler",
     "axis_angle_matrices",

@@ -10,7 +10,8 @@ and a transversal crossing of |v| = |w| always flips the winding, so it
 marks a band inversion: the inverted momentum pumps with opening angle
 pi while every other momentum stays inert.  One closed-form rule on the
 offsets gives both `theta_of_k`, on floats or momentum blocks, and the
-flip count `DriveCycle.tpt_count`; `winding_number` is the sampled oracle.
+flip count `DriveCycle.tpt_count`; `winding_number(v, w)`, beside
+`min_gap(v, w)`, is the sampled oracle on the two hoppings alone.
 """
 
 from __future__ import annotations
@@ -38,56 +39,40 @@ class GapClosedError(ValueError):
 
 
 def _require_chain(**params) -> None:
-    """Raise ValueError unless every chain parameter is finite and the
-    lattice constant l has l > 0 and a finite 2*pi/l."""
+    """Raise ValueError unless every chain parameter is finite."""
     for name, value in params.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
-    l = params["l"]
-    if not (l > 0.0 and math.isfinite(TWO_PI / l)):
-        raise ValueError(f"lattice constant l needs l > 0 and finite 2*pi/l, got {l}")
 
 
-@dataclass(frozen=True)
-class ChainParams:
-    """Static chain: intra-cell hopping v, inter-cell hopping w, lattice
-    constant l."""
-
-    v: float
-    w: float
-    l: float = 1.0
-
-    def __post_init__(self):
-        _require_chain(v=self.v, w=self.w, l=self.l)
-
-
-def min_gap(cp: ChainParams) -> float:
+def min_gap(v: float, w: float) -> float:
     """Minimum of |d(k)| over the zone; the circle's distance to the origin."""
-    return abs(abs(cp.v) - abs(cp.w))
+    _require_chain(v=v, w=w)
+    return abs(abs(v) - abs(w))
 
 
-def winding_number(cp: ChainParams) -> int:
+def winding_number(v: float, w: float) -> int:
     """Winding of the Bloch field around the origin over one zone traversal.
 
-    Accumulates wrapped angle increments over a closed momentum path of at
-    least 64 samples, refined until each increment stays well below pi,
-    which the circle geometry bounds by the gap.  Raises GapClosedError
-    when the gap is below GAP_TOL, or so small that no affordable sampling
-    can resolve the winding.
+    Accumulates wrapped angle increments over a closed momentum path k in
+    [-pi, pi] of at least 64 samples, refined until each increment stays
+    well below pi, which the circle geometry bounds by the gap.  Raises
+    GapClosedError when the gap is below GAP_TOL, or so small that no
+    affordable sampling can resolve the winding.
     """
-    if cp.w == 0.0:
+    gap = min_gap(v, w)
+    if w == 0.0:
         raise ValueError("winding needs w != 0")
-    gap = min_gap(cp)
     if gap <= GAP_TOL:
-        raise GapClosedError(f"gap {gap:.3e} at v={cp.v}, w={cp.w} is closed")
-    needed = 8.0 * abs(cp.w) / gap
+        raise GapClosedError(f"gap {gap:.3e} at v={v}, w={w} is closed")
+    needed = 8.0 * abs(w) / gap
     if needed > _MAX_SAMPLES:
         raise GapClosedError(
-            f"gap {gap:.3e} at v={cp.v}, w={cp.w} is too small to resolve the winding"
+            f"gap {gap:.3e} at v={v}, w={w} is too small to resolve the winding"
         )
     n = max(_MIN_SAMPLES, int(needed) + 1)
-    ks = np.linspace(-math.pi / cp.l, math.pi / cp.l, n + 1)
-    angles = np.arctan2(cp.w * np.sin(ks * cp.l), cp.v + cp.w * np.cos(ks * cp.l))
+    ks = np.linspace(-math.pi, math.pi, n + 1)
+    angles = np.arctan2(w * np.sin(ks), v + w * np.cos(ks))
     increments = np.diff(angles)
     increments = (increments + math.pi) % TWO_PI - math.pi
     return int(round(increments.sum() / TWO_PI))
@@ -108,6 +93,8 @@ class DriveCycle:
 
     def __post_init__(self):
         _require_chain(a=self.a, w=self.w, l=self.l)
+        if not (self.l > 0.0 and math.isfinite(TWO_PI / self.l)):
+            raise ValueError(f"lattice constant l needs l > 0 and finite 2*pi/l, got {self.l}")
         if self.w == 0.0:
             raise ValueError("the chain needs w != 0")
 

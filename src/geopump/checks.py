@@ -19,7 +19,6 @@ import numpy as np
 
 from .asymptotics import p_geometric, p_infinity, p_infinity_axis_route, phi_average
 from .band import (
-    ChainParams,
     DriveCycle,
     GapClosedError,
     pump_profile,
@@ -29,7 +28,13 @@ from .band import (
 )
 from .evolution import build_loop_operator, propagate_state, pump_trace_blocks, trajectory_angles
 from .sampling import make_rng, sample_loop_params
-from .stability import _returns, matrix_power_closed_form, off_diagonal_magnitude, stable_curve
+from .stability import (
+    _returns,
+    curve_order,
+    matrix_power_closed_form,
+    off_diagonal_magnitude,
+    stable_curve,
+)
 from .su2 import (
     HALF_PI,
     TWO_PI,
@@ -169,7 +174,7 @@ def _check_winding_criterion(rng):
         if abs(abs(v) - abs(w)) <= 1e-6 or abs(w) <= 1e-6:
             continue
         try:  # a gap too small for the sampler to resolve is redrawn too
-            winding = winding_number(ChainParams(float(v), float(w)))
+            winding = winding_number(float(v), float(w))
         except GapClosedError:
             continue
         drawn += 1
@@ -180,9 +185,9 @@ def _check_winding_criterion(rng):
 
 def _check_rational_orders(rng):
     pairs = [(p, q) for q in range(1, 9) for p in range(1, q + 1) if math.gcd(p, q) == 1]
-    curves = [stable_curve(p, q, 4) for p, q in pairs]
-    theta, phi = np.array([point for curve in curves for point in curve.points]).T
-    expected = [curve.order for curve in curves for _ in curve.points]
+    curves = [(stable_curve(p, q, 4), curve_order(p, q)) for p, q in pairs]
+    theta, phi = np.array([point for points, _ in curves for point in points]).T
+    expected = [order for points, order in curves for _ in points]
     # one scan to the largest bound: a return past a point's own is a mismatch anyway
     orders, _ = _returns(theta, phi, 2 * max(expected) + 2, 1e-9)
     mismatches = sum(
@@ -220,7 +225,7 @@ def _sampled_inversions(dc):
     for i, event in enumerate(events):
         end = events[(i + 1) % len(events)].time_fraction + (i == len(events) - 1)
         t = 0.5 * (event.time_fraction + end) % 1.0
-        windings.append(winding_number(ChainParams(dc.v_at(t), dc.w, dc.l)))
+        windings.append(winding_number(dc.v_at(t), dc.w))
     # interval i follows closing i; the one before closing i is interval i-1
     return tuple(e.k_star for i, e in enumerate(events) if windings[i] != windings[i - 1])
 

@@ -411,8 +411,8 @@ def _grid_blocks(thetas: np.ndarray, phis: np.ndarray, *grids: np.ndarray):
 
 def _run_asymptote(cfg: RunConfig) -> ResultTable:
     p = cfg.params
-    _check_grid(p["theta_grid"], p["phi_grid"])  # in draw mode too, before any output
     if p["samples"] > 0:  # the draws or the grid axes are made and checked before any output
+        _check_grid(p["theta_grid"], p["phi_grid"])  # echoed into the metadata, so checked
         draws = sample_loop_params(make_rng(cfg.seed), p["samples"])
         blocks = functools.partial(_column_blocks, *draws)
     else:

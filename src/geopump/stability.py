@@ -5,8 +5,8 @@ U^n = t_n U - t_{n-1} I with t_n = sin(nh)/sin h, and U^n's off-diagonal
 magnitude is A |sin(nh)|, A = sin(theta/2)/sin h.  So return orders and
 marginal near misses come from the continued fraction of x = h/pi, which
 _returns walks in O(log n_max + marginals) a cell for classify,
-phase_diagram (after a vectorised prefilter) and verify.  Stable curves
-of constant rational turn angle are sampled and rasterized here too.
+phase_diagram (after a vectorised prefilter) and verify.  Phase diagrams
+are rasterized; stable curves of constant rational turn angle are sampled.
 """
 
 from __future__ import annotations
@@ -221,24 +221,10 @@ def curve_order(p: int, q: int) -> int:
     return 2 * q // math.gcd(p, 2 * q)
 
 
-@dataclass(frozen=True)
-class StableCurve:
-    """Sampled curve of constant turn angle delta = p*pi/q."""
-
-    p: int
-    q: int
-    delta: float
-    points: tuple[tuple[float, float], ...]
-
-    @property
-    def order(self) -> int:
-        return curve_order(self.p, self.q)
-
-
-def stable_curve(p: int, q: int, resolution: int) -> StableCurve:
+def stable_curve(p: int, q: int, resolution: int) -> tuple[tuple[float, float], ...]:
     """Sample the constant-turn-angle curve for delta = p*pi/q.
 
-    Points (theta, phi >= 0) satisfy cos(theta/2) * cos(phi) =
+    The (theta, phi >= 0) points returned satisfy cos(theta/2) * cos(phi) =
     cos(delta/2); the mirror points at -phi also lie on the curve.  theta
     is sampled over (0, delta], skipping the degenerate theta = 0 end.
 
@@ -260,8 +246,7 @@ def stable_curve(p: int, q: int, resolution: int) -> StableCurve:
     thetas = delta * np.arange(1, resolution + 1) / resolution
     ratios = target / half_turn(thetas, 0.0).c_cos
     phis = [math.acos(min(1.0, ratio)) for ratio in ratios.tolist()]
-    points = tuple(zip(thetas.tolist(), phis))
-    return StableCurve(p, q, delta, points)
+    return tuple(zip(thetas.tolist(), phis))
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,7 +15,6 @@ import pytest
 from scipy.stats import kstest
 
 from geopump import (
-    ChainParams,
     DriveCycle,
     LoopParams,
     RemovableSingularityWarning,
@@ -128,7 +127,7 @@ def test_06_stability_exactness_on_rational_curves():
             curves += 1
             expected = curve_order(p, q)
             assert (expected * p) % (2 * q) == 0
-            for theta, phi in stable_curve(p, q, 5).points:
+            for theta, phi in stable_curve(p, q, 5):
                 lp = LoopParams(theta, 0.0, phi)
                 verdict = classify(lp.theta, lp.phi, 2 * expected + 2)
                 u = build_loop_operator(lp.theta, lp.omega, lp.phi)
@@ -198,7 +197,7 @@ def test_10_band_model_topology_and_profiles():
         if abs(abs(v) - abs(w)) <= 1e-3 or abs(w) <= 1e-3:
             continue
         drawn += 1
-        if winding_number(ChainParams(float(v), float(w))) != int(abs(v) < abs(w)):
+        if winding_number(float(v), float(w)) != int(abs(v) < abs(w)):
             mismatch += 1
     if mismatch:
         problems.append(f"{mismatch} winding mismatches")

@@ -7,7 +7,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from geopump import (
-    ChainParams,
     DriveCycle,
     GapClosedError,
     min_gap,
@@ -23,49 +22,49 @@ from geopump.cli import main
 RNG = np.random.default_rng(31337)
 
 
-def _field(k, cp):
+def _field(k, v, w, l=1.0):
     # the in-plane Bloch field (d_x, d_y) at momentum k
-    return cp.v + cp.w * math.cos(k * cp.l), cp.w * math.sin(k * cp.l)
+    return v + w * math.cos(k * l), w * math.sin(k * l)
 
 
 def _random_gapped(rng, floor=1e-3):
     while True:
         v, w = rng.uniform(-2.0, 2.0, size=2)
         if abs(abs(v) - abs(w)) > floor and abs(w) > floor:
-            return ChainParams(float(v), float(w))
+            return float(v), float(w)
 
 
 class TestChainParams:
+    # the hoppings v and w, plain floats checked by each function that reads them
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ChainParams(1.0, 1.0, l=0.0)
-        with pytest.raises(ValueError):
-            ChainParams(math.inf, 1.0)
+        for route in (winding_number, min_gap):
+            with pytest.raises(ValueError, match=r"^v must be finite, got inf$"):
+                route(math.inf, 1.0)
+            with pytest.raises(ValueError, match=r"^w must be finite, got nan$"):
+                route(0.5, math.nan)
 
     @pytest.mark.parametrize("l", [1e-320, 5e-324, math.nan, math.inf])
     def test_lattice_constant_needs_a_finite_zone(self, l):
-        with pytest.raises(ValueError, match=r"\bl\b"):
-            ChainParams(1.0, 1.0, l=l)
         with pytest.raises(ValueError, match=r"\bl\b"):
             DriveCycle(a=1.0, l=l)
 
     def test_bloch_vector_special_points(self):
         # same-sign hoppings: the field's circle passes nearest the origin at k = pi
-        cp = ChainParams(0.7, 1.3)
-        assert _field(0.0, cp) == pytest.approx((2.0, 0.0))
-        dx, dy = _field(math.pi, cp)
+        v, w = 0.7, 1.3
+        assert _field(0.0, v, w) == pytest.approx((2.0, 0.0))
+        dx, dy = _field(math.pi, v, w)
         assert dx == pytest.approx(0.7 - 1.3)
         assert dy == pytest.approx(0.0, abs=1e-15)
-        assert min_gap(cp) == pytest.approx(math.hypot(dx, dy))
+        assert min_gap(v, w) == pytest.approx(math.hypot(dx, dy))
 
     def test_bloch_vector_formula(self):
         # opposite-sign hoppings with l = 2: nearest the origin at k = 0
-        cp = ChainParams(0.4, -0.9, l=2.0)
+        v, w = 0.4, -0.9
         ks = np.linspace(-math.pi / 2.0, math.pi / 2.0, 1001)
-        gaps = [math.hypot(*_field(float(k), cp)) for k in ks]
-        assert math.hypot(*_field(0.0, cp)) == pytest.approx(min_gap(cp))
-        assert min(gaps) == pytest.approx(min_gap(cp))
-        assert winding_number(cp) == 1
+        gaps = [math.hypot(*_field(float(k), v, w, l=2.0)) for k in ks]
+        assert math.hypot(*_field(0.0, v, w, l=2.0)) == pytest.approx(min_gap(v, w))
+        assert min(gaps) == pytest.approx(min_gap(v, w))
+        assert winding_number(v, w) == 1
 
 
 class TestMinGap:
@@ -73,47 +72,44 @@ class TestMinGap:
         "v,w,expected", [(1.0, 2.0, 1.0), (2.0, 1.0, 1.0), (1.5, 1.5, 0.0), (-0.5, 2.0, 1.5)]
     )
     def test_values(self, v, w, expected):
-        assert min_gap(ChainParams(v, w)) == pytest.approx(expected)
+        assert min_gap(v, w) == pytest.approx(expected)
 
     def test_is_a_lower_bound_on_sampled_gaps(self):
-        cp = _random_gapped(RNG)
+        v, w = _random_gapped(RNG)
         ks = np.linspace(-math.pi, math.pi, 501)
-        gaps = [math.hypot(*_field(float(k), cp)) for k in ks]
-        assert min(gaps) >= min_gap(cp) - 1e-12
+        gaps = [math.hypot(*_field(float(k), v, w)) for k in ks]
+        assert min(gaps) >= min_gap(v, w) - 1e-12
 
 
 class TestWinding:
     def test_topological_side(self):
-        assert winding_number(ChainParams(0.5, 1.0)) == 1
-        assert winding_number(ChainParams(-0.5, -1.0)) == 1
+        assert winding_number(0.5, 1.0) == 1
+        assert winding_number(-0.5, -1.0) == 1
 
     def test_trivial_side(self):
-        assert winding_number(ChainParams(1.5, 1.0)) == 0
-        assert winding_number(ChainParams(-1.5, 1.0)) == 0
+        assert winding_number(1.5, 1.0) == 0
+        assert winding_number(-1.5, 1.0) == 0
 
     def test_matches_modulus_criterion(self):
         for _ in range(200):
-            cp = _random_gapped(RNG)
-            expected = 1 if abs(cp.v) < abs(cp.w) else 0
-            assert winding_number(cp) == expected
+            v, w = _random_gapped(RNG)
+            expected = 1 if abs(v) < abs(w) else 0
+            assert winding_number(v, w) == expected
 
     def test_closed_gap_rejected(self):
         with pytest.raises(GapClosedError):
-            winding_number(ChainParams(1.0, 1.0))
+            winding_number(1.0, 1.0)
 
     def test_unresolvably_small_gap_rejected(self):
         with pytest.raises(GapClosedError):
-            winding_number(ChainParams(1.0, 1.0 + 1e-9))
+            winding_number(1.0, 1.0 + 1e-9)
 
     def test_small_but_resolvable_gap(self):
-        assert winding_number(ChainParams(1.0, 1.01)) == 1
+        assert winding_number(1.0, 1.01) == 1
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            winding_number(ChainParams(1.0, 0.0))
-
-    def test_lattice_constant_is_irrelevant(self):
-        assert winding_number(ChainParams(0.5, 1.0, l=3.7)) == 1
+        with pytest.raises(ValueError, match=r"^winding needs w != 0$"):
+            winding_number(1.0, 0.0)
 
 
 class TestDriveCycle:

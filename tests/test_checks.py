@@ -16,7 +16,6 @@ import geopump
 import geopump.checks as checks
 import geopump.evolution as evolution
 from geopump import (
-    ChainParams,
     GapClosedError,
     LoopParams,
     axis_angle_from_euler,
@@ -119,23 +118,23 @@ def test_winding_criterion_redraws_an_unresolvable_gap(monkeypatch):
     # sample; a pair within 1e-6 of |v| = |w| never reaches the sampler
     pair, near = (1.999997, 1.9999995), (-0.75, 0.7500005)
     with pytest.raises(GapClosedError):
-        winding_number(ChainParams(*pair))
+        winding_number(*pair)
     chains = []
 
-    def counted(chain):
-        chains.append(chain)
-        return winding_number(chain)
+    def counted(v, w):
+        chains.append((v, w))
+        return winding_number(v, w)
 
     monkeypatch.setattr(checks, "winding_number", counted)
     value, bound = checks._check_winding_criterion(_ScriptedRng([near, pair]))
     assert value == 0.0 <= bound
-    assert len(chains) == 201 and chains[0] == ChainParams(*pair)
+    assert len(chains) == 201 and chains[0] == pair
 
 
 def test_first_diagonal_power_is_none_without_a_return():
     # a stable-curve drive returns at its curve order; a drive off every
     # short curve has no diagonal power among the first 50
-    (theta, phi), *_ = stable_curve(1, 2, 4).points
+    (theta, phi), *_ = stable_curve(1, 2, 4)
     assert checks._first_diagonal_power(build_loop_operator(theta, 0.0, phi), 10) == 4
     assert checks._first_diagonal_power(build_loop_operator(1.0, 0.0, 0.3), 50) is None
 
@@ -153,7 +152,7 @@ def _shifted_profile(dc, k_grid):
 @pytest.mark.parametrize(
     "check,route,broken",
     [
-        (checks._check_winding_criterion, "winding_number", lambda chain: 0),
+        (checks._check_winding_criterion, "winding_number", lambda v, w: 0),
         (checks._check_rational_orders, "_returns", _no_return),
         (checks._check_band_profiles, "pump_profile", _shifted_profile),
     ],
@@ -300,7 +299,7 @@ def _per_point_rational_orders(rng):
             if math.gcd(p, q) != 1:
                 continue
             expected = curve_order(p, q)
-            for theta, phi in stable_curve(p, q, 4).points:
+            for theta, phi in stable_curve(p, q, 4):
                 verdict = classify(theta, phi, 2 * expected + 2)
                 u = _cmath_loop_operator(theta, 0.0, phi)
                 oracle = checks._first_diagonal_power(u, 2 * expected + 2)

@@ -348,27 +348,29 @@ class TestCurveOrder:
 
 class TestStableCurve:
     def test_half_turn_curve_sits_on_boundary(self):
-        curve = stable_curve(1, 1, 8)
-        assert curve.order == 2
+        points = stable_curve(1, 1, 8)
+        assert curve_order(1, 1) == 2
         # at theta=pi the curve degenerates (any phi is stable), so only
         # the interior points are pinned to the quarter-bias edge
-        for _, phi in curve.points[:-1]:
+        for _, phi in points[:-1]:
             assert phi == pytest.approx(HALF_PI, abs=1e-12)
 
     def test_points_satisfy_defining_relation(self):
-        curve = stable_curve(1, 2, 16)
-        target = math.cos(curve.delta / 2.0)
-        for theta, phi in curve.points:
+        points = stable_curve(1, 2, 16)
+        assert type(points) is tuple and len(points) == 16
+        assert all(type(x) is float for point in points for x in point)
+        target = math.cos((1 * math.pi / 2) / 2.0)  # cos(delta/2), delta = p*pi/q
+        for theta, phi in points:
             assert math.cos(theta / 2.0) * math.cos(phi) == pytest.approx(
                 target, abs=1e-12
             )
 
     def test_curve_points_classify_at_curve_order(self):
         for p, q in ((1, 2), (2, 3), (3, 4), (1, 5)):
-            curve = stable_curve(p, q, 5)
-            for theta, phi in curve.points:
-                verdict = classify(theta, phi, 2 * curve.order + 2)
-                assert verdict.stable and verdict.order == curve.order
+            order = curve_order(p, q)
+            for theta, phi in stable_curve(p, q, 5):
+                verdict = classify(theta, phi, 2 * order + 2)
+                assert verdict.stable and verdict.order == order
 
     def test_wide_turns_have_no_curve(self):
         with pytest.raises(EmptyCurveError):
@@ -755,10 +757,10 @@ class TestScan:
     def test_stable_curve_points(self):
         # verify's rational-order check scans these 88 points as one stack
         pairs = [(p, q) for q in range(1, 9) for p in range(1, q + 1) if math.gcd(p, q) == 1]
-        curves = [stable_curve(p, q, 4) for p, q in pairs]
-        theta, phi = np.array([point for curve in curves for point in curve.points]).T
+        curves = [(stable_curve(p, q, 4), curve_order(p, q)) for p, q in pairs]
+        theta, phi = np.array([point for points, _ in curves for point in points]).T
         order, _ = _scan_cells(theta, phi, 34)
-        assert order.tolist() == [curve.order for curve in curves for _ in curve.points]
+        assert order.tolist() == [want for points, want in curves for _ in points]
         assert len(order) == 88
 
 

@@ -144,6 +144,13 @@ def test_record_keeps_each_runs_last_line_and_the_tier1_counts(tmp_path, monkeyp
     assert "pairs" not in record  # only --against runs them
 
 
+def test_record_counts_the_lines_of_each_module(tmp_path, monkeypatch):
+    # wc -l of each src/geopump/*.py by module name: no other file, nothing in __pycache__
+    record, _, _ = _canned_record(tmp_path, monkeypatch, _DIFF)
+    assert record["src_lines_by_module"] == {"a": 2, "b": 0}
+    assert record["src_lines"] == sum(record["src_lines_by_module"].values())
+
+
 _AGAINST = ("--against", "be961e8")
 
 

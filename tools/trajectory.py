@@ -16,7 +16,8 @@ pytest command in ROADMAP.md) and counts its passes and failures, runs
 verify's battery (geopump.checks.run_checks) at seeds 0-299 in one child
 and keeps, for each check, its worst value, that value's seed, its bound
 and its failing seeds (verify_sweep), and records src_lines, the total
-`wc -l src/geopump/*.py` prints.  It runs each recipe of RECIPES, the
+`wc -l src/geopump/*.py` prints, and src_lines_by_module, its count of
+each module by name.  It runs each recipe of RECIPES, the
 north star's CLI runs at scale, once as a fresh child that calls
 geopump.cli.main(argv + ["--out", <tmp file>]), and keeps its wall time,
 the time in main, the child's ru_maxrss in MiB and ru_minflt, main's exit
@@ -170,9 +171,10 @@ def recipe(argv: list, cwd=None) -> dict:
             "ru_minflt": minflt, "exit_code": code, "sha256": digest}
 
 
-def src_lines() -> int:
-    # newlines, as wc -l counts them, in the package's modules
-    return sum(path.read_bytes().count(b"\n") for path in (ROOT / "src" / "geopump").glob("*.py"))
+def src_lines_by_module() -> dict:
+    # newlines, as wc -l counts them, in each of the package's modules
+    modules = sorted((ROOT / "src" / "geopump").glob("*.py"))
+    return {path.stem: path.read_bytes().count(b"\n") for path in modules}
 
 
 def checkouts(rev: str, tmp: Path) -> dict:
@@ -250,6 +252,7 @@ def main(argv=None) -> int:
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = declared["run_seconds"]
     _run(WARM, check=True)
+    by_module = src_lines_by_module()
     record = {
         "n": n,
         "commit": _run(["git", "rev-parse", "HEAD"], check=True).stdout.strip(),
@@ -264,7 +267,8 @@ def main(argv=None) -> int:
         "recipes": {name: recipe(argv) for name, argv in RECIPES.items()},
         "tier1": tier1(),
         "verify_sweep": verify_sweep(),
-        "src_lines": src_lines(),
+        "src_lines": sum(by_module.values()),
+        "src_lines_by_module": by_module,
     }
     if args.against is not None:
         record["pairs"] = pairs(args.against, declared, record["recipes"])
