@@ -30,10 +30,8 @@ from .band import (
     winding_number,
 )
 from .evolution import (
-    PumpEvent1D,
     PumpTrace,
     build_loop_operator,
-    cosine_cycle_zeros,
     propagate_state,
     pump_trace,
     pump_trace_blocks,
@@ -72,7 +70,6 @@ __all__ = [
     "IdentityRotationError",
     "LoopParams",
     "PhaseDiagram",
-    "PumpEvent1D",
     "PumpProfile",
     "PumpTrace",
     "RemovableSingularityWarning",
@@ -82,7 +79,6 @@ __all__ = [
     "axis_angle_matrices",
     "build_loop_operator",
     "classify",
-    "cosine_cycle_zeros",
     "curve_order",
     "euler_from_loop",
     "euler_matrices",

@@ -5,13 +5,14 @@ as the momentum crosses the Brillouin zone, so the winding is 1 exactly
 when |v| < |w|.  Sweeping v(t) = a + cos(2 pi t) through one cycle
 closes the gap only at the two high-symmetry momenta, where it reduces
 to the 1D cycle offset + cos(2 pi t) with offset a - w at k = pi/l and
-a + w at k = 0.  That closing is transversal exactly when |offset| < 1,
-and a transversal crossing of |v| = |w| always flips the winding, so it
+a + w at k = 0, which crosses zero at t = acos(-offset) / 2 pi and 1 - t,
+transversally, when |offset| < 1, and touches it once at |offset| = 1.
+A transversal crossing of |v| = |w| always flips the winding, so it
 marks a band inversion: the inverted momentum pumps with opening angle
-pi while every other momentum stays inert.  One closed-form rule on the
-offsets gives both `theta_of_k`, on floats or momentum blocks, and the
-flip count `DriveCycle.tpt_count`; `winding_number(v, w)`, beside
-`min_gap(v, w)`, is the sampled oracle on the two hoppings alone.
+pi while every other momentum stays inert.  `_closings` holds that rule,
+and `tpt_events`, `theta_of_k` and `DriveCycle.tpt_count` all read it;
+`winding_number(v, w)`, beside `min_gap(v, w)`, is the sampled oracle on
+the two hoppings alone.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import KW_ONLY, dataclass
 import numpy as np
 
 from .asymptotics import p_geometric
-from .evolution import cosine_cycle_zeros
 from .su2 import _BLOCK, TWO_PI, require_int
 
 GAP_TOL = 1e-10
@@ -117,14 +117,18 @@ class TptEvent:
     transversal: bool
 
 
-def _closing_momenta(dc: DriveCycle) -> tuple[tuple[float, float], ...]:
-    # (lattice phase k*l, 1D drive offset) where the transverse field, and so the gap, can vanish
-    return ((math.pi, dc.a - dc.w), (0.0, dc.a + dc.w))
+def _closings(dc: DriveCycle):
+    # (lattice phase k*l, crossing fractions, transversal) where the gap closes
+    for phase, offset in ((math.pi, dc.a - dc.w), (0.0, dc.a + dc.w)):
+        if abs(offset) <= 1.0:  # never for an offset that overflows to +/-inf
+            x = math.acos(-offset) / TWO_PI  # 0.5 exactly at offset 1, 0.0 at -1
+            transversal = abs(offset) < 1.0
+            yield phase, ((x, 1.0 - x) if transversal else (x,)), transversal
 
 
 def _inverted_phases(dc: DriveCycle) -> list[float]:
-    # closing phases where the gap closes transversally, twice a cycle: |offset| < 1
-    return [phase for phase, offset in _closing_momenta(dc) if abs(offset) < 1.0]
+    # closing phases where the gap closes transversally, twice a cycle
+    return [phase for phase, _, transversal in _closings(dc) if transversal]
 
 
 def tpt_events(dc: DriveCycle) -> tuple[TptEvent, ...]:
@@ -133,10 +137,7 @@ def tpt_events(dc: DriveCycle) -> tuple[TptEvent, ...]:
     At each high-symmetry momentum the drive reduces to the scalar 1D
     cycle with a shifted offset, so the closings are its zero crossings.
     """
-    events = []
-    for phase, offset in _closing_momenta(dc):
-        for ev in cosine_cycle_zeros(offset):
-            events.append(TptEvent(ev.time_fraction, phase / dc.l, ev.transversal))
+    events = (TptEvent(x, phase / dc.l, t) for phase, xs, t in _closings(dc) for x in xs)
     return tuple(sorted(events, key=lambda e: (e.time_fraction, e.k_star)))
 
 

@@ -501,18 +501,28 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _config_object(pairs: list) -> dict:
+    # json's object_pairs_hook: kebab-case keys read as snake_case, each key once
+    obj = {}
+    for key, value in pairs:
+        if (name := key.replace("-", "_")) in obj:
+            raise ConfigError(f"config key {name!r} is given twice")
+        obj[name] = value
+    return obj
+
+
 def _load_config_file(path: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(text, object_pairs_hook=_config_object)
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deep for json's parser
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a JSON object")
-    return {str(key).replace("-", "_"): value for key, value in raw.items()}
+    return raw
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:

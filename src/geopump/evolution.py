@@ -3,14 +3,12 @@
 One cycle acts as a single special-unitary matrix; n cycles are its n-th
 power.  This module builds that operator from loop coordinates, records
 inter-band pump statistics from the ground state over many cycles, each
-weight A^2 sin^2(nh) read from the loop's half turn, reduces the 1D
-field-reversal problem to its closed-form zero crossings, and exposes the
+weight A^2 sin^2(nh) read from the loop's half turn, and exposes the
 per-cycle jump angles of the Bloch-sphere trajectory.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,33 +138,6 @@ def propagate_state(lp: LoopParams, cycles: int):
         r0, i0, r1, i1 = np.square(z, out=z)
         worst = max(worst, float(np.abs(np.sqrt(((r0 + i0) + r1) + i1) - 1.0).max()))
     return np.array(state).view(complex), worst
-
-
-@dataclass(frozen=True)
-class PumpEvent1D:
-    """A zero of the drive within one cycle, located by its phase fraction."""
-
-    time_fraction: float
-    transversal: bool
-
-
-def cosine_cycle_zeros(offset: float) -> tuple[PumpEvent1D, ...]:
-    """Zeros of offset + cos(2*pi*x) for x in [0, 1); ValueError unless offset is finite.
-
-    Two transversal crossings for |offset| < 1, a single tangential touch
-    at |offset| = 1, nothing otherwise.  Fractions come back ascending.
-    """
-    if not math.isfinite(offset):
-        raise ValueError(f"offset must be finite, got {offset!r}")
-    if abs(offset) > 1.0:
-        return ()
-    x = math.acos(-offset) / TWO_PI  # 0.5 exactly at offset 1, 0.0 at -1
-    if abs(offset) == 1.0:
-        return (PumpEvent1D(x, transversal=False),)
-    return (
-        PumpEvent1D(x, transversal=True),
-        PumpEvent1D(1.0 - x, transversal=True),
-    )
 
 
 def trajectory_angles(theta, phi, n: int) -> np.ndarray:

@@ -145,6 +145,11 @@ class TestTptEvents:
         assert k_stars[0] == pytest.approx(0.0)
         assert k_stars[1] == pytest.approx(math.pi)
 
+    def test_tangential_touches_land_on_the_cycle_ends(self):
+        # offsets -1 (k = pi) and +1 (k = 0): acos gives exactly 0 and pi
+        events = tpt_events(DriveCycle(a=0.0))
+        assert [(e.time_fraction, e.k_star) for e in events] == [(0.0, math.pi), (0.5, 0.0)]
+
     def test_negative_offset_closes_at_zone_center(self):
         events = tpt_events(DriveCycle(a=-1.0))
         transversal = [e for e in events if e.transversal]
@@ -157,6 +162,18 @@ class TestTptEvents:
             v = dc.v_at(event.time_fraction)
             sign = -1.0 if event.k_star > 1.0 else 1.0
             assert v + sign * dc.w == pytest.approx(0.0, abs=1e-12)
+
+    def test_zero_locations_solve_the_cosine(self):
+        # w = 1 puts the k = 0 offset a + 1 past 1, so only k = pi/l closes
+        for a in RNG.uniform(0.001, 1.999, size=20):
+            dc = DriveCycle(a=float(a))
+            offset = dc.a - dc.w
+            events = tpt_events(dc)
+            assert len(events) == 2 and all(e.transversal for e in events)
+            for event in events:
+                assert offset + math.cos(2.0 * math.pi * event.time_fraction) == pytest.approx(
+                    0.0, abs=1e-12
+                )
 
     def test_transversal_count_against_sign_changes(self):
         # brute-force oracle: count sign flips of the gap coordinate over
@@ -177,6 +194,27 @@ class TestTptEvents:
                     if e.transversal and abs(e.k_star - k_star) < 1e-9
                 )
                 assert got == flips
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.floats(allow_nan=False, allow_infinity=False),
+    w=st.floats(allow_nan=False, allow_infinity=False).filter(lambda w: w != 0.0),
+    l=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)
+@example(a=1e308, w=-1e308, l=1.0)  # a - w overflows to inf: no closing at k = pi
+def test_events_count_and_angles_read_one_rule(a, w, l):
+    assume(math.isfinite(2.0 * math.pi / l))
+    dc = DriveCycle(a, w=w, l=l)
+    events = tpt_events(dc)
+    transversal = [e for e in events if e.transversal]
+    assert len(transversal) == dc.tpt_count
+    for event in transversal:
+        assert theta_of_k(dc, event.k_star) == math.pi
+    for event in events:
+        offset = dc.a + dc.w if event.k_star == 0.0 else dc.a - dc.w
+        if math.isfinite(offset):
+            assert abs(offset + math.cos(2.0 * math.pi * event.time_fraction)) <= 1e-12
 
 
 class TestThetaOfK:

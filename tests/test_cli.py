@@ -1006,6 +1006,41 @@ class TestConfigFile:
     def test_missing_file_rejected(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 1
 
+    @pytest.mark.parametrize(
+        "command,data,message",
+        [
+            pytest.param(
+                "simulate", b"\xff{}", "cannot read config file: 'utf-8' codec", id="not-utf8"
+            ),
+            pytest.param(
+                "simulate",
+                b"[" * 100_000 + b"]" * 100_000,
+                "config file is not valid JSON: maximum recursion depth",
+                id="deep-nesting",
+            ),
+            pytest.param(
+                "simulate",
+                b'{"theta": 1, "theta": 2, "cycles": 3}',
+                "config key 'theta' is given twice",
+                id="duplicate-key",
+            ),
+            pytest.param(
+                "phase-diagram",
+                b'{"theta-grid": 2, "theta_grid": 3, "phi_grid": 2, "n_max": 5}',
+                "config key 'theta_grid' is given twice",
+                id="duplicate-spelling",
+            ),
+        ],
+    )
+    def test_unreadable_file_is_a_config_error(self, tmp_path, capsys, command, data, message):
+        # each once fell to the catch-all (exit 2) or silently kept the last value
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_bytes(data)
+        assert main([command, "--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: {message}")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
     def test_invalid_json_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text("{not json")

@@ -10,7 +10,6 @@ from geopump import (
     IdentityRotationError,
     LoopParams,
     build_loop_operator,
-    cosine_cycle_zeros,
     make_rng,
     off_diagonal_magnitude,
     power,
@@ -380,39 +379,6 @@ def test_propagate_state_memory_is_one_block():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20, f"peak {peak} bytes"
-
-
-class TestCosineCycle:
-    def test_centered_cycle_two_transversal(self):
-        events = cosine_cycle_zeros(0.0)
-        assert [e.time_fraction for e in events] == [0.25, 0.75]
-        assert all(e.transversal for e in events)
-
-    def test_high_tangential(self):
-        (event,) = cosine_cycle_zeros(1.0)
-        assert event.time_fraction == 0.5 and not event.transversal
-
-    def test_low_tangential(self):
-        (event,) = cosine_cycle_zeros(-1.0)
-        assert event.time_fraction == 0.0 and not event.transversal
-
-    @pytest.mark.parametrize("offset", [1.5, -2.0, 100.0])
-    def test_gapped_cycle_is_quiet(self, offset):
-        assert cosine_cycle_zeros(offset) == ()
-
-    @pytest.mark.parametrize("offset", [math.nan, math.inf, -math.inf])
-    def test_a_non_finite_offset_is_rejected(self, offset):
-        # nan once gave two crossings at time_fraction nan, +/-inf no event
-        with pytest.raises(ValueError) as info:
-            cosine_cycle_zeros(offset)
-        assert str(info.value) == f"offset must be finite, got {offset!r}"
-
-    def test_zero_locations_solve_the_cosine(self):
-        for offset in RNG.uniform(-0.999, 0.999, size=20):
-            for event in cosine_cycle_zeros(float(offset)):
-                assert offset + math.cos(2.0 * math.pi * event.time_fraction) == pytest.approx(
-                    0.0, abs=1e-12
-                )
 
 
 class TestTrajectoryAngles:
