@@ -145,11 +145,6 @@ class TestTptEvents:
         assert k_stars[0] == pytest.approx(0.0)
         assert k_stars[1] == pytest.approx(math.pi)
 
-    def test_tangential_touches_land_on_the_cycle_ends(self):
-        # offsets -1 (k = pi) and +1 (k = 0): acos gives exactly 0 and pi
-        events = tpt_events(DriveCycle(a=0.0))
-        assert [(e.time_fraction, e.k_star) for e in events] == [(0.0, math.pi), (0.5, 0.0)]
-
     def test_negative_offset_closes_at_zone_center(self):
         events = tpt_events(DriveCycle(a=-1.0))
         transversal = [e for e in events if e.transversal]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from geopump import (
+    DriveCycle,
     IdentityRotationError,
     LoopParams,
     build_loop_operator,
@@ -18,6 +19,7 @@ from geopump import (
     pump_trace_blocks,
     sample_loop_params,
     su2_defect,
+    tpt_events,
     trajectory_angles,
 )
 from geopump.checks import _INTERIOR
@@ -379,6 +381,22 @@ def test_propagate_state_memory_is_one_block():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20, f"peak {peak} bytes"
+
+
+class TestCosineCycle:
+    # offset + cos(2 pi t) touches zero without crossing at offset +/-1;
+    # acos gives exactly pi and 0 there, so the touch lands on t = 0.5 or 0
+    def test_high_tangential(self):
+        # a = 2, w = 1: only k = pi/l closes, at offset a - w = +1
+        (event,) = tpt_events(DriveCycle(a=2.0))
+        assert (event.time_fraction, event.k_star) == (0.5, math.pi)
+        assert not event.transversal
+
+    def test_low_tangential(self):
+        # a = -2, w = 1: only k = 0 closes, at offset a + w = -1
+        (event,) = tpt_events(DriveCycle(a=-2.0))
+        assert (event.time_fraction, event.k_star) == (0.0, 0.0)
+        assert not event.transversal
 
 
 class TestTrajectoryAngles:
